@@ -229,6 +229,11 @@ echo "== go build ./..."
 go build ./...
 echo "== go test ./..."
 go test ./...
+# bench/ is a module of its own (it replaces repro with ../), so the root
+# go test ./... does not reach it; its smoke test runs every workload
+# tiny and checks the harness against the program it measures.
+echo "== (cd bench && go test ./...)"
+(cd bench && go test ./...)
 # CRN neutrality gate: a paired campaign must leave every arm's
 # marginal result bitwise identical to a standalone campaign on the
 # same seed — at both the sim layer and the experiments layer.

@@ -1,13 +1,15 @@
-// Package eventq implements the time-ordered event queue at the heart of
-// the event-driven HPC resilience simulator: a binary min-heap keyed on
-// simulated time, with stable FIFO ordering for events scheduled at the
-// same instant and O(log n) cancellation by handle.
+// Package eventq implements a general time-ordered event queue: a binary
+// min-heap keyed on simulated time, with stable FIFO ordering for events
+// scheduled at the same instant and O(log n) cancellation by handle.
 //
 // Events live in a slot arena inside the queue: Schedule reuses slots
 // freed by Pop/Cancel/Reset, so a warmed-up queue performs no heap
-// allocations no matter how many events flow through it. That property
-// is what lets the simulator's per-trial hot path run allocation-free
-// (see internal/sim.Engine).
+// allocations no matter how many events flow through it.
+//
+// It is a standalone library. The simulator's trial engine never holds
+// more than one pending event per source and keeps a fixed timer table
+// instead (see internal/sim.Engine), which pops in the same (time, FIFO)
+// order.
 package eventq
 
 import "errors"

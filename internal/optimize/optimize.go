@@ -261,11 +261,14 @@ func (w *sweepWorker) candidate(counts []int) {
 	}
 	w.time = t
 	w.found = true
-	w.plan = pattern.Plan{
-		Tau0:   plan.Tau0,
-		Counts: append(w.plan.Counts[:0], counts...),
-		Levels: plan.Levels,
+	// nil is the one empty Counts: reusing an earlier winner's buffer
+	// would give a one-level plan []int{} or nil depending on which
+	// worker found it.
+	var keep []int
+	if len(counts) > 0 {
+		keep = append(w.plan.Counts[:0], counts...)
 	}
+	w.plan = pattern.Plan{Tau0: plan.Tau0, Counts: keep, Levels: plan.Levels}
 	w.bound.lower(t)
 }
 

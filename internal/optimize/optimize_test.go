@@ -165,6 +165,42 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if r1.Evaluated != r7.Evaluated {
 		t.Fatalf("worker count changed eval count: %d vs %d", r1.Evaluated, r7.Evaluated)
 	}
+
+	// A one-level winner in a space that also holds two-level plans: a
+	// lone worker passes through two-level bests (they win at τ0 far
+	// from 3) before the one-level plan at τ0 = 3 wins, while many
+	// workers may find it first. The whole Result, empty Counts
+	// included, must not depend on which.
+	oneLevel := func(p pattern.Plan) (float64, bool) {
+		d := math.Abs(p.Tau0 - 3)
+		if len(p.Levels) > 1 {
+			return 0.25 + d/2 + float64(p.Counts[0]), true
+		}
+		return d, true
+	}
+	space = Space{
+		Tau0:      []float64{1, 2, 3, 4, 5, 6},
+		CountVals: []int{0, 1, 2},
+		LevelSets: PrefixLevelSets(2),
+	}
+	var want Result
+	for _, workers := range []int{1, 4, 16} {
+		space.Workers = workers
+		got, err := Sweep(space, oneLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			if got.Plan.Tau0 != 3 || len(got.Plan.Levels) != 1 || got.Plan.Counts != nil {
+				t.Fatalf("one-level winner = %#v, want τ0 3, one level, nil Counts", got.Plan)
+			}
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: %#v, want %#v", workers, got, want)
+		}
+	}
 }
 
 func TestForEachCounts(t *testing.T) {

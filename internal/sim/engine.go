@@ -6,17 +6,20 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/dist"
-	"repro/internal/eventq"
 	"repro/internal/pattern"
 	"repro/internal/rng"
 )
 
-// Event-queue kinds used by the engine.
-const (
-	evqPhaseEnd = iota
-	evqFailure
-	evqFlushEnd
-)
+// timer is one entry of the engine's timer table. A trial never has more
+// than one pending event per source — an arrival per severity, the end of
+// the current phase, the end of the background flush — so the table has
+// one fixed entry per source instead of a general priority queue. seq
+// orders entries armed for the same instant: earlier arming pops first.
+type timer struct {
+	t     float64
+	seq   uint64
+	armed bool
+}
 
 // store holds one committed checkpoint.
 type store struct {
@@ -27,7 +30,7 @@ type store struct {
 
 // Engine executes trials of one scenario. It is built once (per worker
 // goroutine, typically), validated once, and then reused for any number
-// of trials: the event queue, failure-law table, checkpoint stores,
+// of trials: the timer table, failure-law table, checkpoint stores,
 // failure counters and RNG state are recycled between trials, so the
 // per-trial hot path performs no heap allocations. An Engine is not
 // safe for concurrent use; run one per goroutine.
@@ -53,22 +56,27 @@ type Engine struct {
 	controller PlanController
 	err        error // fatal mid-run error (invalid controller plan)
 
-	queue       eventq.Queue
-	phaseHandle eventq.Handle
+	// timers holds one entry per severity (index sev-1), then the phase
+	// entry, then the flush entry; seq numbers arming order. arrival
+	// caches the earliest armed severity entry (-1 if none): arrivals
+	// only change when one fires, phases and flushes at almost every
+	// event.
+	timers  []timer
+	seq     uint64
+	arrival int
 
 	now        float64
 	done       float64 // current useful progress (state the next checkpoint would commit)
-	pos        int     // next pattern interval index
+	pos        int     // pattern position after the last completed interval
+	digits     []int   // pos in mixed radix: digit i runs over 0..plan.Counts[i]
 	stores     []store // one per used level
 	phase      Phase
 	phaseStart float64
 	phaseLevel int // 1-based system level for checkpoint/restart phases
 	restartIdx int // used-level index being read during PhaseRestart
 
-	asyncCapture bool          // current checkpoint phase is an async capture
-	flushPending bool          // a background top-level flush is in flight
-	flushHandle  eventq.Handle // cancellation handle for the flush
-	flushStore   store         // state the in-flight flush will commit
+	asyncCapture bool  // current checkpoint phase is an async capture
+	flushStore   store // state the in-flight flush will commit
 
 	failures []int // per-severity counters, reused across trials
 	res      TrialResult
@@ -104,6 +112,8 @@ func NewEngine(scn Scenario) (*Engine, error) {
 	}
 	e.maxWall = factor * sys.BaselineTime
 	e.failures = make([]int, L)
+	e.timers = make([]timer, L+2)
+	e.digits = make([]int, 0, len(scn.Plan.Counts))
 	e.stores = make([]store, 0, scn.Plan.NumUsed())
 	return e, nil
 }
@@ -167,13 +177,13 @@ func RunTrial(scn Scenario, r *rand.Rand) (TrialResult, error) {
 // must leave the engine in exactly the state a freshly-built engine
 // would start a trial in.
 func (e *Engine) reset() {
-	e.queue.Reset()
-	e.phaseHandle = eventq.Handle{}
-	e.flushHandle = eventq.Handle{}
+	for i := range e.timers {
+		e.timers[i] = timer{}
+	}
+	e.seq, e.arrival = 0, -1
 	e.now, e.done = 0, 0
-	e.pos = 0
 	e.phase, e.phaseStart, e.phaseLevel, e.restartIdx = 0, 0, 0, 0
-	e.asyncCapture, e.flushPending = false, false
+	e.asyncCapture = false
 	e.flushStore = store{}
 	e.err = nil
 	e.plan = e.scn.Plan
@@ -182,6 +192,7 @@ func (e *Engine) reset() {
 	} else {
 		e.controller = nil
 	}
+	e.seek(0)
 
 	n := e.plan.NumUsed()
 	if cap(e.stores) < n {
@@ -211,31 +222,99 @@ func (e *Engine) reset() {
 	e.startCompute()
 }
 
+// phaseTimer and flushTimer index the timer table after the per-severity
+// entries.
+func (e *Engine) phaseTimer() int { return len(e.laws) }
+func (e *Engine) flushTimer() int { return len(e.laws) + 1 }
+
+// arm sets timer i to fire at t, superseding whatever it held.
+func (e *Engine) arm(i int, t float64) {
+	e.timers[i] = timer{t: t, seq: e.seq, armed: true}
+	e.seq++
+}
+
+// earliest returns the armed timer with the smallest (t, seq) among
+// best (an armed index, or -1) and timers[lo:hi], or -1 if none is armed.
+func (e *Engine) earliest(best, lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		tm := &e.timers[i]
+		if !tm.armed {
+			continue
+		}
+		if best < 0 {
+			best = i
+			continue
+		}
+		if b := &e.timers[best]; tm.t < b.t || (tm.t == b.t && tm.seq < b.seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+// next returns the timer that fires next, or -1 when none is armed: the
+// armed entry with the smallest (t, seq). That is a total order, so this
+// is the entry a binary heap under the same order would pop, ties
+// included.
+func (e *Engine) next() int {
+	return e.earliest(e.arrival, e.phaseTimer(), len(e.timers))
+}
+
 // armFailure schedules the next arrival of a severity class.
 func (e *Engine) armFailure(sev int) {
 	law := e.laws[sev-1]
 	if law == nil {
 		return
 	}
-	e.queue.Schedule(e.now+law.Sample(e.rng), evqFailure, sev)
+	e.arm(sev-1, e.now+law.Sample(e.rng))
+	e.arrival = e.earliest(-1, 0, len(e.laws))
 }
 
+// observe reports an event to the observer; callers check for a nil
+// observer first, so an unobserved trial pays one branch per event.
 func (e *Engine) observe(kind EventKind, level int) {
-	if e.observer == nil {
-		return
-	}
 	e.observer.Observe(Event{
 		Time: e.now, Kind: kind, Phase: e.phase, Level: level, Progress: e.done,
 	})
 }
 
-// startPhase begins a phase of the given duration.
+// startPhase begins a phase of the given duration, superseding the
+// pending end of any interrupted phase.
 func (e *Engine) startPhase(p Phase, level int, duration float64) {
 	e.phase = p
 	e.phaseLevel = level
 	e.phaseStart = e.now
-	e.phaseHandle = e.queue.Schedule(e.now+duration, evqPhaseEnd, 0)
-	e.observe(EvPhaseStart, level)
+	e.arm(e.phaseTimer(), e.now+duration)
+	if e.observer != nil {
+		e.observe(EvPhaseStart, level)
+	}
+}
+
+// tick advances the pattern odometer past one completed τ0 interval and
+// returns the used-level index of the checkpoint that follows it: the
+// number of digits that carried. A carry out of the top digit wraps the
+// period, which ends in a top-level checkpoint.
+func (e *Engine) tick() int {
+	e.pos++
+	for i, n := range e.plan.Counts {
+		if e.digits[i] < n {
+			e.digits[i]++
+			return i
+		}
+		e.digits[i] = 0
+	}
+	e.pos = 0
+	return len(e.plan.Counts)
+}
+
+// seek sets the odometer to pattern position pos of the current plan.
+func (e *Engine) seek(pos int) {
+	e.pos = pos
+	e.digits = e.digits[:0]
+	for _, n := range e.plan.Counts {
+		e.digits = append(e.digits, pos%(n+1))
+		pos /= n + 1
+	}
 }
 
 func (e *Engine) startCompute() {
@@ -250,35 +329,41 @@ func (e *Engine) startCompute() {
 // run drives the event loop until completion or the wall-time cap.
 func (e *Engine) run() {
 	for {
-		ev, err := e.queue.Pop()
-		if err != nil {
+		i := e.next()
+		if i < 0 {
 			// No pending events can only mean all severities are
 			// failure-free and a phase is always pending; treat
 			// defensively as completion of whatever progress exists.
 			break
 		}
-		e.now = ev.Time
+		e.timers[i].armed = false
+		e.now = e.timers[i].t
 		if e.now >= e.maxWall {
 			e.now = e.maxWall
 			e.chargePartialPhase()
 			e.finish(false)
-			e.observe(EvCapped, 0)
+			if e.observer != nil {
+				e.observe(EvCapped, 0)
+			}
 			return
 		}
-		switch ev.Kind {
-		case evqPhaseEnd:
+		switch i {
+		case e.phaseTimer():
 			if e.phaseEnd() {
 				e.finish(true)
-				e.observe(EvComplete, 0)
+				if e.observer != nil {
+					e.observe(EvComplete, 0)
+				}
 				return
 			}
-		case evqFlushEnd:
-			e.flushPending = false
+		case e.flushTimer():
 			e.stores[e.plan.NumUsed()-1] = e.flushStore
-		case evqFailure:
-			sev := ev.Data
+		default:
+			sev := i + 1
 			e.res.Failures[sev-1]++
-			e.observe(EvFailure, sev)
+			if e.observer != nil {
+				e.observe(EvFailure, sev)
+			}
 			if e.controller != nil {
 				e.controller.OnFailure(e.now, sev)
 			}
@@ -298,12 +383,16 @@ func (e *Engine) phaseEnd() bool {
 	case PhaseCompute:
 		e.res.Breakdown.UsefulCompute += d // reclassified to Lost on rollback
 		e.done += d
-		e.observe(EvPhaseEnd, 0)
+		if e.observer != nil {
+			e.observe(EvPhaseEnd, 0)
+		}
 		if e.done >= e.scn.System.BaselineTime-1e-12 {
 			e.done = e.scn.System.BaselineTime
 			return true
 		}
-		usedIdx := plan.LevelAfterInterval(e.pos)
+		// The odometer now holds the position this checkpoint commits;
+		// a failure before the commit rolls back through seek.
+		usedIdx := e.tick()
 		lvl := plan.Levels[usedIdx]
 		duration := e.scn.System.Levels[lvl-1].Checkpoint
 		e.asyncCapture = false
@@ -317,29 +406,25 @@ func (e *Engine) phaseEnd() bool {
 		e.startPhase(PhaseCheckpoint, lvl, duration)
 	case PhaseCheckpoint:
 		e.res.Breakdown.CheckpointOK += d
-		e.observe(EvPhaseEnd, e.phaseLevel)
-		next := (e.pos + 1) % plan.PeriodIntervals()
+		if e.observer != nil {
+			e.observe(EvPhaseEnd, e.phaseLevel)
+		}
 		commitLevel := e.phaseLevel
 		if e.asyncCapture {
 			// Commit only up to the capture level now; the top level
-			// commits when the background flush completes.
+			// commits when the background flush completes. A flush still
+			// in flight is superseded by the newer data.
 			commitLevel = plan.Levels[plan.NumUsed()-2]
-			if e.flushPending {
-				e.queue.Cancel(e.flushHandle) // newer data supersedes
-			}
-			e.flushStore = store{valid: true, progress: e.done, pos: next}
-			e.flushHandle = e.queue.Schedule(
-				e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint, evqFlushEnd, 0)
-			e.flushPending = true
+			e.flushStore = store{valid: true, progress: e.done, pos: e.pos}
+			e.arm(e.flushTimer(), e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint)
 			e.asyncCapture = false
 		}
 		// Commit to every used level at or below the committed level.
 		for i, lvl := range plan.Levels {
 			if lvl <= commitLevel {
-				e.stores[i] = store{valid: true, progress: e.done, pos: next}
+				e.stores[i] = store{valid: true, progress: e.done, pos: e.pos}
 			}
 		}
-		e.pos = next
 		if e.controller != nil {
 			if newPlan, ok := e.controller.Replan(e.now, e.done); ok {
 				if err := e.switchPlan(newPlan); err != nil {
@@ -352,7 +437,9 @@ func (e *Engine) phaseEnd() bool {
 		e.startCompute()
 	case PhaseRestart:
 		e.res.Breakdown.RestartOK += d
-		e.observe(EvPhaseEnd, e.phaseLevel)
+		if e.observer != nil {
+			e.observe(EvPhaseEnd, e.phaseLevel)
+		}
 		st := e.stores[e.restartIdx]
 		e.rollbackTo(st)
 		e.startCompute()
@@ -385,18 +472,15 @@ func (e *Engine) rollbackTo(st store) {
 		e.res.Breakdown.LostCompute += lost
 	}
 	e.done = st.progress
-	e.pos = st.pos
+	e.seek(st.pos)
 }
 
-// failure handles a severity-s arrival.
+// failure handles a severity-s arrival. The recovery phase it starts
+// supersedes the interrupted phase's pending end.
 func (e *Engine) failure(sev int) {
-	e.queue.Cancel(e.phaseHandle)
 	e.chargePartialPhase()
-	if e.flushPending {
-		// The in-flight background flush loses its source data.
-		e.queue.Cancel(e.flushHandle)
-		e.flushPending = false
-	}
+	// An in-flight background flush loses its source data.
+	e.timers[e.flushTimer()].armed = false
 
 	// The failure destroys checkpoint data at levels below its
 	// severity.
@@ -491,11 +575,8 @@ func (e *Engine) switchPlan(p pattern.Plan) error {
 	if err := p.Validate(e.scn.System); err != nil {
 		return fmt.Errorf("sim: controller produced invalid plan: %w", err)
 	}
-	if e.flushPending {
-		// The in-flight flush belongs to the old plan's level layout.
-		e.queue.Cancel(e.flushHandle)
-		e.flushPending = false
-	}
+	// An in-flight flush belongs to the old plan's level layout.
+	e.timers[e.flushTimer()].armed = false
 	// Remap stores: keep the best committed progress per new used
 	// level (a new level set may drop or add levels; a dropped level's
 	// checkpoint data still exists, but the protocol will no longer
@@ -506,7 +587,7 @@ func (e *Engine) switchPlan(p pattern.Plan) error {
 	old := e.stores
 	oldLevels := e.plan.Levels
 	e.plan = p
-	e.pos = 0
+	e.seek(0)
 	e.stores = make([]store, p.NumUsed())
 	for i, lvl := range p.Levels {
 		best := store{}

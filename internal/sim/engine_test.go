@@ -14,7 +14,7 @@ import (
 // The bit patterns below were captured by running the pre-Engine
 // simulator (fresh per-trial state, per-trial generator allocation) on
 // the same campaigns. The Engine redesign must reproduce every one of
-// them exactly: reusing the queue, stores, samplers, and PCG state is
+// them exactly: reusing the timers, stores, samplers, and PCG state is
 // only legal because it is bitwise-invisible.
 
 func goldenD7Campaign(t *testing.T) Campaign {
@@ -166,9 +166,9 @@ func TestEngineRunMatchesRunTrial(t *testing.T) {
 }
 
 func TestTrialLoopDoesNotAllocate(t *testing.T) {
-	// After a warm-up trial sizes the queue arena, the per-trial hot
-	// path must be allocation-free. The old code allocated ~2400
-	// objects per trial on this scenario.
+	// After a warm-up trial builds the engine's generator, the
+	// per-trial hot path must be allocation-free. The old code
+	// allocated ~2400 objects per trial on this scenario.
 	camp := goldenD7Campaign(t)
 	eng, err := NewEngine(camp.Scenario)
 	if err != nil {
@@ -184,7 +184,7 @@ func TestTrialLoopDoesNotAllocate(t *testing.T) {
 		}
 		trial++
 	})
-	if avg > 1 {
-		t.Fatalf("reused engine allocates %.1f objects per trial, want ~0", avg)
+	if avg != 0 {
+		t.Fatalf("reused engine allocates %.1f objects per trial, want 0", avg)
 	}
 }

@@ -423,6 +423,9 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 			}
 			eng.Observe(obs)
 			eng.Control(c.ControllerFactory)
+			// One result per worker: shards consume it through a pointer,
+			// so a per-trial variable would escape once per trial.
+			var r TrialResult
 			for b := firstBlock + w; b < endBlock; b += workers {
 				if haltFlag.Load() {
 					return
@@ -449,7 +452,7 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 					if c.TrialStart != nil {
 						c.TrialStart(w, i)
 					}
-					r, err := eng.Run(c.Seed.Trial(i))
+					r, err = eng.Run(c.Seed.Trial(i))
 					if err != nil {
 						record(i, fmt.Errorf("trial %d: %w", i, err))
 						return
@@ -574,6 +577,7 @@ func (c Campaign) runRange(first int, results []TrialResult, failBuf []int) erro
 			}
 			eng.Observe(obs)
 			eng.Control(c.ControllerFactory)
+			var r TrialResult
 			for rel := w; rel < n; rel += workers {
 				i := first + rel
 				if firstBad.Load() < int64(i) {
@@ -591,7 +595,7 @@ func (c Campaign) runRange(first int, results []TrialResult, failBuf []int) erro
 				if c.TrialStart != nil {
 					c.TrialStart(w, i)
 				}
-				r, err := eng.Run(c.Seed.Trial(i))
+				r, err = eng.Run(c.Seed.Trial(i))
 				if err != nil {
 					record(i, fmt.Errorf("trial %d: %w", i, err))
 					return

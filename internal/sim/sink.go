@@ -106,9 +106,15 @@ func NewExactSink() *ExactSink { return &ExactSink{} }
 type exactShard struct {
 	results []TrialResult
 	fails   []int
+	// buf backs results for blocks of up to DefaultBlock trials, so a
+	// fresh shard does not grow its slices trial by trial.
+	buf [DefaultBlock]TrialResult
 }
 
 func (s *exactShard) Consume(trial int, r *TrialResult) {
+	if s.fails == nil {
+		s.fails = make([]int, 0, DefaultBlock*len(r.Failures))
+	}
 	rc := *r
 	s.fails = append(s.fails, r.Failures...)
 	rc.Failures = s.fails[len(s.fails)-len(r.Failures):]
@@ -125,7 +131,9 @@ func (s *ExactSink) Shard() SinkShard {
 		sh.results, sh.fails = sh.results[:0], sh.fails[:0]
 		return sh
 	}
-	return &exactShard{}
+	sh := &exactShard{}
+	sh.results = sh.buf[:0]
+	return sh
 }
 
 // Reserve pre-sizes the sink for a known campaign (runner hint).
