@@ -258,6 +258,7 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run XXX -fuzz '^FuzzEngineScenario$' -fuzztime 30s ./internal/conformance/
     go test -run XXX -fuzz '^FuzzPatternPlan$' -fuzztime 30s ./internal/conformance/
     go test -run XXX -fuzz '^FuzzPlanRequest$' -fuzztime 30s ./internal/service/
+    go test -run XXX -fuzz '^FuzzSolverReuse$' -fuzztime 30s ./internal/markov/
 fi
 
 if [ "${1:-}" = "bench" ]; then

@@ -14,8 +14,6 @@
 //	-trials N    override the per-scenario trial count (default: paper's)
 //	-seed N      campaign base seed (default 1)
 //	-outdir DIR  write <experiment>.txt/.csv/.svg under DIR ("" = stdout only)
-//	             (-out DIR is a deprecated alias; -out means a file path
-//	             in the other commands)
 //	-json        machine-readable JSON results on stdout instead of tables
 //	-quiet       suppress per-scenario progress lines
 //	-wall F      per-trial wall-time cap as a multiple of T_B (default 150)
@@ -60,8 +58,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	trials := fs.Int("trials", 0, "per-scenario trial count (0 = paper default)")
 	seed := fs.Uint64("seed", 1, "campaign base seed")
-	outDirFlag := fs.String("outdir", "", "directory for .txt/.csv/.svg artifacts")
-	outDirOld := fs.String("out", "", "deprecated alias for -outdir (kept one release; -out names a file path everywhere else)")
+	outDir := fs.String("outdir", "", "directory for .txt/.csv/.svg artifacts")
 	jsonOut := fs.Bool("json", false, "write each target's result as machine-readable JSON to stdout instead of text tables")
 	quiet := fs.Bool("quiet", false, "suppress progress lines")
 	wall := fs.Float64("wall", 0, "trial wall cap as multiple of T_B (0 = default 150)")
@@ -91,13 +88,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
-	}
-	outDir := *outDirFlag
-	if *outDirOld != "" {
-		fmt.Fprintln(os.Stderr, "repro: -out is deprecated, use -outdir (repro and mlckpt now follow simtrace's convention: -out is a file path, -outdir a directory)")
-		if outDir == "" {
-			outDir = *outDirOld
-		}
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -180,7 +170,7 @@ func run(args []string, stdout io.Writer) error {
 	var sharedFig4 *experiments.Fig4Result
 	for _, target := range targets {
 		start := time.Now()
-		if err := runOne(target, opt, outDir, *jsonOut, stdout, &sharedFig4); err != nil {
+		if err := runOne(target, opt, *outDir, *jsonOut, stdout, &sharedFig4); err != nil {
 			return fmt.Errorf("%s: %w", target, err)
 		}
 		if !*quiet {

@@ -62,7 +62,7 @@ func TestFig5SmallWithArtifacts(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var out bytes.Buffer
-	err := run([]string{"-quiet", "-fast", "-trials", "6", "-wall", "25", "-out", dir, "fig5"}, &out)
+	err := run([]string{"-quiet", "-fast", "-trials", "6", "-wall", "25", "-outdir", dir, "fig5"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFig5SmallWithArtifacts(t *testing.T) {
 
 func TestTable1Artifacts(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-quiet", "-out", dir, "table1"}, &bytes.Buffer{}); err != nil {
+	if err := run([]string{"-quiet", "-outdir", dir, "table1"}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(readFile(t, filepath.Join(dir, "table1.txt")), "BlueGene") {
@@ -112,7 +112,7 @@ func TestAllTargetsSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var out bytes.Buffer
-	err := run([]string{"-quiet", "-fast", "-trials", "2", "-wall", "10", "-out", dir, "all"}, &out)
+	err := run([]string{"-quiet", "-fast", "-trials", "2", "-wall", "10", "-outdir", dir, "all"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestAblationAndSensitivityTargets(t *testing.T) {
 	dir := t.TempDir()
 	for _, target := range []string{"ablation-policy", "ablation-async", "ablation-weibull", "sensitivity"} {
 		var out bytes.Buffer
-		err := run([]string{"-quiet", "-fast", "-trials", "2", "-wall", "10", "-out", dir, target}, &out)
+		err := run([]string{"-quiet", "-fast", "-trials", "2", "-wall", "10", "-outdir", dir, target}, &out)
 		if err != nil {
 			t.Fatalf("%s: %v", target, err)
 		}

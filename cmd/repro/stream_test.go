@@ -35,24 +35,19 @@ func TestJSONTargets(t *testing.T) {
 	}
 }
 
-// TestOutDirAliasDeprecation: -out still works as a directory alias but
-// -outdir is the documented spelling; both land the same artifacts.
-func TestOutDirAliasDeprecation(t *testing.T) {
-	oldDir, newDir := t.TempDir(), t.TempDir()
-	if err := run([]string{"-quiet", "-out", oldDir, "table1"}, &bytes.Buffer{}); err != nil {
+// TestOutFlagRemoved: the deprecated -out alias is gone; -outdir is the
+// artifact directory flag.
+func TestOutFlagRemoved(t *testing.T) {
+	if err := run([]string{"-quiet", "-out", t.TempDir(), "table1"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("-out accepted; the alias should be gone")
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-quiet", "-outdir", dir, "table1"}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-quiet", "-outdir", newDir, "table1"}, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range []string{oldDir, newDir} {
-		if _, err := filepath.Glob(filepath.Join(dir, "table1.txt")); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"table1.txt", "table1.svg"} {
-			if m, _ := filepath.Glob(filepath.Join(dir, name)); len(m) != 1 {
-				t.Errorf("%s missing under %s", name, dir)
-			}
+	for _, name := range []string{"table1.txt", "table1.svg"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, name)); len(m) != 1 {
+			t.Errorf("%s missing under %s", name, dir)
 		}
 	}
 }

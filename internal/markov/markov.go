@@ -129,10 +129,24 @@ func (c *Chain) validate() (float64, error) {
 // Solver holds reusable scratch for chain evaluations. A zero Solver is
 // ready to use; passing the same Solver to many ExpectedPeriodTimeWith
 // calls makes the steady-state evaluation allocation-free and caches the
-// per-duration exponentials within each call (pattern periods repeat a
-// handful of distinct segment durations — τ0 and one checkpoint cost per
-// level — so the expensive exp/expm1 calls collapse from O(segments) to
-// O(distinct durations)). A Solver must not be shared between goroutines.
+// per-duration exponentials (pattern periods repeat a handful of
+// distinct segment durations — τ0 and one checkpoint cost per level — so
+// the expensive exp/expm1 calls collapse from O(segments) to O(distinct
+// durations)). A Solver must not be shared between goroutines.
+//
+// Reuse contract: a Solver remembers the rates, restart times, policy
+// and segments of the last chain it solved (as copies, so callers may
+// rewrite a chain in place between calls). When the next chain's rates
+// and restart times are bit-identical and its policy is the same, the
+// solver keeps the recovery table, keeps the posByLevel rows and the
+// prefix sums of the longest segment prefix the two chains share, and
+// resumes the forward sweep at the first segment that differs. This is
+// exact, not approximate: A_k depends only on segments[0..k] and the
+// chain constants, and the resumed sweep adds the same terms in the same
+// order, so every result is bitwise identical to a fresh Solver's. A
+// brute-force sweep whose neighbouring candidates share a period prefix
+// (the count odometer turning its last digit) pays only for each new
+// period's tail.
 type Solver struct {
 	prefix     []float64
 	posByLevel []int
@@ -140,8 +154,55 @@ type Solver struct {
 	rec        []recovery
 	absorb     []float64 // backing array for the recovery absorb rows
 
-	// Per-call duration → (survival, truncated-expectation) cache.
+	// Duration → (survival, truncated-expectation) cache, valid for the
+	// remembered total rate; reset with the constants or the prefix.
 	durs, durQ, durPartial []float64
+
+	// The last chain solved: its constants (valid when primed), its
+	// segments, and how many A_k its sweep computed before finishing or
+	// exiting early (prefix[0..solved] hold).
+	primed       bool
+	rates, rtime []float64
+	policy       RecoveryPolicy
+	segs         []Segment
+	solved       int
+}
+
+// sameConstants reports whether c's rates, restart times and policy are
+// bit-identical to the remembered chain's.
+func (s *Solver) sameConstants(c *Chain) bool {
+	return s.primed && s.policy == c.Policy &&
+		sameBits(s.rates, c.Rates) && sameBits(s.rtime, c.RestartTime)
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// commonPrefix returns the number of leading segments a and b share.
+func commonPrefix(a, b []Segment) int {
+	n := min(len(a), len(b))
+	for k := 0; k < n; k++ {
+		if a[k].Kind != b[k].Kind || a[k].Level != b[k].Level ||
+			math.Float64bits(a[k].Duration) != math.Float64bits(b[k].Duration) {
+			return k
+		}
+	}
+	return n
+}
+
+func (s *Solver) resetDurations() {
+	s.durs = s.durs[:0]
+	s.durQ = s.durQ[:0]
+	s.durPartial = s.durPartial[:0]
 }
 
 // expDurCacheMax bounds the duration cache's linear scan; chains with
@@ -166,16 +227,22 @@ func (s *Solver) expFor(d, lambda float64) (q, partial float64) {
 	return q, partial
 }
 
+// growFloats and growInts resize scratch to n, keeping the current
+// contents (the reused prefix rows live there).
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n)
+		ns := make([]float64, n)
+		copy(ns, s)
+		return ns
 	}
 	return s[:n]
 }
 
 func growInts(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n)
+		ns := make([]int, n)
+		copy(ns, s)
+		return ns
 	}
 	return s[:n]
 }
@@ -208,29 +275,50 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 	if s == nil {
 		s = &Solver{}
 	}
-	s.durs = s.durs[:0]
-	s.durQ = s.durQ[:0]
-	s.durPartial = s.durPartial[:0]
-
 	L := len(c.Rates)
-	rec := c.recoveriesInto(s, lambda)
+	n := len(c.Segments)
+
+	// Reuse (see the Solver contract): p0 is the first posByLevel row
+	// and k0 the first A_k this chain cannot take from the last one.
+	oldN := len(s.segs)
+	var p0, k0 int
+	if s.sameConstants(c) {
+		p0 = commonPrefix(s.segs, c.Segments)
+		k0 = min(p0, s.solved)
+		if k0 == 0 {
+			s.resetDurations()
+		}
+	} else {
+		s.resetDurations()
+		c.recoveriesInto(s, lambda)
+		s.primed, s.policy = true, c.Policy
+		s.rates = append(s.rates[:0], c.Rates...)
+		s.rtime = append(s.rtime[:0], c.RestartTime...)
+	}
+	s.segs = append(s.segs[:p0], c.Segments[p0:]...)
+	rec := s.rec
 
 	// posByLevel[k*L + (u-1)] = resume segment index after a recovery
 	// from a level-u checkpoint when the failure struck segment k: the
 	// segment after the latest committed checkpoint of level >= u
 	// strictly before k, or 0 (period start).
-	n := len(c.Segments)
 	posByLevel := growInts(s.posByLevel, n*L)
 	s.posByLevel = posByLevel
 	last := growInts(s.last, L) // last[u-1] = resume position for level u so far
 	s.last = last
-	for u := range last {
-		last[u] = 0
+	switch {
+	case p0 == 0:
+		clear(last)
+	case p0 < oldN:
+		copy(last, posByLevel[p0*L:(p0+1)*L])
 	}
-	for k := 0; k < n; k++ {
+	// p0 == oldN: last already holds the state after the old chain's
+	// final segment.
+	for k := p0; k < n; k++ {
 		copy(posByLevel[k*L:(k+1)*L], last)
 		if s := c.Segments[k]; s.Kind == Checkpoint {
-			for u := 1; u <= s.Level; u++ {
+			// Commits above the top severity recover the same states.
+			for u := 1; u <= min(s.Level, L); u++ {
 				last[u-1] = k + 1
 			}
 		}
@@ -240,23 +328,25 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 	prefix := growFloats(s.prefix, n+1) // prefix[k] = Σ_{m<k} A_m
 	s.prefix = prefix
 	prefix[0] = 0
-	for k := 0; k < n; k++ {
+	for k := k0; k < n; k++ {
 		d := c.Segments[k].Duration
 		q, partial := s.expFor(d, lambda)
 		if q == 0 {
+			s.solved = k
 			return math.Inf(1), nil
 		}
 		pf := 1 - q
 
 		acc := q*d + pf*partial
-		for s := 1; s <= L; s++ {
-			ps := pf * c.Rates[s-1] / lambda
+		for sev := 1; sev <= L; sev++ {
+			ps := pf * c.Rates[sev-1] / lambda
 			if ps == 0 {
 				continue
 			}
-			r0 := s // recovery starts at the lowest level >= severity = s itself
+			r0 := sev // recovery starts at the lowest level >= severity = sev itself
 			rc := rec[r0-1]
 			if math.IsInf(rc.time, 1) {
+				s.solved = k
 				return math.Inf(1), nil
 			}
 			acc += ps * rc.time
@@ -269,6 +359,7 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 		ak := acc / q
 		prefix[k+1] = prefix[k] + ak
 	}
+	s.solved = n
 	return prefix[n], nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/model"
@@ -80,9 +81,9 @@ func (*Technique) Predict(sys *system.System, plan pattern.Plan) (model.Predicti
 	if err := plan.Validate(sys); err != nil {
 		return model.Prediction{}, err
 	}
-	t, err := expectedTime(sys, plan, nil)
-	if err != nil {
-		return model.Prediction{}, err
+	t, level, ok := newEvaluator(sys).expectedTime(plan, nil)
+	if !ok {
+		return model.Prediction{}, rejection(sys, plan, level)
 	}
 	return model.NewPrediction(sys.BaselineTime, t), nil
 }
@@ -119,61 +120,153 @@ func (*Technique) PredictDetailed(sys *system.System, plan pattern.Plan) (model.
 		return model.Prediction{}, Breakdown{}, err
 	}
 	var b Breakdown
-	t, err := expectedTime(sys, plan, &b)
-	if err != nil {
-		return model.Prediction{}, Breakdown{}, err
+	t, level, ok := newEvaluator(sys).expectedTime(plan, &b)
+	if !ok {
+		return model.Prediction{}, Breakdown{}, rejection(sys, plan, level)
 	}
 	return model.NewPrediction(sys.BaselineTime, t), b, nil
 }
 
-// expectedTime runs the level-by-level recursion of Eqn. 4. When bk is
-// non-nil it accumulates the per-event-class decomposition; because each
-// level's terms scale by the number of times that level's execution
-// interval occurs in the whole run, per-level contributions are weighted
-// by the occurrence count of their enclosing interval.
-func expectedTime(sys *system.System, plan pattern.Plan, bk *Breakdown) (float64, error) {
-	lambdaFull := sys.Lambda()
-	ell := plan.NumUsed()
+// evaluator runs the model for one system. It caches what stays fixed
+// between the optimizer sweep's neighbouring candidates:
+//
+//   - per level set: each used level's severity rate λ_i, its share S_i,
+//     the residual rate, and the four plan-independent
+//     transcendentals RetryCount/TruncExp of (δ_i, λ_c) and (R_i, λ_c);
+//   - per level: γ_i, E(τ_i, λ_i) and level i's Eqn. 10 summand for the
+//     last τ_i seen, keyed on τ_i's exact bits. The sweep's count
+//     odometer turns its last digit fastest, so below the top level τ_i
+//     rarely changes between calls.
+//
+// Each cached value is the expression the recursion would compute,
+// evaluated once, and the remaining arithmetic runs in the recursion's
+// order, so results are bitwise identical to a fresh evaluator's. Predict
+// and PredictDetailed use a fresh evaluator per call; the sweep keeps one
+// per worker. An evaluator is not safe for concurrent use.
+type evaluator struct {
+	sys        *system.System
+	lambdaFull float64
 
+	// Level-set cache: the level set it describes and its constants.
+	loaded   bool
+	levels   []int
+	restRate float64
+	lv       []levelConst
+
+	memo []levelMemo // per used level, keyed on τ_i
+}
+
+// levelConst holds one used level's plan-independent constants.
+type levelConst struct {
+	rate, share      float64 // λ_i, S_i = λ_i/λ
+	delta, restart   float64
+	ckRetry, ckTrunc float64 // RetryCount, TruncExp of (δ_i, λ_c), λ_c = Σ_{j<=i} λ_j
+	rRetry, rTrunc   float64 // RetryCount, TruncExp of (R_i, λ_c)
+}
+
+// levelMemo is one level's one-entry memo of its τ_i-dependent terms.
+type levelMemo struct {
+	valid   bool
+	tauBits uint64
+	gamma   float64 // Eqn. 5: γ_i = RetryCount(τ_i, λ_i)
+	trunc   float64 // E(τ_i, λ_i)
+	lost    float64 // Eqn. 10 summand: (τ_i + γ_i·E(τ_i, λ_i))·S_i
+}
+
+type levelTerms struct {
+	tCk, tCkFail, tR, tRFail, tWTau, tWCk, nIv float64
+}
+
+func newEvaluator(sys *system.System) *evaluator {
+	n := sys.NumLevels()
+	return &evaluator{
+		sys:        sys,
+		lambdaFull: sys.Lambda(),
+		levels:     make([]int, 0, n),
+		lv:         make([]levelConst, n),
+		memo:       make([]levelMemo, n),
+	}
+}
+
+// useLevels loads the level-set constants for levels, unless they are
+// already loaded. A new level set invalidates the per-level memo: its
+// entries depend on λ_i and S_i.
+func (e *evaluator) useLevels(levels []int) {
+	if e.loaded && slices.Equal(e.levels, levels) {
+		return
+	}
+	e.loaded = true
+	e.levels = append(e.levels[:0], levels...)
+	ell := len(levels)
+	if len(e.lv) < ell {
+		e.lv = make([]levelConst, ell)
+		e.memo = make([]levelMemo, ell)
+	}
+	sys := e.sys
 	// Severity mass handled by each used level: classes between the
 	// previous used level (exclusive) and this one (inclusive) restart
 	// from this level's checkpoint.
-	rate := make([]float64, ell)
 	lo := 1
-	for i, u := range plan.Levels {
+	var lambdaC float64
+	for i, u := range levels {
+		var rate float64
 		for sev := lo; sev <= u; sev++ {
-			rate[i] += sys.LevelRate(sev)
+			rate += sys.LevelRate(sev)
 		}
 		lo = u + 1
+		lambdaC += rate
+		delta := sys.Levels[u-1].Checkpoint
+		restart := sys.Levels[u-1].Restart
+		e.lv[i] = levelConst{
+			rate: rate, share: rate / e.lambdaFull,
+			delta: delta, restart: restart,
+			ckRetry: dist.RetryCount(delta, lambdaC), ckTrunc: dist.TruncExp(delta, lambdaC),
+			rRetry: dist.RetryCount(restart, lambdaC), rTrunc: dist.TruncExp(restart, lambdaC),
+		}
+		e.memo[i].valid = false
 	}
 	// Residual severities above the top used level lose everything.
 	var restRate float64
 	for sev := lo; sev <= sys.NumLevels(); sev++ {
 		restRate += sys.LevelRate(sev)
 	}
+	e.restRate = restRate
+}
+
+// rejection formats the error for a plan expectedTime refused at level
+// (0: degenerate top period count). The sweep never calls it.
+func rejection(sys *system.System, plan pattern.Plan, level int) error {
+	if level == 0 {
+		return fmt.Errorf("dauwe: degenerate top period count %v", plan.TopPeriods(sys.BaselineTime))
+	}
+	return fmt.Errorf("dauwe: model diverged at level %d for plan %v", level, plan)
+}
+
+// expectedTime runs the level-by-level recursion of Eqn. 4. ok=false
+// rejects the plan without allocating or formatting anything: level is
+// then the 1-based level at which the recursion diverged, or 0 for a
+// degenerate top period count (see rejection). When bk is non-nil it
+// accumulates the per-event-class decomposition; because each level's
+// terms scale by the number of times that level's execution interval
+// occurs in the whole run, per-level contributions are weighted by the
+// occurrence count of their enclosing interval.
+func (e *evaluator) expectedTime(plan pattern.Plan, bk *Breakdown) (t float64, level int, ok bool) {
+	ell := plan.NumUsed()
+	e.useLevels(plan.Levels)
 
 	// N_L per Eqn. 3: number of top-level execution intervals.
-	nTop := plan.TopPeriods(sys.BaselineTime)
+	nTop := plan.TopPeriods(e.sys.BaselineTime)
 	if !(nTop > 0) || math.IsInf(nTop, 1) {
-		return 0, fmt.Errorf("dauwe: degenerate top period count %v", nTop)
+		return 0, 0, false
 	}
 
 	tau := plan.Tau0
-	taus := make([]float64, 0, ell)
-	gammas := make([]float64, 0, ell)
-	type levelTerms struct {
-		tCk, tCkFail, tR, tRFail, tWTau, tWCk, nIv float64
-	}
 	var terms []levelTerms
 	if bk != nil {
 		terms = make([]levelTerms, 0, ell)
 	}
-	var lambdaC float64 // λ_c = Σ_{j<=i} λ_j over used levels
 	for i := 0; i < ell; i++ {
-		li := rate[i]
-		lambdaC += li
-		delta := sys.Levels[plan.Levels[i]-1].Checkpoint
-		restart := sys.Levels[plan.Levels[i]-1].Restart
+		c := &e.lv[i]
 
 		// Checkpoint and interval counts inside one level-(i+1)
 		// execution interval. The paper's recursion uses N_i
@@ -189,44 +282,49 @@ func expectedTime(sys *system.System, plan pattern.Plan, bk *Breakdown) (float64
 			nIv = nTop
 		}
 
-		// Eqn. 5: expected level-i failures per τ_i interval.
-		gamma := dist.RetryCount(tau, li)
-		taus = append(taus, tau)
-		gammas = append(gammas, gamma)
+		// Eqn. 5: expected level-i failures per τ_i interval, with
+		// E(τ_i, λ_i) and the Eqn. 10 summand, from the memo.
+		m := &e.memo[i]
+		if bits := math.Float64bits(tau); !m.valid || m.tauBits != bits {
+			m.valid, m.tauBits = true, bits
+			m.gamma = dist.RetryCount(tau, c.rate)
+			m.trunc = dist.TruncExp(tau, c.rate)
+			m.lost = (tau + m.gamma*m.trunc) * c.share
+		}
+		gamma := m.gamma
 
 		// Eqn. 6: recomputation of work lost during computation.
-		tWTau := gamma * dist.TruncExp(tau, li) * nIv
+		tWTau := gamma * m.trunc * nIv
 
 		// Eqn. 7: successful checkpoints.
-		tCk := nCk * delta
+		tCk := nCk * c.delta
 
 		// Eqns. 8–9: failed checkpoints.
-		alpha := dist.RetryCount(delta, lambdaC) * nCk
-		tCkFail := alpha * dist.TruncExp(delta, lambdaC)
+		alpha := c.ckRetry * nCk
+		tCkFail := alpha * c.ckTrunc
 
 		// Eqn. 10: progress lost to failed checkpoints — the interval
 		// preceding the checkpoint plus its failure overhead, weighted
 		// by each contributing severity share S_k.
 		var tWCk float64
 		for k := 0; k <= i; k++ {
-			sk := rate[k] / lambdaFull
-			tWCk += (taus[k] + gammas[k]*dist.TruncExp(taus[k], rate[k])) * sk
+			tWCk += e.memo[k].lost
 		}
 		tWCk *= alpha
 
 		// Eqn. 11: expected successful level-i restarts.
-		si := li / lambdaFull
+		si := c.share
 		beta := si*alpha + gamma*(si*alpha+nIv)
 
 		// Eqns. 12–14: restart time, successful and failed.
-		zeta := dist.RetryCount(restart, lambdaC) * beta
-		tR := beta * restart
-		tRFail := zeta * dist.TruncExp(restart, lambdaC)
+		zeta := c.rRetry * beta
+		tR := beta * c.restart
+		tRFail := zeta * c.rTrunc
 
 		// Eqn. 4.
 		tau = tau*nIv + tCk + tCkFail + tR + tRFail + tWTau + tWCk
 		if math.IsNaN(tau) {
-			return 0, fmt.Errorf("dauwe: model diverged at level %d for plan %v", i+1, plan)
+			return 0, i + 1, false
 		}
 		if bk != nil {
 			terms = append(terms, levelTerms{
@@ -257,14 +355,14 @@ func expectedTime(sys *system.System, plan pattern.Plan, bk *Breakdown) (float64
 	// application from scratch: the expected time of a restart-from-
 	// zero process over an exposure window of length τ is
 	// τ + γ_rest·E(τ, λ_rest) = (e^{λ_rest·τ} - 1)/λ_rest.
-	if restRate > 0 {
-		loss := dist.RetryCount(tau, restRate) * dist.TruncExp(tau, restRate)
+	if r := e.restRate; r > 0 {
+		loss := dist.RetryCount(tau, r) * dist.TruncExp(tau, r)
 		tau += loss
 		if bk != nil {
 			bk.Recompute += loss
 		}
 	}
-	return tau, nil
+	return tau, 0, true
 }
 
 // Optimize implements the bounded brute-force search of Section III-C:
@@ -291,14 +389,23 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		Spans:      t.Spans,
 		Context:    t.Context,
 	}
-	res, err := optimize.Sweep(space, func(p pattern.Plan) (float64, bool) {
-		v, err := expectedTime(sys, p, nil)
-		return v, err == nil && v > 0
+	res, err := optimize.SweepObjectives(space, func(int, *obs.Registry) optimize.Objective {
+		return newSweepObjective(sys)
 	})
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
 	return res.Plan, model.NewPrediction(sys.BaselineTime, res.ExpectedTime), nil
+}
+
+// newSweepObjective builds a goroutine-local sweep objective around its
+// own evaluator, so consecutive candidates share the evaluator's caches.
+func newSweepObjective(sys *system.System) optimize.Objective {
+	e := newEvaluator(sys)
+	return func(p pattern.Plan) (float64, bool) {
+		v, _, ok := e.expectedTime(p, nil)
+		return v, ok && v > 0
+	}
 }
 
 // SetSweepMetrics directs the optimizer sweep's telemetry into reg

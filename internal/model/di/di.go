@@ -80,40 +80,47 @@ func (*Technique) Predict(sys *system.System, plan pattern.Plan) (model.Predicti
 	if plan.NumUsed() > 2 {
 		return model.Prediction{}, fmt.Errorf("di: two-level model cannot predict a %d-level plan", plan.NumUsed())
 	}
-	t, err := expectedTime(sys, plan)
-	if err != nil {
-		return model.Prediction{}, err
+	t, level, ok := expectedTime(sys, plan)
+	if !ok {
+		return model.Prediction{}, rejection(sys, plan, level)
 	}
 	return model.NewPrediction(sys.BaselineTime, t), nil
 }
 
-// expectedTime is the hierarchical recursion with α_i = ζ_i = 0:
-// checkpoints and restarts never fail and never lose progress.
-func expectedTime(sys *system.System, plan pattern.Plan) (float64, error) {
-	ell := plan.NumUsed()
-	rate := make([]float64, ell)
-	lo := 1
-	for i, u := range plan.Levels {
-		for sev := lo; sev <= u; sev++ {
-			rate[i] += sys.LevelRate(sev)
-		}
-		lo = u + 1
+// rejection formats the error for a plan expectedTime refused at level
+// (0: degenerate top period count). The sweep never calls it.
+func rejection(sys *system.System, plan pattern.Plan, level int) error {
+	if level == 0 {
+		return fmt.Errorf("di: degenerate top period count %v", plan.TopPeriods(sys.BaselineTime))
 	}
-	var restRate float64
-	for sev := lo; sev <= sys.NumLevels(); sev++ {
-		restRate += sys.LevelRate(sev)
-	}
+	return fmt.Errorf("di: model diverged at level %d for plan %v", level, plan)
+}
 
+// expectedTime is the hierarchical recursion with α_i = ζ_i = 0:
+// checkpoints and restarts never fail and never lose progress. ok=false
+// rejects the plan without allocating or formatting anything: level is
+// then the 1-based level at which the recursion diverged, or 0 for a
+// degenerate top period count (see rejection).
+func expectedTime(sys *system.System, plan pattern.Plan) (t float64, level int, ok bool) {
 	nTop := plan.TopPeriods(sys.BaselineTime)
 	if !(nTop > 0) || math.IsInf(nTop, 1) {
-		return 0, fmt.Errorf("di: degenerate top period count %v", nTop)
+		return 0, 0, false
 	}
 
+	ell := plan.NumUsed()
 	tau := plan.Tau0
+	lo := 1
 	for i := 0; i < ell; i++ {
-		li := rate[i]
-		delta := sys.Levels[plan.Levels[i]-1].Checkpoint
-		restart := sys.Levels[plan.Levels[i]-1].Restart
+		// Severity mass handled by this level: classes above the
+		// previous used level restart from this level's checkpoint.
+		u := plan.Levels[i]
+		var li float64
+		for sev := lo; sev <= u; sev++ {
+			li += sys.LevelRate(sev)
+		}
+		lo = u + 1
+		delta := sys.Levels[u-1].Checkpoint
+		restart := sys.Levels[u-1].Restart
 
 		var nCk, nIv float64
 		if i < ell-1 {
@@ -134,13 +141,17 @@ func expectedTime(sys *system.System, plan pattern.Plan) (float64, error) {
 
 		tau = tau*nIv + tCk + tR + tWTau
 		if math.IsNaN(tau) {
-			return 0, fmt.Errorf("di: model diverged at level %d for plan %v", i+1, plan)
+			return 0, i + 1, false
 		}
+	}
+	var restRate float64
+	for sev := lo; sev <= sys.NumLevels(); sev++ {
+		restRate += sys.LevelRate(sev)
 	}
 	if restRate > 0 {
 		tau += dist.RetryCount(tau, restRate) * dist.TruncExp(tau, restRate)
 	}
-	return tau, nil
+	return tau, 0, true
 }
 
 // Optimize sweeps the two-level plan family over the system's top two
@@ -167,14 +178,21 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		Spans:      t.Spans,
 		Context:    t.Context,
 	}
-	res, err := optimize.Sweep(space, func(p pattern.Plan) (float64, bool) {
-		v, err := expectedTime(sys, p)
-		return v, err == nil && v > 0
-	})
+	res, err := optimize.Sweep(space, sweepObjective(sys))
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
 	return res.Plan, model.NewPrediction(sys.BaselineTime, res.ExpectedTime), nil
+}
+
+// sweepObjective is the sweep's objective: the recursion with rejected
+// plans turned into ok=false. It allocates nothing and is safe for
+// concurrent use.
+func sweepObjective(sys *system.System) optimize.Objective {
+	return func(p pattern.Plan) (float64, bool) {
+		v, _, ok := expectedTime(sys, p)
+		return v, ok && v > 0
+	}
 }
 
 // SetSweepMetrics directs the optimizer sweep's telemetry into reg

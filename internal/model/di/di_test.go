@@ -153,3 +153,27 @@ func TestOptimizeRejectsInvalidSystem(t *testing.T) {
 		t.Fatal("invalid system accepted")
 	}
 }
+
+// TestSweepObjectiveAllocs guards the sweep's hot path: accepted and
+// rejected candidates alike allocate nothing.
+func TestSweepObjectiveAllocs(t *testing.T) {
+	sys := twoLevel(60)
+	obj := sweepObjective(sys)
+	plans := []pattern.Plan{
+		{Tau0: 3, Counts: []int{2}, Levels: []int{1, 2}},
+		{Tau0: 7, Levels: []int{2}},
+		{Tau0: 1e9, Counts: []int{0}, Levels: []int{1, 2}}, // diverges
+		{Tau0: math.Inf(1), Levels: []int{1}},              // degenerate
+	}
+	if _, ok := obj(plans[2]); ok {
+		t.Fatal("the divergent plan was accepted")
+	}
+	run := func() {
+		for _, p := range plans {
+			obj(p)
+		}
+	}
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("sweep objective allocates %v times per round, want 0", a)
+	}
+}

@@ -3,6 +3,7 @@ package moody
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/markov"
@@ -214,6 +215,66 @@ func TestSweepObjectiveMatchesPeriodEfficiency(t *testing.T) {
 		if reg.Snapshot().Counter("opt_moody_shape_memo_hits_total") == 0 {
 			t.Fatalf("%s: repeated count vector did not hit the shape memo", sys.Name)
 		}
+	}
+}
+
+// odometerCell returns one sweep cell's candidates in the sweep's order:
+// every count vector over vals, last count fastest.
+func odometerCell(tau0 float64, levels, vals []int) []pattern.Plan {
+	n := len(levels) - 1
+	var out []pattern.Plan
+	var walk func(counts []int)
+	walk = func(counts []int) {
+		if len(counts) == n {
+			out = append(out, pattern.Plan{Tau0: tau0, Counts: slices.Clone(counts), Levels: levels})
+			return
+		}
+		for _, v := range vals {
+			walk(append(counts, v))
+		}
+	}
+	walk(nil)
+	return out
+}
+
+// TestSweepObjectiveOdometerMatchesFresh walks sweep cells in odometer
+// order, where the objective's solver resumes each period from the
+// prefix it shares with the previous one, and checks every value bit for
+// bit against an objective that has seen nothing before.
+func TestSweepObjectiveOdometerMatchesFresh(t *testing.T) {
+	for _, sys := range system.TableI() {
+		obj := newSweepObjective(sys, obs.NewRegistry())
+		levels := pattern.AllLevels(sys)
+		for _, tau0 := range []float64{0.05, 2, 45} {
+			for _, p := range odometerCell(tau0, levels, []int{0, 1, 3, 6}) {
+				got, gotOK := obj(p)
+				want, wantOK := newSweepObjective(sys, obs.NewRegistry())(p)
+				if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %v: reused (%v, %v), fresh (%v, %v)", sys.Name, p, got, gotOK, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepObjectiveAllocs guards the sweep's hot path: once the shape
+// memo and the solver's scratch are warm, a cell of candidates allocates
+// nothing.
+func TestSweepObjectiveAllocs(t *testing.T) {
+	sys, err := system.ByName("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := newSweepObjective(sys, obs.NewRegistry())
+	cell := odometerCell(3, pattern.AllLevels(sys), []int{0, 2, 5})
+	run := func() {
+		for _, p := range cell {
+			obj(p)
+		}
+	}
+	run()
+	if a := testing.AllocsPerRun(20, run); a != 0 {
+		t.Fatalf("sweep objective allocates %v times per cell, want 0", a)
 	}
 }
 

@@ -343,23 +343,47 @@ func (s *Server) await(ctx context.Context, key string, c *call) ([]byte, *apiEr
 // compute. source is "hit", "miss" (leader), or "join" (follower) for
 // the X-Cache header.
 func (s *Server) cachedOrCompute(ctx context.Context, key, kind string, compute func(ctx context.Context, c *call) ([]byte, error)) (body []byte, source string, aerr *apiError) {
-	if b, ok, expired := s.cache.get(key); ok {
-		s.met.inc("svc_cache_hits_total", "kind", kind)
+	if b, ok := s.cached(key, kind); ok {
 		return b, "hit", nil
+	}
+	c, source := s.joinFlight(key, kind, compute)
+	b, aerr := s.await(ctx, key, c)
+	return b, source, aerr
+}
+
+// cached looks key up in the response cache, counting hits and expired
+// entries.
+func (s *Server) cached(key, kind string) ([]byte, bool) {
+	b, ok, expired := s.cache.get(key)
+	if ok {
+		s.met.inc("svc_cache_hits_total", "kind", kind)
 	} else if expired {
 		s.met.inc("svc_cache_expired_total", "kind", kind)
 	}
-	s.met.inc("svc_cache_misses_total", "kind", kind)
+	return b, ok
+}
+
+// joinFlight joins key's flight group after a cache miss and starts the
+// computation if this request leads. A new leader first reads the cache
+// again: the previous leader may have cached its body and retired
+// between this request's miss and its join (cache.put precedes
+// flight.complete), and that body is served as a hit — completing the
+// call for anyone who joined meanwhile — instead of being computed
+// twice. source is "hit", "miss" (leader), or "join" (follower).
+func (s *Server) joinFlight(key, kind string, compute func(ctx context.Context, c *call) ([]byte, error)) (c *call, source string) {
 	c, leader := s.flight.join(key)
-	source = "miss"
-	if leader {
-		s.startLeader(key, c, compute)
-	} else {
+	if !leader {
+		s.met.inc("svc_cache_misses_total", "kind", kind)
 		s.met.inc("svc_coalesced_total", "kind", kind)
-		source = "join"
+		return c, "join"
 	}
-	b, aerr := s.await(ctx, key, c)
-	return b, source, aerr
+	if b, ok := s.cached(key, kind); ok {
+		s.flight.complete(key, c, b, nil)
+		return c, "hit"
+	}
+	s.met.inc("svc_cache_misses_total", "kind", kind)
+	s.startLeader(key, c, compute)
+	return c, "miss"
 }
 
 // startLeader launches the leader's job for an already-joined call. A
@@ -542,30 +566,21 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
-	if b, ok, expired := s.cache.get(key); ok {
-		s.met.inc("svc_cache_hits_total", "kind", "simulate")
+	if b, ok := s.cached(key, "simulate"); ok {
 		return s.writeSimulate(w, b, "hit", req.Stream, nil, key)
-	} else if expired {
-		s.met.inc("svc_cache_expired_total", "kind", "simulate")
 	}
-	s.met.inc("svc_cache_misses_total", "kind", "simulate")
-	c, leader := s.flight.join(key)
-	source := "miss"
-	if leader {
-		s.startLeader(key, c, func(cctx context.Context, cc *call) ([]byte, error) {
-			return s.computeSimulate(cctx, cc, sp, plan, trials, seed, key)
-		})
-	} else {
-		s.met.inc("svc_coalesced_total", "kind", "simulate")
-		source = "join"
-	}
+	c, source := s.joinFlight(key, "simulate", func(cctx context.Context, cc *call) ([]byte, error) {
+		return s.computeSimulate(cctx, cc, sp, plan, trials, seed, key)
+	})
 
-	if !req.Stream {
+	// A hit found on joining is already complete: answer it the way
+	// the cache hit above does.
+	if !req.Stream || source == "hit" {
 		body, aerr := s.await(ctx, key, c)
 		if aerr != nil {
 			return writeError(w, aerr)
 		}
-		return s.writeSimulate(w, body, source, false, nil, key)
+		return s.writeSimulate(w, body, source, req.Stream, nil, key)
 	}
 	return s.streamSimulate(w, ctx, key, c, source)
 }

@@ -197,6 +197,48 @@ func TestPlanCoalescing(t *testing.T) {
 	}
 }
 
+// TestPlanHerdWindow replays the one interleaving the flight group alone
+// cannot coalesce, step by step: request B misses the cache; request A
+// then leads, sweeps, caches and retires; only then does B join the
+// flight group, as a new leader. B must serve A's cached bytes as a hit
+// instead of running a second sweep.
+func TestPlanHerdWindow(t *testing.T) {
+	h := newTestServer(t, Config{})
+	var req PlanRequest
+	if err := json.Unmarshal([]byte(planD4Dauwe), &req); err != nil {
+		t.Fatal(err)
+	}
+	sp, aerr := resolvePlan(req)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	key := sp.digest()
+
+	if _, ok := h.srv.cached(key, "plan"); ok { // B misses
+		t.Fatal("empty cache hit")
+	}
+	code, source, bodyA := h.post(t, "/v1/plan", planD4Dauwe) // A runs start to end
+	if code != http.StatusOK || source != "miss" {
+		t.Fatalf("request A: code=%d source=%q", code, source)
+	}
+	c, source := h.srv.joinFlight(key, "plan", func(ctx context.Context, _ *call) ([]byte, error) {
+		return h.srv.computePlan(ctx, sp, key)
+	}) // B joins
+	bodyB, aerr := h.srv.await(context.Background(), key, c)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if source != "hit" || !bytes.Equal(bodyA, bodyB) {
+		t.Fatalf("request B: source=%q, bytes equal to A's: %v", source, bytes.Equal(bodyA, bodyB))
+	}
+	if got := h.metricValue(t, "sweep_runs_total"); got != 1 {
+		t.Errorf("sweep_runs_total = %v, want exactly 1", got)
+	}
+	if hits, misses := h.metricValue(t, "svc_cache_hits_total"), h.metricValue(t, "svc_cache_misses_total"); hits != 1 || misses != 1 {
+		t.Errorf("cache hits/misses = %v/%v, want 1/1 (B's join is a hit)", hits, misses)
+	}
+}
+
 // fakeClock is an injectable cache clock.
 type fakeClock struct {
 	mu sync.Mutex
