@@ -167,6 +167,32 @@ func BenchmarkSimTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkSimTrialLight measures one simulated trial of the
+// campaign-light workload: one level, MTBF 200 min, T_B 600 min,
+// δ = R = 0.5 min, τ0 = 14 min. Its trials are mostly failure-free
+// compute and checkpoint phases, so it weighs the engine's per-phase
+// cost where BenchmarkSimTrial weighs failure handling.
+func BenchmarkSimTrialLight(b *testing.B) {
+	eng, err := sim.NewEngine(sim.Scenario{
+		System: &system.System{
+			Name: "light", MTBF: 200, BaselineTime: 600,
+			Levels: []system.Level{{Checkpoint: 0.5, Restart: 0.5, SeverityProb: 1}},
+		},
+		Plan: pattern.Plan{Tau0: 14, Levels: []int{1}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := rng.Campaign(1, "bench-sim-light")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(seed.Trial(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimTrialObserved is BenchmarkSimTrial with an obs.SimMetrics
 // observer attached, to measure the cost of full event-stream telemetry
 // (compare against BenchmarkSimTrial for the observer-disabled baseline;

@@ -263,7 +263,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     echo "== go test -bench (sim engine, writes bench_sim.txt)"
-    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
+    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialLight|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
         -benchmem -benchtime 2s . | tee bench_sim.txt
     echo "bench_sim.txt written; record results in BENCH_sim.json"
 fi

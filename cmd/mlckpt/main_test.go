@@ -71,6 +71,9 @@ func TestErrors(t *testing.T) {
 		{"-mtbf", "60", "-probs", "abc", "-times", "1"},     // parse error
 		{"-system", "D1", "-techniques", "doesnotexist"},    // unknown technique
 		{"-mtbf", "-5", "-probs", "1", "-times", "1"},       // invalid mtbf
+		{"-system", "D4", "-tb", "inf"},                     // non-finite baseline
+		{"-mtbf", "60", "-probs", "1", "-times", "inf"},     // non-finite checkpoint time
+		{"-mtbf", "60", "-probs", "nan", "-times", "1"},     // NaN severity probability
 		{"-system", "D4", "-crn", "-check", "-trials", "5"}, // CRN drives one shared runner
 		{"-system", "D4", "-crn", "-flight", "/tmp/x", "-trials", "5"},
 		{"-system", "D4", "-ci-target", "0.01", "-trials", "5"},          // stopping needs -crn

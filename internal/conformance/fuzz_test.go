@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -13,7 +15,10 @@ import (
 // completes without panics, errors, or invariant violations. This is the
 // package's strongest claim: for the whole decodable scenario space —
 // not just hand-picked Table I configurations — the engine's event
-// streams obey the protocol.
+// streams obey the protocol. Every trial also runs on a second engine
+// with no observer, which must return a bit-identical TrialResult: the
+// observed engine writes its phase-end state back before each callback,
+// the bare one keeps it in locals, and the two paths must agree.
 func FuzzEngineScenario(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -34,6 +39,10 @@ func FuzzEngineScenario(f *testing.F) {
 			t.Fatalf("engine rejected a validated scenario: %v", err)
 		}
 		eng.Observe(ck)
+		bare, err := sim.NewEngine(scn)
+		if err != nil {
+			t.Fatal(err)
+		}
 		h := fnv.New64a()
 		_, _ = h.Write(data)
 		seed := rng.FromWords(h.Sum64(), uint64(len(data)))
@@ -41,6 +50,13 @@ func FuzzEngineScenario(f *testing.F) {
 			res, err := eng.Run(seed.Trial(trial))
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
+			}
+			want, err := bare.Run(seed.Trial(trial))
+			if err != nil {
+				t.Fatalf("trial %d (unobserved): %v", trial, err)
+			}
+			if !sameBits(res, want) {
+				t.Fatalf("trial %d: observed engine returned %+v, unobserved engine %+v", trial, res, want)
 			}
 			if !(res.WallTime > 0) {
 				t.Fatalf("trial %d: non-positive wall time %v", trial, res.WallTime)
@@ -53,6 +69,21 @@ func FuzzEngineScenario(f *testing.F) {
 			t.Fatalf("invariant violation on scenario %+v plan %v: %v", scn.System, scn.Plan, err)
 		}
 	})
+}
+
+// sameBits reports whether two trial results are bit-identical.
+func sameBits(a, b sim.TrialResult) bool {
+	floats := func(r sim.TrialResult) [9]uint64 {
+		k := r.Breakdown
+		return [9]uint64{
+			math.Float64bits(r.WallTime), math.Float64bits(r.Progress), math.Float64bits(r.Efficiency),
+			math.Float64bits(k.UsefulCompute), math.Float64bits(k.LostCompute),
+			math.Float64bits(k.CheckpointOK), math.Float64bits(k.CheckpointFail),
+			math.Float64bits(k.RestartOK), math.Float64bits(k.RestartFail),
+		}
+	}
+	return floats(a) == floats(b) && slices.Equal(a.Failures, b.Failures) &&
+		a.ScratchRestarts == b.ScratchRestarts && a.Completed == b.Completed
 }
 
 // FuzzPatternPlan decodes raw, possibly-invalid plans. Rejected plans

@@ -317,13 +317,19 @@ func (e *Engine) seek(pos int) {
 	}
 }
 
-func (e *Engine) startCompute() {
-	remaining := e.scn.System.BaselineTime - e.done
+// computeInterval is the length of the compute phase that starts at
+// progress done: τ0, or the work left if that is shorter.
+func (e *Engine) computeInterval(done float64) float64 {
+	remaining := e.scn.System.BaselineTime - done
 	interval := e.plan.Tau0
 	if interval > remaining {
 		interval = remaining
 	}
-	e.startPhase(PhaseCompute, 0, interval)
+	return interval
+}
+
+func (e *Engine) startCompute() {
+	e.startPhase(PhaseCompute, 0, e.computeInterval(e.done))
 }
 
 // run drives the event loop until completion or the wall-time cap.
@@ -349,7 +355,7 @@ func (e *Engine) run() {
 		}
 		switch i {
 		case e.phaseTimer():
-			if e.phaseEnd() {
+			if e.advance() {
 				e.finish(true)
 				if e.observer != nil {
 					e.observe(EvComplete, 0)
@@ -374,77 +380,137 @@ func (e *Engine) run() {
 	e.finish(e.done >= e.scn.System.BaselineTime)
 }
 
-// phaseEnd handles successful completion of the current phase; it
-// returns true when the application has finished.
-func (e *Engine) phaseEnd() bool {
-	d := e.now - e.phaseStart
+// advance handles the end of the current phase, which the event loop
+// has just popped, and then every phase end that follows it for as long
+// as the next one is strictly earlier than the earliest pending arrival,
+// the armed flush deadline and the wall cap: exactly the events the
+// (t, seq) rule would pop next, so the trial is bit-identical to popping
+// each phase end through the loop. On an equal time the loop gets the
+// event back, and its (t, seq) rule lets the arrival or flush, armed
+// before the phase, win the tie. advance returns true when the
+// application has finished (or a controller produced an invalid plan).
+//
+// The phase-end state lives in locals while the loop runs. It is written
+// back (save) before every observer callback, controller call and
+// rollback and on return; the phase timer entry is written only on exit.
+func (e *Engine) advance() bool {
+	sys := e.scn.System
 	plan := &e.plan
-	switch e.phase {
-	case PhaseCompute:
-		e.res.Breakdown.UsefulCompute += d // reclassified to Lost on rollback
-		e.done += d
-		if e.observer != nil {
-			e.observe(EvPhaseEnd, 0)
-		}
-		if e.done >= e.scn.System.BaselineTime-1e-12 {
-			e.done = e.scn.System.BaselineTime
-			return true
-		}
-		// The odometer now holds the position this checkpoint commits;
-		// a failure before the commit rolls back through seek.
-		usedIdx := e.tick()
-		lvl := plan.Levels[usedIdx]
-		duration := e.scn.System.Levels[lvl-1].Checkpoint
-		e.asyncCapture = false
-		if e.scn.AsyncTopFlush && usedIdx == plan.NumUsed()-1 && plan.NumUsed() >= 2 {
-			// Async: block only for the capture to the next-lower
-			// level; the top-level write drains in the background.
-			capture := plan.Levels[usedIdx-1]
-			duration = e.scn.System.Levels[capture-1].Checkpoint
-			e.asyncCapture = true
-		}
-		e.startPhase(PhaseCheckpoint, lvl, duration)
-	case PhaseCheckpoint:
-		e.res.Breakdown.CheckpointOK += d
-		if e.observer != nil {
-			e.observe(EvPhaseEnd, e.phaseLevel)
-		}
-		commitLevel := e.phaseLevel
-		if e.asyncCapture {
-			// Commit only up to the capture level now; the top level
-			// commits when the background flush completes. A flush still
-			// in flight is superseded by the newer data.
-			commitLevel = plan.Levels[plan.NumUsed()-2]
-			e.flushStore = store{valid: true, progress: e.done, pos: e.pos}
-			e.arm(e.flushTimer(), e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint)
-			e.asyncCapture = false
-		}
-		// Commit to every used level at or below the committed level.
-		for i, lvl := range plan.Levels {
-			if lvl <= commitLevel {
-				e.stores[i] = store{valid: true, progress: e.done, pos: e.pos}
+	flush := &e.timers[e.flushTimer()]
+	now, start, done, phase := e.now, e.phaseStart, e.done, e.phase
+	useful, ckptOK := e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK
+	// Arrivals change only at failures, so their part of the horizon
+	// holds for the whole loop. The flush is re-read every iteration: a
+	// checkpoint end may arm it and a controller switch disarms it.
+	horizon := e.maxWall
+	if e.arrival >= 0 && e.timers[e.arrival].t < horizon {
+		horizon = e.timers[e.arrival].t
+	}
+	var end float64
+	var seq uint64
+	for {
+		d := now - start
+		var next Phase
+		var level int
+		var duration float64
+		switch phase {
+		case PhaseCompute:
+			useful += d // reclassified to Lost on rollback
+			done += d
+			if e.observer != nil {
+				e.save(now, start, done, useful, ckptOK, phase)
+				e.observe(EvPhaseEnd, 0)
 			}
-		}
-		if e.controller != nil {
-			if newPlan, ok := e.controller.Replan(e.now, e.done); ok {
-				if err := e.switchPlan(newPlan); err != nil {
-					e.err = err
-					e.finish(false)
-					return true
+			if done >= sys.BaselineTime-1e-12 {
+				e.save(now, start, sys.BaselineTime, useful, ckptOK, phase)
+				return true
+			}
+			// The odometer now holds the position this checkpoint
+			// commits; a failure before the commit rolls back through
+			// seek.
+			usedIdx := e.tick()
+			lvl := plan.Levels[usedIdx]
+			duration = sys.Levels[lvl-1].Checkpoint
+			e.asyncCapture = false
+			if e.scn.AsyncTopFlush && usedIdx == plan.NumUsed()-1 && plan.NumUsed() >= 2 {
+				// Async: block only for the capture to the next-lower
+				// level; the top-level write drains in the background.
+				capture := plan.Levels[usedIdx-1]
+				duration = sys.Levels[capture-1].Checkpoint
+				e.asyncCapture = true
+			}
+			next, level = PhaseCheckpoint, lvl
+		case PhaseCheckpoint:
+			ckptOK += d
+			if e.observer != nil {
+				e.save(now, start, done, useful, ckptOK, phase)
+				e.observe(EvPhaseEnd, e.phaseLevel)
+			}
+			commitLevel := e.phaseLevel
+			if e.asyncCapture {
+				// Commit only up to the capture level now; the top level
+				// commits when the background flush completes. A flush
+				// still in flight is superseded by the newer data.
+				commitLevel = plan.Levels[plan.NumUsed()-2]
+				e.flushStore = store{valid: true, progress: done, pos: e.pos}
+				e.arm(e.flushTimer(), now+sys.Levels[e.phaseLevel-1].Checkpoint)
+				e.asyncCapture = false
+			}
+			// Commit to every used level at or below the committed level.
+			for i, lvl := range plan.Levels {
+				if lvl <= commitLevel {
+					e.stores[i] = store{valid: true, progress: done, pos: e.pos}
 				}
 			}
+			if e.controller != nil {
+				e.save(now, start, done, useful, ckptOK, phase)
+				if newPlan, ok := e.controller.Replan(now, done); ok {
+					if err := e.switchPlan(newPlan); err != nil {
+						e.err = err
+						e.finish(false)
+						return true
+					}
+				}
+			}
+			next, duration = PhaseCompute, e.computeInterval(done)
+		case PhaseRestart:
+			e.res.Breakdown.RestartOK += d
+			// rollbackTo works on the engine's done and UsefulCompute.
+			e.save(now, start, done, useful, ckptOK, phase)
+			if e.observer != nil {
+				e.observe(EvPhaseEnd, e.phaseLevel)
+			}
+			e.rollbackTo(e.stores[e.restartIdx])
+			done, useful = e.done, e.res.Breakdown.UsefulCompute
+			next, duration = PhaseCompute, e.computeInterval(done)
 		}
-		e.startCompute()
-	case PhaseRestart:
-		e.res.Breakdown.RestartOK += d
+		// Start the next phase; its end is armed in the timer table
+		// only on exit.
+		phase, e.phaseLevel, start = next, level, now
+		end, seq = now+duration, e.seq
+		e.seq++
 		if e.observer != nil {
-			e.observe(EvPhaseEnd, e.phaseLevel)
+			e.save(now, start, done, useful, ckptOK, phase)
+			e.observe(EvPhaseStart, level)
 		}
-		st := e.stores[e.restartIdx]
-		e.rollbackTo(st)
-		e.startCompute()
+		h := horizon
+		if flush.armed && flush.t < h {
+			h = flush.t
+		}
+		if !(end < h) {
+			break
+		}
+		now = end
 	}
+	e.save(now, start, done, useful, ckptOK, phase)
+	e.timers[e.phaseTimer()] = timer{t: end, seq: seq, armed: true}
 	return false
+}
+
+// save writes advance's loop-local state back to the engine.
+func (e *Engine) save(now, start, done, useful, ckptOK float64, phase Phase) {
+	e.now, e.phaseStart, e.done, e.phase = now, start, done, phase
+	e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK = useful, ckptOK
 }
 
 // chargePartialPhase books the elapsed portion of an interrupted phase

@@ -76,24 +76,24 @@ func (s *System) Validate() error {
 	if s.Name == "" {
 		return errors.New("system: missing name")
 	}
-	if !(s.MTBF > 0) || math.IsInf(s.MTBF, 1) {
+	if !positiveFinite(s.MTBF) {
 		return fmt.Errorf("system %s: MTBF %v must be positive and finite", s.Name, s.MTBF)
 	}
 	if len(s.Levels) == 0 {
 		return fmt.Errorf("system %s: needs at least one level", s.Name)
 	}
-	if !(s.BaselineTime > 0) {
-		return fmt.Errorf("system %s: baseline time %v must be positive", s.Name, s.BaselineTime)
+	if !positiveFinite(s.BaselineTime) {
+		return fmt.Errorf("system %s: baseline time %v must be positive and finite", s.Name, s.BaselineTime)
 	}
 	var probSum float64
 	for i, l := range s.Levels {
-		if !(l.Checkpoint > 0) {
-			return fmt.Errorf("system %s: level %d checkpoint time %v must be positive", s.Name, i+1, l.Checkpoint)
+		if !positiveFinite(l.Checkpoint) {
+			return fmt.Errorf("system %s: level %d checkpoint time %v must be positive and finite", s.Name, i+1, l.Checkpoint)
 		}
-		if !(l.Restart > 0) {
-			return fmt.Errorf("system %s: level %d restart time %v must be positive", s.Name, i+1, l.Restart)
+		if !positiveFinite(l.Restart) {
+			return fmt.Errorf("system %s: level %d restart time %v must be positive and finite", s.Name, i+1, l.Restart)
 		}
-		if l.SeverityProb < 0 || l.SeverityProb > 1 {
+		if !(l.SeverityProb >= 0 && l.SeverityProb <= 1) {
 			return fmt.Errorf("system %s: level %d severity probability %v outside [0,1]", s.Name, i+1, l.SeverityProb)
 		}
 		probSum += l.SeverityProb
@@ -103,6 +103,10 @@ func (s *System) Validate() error {
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a positive, finite number (false
+// for NaN and ±Inf).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // WellOrdered reports whether the usual multilevel ordering
 // δ_1 <= ... <= δ_L and R_1 <= ... <= R_L holds. Table I systems all

@@ -38,11 +38,16 @@ func TestValidateRejects(t *testing.T) {
 		"inf mtbf":      func(s *System) { s.MTBF = math.Inf(1) },
 		"no levels":     func(s *System) { s.Levels = nil },
 		"zero baseline": func(s *System) { s.BaselineTime = 0 },
+		"inf baseline":  func(s *System) { s.BaselineTime = math.Inf(1) },
+		"nan baseline":  func(s *System) { s.BaselineTime = math.NaN() },
 		"zero ckpt":     func(s *System) { s.Levels[1].Checkpoint = 0 },
+		"inf ckpt":      func(s *System) { s.Levels[1].Checkpoint = math.Inf(1) },
 		"neg restart":   func(s *System) { s.Levels[0].Restart = -1 },
+		"inf restart":   func(s *System) { s.Levels[2].Restart = math.Inf(1) },
 		"prob > 1":      func(s *System) { s.Levels[0].SeverityProb = 1.4 },
 		"bad prob sum":  func(s *System) { s.Levels[0].SeverityProb = 0.1 },
 		"negative prob": func(s *System) { s.Levels[0].SeverityProb = -0.5 },
+		"nan prob":      func(s *System) { s.Levels[0].SeverityProb = math.NaN() },
 	}
 	for name, mutate := range mutations {
 		s := demo()
