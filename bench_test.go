@@ -307,14 +307,17 @@ func BenchmarkMarkovPeriod(b *testing.B) {
 
 // benchSweepMoody runs the full Moody brute-force sweep (τ0 grid ×
 // count vectors, exact Markov objective) on one Table I system — the
-// hottest path of every figure harness. See BENCH_opt.json for the
-// recorded before/after throughput.
+// hottest path of every figure harness. It reports evals/op, the
+// Markov solves the branch-and-bound could not prune, beside the time.
+// See BENCH_opt.json for the recorded before/after throughput.
 func benchSweepMoody(b *testing.B, sysName string) {
 	sys, err := system.ByName(sysName)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tech := moody.New()
+	reg := obs.NewRegistry()
+	tech.Metrics = reg
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -322,6 +325,7 @@ func benchSweepMoody(b *testing.B, sysName string) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(reg.Snapshot().Counter("opt_evaluations_total"))/float64(b.N), "evals/op")
 }
 
 // BenchmarkSweepMoodyD7 is the BENCH_opt.json acceptance benchmark: the

@@ -3,8 +3,9 @@
 # of the concurrency-heavy packages.
 #
 #   ./check.sh          full check
-#   ./check.sh bench    additionally run the sim benchmarks and write
-#                       BENCH_sim.json
+#   ./check.sh bench    additionally run the sim and optimizer
+#                       benchmarks and write bench_sim.txt and
+#                       bench_opt.txt
 #   ./check.sh fuzz     additionally run each native fuzz target for 30s
 #   ./check.sh smoke    only the live-telemetry smoke: serve mlckpt
 #                       -listen, scrape /metrics + /snapshot mid-run,
@@ -265,6 +266,11 @@ if [ "${1:-}" = "bench" ]; then
     echo "== go test -bench (sim engine, writes bench_sim.txt)"
     go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialLight|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
         -benchmem -benchtime 2s . | tee bench_sim.txt
-    echo "bench_sim.txt written; record results in BENCH_sim.json"
+    # The Moody sweeps report evals/op, the Markov solves left after
+    # branch-and-bound pruning.
+    echo "== go test -bench (optimizer sweeps, writes bench_opt.txt)"
+    go test -run XXX -bench 'BenchmarkSweepMoody|BenchmarkMarkovPeriod|BenchmarkFig5$' \
+        -benchmem -benchtime 2s . | tee bench_opt.txt
+    echo "bench_sim.txt and bench_opt.txt written; record results in BENCH_sim.json and BENCH_opt.json"
 fi
 echo "OK"

@@ -65,9 +65,10 @@ type Options struct {
 	// records "cell" → {"optimize", "campaign"}, the campaign splits
 	// into "setup"/"run"/"merge", per-worker trial spans are grafted
 	// under "run", and instrumented optimizer sweeps graft their
-	// "sweep"/"refine" spans under "optimize". The tracer is used from
-	// the calling goroutine only (parallel stages record into private
-	// shards that are merged in), so one experiment run per tracer.
+	// "sweep"/"order"/"refine" spans under "optimize". The tracer is
+	// used from the calling goroutine only (parallel stages record into
+	// private shards that are merged in), so one experiment run per
+	// tracer.
 	Spans *obs.Tracer
 	// TrialStats, when non-nil, receives per-trial streaming estimators
 	// that are safe to snapshot concurrently mid-run (the live /metrics

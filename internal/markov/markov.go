@@ -22,10 +22,11 @@
 //     capped at the top. This is Moody et al.'s pessimistic assumption,
 //     the cause of their model's efficiency underestimation.
 //
-// The first-passage decomposition makes the computation O(segments ×
-// levels): the expected time A_k to advance from segment k to k+1
-// satisfies a linear relation involving only the prefix sums of earlier
-// A_m, because every failure path re-enters segment k exactly once.
+// The first-passage decomposition makes the computation one forward
+// sweep, O(segments × levels²), with no iteration: the expected time
+// A_k to advance from segment k to k+1 satisfies a linear relation
+// involving only the prefix sums of earlier A_m, because every failure
+// path re-enters segment k exactly once.
 package markov
 
 import (
@@ -101,6 +102,27 @@ func (c *Chain) validate() (float64, error) {
 	if len(c.Segments) == 0 {
 		return 0, errors.New("markov: empty period")
 	}
+	total, err := c.validateConstants()
+	if err != nil {
+		return 0, err
+	}
+	for k, s := range c.Segments {
+		if !validDuration(s.Duration) {
+			return 0, fmt.Errorf("markov: segment %d duration %v must be positive and finite", k, s.Duration)
+		}
+		if s.Kind == Checkpoint && (s.Level < 1 || s.Level > len(c.RestartTime)) {
+			return 0, fmt.Errorf("markov: segment %d commit level %d out of range", k, s.Level)
+		}
+	}
+	return total, nil
+}
+
+// validateConstants checks the rates and restart times and returns the
+// total failure rate. A restart time may be zero (unused levels use it)
+// but never negative, NaN or infinite: a negative one could make an A_k
+// negative, and the prefix sums of A_k must never decrease for
+// SegmentFloors to stay a lower bound.
+func (c *Chain) validateConstants() (float64, error) {
 	if len(c.Rates) == 0 {
 		return 0, errors.New("markov: no failure classes")
 	}
@@ -115,16 +137,16 @@ func (c *Chain) validate() (float64, error) {
 		}
 		total += r
 	}
-	for k, s := range c.Segments {
-		if !(s.Duration > 0) {
-			return 0, fmt.Errorf("markov: segment %d duration %v must be positive", k, s.Duration)
-		}
-		if s.Kind == Checkpoint && (s.Level < 1 || s.Level > len(c.RestartTime)) {
-			return 0, fmt.Errorf("markov: segment %d commit level %d out of range", k, s.Level)
+	for i, r := range c.RestartTime {
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			return 0, fmt.Errorf("markov: level %d restart time %v invalid", i+1, r)
 		}
 	}
 	return total, nil
 }
+
+// validDuration reports whether d is a positive, finite segment length.
+func validDuration(d float64) bool { return d > 0 && !math.IsInf(d, 1) }
 
 // Solver holds reusable scratch for chain evaluations. A zero Solver is
 // ready to use; passing the same Solver to many ExpectedPeriodTimeWith
@@ -361,6 +383,69 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 	}
 	s.solved = n
 	return prefix[n], nil
+}
+
+// SegmentFloors returns, for each duration d, the forward sweep's A_k for
+// a segment of length d with every rollback term dropped:
+//
+//	F(d) = [q·d + (1−q)·E(d, λ) + Σ_s p_s·R_s] / q,
+//	q = e^(−λd),  p_s = (1−q)·λ_s/λ,
+//
+// where E is the truncated expectation and R_s the expected recovery time
+// starting at level s. F(d) is +Inf when q underflows or a recovery that
+// a failure needs cannot complete, the cases in which the sweep itself
+// returns +Inf. Only the chain's rates, restart times and policy are
+// read, not its segments.
+//
+// F is a floor under every A_k of duration d in any chain with these
+// constants, bit for bit. Each dropped term p_s·a_u·(prefix[k] −
+// prefix[pos]) is non-negative: the probabilities are, and the prefix
+// sums never decrease because validated restart times keep every A_m
+// non-negative. F evaluates the sweep's own expressions in the sweep's
+// order, leaving those terms out, and floating-point addition of a
+// non-negative term never decreases a sum. So a period's expected time
+// is at least the sum of its segments' floors.
+func (c *Chain) SegmentFloors(durations []float64) ([]float64, error) {
+	lambda, err := c.validateConstants()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(durations))
+	var s Solver
+	var rec []recovery
+	if lambda > 0 {
+		rec = c.recoveriesInto(&s, lambda)
+	}
+	for i, d := range durations {
+		if !validDuration(d) {
+			return nil, fmt.Errorf("markov: floor duration %v must be positive and finite", d)
+		}
+		if lambda == 0 {
+			out[i] = d
+			continue
+		}
+		q, partial := s.expFor(d, lambda)
+		if q == 0 {
+			out[i] = math.Inf(1)
+			continue
+		}
+		pf := 1 - q
+		acc := q*d + pf*partial
+		for sev := 1; sev <= len(c.Rates); sev++ {
+			ps := pf * c.Rates[sev-1] / lambda
+			if ps == 0 {
+				continue
+			}
+			rt := rec[sev-1].time
+			if math.IsInf(rt, 1) {
+				acc = math.Inf(1)
+				break
+			}
+			acc += ps * rt
+		}
+		out[i] = acc / q
+	}
+	return out, nil
 }
 
 // recovery holds the expected duration of a recovery that starts at a

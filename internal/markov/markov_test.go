@@ -206,7 +206,16 @@ func TestValidation(t *testing.T) {
 		"neg rate":       func(c *Chain) { c.Rates = []float64{-1} },
 		"nan rate":       func(c *Chain) { c.Rates = []float64{math.NaN()} },
 		"zero duration":  func(c *Chain) { c.Segments[0].Duration = 0 },
+		"inf duration":   func(c *Chain) { c.Segments[0].Duration = math.Inf(1) },
 		"bad ckpt level": func(c *Chain) { c.Segments[0] = Segment{Kind: Checkpoint, Duration: 1, Level: 9} },
+		// A restart of −1 used to give a period below its failure-free
+		// time, and NaN a NaN period, both with a nil error.
+		"neg restart": func(c *Chain) { c.RestartTime = []float64{-1} },
+		"nan restart": func(c *Chain) { c.RestartTime = []float64{math.NaN()} },
+		"inf restart": func(c *Chain) { c.RestartTime = []float64{math.Inf(1)} },
+		"neg unused restart": func(c *Chain) {
+			c.RestartTime = []float64{1, -1} // a level above the top severity
+		},
 	}
 	for name, mutate := range bads {
 		c := good
@@ -215,6 +224,84 @@ func TestValidation(t *testing.T) {
 		if _, err := c.ExpectedPeriodTime(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	for _, r := range []float64{-1, math.NaN(), math.Inf(1)} {
+		c := good
+		c.RestartTime = []float64{r}
+		if _, err := c.SegmentFloors([]float64{1}); err == nil {
+			t.Errorf("SegmentFloors accepted restart time %v", r)
+		}
+	}
+	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := good.SegmentFloors([]float64{d}); err == nil {
+			t.Errorf("SegmentFloors accepted duration %v", d)
+		}
+	}
+
+	// A zero restart stays valid: unused levels use it.
+	zero := Chain{
+		Segments:    []Segment{{Kind: Compute, Duration: 1}, {Kind: Checkpoint, Duration: 0.1, Level: 1}},
+		Rates:       []float64{0.1},
+		RestartTime: []float64{0},
+	}
+	if got, err := zero.ExpectedPeriodTime(); err != nil || !(got > 1.1) {
+		t.Errorf("zero restart: (%v, %v), want a period above its 1.1-minute failure-free time", got, err)
+	}
+}
+
+// TestSegmentFloorsBoundPeriod checks the no-rollback floor against the
+// forward sweep on random chains, finite and infinite periods alike: the
+// sum of a period's segment floors, added in segment order, never exceeds
+// the period's expected time — bit for bit, with no margin. It also pins
+// F(d) >= d and the failure-free case F(d) = d.
+func TestSegmentFloorsBoundPeriod(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 5))
+	data := make([]byte, 400)
+	var finite, inf int
+	for seq := 0; seq < 300; seq++ {
+		for i := range data {
+			data[i] = byte(r.Uint32())
+		}
+		chainSequence(data, func(c *Chain) {
+			want, err := c.ExpectedPeriodTime()
+			if err != nil || math.IsNaN(want) {
+				// Overflowed prefix sums (Inf − Inf) yield NaN, which
+				// every objective rejects: nothing to bound.
+				return
+			}
+			durs := make([]float64, len(c.Segments))
+			for k, s := range c.Segments {
+				durs[k] = s.Duration
+			}
+			floors, err := c.SegmentFloors(durs)
+			if err != nil {
+				t.Fatalf("chain %+v: SegmentFloors: %v", *c, err)
+			}
+			var sum float64
+			for k, f := range floors {
+				if !(f >= durs[k]) {
+					t.Fatalf("chain %+v: F(%v) = %v below the duration", *c, durs[k], f)
+				}
+				sum += f
+			}
+			if !(sum <= want) {
+				t.Fatalf("chain %+v: floors sum to %v, above the period time %v", *c, sum, want)
+			}
+			if math.IsInf(want, 1) {
+				inf++
+			} else {
+				finite++
+			}
+		})
+	}
+	if finite == 0 || inf == 0 {
+		t.Fatalf("exercised %d finite and %d infinite periods; need both", finite, inf)
+	}
+
+	free := &Chain{Rates: []float64{0, 0}, RestartTime: []float64{1, 2}}
+	got, err := free.SegmentFloors([]float64{0.5, 3})
+	if err != nil || got[0] != 0.5 || got[1] != 3 {
+		t.Fatalf("failure-free floors = (%v, %v), want [0.5 3]", got, err)
 	}
 }
 

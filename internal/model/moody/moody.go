@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/markov"
 	"repro/internal/model"
@@ -111,6 +112,18 @@ func New() *Technique {
 // Name implements model.Model.
 func (*Technique) Name() string { return "moody" }
 
+// escalationChain returns the system's chain constants — one failure
+// rate and restart time per level, Moody's escalation policy — with no
+// segments yet.
+func escalationChain(sys *system.System) *markov.Chain {
+	c := &markov.Chain{Policy: markov.Escalate}
+	for sev := 1; sev <= sys.NumLevels(); sev++ {
+		c.Rates = append(c.Rates, sys.LevelRate(sev))
+		c.RestartTime = append(c.RestartTime, sys.Levels[sev-1].Restart)
+	}
+	return c
+}
+
 // BuildChain translates a full-level pattern plan into the Markov period
 // chain under Moody's escalation policy. Exported for tests and for the
 // simulator cross-validation harness.
@@ -119,11 +132,7 @@ func BuildChain(sys *system.System, plan pattern.Plan) (*markov.Chain, error) {
 		return nil, fmt.Errorf("moody: steady-state model requires all %d levels, plan uses %d",
 			sys.NumLevels(), plan.NumUsed())
 	}
-	c := &markov.Chain{Policy: markov.Escalate}
-	for sev := 1; sev <= sys.NumLevels(); sev++ {
-		c.Rates = append(c.Rates, sys.LevelRate(sev))
-		c.RestartTime = append(c.RestartTime, sys.Levels[sev-1].Restart)
-	}
+	c := escalationChain(sys)
 	n := plan.PeriodIntervals()
 	c.Segments = make([]markov.Segment, 0, 2*n)
 	for k := 0; k < n; k++ {
@@ -177,21 +186,28 @@ func (*Technique) Predict(sys *system.System, plan pattern.Plan) (model.Predicti
 // efficiency, exactly as [5] describes ("a brute-force search of all
 // possible checkpoint intervals"). Each sweep worker evaluates the
 // Markov objective through a goroutine-local memo of period shapes and a
-// reusable chain solver (see newSweepObjective), and candidates whose
-// failure-free overhead alone already exceeds the best expected time are
+// reusable chain solver (see newSweepObjective). The sweep is a
+// branch-and-bound: floorBound gives every candidate an admissible lower
+// bound, the sweep claims the cells with the smallest bounds first, and
+// candidates whose bound already exceeds the best expected time are
 // pruned before the chain is ever solved.
 func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction, error) {
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
+	grid := optimize.Tau0Grid(sys, t.Tau0Points)
+	bound, err := floorBound(sys, grid)
+	if err != nil {
+		return pattern.Plan{}, model.Prediction{}, err
+	}
 	space := optimize.Space{
-		Tau0:               optimize.Tau0Grid(sys, t.Tau0Points),
+		Tau0:               grid,
 		CountVals:          t.CountVals,
 		LevelSets:          [][]int{pattern.AllLevels(sys)},
 		MaxPeriodIntervals: t.MaxPeriodIntervals,
 		Workers:            t.Workers,
 		RefineTau0:         true,
-		LowerBound:         failureFreeBound(sys),
+		LowerBound:         bound,
 		Metrics:            t.Metrics,
 		Spans:              t.Spans,
 		Context:            t.Context,
@@ -205,34 +221,51 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	return res.Plan, model.NewPrediction(sys.BaselineTime, sys.BaselineTime*res.ExpectedTime), nil
 }
 
-// failureFreeBound returns an admissible lower bound on the Markov
-// objective (1/efficiency): even with no failures at all, one period
-// costs its computation plus its checkpoint writes, so
-// 1/eff >= (work + overhead)/work. The tiny relative margin keeps the
-// bound admissible under floating-point rounding (pruning is strict, so
-// an admissible bound can never change the sweep result). Cheap — O(ℓ)
-// per candidate versus the O(period × levels) chain solve — and sharpest
-// exactly where that solve is most wasted: the tiny-τ0 candidates whose
-// overhead ratio is enormous.
-func failureFreeBound(sys *system.System) func(pattern.Plan) float64 {
+// floorBound returns an admissible lower bound on the Markov objective
+// (1/efficiency) of the plans on a τ0 grid. A period of n τ0 intervals
+// and c_ℓ level-ℓ checkpoints takes at least the sum of its segments'
+// no-rollback floors (markov.Chain.SegmentFloors), so
+//
+//	1/eff >= [n·F(τ0) + Σ_ℓ c_ℓ·F(δ_ℓ)] / (n·τ0).
+//
+// F(d) >= d, so this dominates the failure-free period time over its
+// work. F is computed once per grid τ0 and checkpoint cost, so a
+// candidate pays O(ℓ) multiply-adds and no exp. The 1e-12 relative
+// margin covers the rounding gap between n·F and the solver's sequential
+// sums (pruning is strict, so an admissible bound never changes the
+// sweep result). The grid must be ascending, as Tau0Grid's is; a τ0 off
+// the grid gets the trivial bound 0.
+func floorBound(sys *system.System, grid []float64) (func(pattern.Plan) float64, error) {
+	L := sys.NumLevels()
+	durs := make([]float64, 0, L+len(grid))
+	for _, l := range sys.Levels {
+		durs = append(durs, l.Checkpoint)
+	}
+	durs = append(durs, grid...)
+	floors, err := escalationChain(sys).SegmentFloors(durs)
+	if err != nil {
+		return nil, err
+	}
+	ckpt := floors[:L]
+	tauFloors := floors[L:]
 	return func(p pattern.Plan) float64 {
-		var overhead float64
-		suffix := 1 // Π_{j>i}(N_j+1): periods of level i per top-level period
-		for i := len(p.Levels) - 1; i >= 0; i-- {
-			ckpt := sys.Levels[p.Levels[i]-1].Checkpoint
-			if i == len(p.Levels)-1 {
-				overhead += ckpt // one top-level checkpoint per period
-			} else {
-				overhead += float64(p.Counts[i]*suffix) * ckpt
-				suffix *= p.Counts[i] + 1
-			}
-		}
-		work := p.Tau0 * float64(suffix) // suffix = intervals per period
-		if !(work > 0) {
+		at, ok := slices.BinarySearch(grid, p.Tau0)
+		if !ok {
 			return 0
 		}
-		return (work + overhead) / work * (1 - 1e-12)
-	}
+		top := len(p.Levels) - 1
+		overhead := ckpt[p.Levels[top]-1] // one top-level checkpoint per period
+		suffix := 1                       // Π_{j>i}(N_j+1): periods of level i per top-level period
+		for i := top - 1; i >= 0; i-- {
+			// Skip absent levels: their floor may be +Inf, and 0·Inf is NaN.
+			if c := p.Counts[i] * suffix; c > 0 {
+				overhead += float64(c) * ckpt[p.Levels[i]-1]
+			}
+			suffix *= p.Counts[i] + 1
+		}
+		n := float64(suffix) // intervals per period
+		return (n*tauFloors[at] + overhead) / (n * p.Tau0) * (1 - 1e-12)
+	}, nil
 }
 
 // newSweepObjective builds a goroutine-local Markov objective for the
@@ -243,11 +276,7 @@ func failureFreeBound(sys *system.System) func(pattern.Plan) float64 {
 // reg receives the memo's hit/miss counters.
 func newSweepObjective(sys *system.System, reg *obs.Registry) optimize.Objective {
 	L := sys.NumLevels()
-	chain := &markov.Chain{Policy: markov.Escalate}
-	for sev := 1; sev <= L; sev++ {
-		chain.Rates = append(chain.Rates, sys.LevelRate(sev))
-		chain.RestartTime = append(chain.RestartTime, sys.Levels[sev-1].Restart)
-	}
+	chain := escalationChain(sys)
 	solver := &markov.Solver{}
 	shapes := map[string][]uint8{}
 	var key []byte

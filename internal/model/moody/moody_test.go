@@ -10,6 +10,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/model/dauwe"
 	"repro/internal/obs"
+	"repro/internal/optimize"
 	"repro/internal/pattern"
 	"repro/internal/system"
 )
@@ -278,30 +279,91 @@ func TestSweepObjectiveAllocs(t *testing.T) {
 	}
 }
 
-// TestFailureFreeBoundAdmissible checks the pruning bound never exceeds
-// the true objective value, which is what makes pruning result-neutral.
-func TestFailureFreeBoundAdmissible(t *testing.T) {
+// TestFloorBoundAdmissible checks the pruning bound against the Markov
+// objective on every candidate of whole sweep grids: the Fast grid on the
+// Table I systems and the Figure 5 systems, and the default grid on D4
+// and M. Admissibility — the bound never exceeds the objective of a
+// candidate the objective accepts — is what makes pruning and the
+// best-bound-first cell order result-neutral. It also checks F(d) >= d
+// for every duration the bound uses, so the bound dominates the
+// failure-free period time over its work.
+func TestFloorBoundAdmissible(t *testing.T) {
+	type grid struct {
+		points, maxPeriod int
+		counts            []int
+	}
+	fast := grid{20, 128, []int{0, 1, 2, 4, 8, 16, 32}} // experiments' Fast mode
+	def := grid{64, 512, optimize.DefaultCounts()}
+	type target struct {
+		sys  *system.System
+		grid grid
+	}
+	var targets []target
 	for _, sys := range system.TableI() {
-		lb := failureFreeBound(sys)
-		reg := obs.NewRegistry()
-		obj := newSweepObjective(sys, reg)
-		levels := pattern.AllLevels(sys)
-		counts := func(vals ...int) []int { return vals[:len(levels)-1] }
-		for _, p := range []pattern.Plan{
-			{Tau0: 0.5, Counts: counts(0, 0, 0), Levels: levels},
-			{Tau0: 5, Counts: counts(4, 2, 1), Levels: levels},
-			{Tau0: 60, Counts: counts(1, 1, 1), Levels: levels},
-			{Tau0: 480, Counts: counts(9, 0, 4), Levels: levels},
-		} {
-			v, ok := obj(p)
-			if !ok {
-				continue
+		targets = append(targets, target{sys, fast})
+	}
+	base, err := system.ByName("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pfs := range []float64{10, 20} { // the Figure 5 scenarios
+		for _, mtbf := range []float64{26, 20, 15, 9, 3} {
+			targets = append(targets, target{base.WithTopCost(pfs).WithMTBF(mtbf).WithBaseline(30), fast})
+		}
+	}
+	for _, name := range []string{"D4", "M"} {
+		sys, err := system.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, target{sys, def})
+	}
+
+	var checked int
+	worst := 0.0
+	for _, tg := range targets {
+		sys := tg.sys
+		tau := optimize.Tau0Grid(sys, tg.grid.points)
+		durs := append([]float64(nil), tau...)
+		for _, l := range sys.Levels {
+			durs = append(durs, l.Checkpoint)
+		}
+		floors, err := escalationChain(sys).SegmentFloors(durs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range floors {
+			if !(f >= durs[i]) {
+				t.Fatalf("%s: F(%v) = %v below the duration", sys.Name, durs[i], f)
 			}
-			if b := lb(p); b > v {
-				t.Fatalf("%s %v: bound %v exceeds objective %v", sys.Name, p, b, v)
+		}
+		lb, err := floorBound(sys, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj := newSweepObjective(sys, obs.NewRegistry())
+		for _, tau0 := range tau {
+			for _, p := range odometerCell(tau0, pattern.AllLevels(sys), tg.grid.counts) {
+				if p.PeriodIntervals() > tg.grid.maxPeriod {
+					continue
+				}
+				v, ok := obj(p)
+				if !ok {
+					continue
+				}
+				b := lb(p)
+				if !(b <= v) {
+					t.Fatalf("%s %v: bound %v exceeds objective %v", sys.Name, p, b, v)
+				}
+				worst = max(worst, b/v)
+				checked++
 			}
 		}
 	}
+	if checked == 0 {
+		t.Fatal("no candidate checked")
+	}
+	t.Logf("%d candidates on %d systems; largest bound/objective %.10f", checked, len(targets), worst)
 }
 
 // TestOptimizeDeterministicAcrossWorkers checks the full moody optimizer

@@ -8,16 +8,18 @@
 // The sweep is deterministic by construction: workers pull (τ0 ×
 // level-set) cells from a chunked atomic work queue (so load balances
 // dynamically — small-τ0 cells can cost far more under the Markov
-// objective), each keeps a running best under a total candidate order
-// (expected time, then τ0, then levels, then counts, lexicographically),
-// and the per-worker bests are reduced under the same order. The result
-// is therefore byte-identical for any worker count. The hot path is
-// allocation-free: count vectors are enumerated into per-worker scratch
-// buffers that are only copied when a candidate becomes a worker's new
-// best.
+// objective), best-bound-first when the space has a lower bound (a
+// branch-and-bound), each keeps a running best under a total candidate
+// order (expected time, then τ0, then levels, then counts,
+// lexicographically), and the per-worker bests are reduced under the
+// same order. The result is therefore byte-identical for any worker
+// count. The hot path is allocation-free: count vectors are enumerated
+// into per-worker scratch buffers that are only copied when a candidate
+// becomes a worker's new best.
 package optimize
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -70,11 +72,13 @@ type Space struct {
 	RefineTau0 bool
 	// LowerBound, when non-nil, is an admissible lower bound on the
 	// objective: LowerBound(plan) must never exceed the objective's
-	// value for a feasible plan. Candidates whose bound strictly
-	// exceeds the best time found so far (shared across workers) are
-	// skipped without evaluating the objective. Because the skip is
-	// strict, pruning cannot change the sweep's result — only the
-	// number of objective calls (reported via Metrics, not Result).
+	// value for a feasible plan. It must be safe for concurrent use.
+	// Candidates whose bound strictly exceeds the best time found so far
+	// (shared across workers) are skipped without evaluating the
+	// objective, and the work queue hands out cells best-bound-first
+	// (see cellOrder) so that best time is near-optimal early. Because
+	// the skip is strict, neither can change the sweep's result — only
+	// the number of objective calls (reported via Metrics, not Result).
 	LowerBound func(plan pattern.Plan) float64
 	// Metrics, when non-nil, receives the sweep's telemetry counters
 	// (opt_candidates_total, opt_evaluations_total, opt_pruned_total,
@@ -85,18 +89,19 @@ type Space struct {
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives the sweep's span tree: each worker
 	// records a "sweep" span with one "chunk" child per work-queue grab,
-	// and the τ0 refinement stage records "refine". Worker shards are
+	// the best-bound-first pre-pass records "order" and the τ0
+	// refinement stage records "refine". Worker shards are
 	// goroutine-local tracers merged here once after the sweep; the same
 	// single-sweep-per-sink rule as Metrics applies.
 	Spans *obs.Tracer
-	// Context, when non-nil, cancels the sweep: workers check it at
-	// every work-queue grab and at every cell boundary within a chunk,
-	// so a canceled sweep stops after at most one in-flight cell per
-	// worker. A canceled sweep returns ctx.Err() and a zero Result —
-	// callers must not treat partial state as an answer (and in
-	// particular must not cache it). Metrics and Spans recorded before
-	// the cancellation point are still merged, so telemetry accounts
-	// for the aborted work.
+	// Context, when non-nil, cancels the sweep: the ordering pre-pass
+	// checks it between cells, and workers at every work-queue grab and
+	// at every cell boundary within a chunk, so a canceled sweep stops
+	// after at most one in-flight cell per worker. A canceled sweep
+	// returns ctx.Err() and a zero Result — callers must not treat
+	// partial state as an answer (and in particular must not cache it).
+	// Metrics and Spans recorded before the cancellation point are still
+	// merged, so telemetry accounts for the aborted work.
 	Context context.Context
 }
 
@@ -202,6 +207,19 @@ func forEachCounts(n int, vals []int, fn func([]int)) {
 	s.forEach(n, vals, fn)
 }
 
+// periodFits reports whether a count vector's top-level period stays
+// within MaxPeriodIntervals.
+func (s *Space) periodFits(counts []int) bool {
+	if s.MaxPeriodIntervals <= 0 {
+		return true
+	}
+	intervals := 1
+	for _, c := range counts {
+		intervals *= c + 1
+	}
+	return intervals <= s.MaxPeriodIntervals
+}
+
 // sweepWorker is the per-goroutine sweep state: the worker's running
 // best under the total candidate order, its scratch buffers, and its
 // metrics shard. Everything here is touched by exactly one goroutine.
@@ -228,14 +246,8 @@ type sweepWorker struct {
 // candidate filters, optionally prunes, and evaluates one count vector
 // of the current cell. counts is scratch — copied only on improvement.
 func (w *sweepWorker) candidate(counts []int) {
-	if max := w.space.MaxPeriodIntervals; max > 0 {
-		intervals := 1
-		for _, c := range counts {
-			intervals *= c + 1
-		}
-		if intervals > max {
-			return
-		}
+	if !w.space.periodFits(counts) {
+		return
 	}
 	w.candidates++
 	plan := pattern.Plan{Tau0: w.tau0, Counts: counts, Levels: w.levels}
@@ -305,12 +317,7 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 		chunk = 1
 	}
 
-	var next atomic.Int64
-	var bound atomicMin
-	bound.init(math.Inf(1))
-
-	ws := make([]*sweepWorker, workers)
-	regs := make([]*obs.Registry, workers+1) // last shard: refinement
+	regs := make([]*obs.Registry, workers+1) // last shard: ordering and refinement
 	trs := make([]*obs.Tracer, workers+1)    // nil tracers no-op when Spans is unset
 	for i := range regs {
 		regs[i] = obs.NewRegistry()
@@ -318,6 +325,33 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 			trs[i] = obs.NewTracer()
 		}
 	}
+	// finish merges the telemetry shards into the sinks, so telemetry
+	// accounts for the work done even when the sweep has no answer.
+	finish := func(res Result, err error) (Result, error) {
+		if merr := mergeMetrics(space.Metrics, regs); merr != nil {
+			return Result{}, merr
+		}
+		mergeSpans(space.Spans, trs)
+		return res, err
+	}
+
+	// The queue hands out cells τ0-major, or best-bound-first when the
+	// space has a bound: order[i] is the cell at queue position i.
+	var order []int
+	if space.LowerBound != nil {
+		orderSpan := trs[workers].Start("order")
+		var err error
+		order, err = cellOrder(&space)
+		orderSpan.End()
+		if err != nil {
+			return finish(Result{}, err)
+		}
+	}
+
+	var next atomic.Int64
+	var bound atomicMin
+	bound.init(math.Inf(1))
+	ws := make([]*sweepWorker, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -345,12 +379,14 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 					end = cells
 				}
 				chunkSpan := trs[w].Start("chunk")
-				for c := start; c < end; c++ {
+				for i := start; i < end; i++ {
 					if canceled(space.Context) != nil {
 						break
 					}
-					// τ0-major order puts the expensive small-τ0
-					// cells at the front of the queue.
+					c := i
+					if order != nil {
+						c = order[i]
+					}
 					tau0 := space.Tau0[c/len(space.LevelSets)]
 					if !(tau0 > 0) {
 						continue
@@ -368,12 +404,8 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 	wg.Wait()
 	if err := canceled(space.Context); err != nil {
 		// Abandon the partial reduction: a canceled sweep has no
-		// answer. Telemetry for the work actually done still merges.
-		if merr := mergeMetrics(space.Metrics, regs); merr != nil {
-			return Result{}, merr
-		}
-		mergeSpans(space.Spans, trs)
-		return Result{}, err
+		// answer.
+		return finish(Result{}, err)
 	}
 
 	out := Result{ExpectedTime: math.Inf(1)}
@@ -391,11 +423,7 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 		}
 	}
 	if !found {
-		if err := mergeMetrics(space.Metrics, regs); err != nil {
-			return Result{}, err
-		}
-		mergeSpans(space.Spans, trs)
-		return Result{Evaluated: out.Evaluated}, ErrNoFeasiblePlan
+		return finish(Result{Evaluated: out.Evaluated}, ErrNoFeasiblePlan)
 	}
 	if space.RefineTau0 {
 		reg := regs[workers]
@@ -405,11 +433,53 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 		refineSpan.End()
 		out.Plan, out.ExpectedTime = refined, t
 	}
-	if err := mergeMetrics(space.Metrics, regs); err != nil {
-		return Result{}, err
+	return finish(out, nil)
+}
+
+// cellOrder returns the queue order of a bounded sweep: every cell,
+// sorted by its key — the smallest LowerBound over the candidates the
+// sweep will consider in it, under the same τ0 > 0 and
+// MaxPeriodIntervals filters, or +Inf when there are none — with ties
+// broken by cell index. Claiming the most promising cells first makes
+// the shared best time near-optimal before the expensive cells run, so
+// the strict prune skips most of them. The result cannot change: the
+// winner is the minimum under the total candidate order, and an
+// admissible bound with a strict prune never skips it or a candidate
+// tied with it, whatever the schedule. The pre-pass checks the context
+// between cells and returns its error once canceled.
+func cellOrder(space *Space) ([]int, error) {
+	nl := len(space.LevelSets)
+	keys := make([]float64, len(space.Tau0)*nl)
+	var scratch countScratch
+	for c := range keys {
+		if err := canceled(space.Context); err != nil {
+			return nil, err
+		}
+		key := math.Inf(1)
+		if tau0 := space.Tau0[c/nl]; tau0 > 0 {
+			levels := space.LevelSets[c%nl]
+			scratch.forEach(len(levels)-1, space.CountVals, func(counts []int) {
+				if !space.periodFits(counts) {
+					return
+				}
+				if b := space.LowerBound(pattern.Plan{Tau0: tau0, Counts: counts, Levels: levels}); b < key {
+					key = b
+				}
+			})
+		}
+		keys[c] = key
 	}
-	mergeSpans(space.Spans, trs)
-	return out, nil
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order, nil
 }
 
 // canceled returns the context's error (nil contexts never cancel).

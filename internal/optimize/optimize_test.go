@@ -1,10 +1,14 @@
 package optimize
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
@@ -409,6 +413,110 @@ func TestSweepLowerBoundPrune(t *testing.T) {
 	if got := snap.Counter("opt_candidates_total"); got != uint64(pruned.Evaluated) {
 		t.Errorf("candidates counter %d != Result.Evaluated %d", got, pruned.Evaluated)
 	}
+}
+
+// TestSweepBestBoundFirst checks that a bounded sweep hands out cells in
+// ascending order of their smallest bound, and that the order changes
+// nothing but the objective-call count. Every candidate improves on the
+// one before it in τ0-major order, so without the order a lone worker
+// evaluates all of them; best-bound-first, with an exact bound, it
+// claims the optimum's cell first and prunes every other cell whole.
+func TestSweepBestBoundFirst(t *testing.T) {
+	value := func(p pattern.Plan) float64 {
+		if p.Tau0 == 1 && p.Counts[0] == 9 {
+			// The best bound of all, but 10 intervals exceed
+			// MaxPeriodIntervals: the order must skip it as the sweep
+			// does, or the τ0 = 1 cell would run first.
+			return -1e6
+		}
+		return 1000 - 10*p.Tau0 - float64(p.Counts[0])
+	}
+	var mu sync.Mutex
+	var evaluated []pattern.Plan
+	obj := func(p pattern.Plan) (float64, bool) {
+		mu.Lock()
+		evaluated = append(evaluated, pattern.Plan{Tau0: p.Tau0, Counts: slices.Clone(p.Counts)})
+		mu.Unlock()
+		return value(p), true
+	}
+	space := Space{
+		Tau0:               []float64{1, 2, 3, 4, 5, 6, 7, 8},
+		CountVals:          []int{0, 1, 2, 3, 9},
+		LevelSets:          [][]int{{1, 2}},
+		MaxPeriodIntervals: 5,
+	}
+	for _, workers := range []int{1, 4, 16} {
+		space.Workers = workers
+		space.LowerBound = nil
+		space.Metrics = obs.NewRegistry()
+		plain, err := Sweep(space, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plainSnap := space.Metrics.Snapshot()
+
+		evaluated = nil
+		space.LowerBound = value // exact, hence admissible
+		space.Metrics = obs.NewRegistry()
+		space.Spans = obs.NewTracer()
+		bounded, err := Sweep(space, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bounded, plain) {
+			t.Fatalf("workers=%d: bounded sweep %#v, unbounded %#v", workers, bounded, plain)
+		}
+		snap := space.Metrics.Snapshot()
+		if got, want := snap.Counter("opt_candidates_total"), plainSnap.Counter("opt_candidates_total"); got != want || got != uint64(plain.Evaluated) {
+			t.Fatalf("workers=%d: candidates %d, unbounded %d, Evaluated %d", workers, got, want, plain.Evaluated)
+		}
+		// A lone worker evaluates the last τ0 cell's four candidates and
+		// nothing else.
+		if workers == 1 {
+			if plain.Plan.Tau0 != 8 || plain.Plan.Counts[0] != 3 {
+				t.Fatalf("winner %v, want τ0 8 counts [3]", plain.Plan)
+			}
+			if len(evaluated) != 4 {
+				t.Fatalf("evaluated %v, want only the τ0 = 8 cell's 4 candidates", evaluated)
+			}
+			for _, p := range evaluated {
+				if p.Tau0 != 8 {
+					t.Fatalf("evaluated %v outside the optimum's cell", p)
+				}
+			}
+			if n := snap.Counter("opt_evaluations_total"); n != 4 {
+				t.Fatalf("opt_evaluations_total = %d, want 4", n)
+			}
+		}
+		if findSpan(space.Spans.Snapshot(), "order") == nil {
+			t.Fatalf("workers=%d: no order span in %+v", workers, space.Spans.Snapshot())
+		}
+	}
+
+	// A canceled context stops the ordering pre-pass before its first
+	// cell, and the sweep after it evaluates nothing.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	evaluated = nil
+	var bounds atomic.Int64
+	space.LowerBound = func(p pattern.Plan) float64 { bounds.Add(1); return value(p) }
+	space.Context = ctx
+	if res, err := Sweep(space, obj); !errors.Is(err, context.Canceled) || !reflect.DeepEqual(res, Result{}) {
+		t.Fatalf("pre-canceled bounded sweep = (%+v, %v), want a zero Result and context.Canceled", res, err)
+	}
+	if len(evaluated) != 0 || bounds.Load() != 0 {
+		t.Fatalf("pre-canceled bounded sweep evaluated %v and computed %d bounds", evaluated, bounds.Load())
+	}
+}
+
+// findSpan returns the named node of a span forest, or nil.
+func findSpan(nodes []obs.SpanNode, name string) *obs.SpanNode {
+	for i := range nodes {
+		if nodes[i].Name == name {
+			return &nodes[i]
+		}
+	}
+	return nil
 }
 
 // TestSweepObjectivesPerWorker checks that the factory runs once per
