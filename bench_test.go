@@ -8,6 +8,7 @@ package repro
 
 import (
 	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/adaptive"
@@ -165,6 +166,49 @@ func BenchmarkSimTrial(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSimTrialPair builds two BenchmarkSimTrial engines back to
+// back on one goroutine, warms each with one trial there, and then runs
+// them on two goroutines at once. It reports ns per trial per engine:
+// with two idle cores it matches BenchmarkSimTrial unless the engines'
+// per-trial state shares cache lines, which makes every event move a
+// line between the cores.
+func BenchmarkSimTrialPair(b *testing.B) {
+	sys, err := system.ByName("D4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scn := sim.Scenario{
+		System: sys,
+		Plan:   pattern.Plan{Tau0: 1.3, Counts: []int{3}, Levels: []int{1, 2}},
+	}
+	seed := rng.Campaign(1, "bench-sim")
+	var engs [2]*sim.Engine
+	for k := range engs {
+		if engs[k], err = sim.NewEngine(scn); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engs[k].Run(seed.Trial(k)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for k, eng := range engs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(seed.Trial(2*i + k)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // BenchmarkSimTrialLight measures one simulated trial of the

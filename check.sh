@@ -242,11 +242,12 @@ echo "== go test (CRN golden neutrality)"
 go test -run 'TestPairedCampaignMarginalsBitwiseIdentical' ./internal/sim/
 go test -run 'TestCRNMarginalsMatchStandaloneCampaigns' ./internal/experiments/
 # The sim campaign runner, optimizer sweep, observer pool, the paired
-# stats accumulators, and the conformance checker pool are the packages
-# that share state across goroutines; run them (plus the repo root,
-# whose integration test drives them together) under the race detector.
-echo "== go test -race (sim/optimize/obs/eventq/stats/service shard)"
-go test -race ./internal/sim/ ./internal/optimize/ ./internal/obs/ ./internal/eventq/ ./internal/stats/ ./internal/service/ ./cmd/mlckptd/ .
+# stats accumulators, the figure-grid row runner and the conformance
+# checker pool are the packages that share state across goroutines; run
+# them (plus the repo root, whose integration test drives them together)
+# under the race detector.
+echo "== go test -race (sim/optimize/obs/eventq/stats/service/experiments shard)"
+go test -race ./internal/sim/ ./internal/optimize/ ./internal/obs/ ./internal/eventq/ ./internal/stats/ ./internal/service/ ./cmd/mlckptd/ ./internal/experiments/ ./cmd/repro/ .
 # The conformance suite is statistics-heavy; -short keeps the race pass
 # focused on the Pool/Campaign concurrency without the full sweeps.
 echo "== go test -race -short (conformance)"
@@ -264,7 +265,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     echo "== go test -bench (sim engine, writes bench_sim.txt)"
-    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialLight|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
+    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialPair|BenchmarkSimTrialLight|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
         -benchmem -benchtime 2s . | tee bench_sim.txt
     # The Moody sweeps report evals/op, the Markov solves left after
     # branch-and-bound pruning.

@@ -757,6 +757,7 @@ func chainEvents(camp *sim.Campaign, ev *obs.EventLog, label, ckPath string, sha
 	if ev == nil {
 		return
 	}
+	ev = ev.WithLabel(label)
 	prev := camp.Progress
 	started := time.Now()
 	first := true
@@ -768,7 +769,7 @@ func chainEvents(camp *sim.Campaign, ev *obs.EventLog, label, ckPath string, sha
 		}
 		if first {
 			first = false
-			ev.CampaignStart(label, shard, of, u.First, u.Limit, u.Total)
+			ev.CampaignStart(shard, of, u.First, u.Limit, u.Total)
 			if u.First > 0 && ckPath != "" {
 				ev.Resume(ckPath, u.First)
 			}

@@ -112,8 +112,9 @@ func run(args []string, stdout io.Writer) error {
 
 	which := fs.Arg(0)
 	if *logJSON {
-		// One run ID for the whole invocation; each campaign's events
-		// carry their cell's system name as the label.
+		// One run ID for the whole invocation; every record of a
+		// campaign carries its cell's label (system and technique), so
+		// the records of rows running at once group by cell.
 		runID := sidecar.ConfigDigest("repro", which,
 			strconv.FormatUint(*seed, 10), strconv.Itoa(*trials))
 		opt.Events = obs.NewEventLog(os.Stderr, runID)

@@ -74,7 +74,7 @@ func PolicyAblation(opt Options, systems []string) (*AblationResult, error) {
 				Trials:  trials,
 				Seed:    seed.Scenario(fmt.Sprintf("%s/p%d", name, i)),
 				Workers: opt.Workers,
-			})
+			}, sys.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +137,7 @@ func WeibullAblation(opt Options, shape float64, systems []string) (*AblationRes
 				Trials:  trials,
 				Seed:    seed.Scenario(fmt.Sprintf("%s/w%d", name, i)),
 				Workers: opt.Workers,
-			})
+			}, sys.Name)
 			if err != nil {
 				return nil, err
 			}
@@ -221,7 +221,7 @@ func AsyncAblation(opt Options, systems []string) (*AblationResult, error) {
 				Trials:  trials,
 				Seed:    seed.Scenario(fmt.Sprintf("%s/a%d", name, i)),
 				Workers: opt.Workers,
-			})
+			}, sys.Name)
 			if err != nil {
 				return nil, err
 			}

@@ -40,19 +40,27 @@ type Options struct {
 	Trials int
 	// Seed is the campaign base seed (0 = 1).
 	Seed uint64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers bounds parallelism (0 = GOMAXPROCS): how many cores the
+	// run may use. The figure grids (Figures 2–5) keep up to Workers
+	// rows in flight, and each row runs its campaigns with Workers
+	// workers; results are identical for every value (DESIGN.md §2.15).
 	Workers int
 	// MaxWallFactor caps each trial at this multiple of T_B
 	// (0 = 150; only the sub-1 %-efficiency scenarios ever hit it).
 	MaxWallFactor float64
 	// Progress, when non-nil, receives one line per completed scenario.
+	// Lines arrive in row order, exactly as a sequential run prints them,
+	// even when rows run concurrently; calls come from the goroutine that
+	// called the experiment.
 	Progress func(string)
 	// Fast lowers every optimizer's grid resolution. Benchmarks and
 	// smoke tests use it; paper-scale runs leave it false.
 	Fast bool
 	// Metrics, when non-nil, is a global telemetry sink: every campaign
 	// runs with per-worker obs.SimMetrics shards, which are merged into
-	// the per-cell metrics and folded into this sink.
+	// the per-cell metrics and folded into this sink. A figure grid folds
+	// each row into a private sink first and merges the rows in row
+	// order.
 	Metrics *obs.SimMetrics
 	// CollectMetrics attaches per-cell metrics even without a global
 	// sink.
@@ -66,9 +74,9 @@ type Options struct {
 	// into "setup"/"run"/"merge", per-worker trial spans are grafted
 	// under "run", and instrumented optimizer sweeps graft their
 	// "sweep"/"order"/"refine" spans under "optimize". The tracer is
-	// used from the calling goroutine only (parallel stages record into
-	// private shards that are merged in), so one experiment run per
-	// tracer.
+	// used from the calling goroutine only (parallel stages, figure-grid
+	// rows included, record into private shards that are merged in), so
+	// one experiment run per tracer.
 	Spans *obs.Tracer
 	// TrialStats, when non-nil, receives per-trial streaming estimators
 	// that are safe to snapshot concurrently mid-run (the live /metrics
@@ -111,7 +119,8 @@ type Options struct {
 	Resume bool
 	// Events, when non-nil, receives structured campaign lifecycle
 	// events — start, checkpoint, resume, terminal state — as JSON log
-	// lines (see obs.EventLog). The CLIs enable it with -log-json.
+	// lines (see obs.EventLog), each labelled with its cell. The CLIs
+	// enable it with -log-json.
 	Events *obs.EventLog
 }
 
@@ -219,13 +228,14 @@ func (o Options) applySink(camp *sim.Campaign, label string) {
 // applyEvents chains a structured-event emitter onto the campaign's
 // Progress hook: campaign_start on the first update (plus resume, when
 // the run picked up a checkpoint), checkpoint on flagged merges, and
-// campaign_error/campaign_end on the terminal update. It composes with
-// any Progress hook already installed.
+// campaign_error/campaign_end on the terminal update. Every record
+// carries label, so the records of cells running at once group by cell.
+// It composes with any Progress hook already installed.
 func (o Options) applyEvents(camp *sim.Campaign, label string) {
 	if o.Events == nil {
 		return
 	}
-	ev, prev := o.Events, camp.Progress
+	ev, prev := o.Events.WithLabel(label), camp.Progress
 	ckPath := ""
 	if camp.Checkpoint != nil {
 		ckPath = camp.Checkpoint.Path
@@ -240,7 +250,7 @@ func (o Options) applyEvents(camp *sim.Campaign, label string) {
 		}
 		if first {
 			first = false
-			ev.CampaignStart(label, 0, 1, u.First, u.Limit, u.Total)
+			ev.CampaignStart(0, 1, u.First, u.Limit, u.Total)
 			if u.First > 0 && ckPath != "" {
 				ev.Resume(ckPath, u.First)
 			}
@@ -271,14 +281,13 @@ func sanitizeCell(label string) string {
 // runCampaign executes a campaign with the Options' telemetry hooks
 // attached: per-trial progress ticks, and — when metrics collection is
 // on — one obs.SimMetrics shard per worker, merged after the run and
-// folded into the global sink. Returns the merged per-campaign metrics
-// (nil when collection is off).
-func (o Options) runCampaign(camp sim.Campaign) (sim.CampaignResult, *obs.SimMetrics, error) {
-	// Catch-all for callers that skip evaluate's labelled applySink
-	// (sensitivity, ablations): the seed-word hash in the filename keeps
-	// cells distinct even under the bare system-name label.
-	o.applySink(&camp, camp.Scenario.System.Name)
-	o.applyEvents(&camp, camp.Scenario.System.Name)
+// folded into the global sink. label names the cell: it becomes the
+// checkpoint filename (applySink) and tags the campaign's events
+// (applyEvents). Returns the merged per-campaign metrics (nil when
+// collection is off).
+func (o Options) runCampaign(camp sim.Campaign, label string) (sim.CampaignResult, *obs.SimMetrics, error) {
+	o.applySink(&camp, label)
+	o.applyEvents(&camp, label)
 	campSpan := o.Spans.Start("campaign")
 	defer campSpan.End()
 	setupSpan := o.Spans.Start("setup")
@@ -401,8 +410,7 @@ func evaluate(sys *system.System, techName string, trials int, seed rng.Seed, op
 		Seed:     seed.Scenario(sys.Name + "/" + techName),
 		Workers:  opt.Workers,
 	}
-	opt.applySink(&camp, sys.Name+"-"+techName)
-	res, metrics, err := opt.runCampaign(camp)
+	res, metrics, err := opt.runCampaign(camp, sys.Name+"-"+techName)
 	if err != nil {
 		return Cell{}, fmt.Errorf("%s on %s: simulate: %w", techName, sys.Name, err)
 	}
@@ -550,23 +558,18 @@ type Fig2Result struct {
 // Fig2 runs the Figure 2 experiment.
 func Fig2(opt Options) (*Fig2Result, error) {
 	systems := system.TableI()
-	trials := opt.trials(200)
-	seed := rng.Campaign(opt.seed(), "fig2")
 	out := &Fig2Result{Techniques: Fig2Techniques}
 	for _, sys := range systems {
 		out.Systems = append(out.Systems, sys.Name)
-		row, paired, err := evaluateRow(sys, Fig2Techniques, trials, seed, opt)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range row {
-			opt.log("fig2 %s/%s: sim=%.3f±%.3f pred=%.3f plan=%v",
-				sys.Name, c.Technique, c.Sim.Efficiency.Mean, c.Sim.Efficiency.Std, c.Predicted.Efficiency, c.Plan)
-		}
-		out.Cells = append(out.Cells, row)
-		if opt.CRN {
-			out.Paired = append(out.Paired, paired)
-		}
+	}
+	var err error
+	out.Cells, out.Paired, err = evaluateGrid(opt, systems, Fig2Techniques, opt.trials(200), rng.Campaign(opt.seed(), "fig2"),
+		func(ro Options, _ int, c *Cell) {
+			ro.log("fig2 %s/%s: sim=%.3f±%.3f pred=%.3f plan=%v",
+				c.System, c.Technique, c.Sim.Efficiency.Mean, c.Sim.Efficiency.Std, c.Predicted.Efficiency, c.Plan)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -585,22 +588,20 @@ type Fig3Result struct {
 // Fig3 runs the Figure 3 experiment.
 func Fig3(opt Options) (*Fig3Result, error) {
 	systems := system.TableI()
-	trials := opt.trials(200)
-	seed := rng.Campaign(opt.seed(), "fig3")
 	out := &Fig3Result{Techniques: BestTechniques}
 	for _, sys := range systems {
 		out.Systems = append(out.Systems, sys.Name)
-		row, _, err := evaluateRow(sys, BestTechniques, trials, seed, opt)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range row {
+	}
+	var err error
+	out.Cells, _, err = evaluateGrid(opt, systems, BestTechniques, opt.trials(200), rng.Campaign(opt.seed(), "fig3"),
+		func(ro Options, _ int, c *Cell) {
 			b := c.Sim.BreakdownShare
-			opt.log("fig3 %s/%s: useful=%.1f%% lost=%.1f%% ckpt=%.1f%%/%.1f%% restart=%.1f%%/%.1f%%",
-				sys.Name, c.Technique, 100*b.UsefulCompute, 100*b.LostCompute,
+			ro.log("fig3 %s/%s: useful=%.1f%% lost=%.1f%% ckpt=%.1f%%/%.1f%% restart=%.1f%%/%.1f%%",
+				c.System, c.Technique, 100*b.UsefulCompute, 100*b.LostCompute,
 				100*b.CheckpointOK, 100*b.CheckpointFail, 100*b.RestartOK, 100*b.RestartFail)
-		}
-		out.Cells = append(out.Cells, row)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -722,25 +723,57 @@ func exascaleGrid(opt Options, name string, pfsCosts []float64, tb float64, tria
 	if err != nil {
 		return nil, err
 	}
-	seed := rng.Campaign(opt.seed(), name)
+	systems := make([]*system.System, len(scens))
+	for i, sc := range scens {
+		systems[i] = sc.System
+	}
 	out := &Fig4Result{Scenarios: scens, Techniques: BestTechniques}
-	for _, sc := range scens {
-		row, paired, err := evaluateRow(sc.System, BestTechniques, trials, seed, opt)
-		if err != nil {
-			return nil, err
-		}
-		for i := range row {
-			row[i].System = sc.Label()
-			c := &row[i]
-			opt.log("%s %s/%s: sim=%.3f±%.3f pred=%.3f plan=%v",
-				name, sc.Label(), c.Technique, c.Sim.Efficiency.Mean, c.Sim.Efficiency.Std, c.Predicted.Efficiency, c.Plan)
-		}
-		out.Cells = append(out.Cells, row)
-		if opt.CRN {
-			out.Paired = append(out.Paired, paired)
-		}
+	out.Cells, out.Paired, err = evaluateGrid(opt, systems, BestTechniques, trials, rng.Campaign(opt.seed(), name),
+		func(ro Options, i int, c *Cell) {
+			c.System = scens[i].Label()
+			ro.log("%s %s/%s: sim=%.3f±%.3f pred=%.3f plan=%v",
+				name, c.System, c.Technique, c.Sim.Efficiency.Mean, c.Sim.Efficiency.Std, c.Predicted.Efficiency, c.Plan)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// evaluateGrid evaluates one figure grid, row i being every technique
+// on systems[i] (evaluateRow), with the rows run by runRows. each is
+// called on every cell of a row, in technique order, inside the row's
+// job and with the row's Options, to relabel the cell and log it. The
+// paired comparisons come back index-aligned with systems under CRN and
+// nil otherwise.
+func evaluateGrid(opt Options, systems []*system.System, techs []string, trials int, seed rng.Seed,
+	each func(ro Options, i int, c *Cell)) ([][]Cell, []*sim.PairedResult, error) {
+	type gridRow struct {
+		cells  []Cell
+		paired *sim.PairedResult
+	}
+	rows, err := runRows(opt, len(systems), func(i int, ro Options) (gridRow, error) {
+		cells, paired, err := evaluateRow(systems[i], techs, trials, seed, ro)
+		if err != nil {
+			return gridRow{}, err
+		}
+		for k := range cells {
+			each(ro, i, &cells[k])
+		}
+		return gridRow{cells, paired}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cells := make([][]Cell, len(rows))
+	var paired []*sim.PairedResult
+	for i, r := range rows {
+		cells[i] = r.cells
+		if opt.CRN {
+			paired = append(paired, r.paired)
+		}
+	}
+	return cells, paired, nil
 }
 
 // Fig6Row is one scenario of the Figure 6 prediction-error plot.

@@ -78,7 +78,7 @@ func Sensitivity(opt Options, systemName string, multipliers []float64) (*Sensit
 			Trials:  trials,
 			Seed:    seed.Scenario(fmt.Sprintf("%s/x%g", systemName, m)),
 			Workers: opt.Workers,
-		})
+		}, sys.Name)
 		if err != nil {
 			return nil, err
 		}

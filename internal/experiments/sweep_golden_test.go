@@ -13,7 +13,7 @@ import (
 	"repro/internal/system"
 )
 
-var updateSweepPins = flag.Bool("update", false, "rewrite testdata/sweep_pins.json from the current optimizers")
+var updatePins = flag.Bool("update", false, "rewrite the testdata pins files from the current code")
 
 // sweepPin is one optimizer result, floats as exact bit patterns.
 type sweepPin struct {
@@ -43,7 +43,7 @@ func TestSweepGoldenPins(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "sweep_pins.json")
 	want := map[string]sweepPin{}
-	if !*updateSweepPins {
+	if !*updatePins {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("read pins (run with -update to create): %v", err)
@@ -85,7 +85,7 @@ func TestSweepGoldenPins(t *testing.T) {
 						continue
 					}
 					got[key] = pin
-					if *updateSweepPins {
+					if *updatePins {
 						continue
 					}
 					if w, ok := want[key]; !ok {
@@ -97,7 +97,7 @@ func TestSweepGoldenPins(t *testing.T) {
 			}
 		}
 	}
-	if *updateSweepPins {
+	if *updatePins {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)

@@ -47,6 +47,16 @@ func (e *EventLog) WithRun(runID string) *EventLog {
 	return &EventLog{l: e.l.With("run_id", runID), runID: runID}
 }
 
+// WithLabel returns a copy of the log that stamps label on every record
+// (e.g. one campaign cell's system and technique), so the records of
+// campaigns running at once into one log group by campaign. Nil-safe.
+func (e *EventLog) WithLabel(label string) *EventLog {
+	if e == nil {
+		return nil
+	}
+	return &EventLog{l: e.l.With("label", label), runID: e.runID}
+}
+
 // RunID returns the bound run ID ("" for nil or unbound logs).
 func (e *EventLog) RunID() string {
 	if e == nil {
@@ -65,9 +75,10 @@ func (e *EventLog) Event(event string, attrs ...any) {
 }
 
 // CampaignStart records a campaign (or shard) starting over trial range
-// [first, limit) of total trials.
-func (e *EventLog) CampaignStart(label string, shard, of, first, limit, total int) {
-	e.Event("campaign_start", "label", label, "shard", shard, "of", of,
+// [first, limit) of total trials. The campaign's label comes from
+// WithLabel, which stamps it on the campaign's later records too.
+func (e *EventLog) CampaignStart(shard, of, first, limit, total int) {
+	e.Event("campaign_start", "shard", shard, "of", of,
 		"trials_first", first, "trials_limit", limit, "trials_total", total)
 }
 

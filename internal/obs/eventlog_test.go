@@ -27,7 +27,7 @@ func decodeLines(t *testing.T, out string) []map[string]any {
 func TestEventLogJSONAndRunID(t *testing.T) {
 	var sb strings.Builder
 	e := NewEventLog(&sb, "cafe0123cafe0123")
-	e.CampaignStart("D7/daly", 1, 4, 100, 200, 400)
+	e.WithLabel("D7/daly").CampaignStart(1, 4, 100, 200, 400)
 	e.Checkpoint("/tmp/ck.json", 128)
 	e.Resume("/tmp/ck.json", 128)
 	e.ShardMerge([]string{"a", "b"}, 400)
@@ -52,7 +52,7 @@ func TestEventLogJSONAndRunID(t *testing.T) {
 			t.Fatalf("record %d missing ts_ms: %v", i, r)
 		}
 	}
-	if recs[0]["trials_total"] != float64(400) || recs[0]["shard"] != float64(1) {
+	if recs[0]["trials_total"] != float64(400) || recs[0]["shard"] != float64(1) || recs[0]["label"] != "D7/daly" {
 		t.Fatalf("campaign_start attrs: %v", recs[0])
 	}
 	if recs[4]["level"] != "ERROR" || recs[4]["error"] != "boom" {
@@ -65,7 +65,7 @@ func TestEventLogJSONAndRunID(t *testing.T) {
 
 func TestEventLogNilSafe(t *testing.T) {
 	var e *EventLog
-	e.CampaignStart("x", 0, 1, 0, 10, 10)
+	e.WithLabel("x").CampaignStart(0, 1, 0, 10, 10)
 	e.Checkpoint("p", 1)
 	e.Resume("p", 1)
 	e.ShardMerge(nil, 0)

@@ -140,6 +140,17 @@ func (s Span) Adopt(o *Tracer) {
 	s.t.merge(s.node, o, 0)
 }
 
+// Graft merges o's span tree under t's innermost open span (the root
+// when none is open): where o's spans would sit had they been recorded
+// on t at this point. Work recorded on a private tracer by another
+// goroutine — a figure-grid row, say — joins the caller's tree this way.
+func (t *Tracer) Graft(o *Tracer) {
+	if t == nil || o == nil || o == t {
+		return
+	}
+	t.merge(t.cur, o, 0)
+}
+
 // SpanNode is one node of a span-tree snapshot. Children are sorted by
 // name, so snapshots are deterministic for a given set of merged shards
 // regardless of merge order or worker count.

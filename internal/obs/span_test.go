@@ -118,6 +118,36 @@ func TestSpanAdoptGrafts(t *testing.T) {
 	}
 }
 
+func TestTracerGraftNestsUnderOpenSpan(t *testing.T) {
+	row := testTracer(time.Millisecond)
+	row.Start("cell").End()
+	row.Start("cell").End()
+	main := testTracer(time.Millisecond)
+	main.Graft(row) // nothing open: lands at the root
+	fig := main.Start("fig5")
+	main.Graft(row)
+	main.Start("after").End()
+	fig.End()
+	want := []SpanNode{
+		{Name: "cell", Count: 2},
+		{Name: "fig5", Count: 1, Children: []SpanNode{{Name: "after", Count: 1}, {Name: "cell", Count: 2}}},
+	}
+	if got := spanNames(main.Snapshot()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tree = %+v, want %+v", got, want)
+	}
+	var nilTracer *Tracer
+	nilTracer.Graft(row) // no-op
+}
+
+// spanNames strips durations from a span forest.
+func spanNames(nodes []SpanNode) []SpanNode {
+	var out []SpanNode
+	for _, n := range nodes {
+		out = append(out, SpanNode{Name: n.Name, Count: n.Count, Children: spanNames(n.Children)})
+	}
+	return out
+}
+
 func TestTracerStartEndDoesNotAllocate(t *testing.T) {
 	tr := NewTracer()
 	outer := tr.Start("outer")

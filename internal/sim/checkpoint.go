@@ -170,10 +170,35 @@ func (c *Campaign) loadCheckpoint(sink PortableSink) (next int, loaded bool, err
 	if f.First != 0 {
 		return 0, false, fmt.Errorf("sim: %s is a shard file (first=%d), not a checkpoint", c.Checkpoint.Path, f.First)
 	}
-	if err := sink.UnmarshalState(f.State); err != nil {
-		return 0, false, fmt.Errorf("sim: %s: %w", c.Checkpoint.Path, err)
+	if err := c.loadState(c.Checkpoint.Path, f, sink); err != nil {
+		return 0, false, err
 	}
 	return f.Next, true, nil
+}
+
+// loadState decodes a checkpoint or shard file's state into sink and
+// checks it against what the header and this campaign imply: Next −
+// First trials, each with the system's level count. An edited or
+// truncated state is an error here, not a wrong result or a panic on a
+// runner goroutine later. Sinks other than this package's own check only
+// what their UnmarshalState checks.
+func (c *Campaign) loadState(path string, f *checkpointFile, sink PortableSink) error {
+	if err := sink.UnmarshalState(f.State); err != nil {
+		return fmt.Errorf("sim: %s: %w", path, err)
+	}
+	shaped, ok := sink.(interface{ stateShape() (trials, levels int) })
+	if !ok {
+		return nil
+	}
+	trials, levels := shaped.stateShape()
+	if want := f.Next - f.First; trials != want {
+		return fmt.Errorf("sim: %s holds %d trials of state for the range [%d,%d) of %d trials",
+			path, trials, f.First, f.Next, want)
+	}
+	if L := c.Scenario.System.NumLevels(); levels != L && !(trials == 0 && levels == 0) {
+		return fmt.Errorf("sim: %s holds state for %d levels, the campaign's system has %d", path, levels, L)
+	}
+	return nil
 }
 
 // ShardRange returns the block-aligned trial range [lo, hi) owned by
@@ -268,8 +293,8 @@ func (c Campaign) MergeShards(paths ...string) (CampaignResult, error) {
 		}
 		want = f.Next
 		if rank == 0 {
-			if err := base.UnmarshalState(f.State); err != nil {
-				return CampaignResult{}, fmt.Errorf("sim: %s: %w", paths[i], err)
+			if err := c.loadState(paths[i], f, base); err != nil {
+				return CampaignResult{}, err
 			}
 			continue
 		}
@@ -277,8 +302,8 @@ func (c Campaign) MergeShards(paths ...string) (CampaignResult, error) {
 		if err != nil {
 			return CampaignResult{}, err
 		}
-		if err := next.UnmarshalState(f.State); err != nil {
-			return CampaignResult{}, fmt.Errorf("sim: %s: %w", paths[i], err)
+		if err := c.loadState(paths[i], f, next); err != nil {
+			return CampaignResult{}, err
 		}
 		if err := base.MergeSink(next); err != nil {
 			return CampaignResult{}, fmt.Errorf("sim: merging %s: %w", paths[i], err)

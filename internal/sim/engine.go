@@ -4,11 +4,32 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/pattern"
 	"repro/internal/rng"
 )
+
+// cachePad is the room, in bytes, kept free on each side of an engine's
+// mutable per-trial state. Campaign workers each drive their own engine,
+// and engines built back to back come from the same allocation cache:
+// without the room, two engines' PCG states, timer tables and counters
+// land on shared 64-byte lines and every event moves a line between
+// cores. The adjacent-line prefetcher fetches lines in pairs, hence two
+// lines rather than one (DESIGN.md §2.8).
+const cachePad = 128
+
+// padded returns a zeroed slice of length and capacity n carved from the
+// middle of a larger allocation, with at least cachePad unused bytes on
+// each side. The capacity stops at n, so an append that outgrows the
+// slice reallocates instead of writing into the room.
+func padded[T any](n int) []T {
+	var zero T
+	k := (cachePad + int(unsafe.Sizeof(zero)) - 1) / int(unsafe.Sizeof(zero))
+	buf := make([]T, k+n+k)
+	return buf[k : k+n : k+n]
+}
 
 // timer is one entry of the engine's timer table. A trial never has more
 // than one pending event per source — an arrival per severity, the end of
@@ -38,7 +59,14 @@ type store struct {
 // Results are identical to constructing a fresh engine per trial: Reset
 // restores every piece of per-trial state, and the PCG stream for trial
 // seed s is the same whether the generator is freshly built or reseeded.
+//
+// Everything the engine writes during a trial lives between the struct's
+// two pads or in a padded table (see cachePad), so engines driven by
+// different goroutines never share a cache line. Observers and
+// controllers are the caller's to place.
 type Engine struct {
+	_ [cachePad]byte
+
 	// Immutable after construction.
 	scn      Scenario
 	laws     []dist.Sampler // per severity, index 0 = severity 1
@@ -47,8 +75,10 @@ type Engine struct {
 	makeCtl  func() PlanController
 
 	// Owned RNG, reseeded per Run; RunRand substitutes a caller stream.
-	pcg    *rand.PCG
-	ownRng *rand.Rand
+	// The PCG state is written on every draw, so it is embedded rather
+	// than allocated beside other objects.
+	pcg    rand.PCG
+	ownRng rand.Rand
 	rng    *rand.Rand
 
 	// Per-trial state, recycled by reset.
@@ -80,6 +110,8 @@ type Engine struct {
 
 	failures []int // per-severity counters, reused across trials
 	res      TrialResult
+
+	_ [cachePad]byte
 }
 
 // NewEngine validates the scenario once and builds a reusable engine.
@@ -111,10 +143,11 @@ func NewEngine(scn Scenario) (*Engine, error) {
 		factor = DefaultMaxWallFactor
 	}
 	e.maxWall = factor * sys.BaselineTime
-	e.failures = make([]int, L)
-	e.timers = make([]timer, L+2)
-	e.digits = make([]int, 0, len(scn.Plan.Counts))
-	e.stores = make([]store, 0, scn.Plan.NumUsed())
+	e.ownRng = *rand.New(&e.pcg)
+	e.failures = padded[int](L)
+	e.timers = padded[timer](L + 2)
+	e.digits = padded[int](len(scn.Plan.Counts))
+	e.stores = padded[store](scn.Plan.NumUsed())[:0]
 	return e, nil
 }
 
@@ -138,13 +171,9 @@ func (e *Engine) Control(factory func() PlanController) { e.makeCtl = factory }
 // valid until the next Run/RunRand; callers that retain results across
 // trials must copy it.
 func (e *Engine) Run(seed rng.Seed) (TrialResult, error) {
-	if e.pcg == nil {
-		e.pcg = &rand.PCG{}
-		e.ownRng = rand.New(e.pcg)
-	}
 	hi, lo := seed.Words()
 	e.pcg.Seed(hi, lo)
-	return e.RunRand(e.ownRng)
+	return e.RunRand(&e.ownRng)
 }
 
 // RunRand simulates one trial using a caller-provided random stream
@@ -196,7 +225,7 @@ func (e *Engine) reset() {
 
 	n := e.plan.NumUsed()
 	if cap(e.stores) < n {
-		e.stores = make([]store, n)
+		e.stores = padded[store](n)
 	} else {
 		e.stores = e.stores[:n]
 		for i := range e.stores {
@@ -310,9 +339,12 @@ func (e *Engine) tick() int {
 // seek sets the odometer to pattern position pos of the current plan.
 func (e *Engine) seek(pos int) {
 	e.pos = pos
-	e.digits = e.digits[:0]
-	for _, n := range e.plan.Counts {
-		e.digits = append(e.digits, pos%(n+1))
+	if cap(e.digits) < len(e.plan.Counts) {
+		e.digits = padded[int](len(e.plan.Counts))
+	}
+	e.digits = e.digits[:len(e.plan.Counts)]
+	for i, n := range e.plan.Counts {
+		e.digits[i] = pos % (n + 1)
 		pos /= n + 1
 	}
 }
@@ -654,7 +686,7 @@ func (e *Engine) switchPlan(p pattern.Plan) error {
 	oldLevels := e.plan.Levels
 	e.plan = p
 	e.seek(0)
-	e.stores = make([]store, p.NumUsed())
+	e.stores = padded[store](p.NumUsed())
 	for i, lvl := range p.Levels {
 		best := store{}
 		for j, ol := range oldLevels {

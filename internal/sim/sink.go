@@ -227,11 +227,25 @@ func (s *ExactSink) MarshalState() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// UnmarshalState implements PortableSink.
+// UnmarshalState implements PortableSink. A state whose trials do not
+// each carry one non-negative failure count per level is rejected.
 func (s *ExactSink) UnmarshalState(data []byte) error {
 	var st exactState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
+	}
+	if st.Levels < 0 {
+		return fmt.Errorf("sim: exact sink state has %d levels", st.Levels)
+	}
+	for i := range st.Trials {
+		t := &st.Trials[i]
+		if len(t.Failures) != st.Levels {
+			return fmt.Errorf("sim: exact sink state: trial %d has %d failure counts, want one per level (%d)",
+				i, len(t.Failures), st.Levels)
+		}
+		if t.Scratch < 0 || hasNegative(t.Failures) {
+			return fmt.Errorf("sim: exact sink state: trial %d has a negative count", i)
+		}
 	}
 	s.levels = st.Levels
 	s.results = make([]TrialResult, len(st.Trials))
@@ -244,6 +258,10 @@ func (s *ExactSink) UnmarshalState(data []byte) error {
 	}
 	return nil
 }
+
+// stateShape reports the trial and level counts of the merged state,
+// which checkpoint loading checks against the file's header.
+func (s *ExactSink) stateShape() (trials, levels int) { return len(s.results), s.levels }
 
 // MergeSink implements PortableSink.
 func (s *ExactSink) MergeSink(o CampaignSink) error {
@@ -261,6 +279,16 @@ func (s *ExactSink) MergeSink(o CampaignSink) error {
 		s.results = append(s.results, r)
 	}
 	return nil
+}
+
+// hasNegative reports whether any count in xs is negative.
+func hasNegative[T int | int64](xs []T) bool {
+	for _, x := range xs {
+		if x < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func packTrial(r *TrialResult) exactTrialState {
@@ -479,6 +507,15 @@ func (s *StreamSink) UnmarshalState(data []byte) error {
 	if st.Eff == nil || st.Wall == nil {
 		return fmt.Errorf("sim: stream sink state lacks sketches")
 	}
+	if st.Trials < 0 || st.Completed < 0 || st.Completed > st.Trials || st.Scratch < 0 || hasNegative(st.Failures) {
+		return fmt.Errorf("sim: stream sink state has inconsistent counts (trials %d, completed %d, scratch restarts %d, failures %v)",
+			st.Trials, st.Completed, st.Scratch, st.Failures)
+	}
+	for _, sk := range []*stats.Sketch{st.Eff, st.Wall} {
+		if n := sk.N() + int64(sk.Rejected()); n != int64(st.Trials) {
+			return fmt.Errorf("sim: stream sink state: a sketch holds %d observations for %d trials", n, st.Trials)
+		}
+	}
 	s.agg = streamAgg{
 		eff: st.Eff, wall: st.Wall,
 		breakdown: Breakdown{
@@ -493,6 +530,10 @@ func (s *StreamSink) UnmarshalState(data []byte) error {
 	}
 	return nil
 }
+
+// stateShape reports the trial and level counts of the merged state,
+// which checkpoint loading checks against the file's header.
+func (s *StreamSink) stateShape() (trials, levels int) { return s.agg.trials, len(s.agg.failures) }
 
 // MergeSink implements PortableSink.
 func (s *StreamSink) MergeSink(o CampaignSink) error {
