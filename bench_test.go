@@ -240,7 +240,7 @@ func BenchmarkSimTrialLight(b *testing.B) {
 // BenchmarkSimTrialObserved is BenchmarkSimTrial with an obs.SimMetrics
 // observer attached, to measure the cost of full event-stream telemetry
 // (compare against BenchmarkSimTrial for the observer-disabled baseline;
-// see BENCH_obs.json).
+// the bench module's obs.simmetrics_overhead_frac tracks the same cost).
 func BenchmarkSimTrialObserved(b *testing.B) {
 	sys, err := system.ByName("D4")
 	if err != nil {
@@ -353,7 +353,7 @@ func BenchmarkMarkovPeriod(b *testing.B) {
 // count vectors, exact Markov objective) on one Table I system — the
 // hottest path of every figure harness. It reports evals/op, the
 // Markov solves the branch-and-bound could not prune, beside the time.
-// See BENCH_opt.json for the recorded before/after throughput.
+// The bench module's optimize.sweep_ms.moody.B tracks its throughput.
 func benchSweepMoody(b *testing.B, sysName string) {
 	sys, err := system.ByName(sysName)
 	if err != nil {
@@ -372,8 +372,8 @@ func benchSweepMoody(b *testing.B, sysName string) {
 	b.ReportMetric(float64(reg.Snapshot().Counter("opt_evaluations_total"))/float64(b.N), "evals/op")
 }
 
-// BenchmarkSweepMoodyD7 is the BENCH_opt.json acceptance benchmark: the
-// Moody/Markov sweep on the failure-heavy two-level system D7.
+// BenchmarkSweepMoodyD7 is the Moody/Markov sweep on the failure-heavy
+// two-level system D7.
 func BenchmarkSweepMoodyD7(b *testing.B) { benchSweepMoody(b, "D7") }
 
 // BenchmarkSweepMoodyB exercises the four-level system B, where the
@@ -434,10 +434,10 @@ func BenchmarkAdaptiveTrial(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignD7 is the BENCH_sim.json acceptance benchmark: one
-// full 200-trial campaign on the failure-heavy two-level system D7,
-// exactly the shape the paper's figure harnesses run hundreds of times.
-// Allocations are dominated by campaign bookkeeping now that worker
+// BenchmarkCampaignD7 is one full 200-trial campaign on the
+// failure-heavy two-level system D7, exactly the shape the paper's
+// figure harnesses run hundreds of times (the bench module's
+// campaign-heavy wall_s measures the same path end to end). Allocations are dominated by campaign bookkeeping now that worker
 // engines recycle all per-trial state.
 func BenchmarkCampaignD7(b *testing.B) {
 	sys, err := system.ByName("D7")
@@ -464,8 +464,8 @@ func BenchmarkCampaignD7(b *testing.B) {
 // BenchmarkCampaignD7Instrumented is BenchmarkCampaignD7 with the full
 // introspection stack attached — per-worker trial spans and the flight
 // recorder ring — to measure the tracing-on overhead the observability
-// layer adds to a campaign (see BENCH_obs.json for the recorded
-// before/after figures).
+// layer adds to a campaign (the bench module's
+// obs.spans_flight_overhead_frac tracks it).
 func BenchmarkCampaignD7Instrumented(b *testing.B) {
 	sys, err := system.ByName("D7")
 	if err != nil {
@@ -505,7 +505,8 @@ func BenchmarkCampaignD7Instrumented(b *testing.B) {
 // configuration every shard process runs under. The writer throttles to
 // its refresh interval, so a 200-trial campaign pays for at most the
 // first and final sidecar writes; the figure must stay within 2% of the
-// bare BenchmarkCampaignD7 baseline (see BENCH_obs.json).
+// bare BenchmarkCampaignD7 baseline (the bench module's
+// obs.sidecar_overhead_frac tracks it).
 func BenchmarkCampaignD7Sidecar(b *testing.B) {
 	sys, err := system.ByName("D7")
 	if err != nil {

@@ -15,10 +15,51 @@
 #                       mid-flight, one-shot mlckpt -watch -json, the
 #                       versioned sidecar schema, and -log-json events
 #   ./check.sh stream   only the streaming-sink gates: the constant-
-#                       memory max-RSS guard (1e4 vs 1e6 trials, see
-#                       BENCH_stream.json) and the kill -9 resume gate
+#                       memory max-RSS guard (1e4 vs 1e6 trials) and
+#                       the kill -9 resume gate
+#   ./check.sh fma      only the arm64 fused multiply-add gate
 set -eu
 cd "$(dirname "$0")"
+
+# fma_gate: the Go spec lets the compiler fuse x*y + z into one
+# instruction, and arm64 does (amd64 never does), which changes the
+# bits of a result. Cross-compile the trial-path packages for arm64 and
+# fail on any fused instruction whose source line lies in the package's
+# own directory; a product that feeds a golden is rounded explicitly
+# instead, as float64(x*y). Code inlined from other packages reports
+# its own file and is not counted here.
+fma_gate() {
+    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system)"
+    asm=$(mktemp)
+    fused=0
+    for pkg in sim dist rng pattern system; do
+        if ! GOARCH=arm64 go build -o /dev/null -gcflags="repro/internal/$pkg=-S" \
+            "./internal/$pkg/" >"$asm" 2>&1; then
+            cat "$asm" >&2
+            rm -f "$asm"
+            exit 1
+        fi
+        # Positions are absolute, or module paths under -trimpath.
+        hits=$(grep -E '[[:space:]]FN?M(ADD|SUB)D[[:space:]]' "$asm" |
+            grep -F -e "($PWD/internal/$pkg/" -e "(repro/internal/$pkg/" || true)
+        if [ -n "$hits" ]; then
+            echo "fused multiply-adds in internal/$pkg on arm64:" >&2
+            echo "$hits" >&2
+            fused=1
+        fi
+    done
+    rm -f "$asm"
+    if [ "$fused" -ne 0 ]; then
+        exit 1
+    fi
+    echo "no fused multiply-adds"
+}
+
+if [ "${1:-}" = "fma" ]; then
+    fma_gate
+    echo "OK"
+    exit 0
+fi
 
 # resume_gate: reference run, checkpointed run killed with SIGKILL
 # mid-campaign, resumed run — the resumed JSON must be byte-identical
@@ -228,6 +269,7 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+fma_gate
 echo "== go test ./..."
 go test ./...
 # bench/ is a module of its own (it replaces repro with ../), so the root
@@ -272,6 +314,6 @@ if [ "${1:-}" = "bench" ]; then
     echo "== go test -bench (optimizer sweeps, writes bench_opt.txt)"
     go test -run XXX -bench 'BenchmarkSweepMoody|BenchmarkMarkovPeriod|BenchmarkFig5$' \
         -benchmem -benchtime 2s . | tee bench_opt.txt
-    echo "bench_sim.txt and bench_opt.txt written; record results in BENCH_sim.json and BENCH_opt.json"
+    echo "bench_sim.txt and bench_opt.txt written"
 fi
 echo "OK"

@@ -38,8 +38,8 @@ func TestStreamRSSChild(t *testing.T) {
 // budget of peak RSS at 10^4 trials. The exact path grows by hundreds
 // of MiB over the same span (per-trial slices); the stream path keeps
 // fixed-size sketches and counters per worker. Run via
-// `./check.sh stream` (it sets MLCKPT_RSS_GUARD=1); results are
-// recorded in BENCH_stream.json.
+// `./check.sh stream` (it sets MLCKPT_RSS_GUARD=1); the bench module's
+// campaign-light peak_rss_mib tracks the stream path's memory.
 func TestStreamConstantMemory(t *testing.T) {
 	if os.Getenv("MLCKPT_RSS_GUARD") == "" {
 		t.Skip("set MLCKPT_RSS_GUARD=1 (./check.sh stream) to run the max-RSS guard")

@@ -291,23 +291,7 @@ func (o Options) runCampaign(camp sim.Campaign, label string) (sim.CampaignResul
 	campSpan := o.Spans.Start("campaign")
 	defer campSpan.End()
 	setupSpan := o.Spans.Start("setup")
-	if o.TrialDone != nil || o.TrialStats != nil {
-		done := o.TrialDone
-		var eff, wall *obs.StreamStat
-		if o.TrialStats != nil {
-			eff = o.TrialStats.Stat("trial_efficiency")
-			wall = o.TrialStats.Stat("trial_walltime_minutes")
-		}
-		camp.TrialDone = func(r sim.TrialResult) {
-			if eff != nil {
-				eff.Observe(r.Efficiency)
-				wall.Observe(r.WallTime)
-			}
-			if done != nil {
-				done()
-			}
-		}
-	}
+	camp.TrialDone = o.trialHook()
 	var pool *obs.Pool
 	if o.Metrics != nil || o.CollectMetrics {
 		pool = &obs.Pool{}
@@ -340,16 +324,47 @@ func (o Options) runCampaign(camp sim.Campaign, label string) (sim.CampaignResul
 	if err != nil || pool == nil {
 		return res, nil, err
 	}
+	m, err := o.mergeMetrics(pool)
+	return res, m, err
+}
+
+// trialHook returns the per-trial telemetry callback shared by
+// campaigns and CRN rows — a progress tick and the streaming trial
+// stats — or nil when neither is on.
+func (o Options) trialHook() func(sim.TrialResult) {
+	if o.TrialDone == nil && o.TrialStats == nil {
+		return nil
+	}
+	done := o.TrialDone
+	var eff, wall *obs.StreamStat
+	if o.TrialStats != nil {
+		eff = o.TrialStats.Stat("trial_efficiency")
+		wall = o.TrialStats.Stat("trial_walltime_minutes")
+	}
+	return func(r sim.TrialResult) {
+		if eff != nil {
+			eff.Observe(r.Efficiency)
+			wall.Observe(r.WallTime)
+		}
+		if done != nil {
+			done()
+		}
+	}
+}
+
+// mergeMetrics merges a pool's per-worker metrics shards and folds the
+// result into the global sink, when one is set.
+func (o Options) mergeMetrics(pool *obs.Pool) (*obs.SimMetrics, error) {
 	m, err := pool.Merged()
 	if err != nil {
-		return res, nil, err
+		return nil, err
 	}
 	if o.Metrics != nil {
 		if err := o.Metrics.Merge(m); err != nil {
-			return res, nil, err
+			return nil, err
 		}
 	}
-	return res, m, nil
+	return m, nil
 }
 
 // optimizePlan runs one technique's optimizer for one system, with the
@@ -484,22 +499,8 @@ func (o Options) runPaired(arms []sim.Scenario, trials int, seed rng.Seed, contr
 		BatchSize:       o.CIBatch,
 		ControlVariates: controlVariates,
 	}
-	if o.TrialDone != nil || o.TrialStats != nil {
-		done := o.TrialDone
-		var eff, wall *obs.StreamStat
-		if o.TrialStats != nil {
-			eff = o.TrialStats.Stat("trial_efficiency")
-			wall = o.TrialStats.Stat("trial_walltime_minutes")
-		}
-		pc.TrialDone = func(arm int, r sim.TrialResult) {
-			if eff != nil {
-				eff.Observe(r.Efficiency)
-				wall.Observe(r.WallTime)
-			}
-			if done != nil {
-				done()
-			}
-		}
+	if hook := o.trialHook(); hook != nil {
+		pc.TrialDone = func(_ int, r sim.TrialResult) { hook(r) }
 	}
 	var pools []*obs.Pool
 	if o.Metrics != nil || o.CollectMetrics {
@@ -523,16 +524,11 @@ func (o Options) runPaired(arms []sim.Scenario, trials int, seed rng.Seed, contr
 	}
 	metrics := make([]*obs.SimMetrics, len(arms))
 	for a := range pools {
-		m, err := pools[a].Merged()
+		m, err := o.mergeMetrics(pools[a])
 		if err != nil {
 			return nil, nil, err
 		}
 		metrics[a] = m
-		if o.Metrics != nil {
-			if err := o.Metrics.Merge(m); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
 	return &res, metrics, nil
 }

@@ -269,7 +269,7 @@ func TestMultiSkipsNil(t *testing.T) {
 // state: after a warmup (which registers every instrument and sizes the
 // recycled per-level scratch), further observed trials must not
 // allocate. This is the regression guard for the 8 allocs/op that
-// resetTrial's slice drop used to cost (see BENCH_obs.json).
+// resetTrial's slice drop used to cost.
 func TestObservedTrialAllocFree(t *testing.T) {
 	cfg := failureHeavyConfig(t)
 	m := NewSimMetrics()

@@ -150,6 +150,14 @@ func (c *Campaign) validateHeader(path string, f *checkpointFile, sink PortableS
 	if f.First < 0 || f.Next < f.First || f.Next > c.Trials {
 		return fmt.Errorf("sim: %s covers invalid trial range [%d,%d)", path, f.First, f.Next)
 	}
+	// Runs only ever persist block-aligned ranges (the last block ends at
+	// Trials); an unaligned boundary would fold a block partition that no
+	// single run uses.
+	B := c.blockSize()
+	if f.First%B != 0 || (f.Next%B != 0 && f.Next != c.Trials) {
+		return fmt.Errorf("sim: %s covers trial range [%d,%d), which is not aligned to block size %d",
+			path, f.First, f.Next, B)
+	}
 	return nil
 }
 

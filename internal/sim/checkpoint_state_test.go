@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,6 +90,54 @@ func TestInconsistentSinkStateRejected(t *testing.T) {
 			editState(t, paths[1], tc.edit)
 			if res, err := camp().MergeShards(paths...); err == nil {
 				t.Errorf("merge accepted the edited shard: Trials %d, Completed %d", res.Trials, res.Completed)
+			}
+		})
+	}
+}
+
+// TestUnalignedSinkFilesRejected writes sink files whose states agree
+// with their headers but whose ranges are cut at trial 13, off the
+// 8-trial block grid of a 64-trial D7 campaign: a checkpoint with next
+// 13, and two shard files covering [0,13) and [13,64). No run writes
+// such files. Resume and MergeShards must reject them instead of
+// folding a block partition that no single run uses.
+func TestUnalignedSinkFilesRejected(t *testing.T) {
+	for _, kind := range []string{"exact", "stream"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			camp := func() Campaign {
+				c := goldenD7Campaign(t)
+				c.Trials = 64
+				if kind == "stream" {
+					c.Sink = NewStreamSink()
+				}
+				return c
+			}
+			write := func(name string, first, next int) string {
+				c := camp()
+				sink, err := c.portableSink()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.runBlocks(sink, first, next); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, name)
+				if err := c.writeSinkFile(path, sink, first, next); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+
+			resumed := camp()
+			resumed.Checkpoint = &CheckpointConfig{Path: write("d7.ckpt", 0, 13), Interval: 8, Resume: true}
+			if _, err := resumed.Run(); err == nil || !strings.Contains(err.Error(), "not aligned") {
+				t.Errorf("resume from next=13: err = %v, want a block-alignment error", err)
+			}
+
+			lo, hi := write("lo.json", 0, 13), write("hi.json", 13, 64)
+			if _, err := camp().MergeShards(lo, hi); err == nil || !strings.Contains(err.Error(), "not aligned") {
+				t.Errorf("merge of shards split at 13: err = %v, want a block-alignment error", err)
 			}
 		})
 	}

@@ -20,9 +20,11 @@ import (
 // headline claims are exactly such differences (Section IV-F), which is
 // what makes CRN a 10–100× trial-count lever.
 //
-// Each arm's marginal results are bitwise identical to running a plain
-// Campaign{Scenario: arm, Trials, Seed} on its own: CRN changes which
-// seed the arms share, never what any single arm computes.
+// Each arm runs through the same block runner as Campaign.Run, into its
+// own ExactSink, so its marginal results are bitwise identical to
+// running a plain Campaign{Scenario: arm, Trials, Seed} on its own: CRN
+// changes which seed the arms share, never what any single arm
+// computes.
 type PairedCampaign struct {
 	// Arms are the scenarios under comparison. All arms must share the
 	// same System and failure laws — pairing is only valid when every
@@ -38,22 +40,16 @@ type PairedCampaign struct {
 	// Workers bounds parallelism per batch (0 = GOMAXPROCS), with the
 	// same limits as Campaign.Workers.
 	Workers int
-	// Level is the confidence level for comparisons and the stopping
-	// rule (0 = 0.95).
-	Level float64
 	// TargetCI, when positive, enables sequential stopping: trials run
-	// in batches (all arms advance in lockstep) until the paired CI
+	// in batches (all arms advance in lockstep) until the paired 95% CI
 	// half-width of every pairwise mean-efficiency difference is at most
-	// TargetCI, or the Trials budget is exhausted. The stopping decision
-	// depends only on accumulated trial results, so it is deterministic
-	// for a given Seed regardless of Workers.
+	// TargetCI, or the Trials budget is exhausted. The first check comes
+	// after 16 trials per arm. The stopping decision depends only on
+	// accumulated trial results, so it is deterministic for a given Seed
+	// regardless of Workers.
 	TargetCI float64
 	// BatchSize is the per-arm trials per sequential batch (0 = 64).
 	BatchSize int
-	// MinTrials is the minimum per-arm trial count before the first
-	// stopping check (0 = 16; at least 4 trials are always run so the
-	// paired t quantile is meaningful).
-	MinTrials int
 	// ControlVariates additionally reports a control-variate-adjusted
 	// estimate for each pairwise difference, using the failure-count
 	// martingale control F − λ·W (exactly mean-zero for the default
@@ -65,10 +61,6 @@ type PairedCampaign struct {
 	// Arms run sequentially within a batch, so an arm's observers never
 	// run concurrently with another arm's for the same worker index.
 	ObserverFactory func(arm, worker int) Observer
-	// ControllerFactory, when non-nil, builds one fresh PlanController
-	// per trial of the given arm (same contract as
-	// Campaign.ControllerFactory).
-	ControllerFactory func(arm int) func() PlanController
 	// TrialDone, when non-nil, is called once per completed trial with
 	// the arm index; it must be safe for concurrent use.
 	TrialDone func(arm int, r TrialResult)
@@ -100,7 +92,7 @@ type PairedResult struct {
 	TrialsRun int
 	// Budget echoes PairedCampaign.Trials.
 	Budget int
-	// Level echoes the confidence level used.
+	// Level echoes the confidence level used (always 0.95).
 	Level float64
 	// Comparisons holds every ordered pair A < B.
 	Comparisons []ArmComparison
@@ -128,12 +120,19 @@ func (r *PairedResult) Comparison(a, b int) *ArmComparison {
 	return nil
 }
 
+// Batches hold defaultBatchSize trials when BatchSize is 0; the first
+// stopping check comes after pairedMinTrials trials per arm; the
+// comparisons and the stopping rule use confidence level pairedLevel.
 const (
 	defaultBatchSize = 64
-	defaultMinTrials = 16
+	pairedMinTrials  = 16
+	pairedLevel      = 0.95
 )
 
-// Run executes the paired campaign.
+// Run executes the paired campaign. Every sequential batch [n, n+step)
+// runs each arm through runBlocks into the arm's own ExactSink, so the
+// sinks hold the same ordered trial lists, and fold to the same bits,
+// as one Campaign.Run per arm.
 func (pc PairedCampaign) Run() (PairedResult, error) {
 	if len(pc.Arms) < 2 {
 		return PairedResult{}, errors.New("sim: paired campaign needs at least two arms")
@@ -141,30 +140,17 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 	if err := pc.validate(); err != nil {
 		return PairedResult{}, err
 	}
-	level := pc.Level
-	if level == 0 {
-		level = 0.95
-	}
 	batch := pc.BatchSize
 	if batch <= 0 {
 		batch = defaultBatchSize
 	}
-	minTrials := pc.MinTrials
-	if minTrials <= 0 {
-		minTrials = defaultMinTrials
-	}
-	if minTrials < 4 {
-		minTrials = 4
-	}
 
-	L := pc.Arms[0].System.NumLevels()
 	campaigns := make([]Campaign, len(pc.Arms))
-	results := make([][]TrialResult, len(pc.Arms))
-	failBufs := make([][]int, len(pc.Arms))
+	sinks := make([]*ExactSink, len(pc.Arms))
 	for a := range pc.Arms {
 		campaigns[a] = pc.armCampaign(a)
-		results[a] = make([]TrialResult, pc.Trials)
-		failBufs[a] = make([]int, pc.Trials*L)
+		sinks[a] = NewExactSink()
+		sinks[a].Reserve(pc.Trials, pc.Arms[a].System.NumLevels())
 	}
 
 	n := 0
@@ -177,30 +163,34 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 			step = pc.Trials - n
 		}
 		for a := range campaigns {
-			err := campaigns[a].runRange(n, results[a][n:n+step], failBufs[a][n*L:(n+step)*L])
-			if err != nil {
+			if _, err := campaigns[a].runBlocks(sinks[a], n, n+step); err != nil {
 				return PairedResult{}, fmt.Errorf("sim: paired arm %d: %w", a, err)
 			}
 		}
 		n += step
-		if pc.TargetCI > 0 && n >= minTrials && pc.converged(results, n, level) {
+		if pc.TargetCI > 0 && n >= pairedMinTrials && pc.converged(sinks) {
 			break
 		}
 	}
 
-	out := PairedResult{TrialsRun: n, Budget: pc.Trials, Level: level}
+	out := PairedResult{TrialsRun: n, Budget: pc.Trials, Level: pairedLevel}
 	out.Arms = make([]CampaignResult, len(pc.Arms))
-	for a := range campaigns {
-		out.Arms[a] = campaigns[a].aggregate(results[a][:n])
+	for a := range sinks {
+		res, err := sinks[a].Result()
+		if err != nil {
+			return PairedResult{}, fmt.Errorf("sim: paired arm %d: %w", a, err)
+		}
+		out.Arms[a] = res
 	}
 	var controls [][]float64
 	if pc.ControlVariates {
 		controls = make([][]float64, len(pc.Arms))
 		out.ArmCV = make([]stats.CVResult, len(pc.Arms))
 		for a := range pc.Arms {
+			results := sinks[a].Results()
 			controls[a] = make([]float64, n)
-			for i := 0; i < n; i++ {
-				controls[a][i] = failureControl(&results[a][i], pc.Arms[a].System)
+			for i := range results {
+				controls[a][i] = failureControl(&results[i], pc.Arms[a].System)
 			}
 			cv, err := stats.ControlVariate(out.Arms[a].Efficiencies, controls[a])
 			if err != nil {
@@ -211,7 +201,7 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 	}
 	for a := 0; a < len(pc.Arms); a++ {
 		for b := a + 1; b < len(pc.Arms); b++ {
-			cmp, err := stats.PairedCompare(out.Arms[a].Efficiencies, out.Arms[b].Efficiencies, level)
+			cmp, err := stats.PairedCompare(out.Arms[a].Efficiencies, out.Arms[b].Efficiencies, pairedLevel)
 			if err != nil {
 				return PairedResult{}, fmt.Errorf("sim: paired comparison %d vs %d: %w", a, b, err)
 			}
@@ -227,7 +217,7 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 				if err != nil {
 					return PairedResult{}, fmt.Errorf("sim: control variate %d vs %d: %w", a, b, err)
 				}
-				ci, err := cv.CI(level)
+				ci, err := cv.CI(pairedLevel)
 				if err != nil {
 					return PairedResult{}, err
 				}
@@ -239,16 +229,17 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 	return out, nil
 }
 
-// converged reports whether every pairwise paired CI half-width over the
-// first n trials is within the target.
-func (pc PairedCampaign) converged(results [][]TrialResult, n int, level float64) bool {
-	for a := 0; a < len(results); a++ {
-		for b := a + 1; b < len(results); b++ {
+// converged reports whether every pairwise paired CI half-width over
+// the trials merged so far is within the target.
+func (pc PairedCampaign) converged(sinks []*ExactSink) bool {
+	for a := 0; a < len(sinks); a++ {
+		for b := a + 1; b < len(sinks); b++ {
+			ra, rb := sinks[a].Results(), sinks[b].Results()
 			var p stats.PairedSample
-			for i := 0; i < n; i++ {
-				p.Add(results[a][i].Efficiency, results[b][i].Efficiency)
+			for i := range ra {
+				p.Add(ra[i].Efficiency, rb[i].Efficiency)
 			}
-			ci, err := p.CIDiff(level)
+			ci, err := p.CIDiff(pairedLevel)
 			if err != nil || ci > pc.TargetCI {
 				return false
 			}
@@ -258,7 +249,7 @@ func (pc PairedCampaign) converged(results [][]TrialResult, n int, level float64
 }
 
 // armCampaign adapts arm a's scenario and hooks into a Campaign for the
-// range runner.
+// block runner.
 func (pc PairedCampaign) armCampaign(a int) Campaign {
 	c := Campaign{
 		Scenario: pc.Arms[a],
@@ -268,9 +259,6 @@ func (pc PairedCampaign) armCampaign(a int) Campaign {
 	}
 	if pc.ObserverFactory != nil {
 		c.ObserverFactory = func(worker int) Observer { return pc.ObserverFactory(a, worker) }
-	}
-	if pc.ControllerFactory != nil {
-		c.ControllerFactory = pc.ControllerFactory(a)
 	}
 	if pc.TrialDone != nil {
 		c.TrialDone = func(r TrialResult) { pc.TrialDone(a, r) }
@@ -317,7 +305,10 @@ func (pc PairedCampaign) validate() error {
 func failureControl(r *TrialResult, sys *system.System) float64 {
 	c := 0.0
 	for s, f := range r.Failures {
-		c += float64(f) - sys.LevelRate(s+1)*r.WallTime
+		// Rounding the product explicitly keeps arm64 from fusing it
+		// into the subtraction, so the control has the same bits on
+		// every GOARCH.
+		c += float64(f) - float64(sys.LevelRate(s+1)*r.WallTime)
 	}
 	return c
 }

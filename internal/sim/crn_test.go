@@ -68,7 +68,8 @@ func TestPairedCampaignMarginalsBitwiseIdentical(t *testing.T) {
 
 // Sequential batching must not change any trial: a run whose target is
 // unreachably tight (forcing it through every batch) must equal the
-// single-pass run bit for bit.
+// single-pass run bit for bit. Batches of 7 start off the block grid,
+// so every worker count below runs clipped first blocks.
 func TestPairedCampaignBatchingInvariant(t *testing.T) {
 	_, arms := crnArms(t)
 	seed := rng.Campaign(12, "crn").Scenario("batch")
@@ -76,21 +77,23 @@ func TestPairedCampaignBatchingInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched, err := PairedCampaign{
-		Arms: arms, Trials: 90, Seed: seed,
-		TargetCI: 1e-15, BatchSize: 7, MinTrials: 4,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.TrialsRun != 90 {
-		t.Fatalf("unreachable target stopped early at %d trials", batched.TrialsRun)
-	}
-	if !reflect.DeepEqual(onePass.Arms, batched.Arms) {
-		t.Error("batched arms differ from single-pass arms")
-	}
-	if !reflect.DeepEqual(onePass.Comparisons, batched.Comparisons) {
-		t.Error("batched comparisons differ from single-pass comparisons")
+	for _, workers := range []int{1, 3, 8} {
+		batched, err := PairedCampaign{
+			Arms: arms, Trials: 90, Seed: seed, Workers: workers,
+			TargetCI: 1e-15, BatchSize: 7,
+		}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batched.TrialsRun != 90 {
+			t.Fatalf("workers=%d: unreachable target stopped early at %d trials", workers, batched.TrialsRun)
+		}
+		if !reflect.DeepEqual(onePass.Arms, batched.Arms) {
+			t.Errorf("workers=%d: batched arms differ from single-pass arms", workers)
+		}
+		if !reflect.DeepEqual(onePass.Comparisons, batched.Comparisons) {
+			t.Errorf("workers=%d: batched comparisons differ from single-pass comparisons", workers)
+		}
 	}
 }
 
@@ -103,7 +106,7 @@ func TestPairedCampaignWorkerDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		res, err := PairedCampaign{
 			Arms: arms, Trials: 300, Seed: seed, Workers: workers,
-			TargetCI: 0.002, BatchSize: 16, MinTrials: 16,
+			TargetCI: 0.002, BatchSize: 16,
 			ControlVariates: true,
 		}.Run()
 		if err != nil {
@@ -126,7 +129,7 @@ func TestPairedCampaignSequentialStops(t *testing.T) {
 		Seed:   rng.Campaign(14, "crn").Scenario("stop"),
 		// Probe runs put the 2000-trial paired width near 1e-4; a 10x
 		// looser target should stop far earlier.
-		TargetCI: 1e-3, BatchSize: 16, MinTrials: 16,
+		TargetCI: 1e-3, BatchSize: 16,
 	}
 	res, err := pc.Run()
 	if err != nil {
@@ -266,26 +269,31 @@ func TestPairedCampaignValidation(t *testing.T) {
 	}
 }
 
-// Campaign.runRange must make a split run reproduce the full run's
-// trials exactly (the contract the sequential batches rely on).
-func TestRunRangeSplitMatchesFullRun(t *testing.T) {
+// runBlocks must make a split run reproduce the full run's trials
+// exactly, also when the cut is not block-aligned (the contract the
+// paired campaign's sequential batches rely on): both halves fold into
+// one ExactSink, whose result must equal Run's.
+func TestRunBlocksSplitMatchesFullRun(t *testing.T) {
 	camp := goldenD7Campaign(t)
 	full, err := camp.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	L := camp.Scenario.System.NumLevels()
-	results := make([]TrialResult, camp.Trials)
-	failBuf := make([]int, camp.Trials*L)
+	split := camp
+	split.Workers = 3
 	for _, cut := range []int{1, 37, 100, 199} {
-		if err := camp.runRange(0, results[:cut], failBuf[:cut*L]); err != nil {
+		sink := NewExactSink()
+		sink.Reserve(camp.Trials, camp.Scenario.System.NumLevels())
+		for _, r := range [][2]int{{0, cut}, {cut, camp.Trials}} {
+			if _, err := split.runBlocks(sink, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sink.Result()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := camp.runRange(cut, results[cut:], failBuf[cut*L:]); err != nil {
-			t.Fatal(err)
-		}
-		split := camp.aggregate(results)
-		if !reflect.DeepEqual(full, split) {
+		if !reflect.DeepEqual(full, res) {
 			t.Fatalf("split at %d differs from full run", cut)
 		}
 	}

@@ -264,19 +264,21 @@ func (c Campaign) validate() error {
 }
 
 // runBlocks executes trials [first, limit) of the validated campaign
-// through sink. first must be block-aligned (checkpoints and shard
-// boundaries always are). The trial range is cut into fixed-size blocks
-// (blockSize trials; the partition ignores Workers entirely); block b
-// belongs statically to worker b mod W, each worker folds its block
-// into a fresh SinkShard in ascending trial order, and completed shards
-// merge into the sink in ascending block order under the prefix merger
-// below — so the sink's folds see the exact same sequences in the exact
-// same order for every worker count, which is what makes streaming
-// aggregation, checkpoint/resume and shard merges bitwise
-// deterministic. Returns halted=true when CheckpointConfig.HaltAfter
-// stopped the run early; on every exit path with a checkpoint config
-// (success, halt, trial error) the merged prefix is flushed to the
-// checkpoint file, so the fail-fast contract loses no finished work.
+// through sink. The trial range is cut into fixed-size blocks
+// (blockSize trials; the partition ignores Workers entirely), the first
+// one clipped at first when first is not block-aligned (checkpoints and
+// shard boundaries always are; a paired campaign's sequential batches
+// need not be); block b belongs statically to worker b mod W, each
+// worker folds its block into a fresh SinkShard in ascending trial
+// order, and completed shards merge into the sink in ascending block
+// order under the prefix merger below — so the sink's folds see the
+// exact same sequences in the exact same order for every worker count,
+// which is what makes streaming aggregation, checkpoint/resume and
+// shard merges bitwise deterministic. Returns halted=true when
+// CheckpointConfig.HaltAfter stopped the run early; on every exit path
+// with a checkpoint config (success, halt, trial error) the merged
+// prefix is flushed to the checkpoint file, so the fail-fast contract
+// loses no finished work.
 func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, err error) {
 	ck := c.Checkpoint
 	flushFinal := func(next int) error {
@@ -291,9 +293,6 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 	}
 	c.notify(ProgressUpdate{First: first, Limit: limit, Merged: first, State: RunStateRunning})
 	B := c.blockSize()
-	if first%B != 0 {
-		return false, fmt.Errorf("sim: start trial %d is not aligned to block size %d", first, B)
-	}
 	firstBlock := first / B
 	endBlock := (limit + B - 1) / B
 	nBlocks := endBlock - firstBlock
@@ -418,7 +417,7 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 			if err != nil {
 				// Attribute construction errors to the worker's first
 				// trial so they order deterministically with trial errors.
-				record((firstBlock+w)*B, err)
+				record(max((firstBlock+w)*B, first), err)
 				return
 			}
 			eng.Observe(obs)
@@ -430,11 +429,8 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 				if haltFlag.Load() {
 					return
 				}
-				lo := b * B
-				hi := lo + B
-				if hi > limit {
-					hi = limit
-				}
+				lo := max(b*B, first)
+				hi := min((b+1)*B, limit)
 				shard := sink.Shard()
 				for i := lo; i < hi; i++ {
 					if firstBad.Load() < int64(i) {
@@ -506,134 +502,10 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 	return false, nil
 }
 
-// runRange executes trials [first, first+len(results)) of the scenario,
-// storing trial first+k into results[k]. failBuf must hold
-// len(results)*NumLevels ints; it receives each trial's per-severity
-// failure counts (results alias it). The campaign must already be
-// validated. Seeding stays per-absolute-trial (Seed.Trial(first+k)), so
-// splitting a campaign into ranges — as the paired CRN runner's
-// sequential batches do — reproduces exactly the trials a single
-// full-range run would produce.
-func (c Campaign) runRange(first int, results []TrialResult, failBuf []int) error {
-	n := len(results)
-	if n == 0 {
-		return nil
-	}
-	L := c.Scenario.System.NumLevels()
-	workers := c.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// A failed trial poisons the whole campaign, so it cancels the
-	// remaining trials on every worker instead of letting them burn
-	// through the full campaign before Run can report it. Cancellation is
-	// by trial index, not a plain flag: firstBad holds the lowest failing
-	// trial seen so far, and a worker skips trial i only when some trial
-	// BELOW i has failed. The worker owning the globally lowest failing
-	// trial k therefore always reaches and records k (its earlier trials
-	// precede k and cannot be cancelled by errors at or above k), so the
-	// error Run returns is the error of the lowest-index failing trial —
-	// deterministic for a given Seed regardless of Workers or scheduling.
-	const noFailure = int64(1<<63 - 1)
-	var firstBad atomic.Int64
-	firstBad.Store(noFailure)
-	type trialError struct {
-		trial int
-		err   error
-	}
-	var (
-		errMu    sync.Mutex
-		failures []trialError
-	)
-	record := func(trial int, err error) {
-		for {
-			cur := firstBad.Load()
-			if int64(trial) >= cur || firstBad.CompareAndSwap(cur, int64(trial)) {
-				break
-			}
-		}
-		errMu.Lock()
-		failures = append(failures, trialError{trial: trial, err: err})
-		errMu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var obs Observer
-			if c.ObserverFactory != nil {
-				obs = c.ObserverFactory(w)
-			}
-			eng, err := NewEngine(c.Scenario)
-			if err != nil {
-				// Attribute construction errors to the worker's first
-				// trial so they order deterministically with trial errors.
-				record(first+w, err)
-				return
-			}
-			eng.Observe(obs)
-			eng.Control(c.ControllerFactory)
-			var r TrialResult
-			for rel := w; rel < n; rel += workers {
-				i := first + rel
-				if firstBad.Load() < int64(i) {
-					return
-				}
-				if c.noEngineReuse {
-					eng, err = NewEngine(c.Scenario)
-					if err != nil {
-						record(i, err)
-						return
-					}
-					eng.Observe(obs)
-					eng.Control(c.ControllerFactory)
-				}
-				if c.TrialStart != nil {
-					c.TrialStart(w, i)
-				}
-				r, err = eng.Run(c.Seed.Trial(i))
-				if err != nil {
-					record(i, fmt.Errorf("trial %d: %w", i, err))
-					return
-				}
-				fails := failBuf[rel*L : (rel+1)*L]
-				copy(fails, r.Failures)
-				r.Failures = fails
-				results[rel] = r
-				if c.TrialDone != nil {
-					c.TrialDone(r)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if len(failures) > 0 {
-		worst := failures[0]
-		for _, f := range failures[1:] {
-			if f.trial < worst.trial {
-				worst = f
-			}
-		}
-		return worst.err
-	}
-	return nil
-}
-
-// aggregate folds per-trial results into a CampaignResult, exactly as a
-// single Campaign.Run would: trial order, Welford accumulation order and
-// normalization are all fixed, so any runner that produced the same
-// TrialResults — batched or not — aggregates bitwise-identically.
-func (c Campaign) aggregate(results []TrialResult) CampaignResult {
-	return aggregateResults(c.Scenario.System.NumLevels(), results)
-}
-
-// aggregateResults is the order-fixed sequential fold behind aggregate,
-// shared with ExactSink.Result (which reconstructs the same ordered
-// trial sequence and therefore the same bits).
+// aggregateResults is the order-fixed sequential fold behind
+// ExactSink.Result: trial order, Welford accumulation order and
+// normalization are all fixed, so any block partition that reconstructs
+// the same ordered trial sequence aggregates to the same bits.
 func aggregateResults(L int, results []TrialResult) CampaignResult {
 	out := CampaignResult{Trials: len(results)}
 	var eff, wall stats.Sample
