@@ -103,6 +103,11 @@ func run(args []string, stdout io.Writer) error {
 		Events:    events,
 	})
 
+	// Catch the signals before the listener exists: a supervisor may send
+	// SIGTERM as soon as the serving line or /readyz appears, and the
+	// default action would kill the process without draining.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -113,8 +118,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "mlckptd: serving on http://%s\n", ln.Addr())
 	events.Event("serve_start", "addr", ln.Addr().String())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err

@@ -131,3 +131,49 @@ func TestRunServeAndShutdown(t *testing.T) {
 		}
 	}
 }
+
+// sigtermOnServe is a stdout that sends SIGTERM to the process from
+// inside the Write of the serving line: the earliest moment a
+// supervisor reading the output can react.
+type sigtermOnServe struct {
+	syncBuffer
+	once sync.Once
+}
+
+func (w *sigtermOnServe) Write(p []byte) (int, error) {
+	n, err := w.syncBuffer.Write(p)
+	if bytes.Contains(p, []byte("serving on")) {
+		w.once.Do(func() {
+			if kerr := syscall.Kill(os.Getpid(), syscall.SIGTERM); kerr != nil {
+				err = kerr
+			}
+		})
+	}
+	return n, err
+}
+
+// TestRunSIGTERMAtServingLine delivers SIGTERM while run is still
+// printing its serving line. The handler must already be installed, so
+// the daemon drains and returns nil; without it the signal's default
+// action kills the test binary.
+func TestRunSIGTERMAtServingLine(t *testing.T) {
+	out := &sigtermOnServe{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-drain-timeout", "10s"}, out)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after SIGTERM, want nil", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not exit within 15s of SIGTERM")
+	}
+	got := out.String()
+	for _, want := range []string{"serving on", "draining", "stopped"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output %q missing %q", got, want)
+		}
+	}
+}

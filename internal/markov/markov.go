@@ -120,8 +120,8 @@ func (c *Chain) validate() (float64, error) {
 // validateConstants checks the rates and restart times and returns the
 // total failure rate. A restart time may be zero (unused levels use it)
 // but never negative, NaN or infinite: a negative one could make an A_k
-// negative, and the prefix sums of A_k must never decrease for
-// SegmentFloors to stay a lower bound.
+// negative, and the prefix sums of A_k must never decrease for the
+// floors of SegmentTerms to stay a lower bound.
 func (c *Chain) validateConstants() (float64, error) {
 	if len(c.Rates) == 0 {
 		return 0, errors.New("markov: no failure classes")
@@ -359,7 +359,9 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 		}
 		pf := 1 - q
 
-		acc := q*d + pf*partial
+		// Every product is rounded explicitly (float64(...)) so that no
+		// GOARCH fuses it into the following addition.
+		acc := float64(q*d) + float64(pf*partial)
 		for sev := 1; sev <= L; sev++ {
 			ps := pf * c.Rates[sev-1] / lambda
 			if ps == 0 {
@@ -371,10 +373,10 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 				s.solved = k
 				return math.Inf(1), nil
 			}
-			acc += ps * rc.time
+			acc += float64(ps * rc.time)
 			for u := r0; u <= L; u++ {
 				if a := rc.absorb[u-1]; a > 0 {
-					acc += ps * a * (prefix[k] - prefix[posByLevel[k*L+u-1]])
+					acc += float64(ps * a * (prefix[k] - prefix[posByLevel[k*L+u-1]]))
 				}
 			}
 		}
@@ -385,17 +387,26 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 	return prefix[n], nil
 }
 
-// SegmentFloors returns, for each duration d, the forward sweep's A_k for
-// a segment of length d with every rollback term dropped:
+// SegmentTerms splits the forward sweep's A_k for a segment of each
+// duration d into a no-rollback floor and one rollback coefficient per
+// recovery level v = 1..L:
 //
+//	A_k = F(d) + Σ_v c_v(d)·(prefix[k] − prefix[pos_v]),
 //	F(d) = [q·d + (1−q)·E(d, λ) + Σ_s p_s·R_s] / q,
+//	c_v(d) = Σ_{s≤v} p_s·a_{s,v} / q,
 //	q = e^(−λd),  p_s = (1−q)·λ_s/λ,
 //
-// where E is the truncated expectation and R_s the expected recovery time
-// starting at level s. F(d) is +Inf when q underflows or a recovery that
-// a failure needs cannot complete, the cases in which the sweep itself
-// returns +Inf. Only the chain's rates, restart times and policy are
-// read, not its segments.
+// where E is the truncated expectation, R_s the expected recovery time
+// starting at level s, a_{s,v} the probability that such a recovery
+// completes by reading level v, and pos_v the resume position after a
+// level-v recovery. floors[i] is F(durations[i]) and coefs[i][v−1] is
+// c_v(durations[i]). Only the chain's rates, restart times and policy
+// are read, not its segments.
+//
+// F is +Inf when q underflows or a recovery that a failure needs cannot
+// complete, the cases in which the sweep itself returns +Inf; the
+// coefficient row is all +Inf there too. Every coefficient is
+// non-negative, and a failure-free chain has F(d) = d and zero rows.
 //
 // F is a floor under every A_k of duration d in any chain with these
 // constants, bit for bit. Each dropped term p_s·a_u·(prefix[k] −
@@ -404,13 +415,17 @@ func (c *Chain) ExpectedPeriodTimeWith(s *Solver) (float64, error) {
 // non-negative. F evaluates the sweep's own expressions in the sweep's
 // order, leaving those terms out, and floating-point addition of a
 // non-negative term never decreases a sum. So a period's expected time
-// is at least the sum of its segments' floors.
-func (c *Chain) SegmentFloors(durations []float64) ([]float64, error) {
+// is at least the sum of its segments' floors. The rollback sum
+// regroups the sweep's terms by v, so F plus it agrees with A_k up to
+// rounding, not bit for bit.
+func (c *Chain) SegmentTerms(durations []float64) (floors []float64, coefs [][]float64, err error) {
 	lambda, err := c.validateConstants()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]float64, len(durations))
+	L := len(c.Rates)
+	floors = make([]float64, len(durations))
+	coefs = make([][]float64, len(durations))
 	var s Solver
 	var rec []recovery
 	if lambda > 0 {
@@ -418,34 +433,52 @@ func (c *Chain) SegmentFloors(durations []float64) ([]float64, error) {
 	}
 	for i, d := range durations {
 		if !validDuration(d) {
-			return nil, fmt.Errorf("markov: floor duration %v must be positive and finite", d)
+			return nil, nil, fmt.Errorf("markov: segment term duration %v must be positive and finite", d)
 		}
+		row := make([]float64, L)
+		coefs[i] = row
 		if lambda == 0 {
-			out[i] = d
+			floors[i] = d
 			continue
 		}
 		q, partial := s.expFor(d, lambda)
 		if q == 0 {
-			out[i] = math.Inf(1)
+			floors[i] = math.Inf(1)
+			fillInf(row)
 			continue
 		}
 		pf := 1 - q
-		acc := q*d + pf*partial
-		for sev := 1; sev <= len(c.Rates); sev++ {
+		acc := float64(q*d) + float64(pf*partial)
+		for sev := 1; sev <= L; sev++ {
 			ps := pf * c.Rates[sev-1] / lambda
 			if ps == 0 {
 				continue
 			}
-			rt := rec[sev-1].time
-			if math.IsInf(rt, 1) {
+			rc := rec[sev-1]
+			if math.IsInf(rc.time, 1) {
 				acc = math.Inf(1)
+				fillInf(row)
 				break
 			}
-			acc += ps * rt
+			acc += float64(ps * rc.time)
+			for v := sev; v <= L; v++ {
+				if a := rc.absorb[v-1]; a > 0 {
+					row[v-1] += float64(ps * a)
+				}
+			}
 		}
-		out[i] = acc / q
+		floors[i] = acc / q
+		for v := range row {
+			row[v] /= q
+		}
 	}
-	return out, nil
+	return floors, coefs, nil
+}
+
+func fillInf(row []float64) {
+	for v := range row {
+		row[v] = math.Inf(1)
+	}
 }
 
 // recovery holds the expected duration of a recovery that starts at a
@@ -475,7 +508,7 @@ func (c *Chain) recoveriesInto(s *Solver, lambda float64) []recovery {
 
 		var pSelf, base float64
 		absorb := out[u-1].absorb
-		base = q*R + pf*partial
+		base = float64(q*R) + float64(pf*partial)
 		absorb[u-1] = q
 		for s := 1; s <= L; s++ {
 			ps := pf * c.Rates[s-1] / lambda
@@ -487,9 +520,9 @@ func (c *Chain) recoveriesInto(s *Solver, lambda float64) []recovery {
 				pSelf += ps
 				continue
 			}
-			base += ps * out[next-1].time
+			base += float64(ps * out[next-1].time)
 			for v := next; v <= L; v++ {
-				absorb[v-1] += ps * out[next-1].absorb[v-1]
+				absorb[v-1] += float64(ps * out[next-1].absorb[v-1])
 			}
 		}
 		denom := 1 - pSelf

@@ -3,6 +3,7 @@ package markov
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -228,13 +229,13 @@ func TestValidation(t *testing.T) {
 	for _, r := range []float64{-1, math.NaN(), math.Inf(1)} {
 		c := good
 		c.RestartTime = []float64{r}
-		if _, err := c.SegmentFloors([]float64{1}); err == nil {
-			t.Errorf("SegmentFloors accepted restart time %v", r)
+		if _, _, err := c.SegmentTerms([]float64{1}); err == nil {
+			t.Errorf("SegmentTerms accepted restart time %v", r)
 		}
 	}
 	for _, d := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := good.SegmentFloors([]float64{d}); err == nil {
-			t.Errorf("SegmentFloors accepted duration %v", d)
+		if _, _, err := good.SegmentTerms([]float64{d}); err == nil {
+			t.Errorf("SegmentTerms accepted duration %v", d)
 		}
 	}
 
@@ -249,11 +250,12 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-// TestSegmentFloorsBoundPeriod checks the no-rollback floor against the
-// forward sweep on random chains, finite and infinite periods alike: the
-// sum of a period's segment floors, added in segment order, never exceeds
-// the period's expected time — bit for bit, with no margin. It also pins
-// F(d) >= d and the failure-free case F(d) = d.
+// TestSegmentFloorsBoundPeriod checks the no-rollback floor of
+// SegmentTerms against the forward sweep on random chains, finite and
+// infinite periods alike: the sum of a period's segment floors, added in
+// segment order, never exceeds the period's expected time — bit for bit,
+// with no margin. It also pins F(d) >= d and the failure-free case
+// F(d) = d with zero rollback coefficients.
 func TestSegmentFloorsBoundPeriod(t *testing.T) {
 	r := rand.New(rand.NewPCG(3, 5))
 	data := make([]byte, 400)
@@ -273,9 +275,9 @@ func TestSegmentFloorsBoundPeriod(t *testing.T) {
 			for k, s := range c.Segments {
 				durs[k] = s.Duration
 			}
-			floors, err := c.SegmentFloors(durs)
+			floors, _, err := c.SegmentTerms(durs)
 			if err != nil {
-				t.Fatalf("chain %+v: SegmentFloors: %v", *c, err)
+				t.Fatalf("chain %+v: SegmentTerms: %v", *c, err)
 			}
 			var sum float64
 			for k, f := range floors {
@@ -299,9 +301,68 @@ func TestSegmentFloorsBoundPeriod(t *testing.T) {
 	}
 
 	free := &Chain{Rates: []float64{0, 0}, RestartTime: []float64{1, 2}}
-	got, err := free.SegmentFloors([]float64{0.5, 3})
+	got, coefs, err := free.SegmentTerms([]float64{0.5, 3})
 	if err != nil || got[0] != 0.5 || got[1] != 3 {
 		t.Fatalf("failure-free floors = (%v, %v), want [0.5 3]", got, err)
+	}
+	if !reflect.DeepEqual(coefs, [][]float64{{0, 0}, {0, 0}}) {
+		t.Fatalf("failure-free rollback coefficients = %v, want zero rows", coefs)
+	}
+}
+
+// TestSegmentTermsRebuildSweep checks SegmentTerms' rollback
+// coefficients against the forward sweep on random chains: for every
+// segment k of a finite period, F(d_k) + Σ_v c_v(d_k)·(prefix[k] −
+// prefix[pos_v]) rebuilds the sweep's A_k up to rounding. It also pins
+// non-negative coefficients, +Inf only where the floor is +Inf.
+func TestSegmentTermsRebuildSweep(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	data := make([]byte, 400)
+	var segments int
+	for seq := 0; seq < 300; seq++ {
+		for i := range data {
+			data[i] = byte(r.Uint32())
+		}
+		chainSequence(data, func(c *Chain) {
+			durs := make([]float64, len(c.Segments))
+			for k, seg := range c.Segments {
+				durs[k] = seg.Duration
+			}
+			floors, coefs, err := c.SegmentTerms(durs)
+			if err != nil {
+				return
+			}
+			for k, row := range coefs {
+				for v, cv := range row {
+					if !(cv >= 0) || (math.IsInf(cv, 1) && !math.IsInf(floors[k], 1)) {
+						t.Fatalf("chain %+v: c_%d(%v) = %v with F = %v", *c, v+1, durs[k], cv, floors[k])
+					}
+				}
+			}
+			var s Solver
+			want, err := c.ExpectedPeriodTimeWith(&s)
+			if lambda, _ := c.validateConstants(); lambda == 0 {
+				return // failure-free: the sweep is skipped
+			}
+			if err != nil || math.IsNaN(want) || math.IsInf(want, 1) {
+				return
+			}
+			L := len(c.Rates)
+			for k := range c.Segments {
+				ak := floors[k]
+				for v, cv := range coefs[k] {
+					ak += cv * (s.prefix[k] - s.prefix[s.posByLevel[k*L+v]])
+				}
+				got, next := s.prefix[k]+ak, s.prefix[k+1]
+				if math.Abs(got-next) > 1e-12*next {
+					t.Fatalf("chain %+v segment %d: rebuilt prefix %v, sweep %v", *c, k, got, next)
+				}
+				segments++
+			}
+		})
+	}
+	if segments == 0 {
+		t.Fatal("no finite period exercised")
 	}
 }
 

@@ -187,7 +187,7 @@ func (*Technique) Predict(sys *system.System, plan pattern.Plan) (model.Predicti
 // possible checkpoint intervals"). Each sweep worker evaluates the
 // Markov objective through a goroutine-local memo of period shapes and a
 // reusable chain solver (see newSweepObjective). The sweep is a
-// branch-and-bound: floorBound gives every candidate an admissible lower
+// branch-and-bound: nestedBound gives every candidate an admissible lower
 // bound, the sweep claims the cells with the smallest bounds first, and
 // candidates whose bound already exceeds the best expected time are
 // pruned before the chain is ever solved.
@@ -196,7 +196,7 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		return pattern.Plan{}, model.Prediction{}, err
 	}
 	grid := optimize.Tau0Grid(sys, t.Tau0Points)
-	bound, err := floorBound(sys, grid)
+	lb, err := newNestedBound(sys, grid)
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
@@ -207,7 +207,7 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		MaxPeriodIntervals: t.MaxPeriodIntervals,
 		Workers:            t.Workers,
 		RefineTau0:         true,
-		LowerBound:         bound,
+		LowerBound:         lb.bound,
 		Metrics:            t.Metrics,
 		Spans:              t.Spans,
 		Context:            t.Context,
@@ -221,51 +221,119 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	return res.Plan, model.NewPrediction(sys.BaselineTime, sys.BaselineTime*res.ExpectedTime), nil
 }
 
-// floorBound returns an admissible lower bound on the Markov objective
-// (1/efficiency) of the plans on a τ0 grid. A period of n τ0 intervals
-// and c_ℓ level-ℓ checkpoints takes at least the sum of its segments'
-// no-rollback floors (markov.Chain.SegmentFloors), so
+// nestedBound is an admissible lower bound on the Markov objective
+// (1/efficiency) of the plans on a τ0 grid, assembled from the sweep's
+// own A_k terms: a segment of duration d contributes its no-rollback
+// floor F(d) plus c_v(d) times each rollback distance prefix[k] −
+// prefix[pos_v] (markov.Chain.SegmentTerms), and every distance is
+// replaced by a lower bound on the A-sum it spans. With
+// S_u = Π_{i<u}(N_i+1) τ0 intervals in a level-u sub-period,
 //
-//	1/eff >= [n·F(τ0) + Σ_ℓ c_ℓ·F(δ_ℓ)] / (n·τ0).
+//	X_1 = F(τ0)
+//	X_u = (N_{u−1}+1)·X_{u−1} + N_{u−1}·K_{u−1} + c_u(τ0)·F(τ0)·S_u(S_u−1)/2
+//	K_ℓ = F(δ_ℓ) + Σ_v c_v(δ_ℓ)·X_{min(v,ℓ)}
+//	1/eff >= (X_L + K_L) / (S_L·τ0).
 //
-// F(d) >= d, so this dominates the failure-free period time over its
-// work. F is computed once per grid τ0 and checkpoint cost, so a
-// candidate pays O(ℓ) multiply-adds and no exp. The 1e-12 relative
-// margin covers the rounding gap between n·F and the solver's sequential
-// sums (pruning is strict, so an admissible bound never changes the
-// sweep result). The grid must be ascending, as Tau0Grid's is; a τ0 off
-// the grid gets the trivial bound 0.
-func floorBound(sys *system.System, grid []float64) (func(pattern.Plan) float64, error) {
+// X_u bounds the A-sum of a level-u sub-period without its closing
+// checkpoint: N_{u−1}+1 level-(u−1) sub-periods, the N_{u−1}
+// level-(u−1) checkpoints between them, and the level-u rollback of its
+// τ0 intervals, the j-th of which rolls back over at least j earlier
+// ones. K_ℓ bounds a level-ℓ checkpoint's A: a level-v recovery there
+// rolls back over the whole level-min(v,ℓ) sub-period the checkpoint
+// closes. DESIGN.md §2.7 gives the admissibility argument and the
+// reason for the 1e-9 relative margin.
+//
+// The per-τ0 and per-level tables are built once, so a candidate pays
+// O(L²) multiply-adds and no exp. Every product is rounded explicitly
+// (float64(...)) so that no GOARCH fuses it into an addition.
+type nestedBound struct {
+	grid  []float64   // ascending, as Tau0Grid's
+	tauF  []float64   // F(τ0) per grid point
+	ramp  []float64   // [t·L + u−1]: c_u(τ0)·F(τ0)/2 at grid point t
+	ckptF []float64   // [ℓ−1]: F(δ_ℓ)
+	ckptC [][]float64 // [ℓ−1][v−1]: c_v(δ_ℓ)
+	// ckptTail[ℓ−1] = Σ_{v≥ℓ} c_v(δ_ℓ), the coefficients that all
+	// multiply X_ℓ.
+	ckptTail []float64
+}
+
+func newNestedBound(sys *system.System, grid []float64) (*nestedBound, error) {
 	L := sys.NumLevels()
 	durs := make([]float64, 0, L+len(grid))
 	for _, l := range sys.Levels {
 		durs = append(durs, l.Checkpoint)
 	}
 	durs = append(durs, grid...)
-	floors, err := escalationChain(sys).SegmentFloors(durs)
+	floors, coefs, err := escalationChain(sys).SegmentTerms(durs)
 	if err != nil {
 		return nil, err
 	}
-	ckpt := floors[:L]
-	tauFloors := floors[L:]
-	return func(p pattern.Plan) float64 {
-		at, ok := slices.BinarySearch(grid, p.Tau0)
-		if !ok {
-			return 0
+	b := &nestedBound{
+		grid:     grid,
+		tauF:     floors[L:],
+		ramp:     make([]float64, len(grid)*L),
+		ckptF:    floors[:L],
+		ckptC:    coefs[:L],
+		ckptTail: make([]float64, L),
+	}
+	for l, row := range b.ckptC {
+		for _, c := range row[l:] {
+			b.ckptTail[l] += c
 		}
-		top := len(p.Levels) - 1
-		overhead := ckpt[p.Levels[top]-1] // one top-level checkpoint per period
-		suffix := 1                       // Π_{j>i}(N_j+1): periods of level i per top-level period
-		for i := top - 1; i >= 0; i-- {
-			// Skip absent levels: their floor may be +Inf, and 0·Inf is NaN.
-			if c := p.Counts[i] * suffix; c > 0 {
-				overhead += float64(c) * ckpt[p.Levels[i]-1]
-			}
-			suffix *= p.Counts[i] + 1
+	}
+	for t, f := range b.tauF {
+		for u, c := range coefs[L+t] {
+			b.ramp[t*L+u] = c * f / 2
 		}
-		n := float64(suffix) // intervals per period
-		return (n*tauFloors[at] + overhead) / (n * p.Tau0) * (1 - 1e-12)
-	}, nil
+	}
+	return b, nil
+}
+
+// bound returns the lower bound of a plan that uses every level, as the
+// sweep's candidates do, or 0 for a τ0 off the grid. A count of zero
+// contributes nothing, so the +Inf floor of a level that is absent
+// never meets a zero factor (0·Inf is NaN).
+func (b *nestedBound) bound(p pattern.Plan) float64 {
+	L := len(b.ckptF)
+	at, ok := slices.BinarySearch(b.grid, p.Tau0)
+	if !ok {
+		return 0
+	}
+	f := b.tauF[at]
+	if math.IsInf(f, 1) {
+		// Every period has a τ0 interval, so the sweep returns +Inf.
+		return f
+	}
+	var buf [8]float64
+	x := append(buf[:0], f) // x[u−1] = X_u
+	n := 1                  // S_u
+	for u := 2; u <= L; u++ {
+		c := p.Counts[u-2]
+		xu := float64(float64(c+1) * x[u-2])
+		if c > 0 {
+			xu += float64(float64(c) * b.checkpoint(u-1, x))
+		}
+		n *= c + 1
+		if n > 1 {
+			xu += float64(b.ramp[at*L+u-1] * float64(n*(n-1)))
+		}
+		x = append(x, xu)
+	}
+	return (x[L-1] + b.checkpoint(L, x)) / (float64(n) * p.Tau0) * (1 - 1e-9)
+}
+
+// checkpoint returns K_l given x[u−1] = X_u for u = 1..l.
+func (b *nestedBound) checkpoint(l int, x []float64) float64 {
+	k := b.ckptF[l-1]
+	for v, c := range b.ckptC[l-1][:l-1] {
+		if c > 0 {
+			k += float64(c * x[v])
+		}
+	}
+	if c := b.ckptTail[l-1]; c > 0 {
+		k += float64(c * x[l-1])
+	}
+	return k
 }
 
 // newSweepObjective builds a goroutine-local Markov objective for the

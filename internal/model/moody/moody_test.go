@@ -260,16 +260,22 @@ func TestSweepObjectiveOdometerMatchesFresh(t *testing.T) {
 
 // TestSweepObjectiveAllocs guards the sweep's hot path: once the shape
 // memo and the solver's scratch are warm, a cell of candidates allocates
-// nothing.
+// nothing, in the objective or in the pruning bound.
 func TestSweepObjectiveAllocs(t *testing.T) {
 	sys, err := system.ByName("B")
 	if err != nil {
 		t.Fatal(err)
 	}
 	obj := newSweepObjective(sys, obs.NewRegistry())
-	cell := odometerCell(3, pattern.AllLevels(sys), []int{0, 2, 5})
+	grid := optimize.Tau0Grid(sys, 20)
+	nb, err := newNestedBound(sys, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := odometerCell(grid[7], pattern.AllLevels(sys), []int{0, 2, 5})
 	run := func() {
 		for _, p := range cell {
+			nb.bound(p)
 			obj(p)
 		}
 	}
@@ -279,44 +285,64 @@ func TestSweepObjectiveAllocs(t *testing.T) {
 	}
 }
 
-// TestFloorBoundAdmissible checks the pruning bound against the Markov
-// objective on every candidate of whole sweep grids: the Fast grid on the
-// Table I systems and the Figure 5 systems, and the default grid on D4
-// and M. Admissibility — the bound never exceeds the objective of a
-// candidate the objective accepts — is what makes pruning and the
-// best-bound-first cell order result-neutral. It also checks F(d) >= d
-// for every duration the bound uses, so the bound dominates the
-// failure-free period time over its work.
-func TestFloorBoundAdmissible(t *testing.T) {
-	type grid struct {
-		points, maxPeriod int
-		counts            []int
-	}
-	fast := grid{20, 128, []int{0, 1, 2, 4, 8, 16, 32}} // experiments' Fast mode
-	def := grid{64, 512, optimize.DefaultCounts()}
-	type target struct {
-		sys  *system.System
-		grid grid
-	}
-	var targets []target
-	for _, sys := range system.TableI() {
-		targets = append(targets, target{sys, fast})
-	}
+// sweepGrid is one optimizer search resolution.
+type sweepGrid struct {
+	points, maxPeriod int
+	counts            []int
+}
+
+var (
+	fastGrid    = sweepGrid{20, 128, []int{0, 1, 2, 4, 8, 16, 32}} // experiments' Fast mode
+	defaultGrid = sweepGrid{64, 512, optimize.DefaultCounts()}
+)
+
+// scaledB returns the scaled system B grid of Figures 4 and 5: every
+// PFS cost × the five exascale MTBFs, for a T_B-minute application.
+func scaledB(t *testing.T, pfsCosts []float64, tb float64) []*system.System {
+	t.Helper()
 	base, err := system.ByName("B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pfs := range []float64{10, 20} { // the Figure 5 scenarios
+	var out []*system.System
+	for _, pfs := range pfsCosts {
 		for _, mtbf := range []float64{26, 20, 15, 9, 3} {
-			targets = append(targets, target{base.WithTopCost(pfs).WithMTBF(mtbf).WithBaseline(30), fast})
+			out = append(out, base.WithTopCost(pfs).WithMTBF(mtbf).WithBaseline(tb))
 		}
 	}
-	for _, name := range []string{"D4", "M"} {
+	return out
+}
+
+// TestFloorBoundAdmissible checks the pruning bound against the Markov
+// objective on every candidate of whole sweep grids: the Fast grid on the
+// Table I systems, the Figure 4 systems (PFS 10–40, T_B 1440) and the
+// Figure 5 systems, and the default grid on B, D4 and M. Admissibility —
+// the bound never exceeds the objective of a candidate the objective
+// accepts — is what makes pruning and the best-bound-first cell order
+// result-neutral. It also checks F(d) >= d and c_v(d) >= 0 for every
+// duration the bound uses, so the bound dominates the failure-free
+// period time over its work.
+func TestFloorBoundAdmissible(t *testing.T) {
+	type target struct {
+		sys  *system.System
+		grid sweepGrid
+	}
+	var targets []target
+	for _, sys := range system.TableI() {
+		targets = append(targets, target{sys, fastGrid})
+	}
+	for _, sys := range scaledB(t, []float64{10, 20, 30, 40}, 1440) { // Figure 4
+		targets = append(targets, target{sys, fastGrid})
+	}
+	for _, sys := range scaledB(t, []float64{10, 20}, 30) { // Figure 5
+		targets = append(targets, target{sys, fastGrid})
+	}
+	for _, name := range []string{"B", "D4", "M"} {
 		sys, err := system.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		targets = append(targets, target{sys, def})
+		targets = append(targets, target{sys, defaultGrid})
 	}
 
 	var checked int
@@ -328,7 +354,7 @@ func TestFloorBoundAdmissible(t *testing.T) {
 		for _, l := range sys.Levels {
 			durs = append(durs, l.Checkpoint)
 		}
-		floors, err := escalationChain(sys).SegmentFloors(durs)
+		floors, coefs, err := escalationChain(sys).SegmentTerms(durs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,8 +362,13 @@ func TestFloorBoundAdmissible(t *testing.T) {
 			if !(f >= durs[i]) {
 				t.Fatalf("%s: F(%v) = %v below the duration", sys.Name, durs[i], f)
 			}
+			for v, c := range coefs[i] {
+				if !(c >= 0) {
+					t.Fatalf("%s: c_%d(%v) = %v, want >= 0", sys.Name, v+1, durs[i], c)
+				}
+			}
 		}
-		lb, err := floorBound(sys, tau)
+		nb, err := newNestedBound(sys, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +382,7 @@ func TestFloorBoundAdmissible(t *testing.T) {
 				if !ok {
 					continue
 				}
-				b := lb(p)
+				b := nb.bound(p)
 				if !(b <= v) {
 					t.Fatalf("%s %v: bound %v exceeds objective %v", sys.Name, p, b, v)
 				}
@@ -364,6 +395,32 @@ func TestFloorBoundAdmissible(t *testing.T) {
 		t.Fatal("no candidate checked")
 	}
 	t.Logf("%d candidates on %d systems; largest bound/objective %.10f", checked, len(targets), worst)
+}
+
+// TestFig5SolveGuard counts the Markov solves the branch-and-bound
+// leaves on the ten Figure 5 systems at the Fast grid: summed
+// opt_evaluations_total at one worker, so the count does not depend on
+// scheduling. The nested bound leaves 1,762; a change that loosens it
+// fails here instead of quietly costing the fig5-optimize benchmark.
+func TestFig5SolveGuard(t *testing.T) {
+	var evals uint64
+	for _, sys := range scaledB(t, []float64{10, 20}, 30) {
+		tech := New()
+		tech.SetSweepGrid(fastGrid.points, fastGrid.counts)
+		tech.MaxPeriodIntervals = fastGrid.maxPeriod
+		tech.Workers = 1
+		reg := obs.NewRegistry()
+		tech.SetSweepMetrics(reg)
+		if _, _, err := tech.Optimize(sys); err != nil {
+			t.Fatal(err)
+		}
+		evals += reg.Snapshot().Counter("opt_evaluations_total")
+	}
+	const limit = 2500
+	if evals > limit {
+		t.Fatalf("Figure 5 Moody sweeps solved %d chains, want <= %d", evals, limit)
+	}
+	t.Logf("Figure 5 Moody sweeps solved %d chains (limit %d)", evals, limit)
 }
 
 // TestOptimizeDeterministicAcrossWorkers checks the full moody optimizer

@@ -529,19 +529,21 @@ func refineTau0(p pattern.Plan, bestT float64, grid []float64, objective Objecti
 		}
 		return t
 	}
+	// The probes round phi·(b−a) explicitly (float64(...)) so that no
+	// GOARCH fuses it into the addition and moves a probed τ0.
 	const phi = 0.6180339887498949
 	a, b := lo, hi
-	x1 := b - phi*(b-a)
-	x2 := a + phi*(b-a)
+	x1 := b - float64(phi*(b-a))
+	x2 := a + float64(phi*(b-a))
 	f1, f2 := eval(x1), eval(x2)
 	for i := 0; i < 60 && b-a > 1e-9*(1+b); i++ {
 		if f1 < f2 {
 			b, x2, f2 = x2, x1, f1
-			x1 = b - phi*(b-a)
+			x1 = b - float64(phi*(b-a))
 			f1 = eval(x1)
 		} else {
 			a, x1, f1 = x1, x2, f2
-			x2 = a + phi*(b-a)
+			x2 = a + float64(phi*(b-a))
 			f2 = eval(x2)
 		}
 	}
