@@ -25,15 +25,16 @@ cd "$(dirname "$0")"
 # instruction, and arm64 does (amd64 never does), which changes the
 # bits of a result. Cross-compile the trial-path packages (sim, dist,
 # rng, pattern, system) and the optimizer packages (markov, model/moody,
-# optimize) for arm64 and fail on any fused instruction whose source
-# line lies in the package's own directory; a product that feeds a
-# golden is rounded explicitly instead, as float64(x*y). Code inlined
-# from other packages reports its own file and is not counted here.
+# model/dauwe, optimize) for arm64 and fail on any fused instruction
+# whose source line lies in the package's own directory; a product that
+# feeds a golden is rounded explicitly instead, as float64(x*y). Code
+# inlined from other packages reports its own file and is not counted
+# here.
 fma_gate() {
-    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, optimize)"
+    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, optimize)"
     asm=$(mktemp)
     fused=0
-    for pkg in sim dist rng pattern system markov model/moody optimize; do
+    for pkg in sim dist rng pattern system markov model/moody model/dauwe optimize; do
         if ! GOARCH=arm64 go build -o /dev/null -gcflags="repro/internal/$pkg=-S" \
             "./internal/$pkg/" >"$asm" 2>&1; then
             cat "$asm" >&2

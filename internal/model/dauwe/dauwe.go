@@ -127,17 +127,20 @@ func (*Technique) PredictDetailed(sys *system.System, plan pattern.Plan) (model.
 	return model.NewPrediction(sys.BaselineTime, t), b, nil
 }
 
-// evaluator runs the model for one system. It caches what stays fixed
+// evaluator runs the model for one system. It keeps what stays fixed
 // between the optimizer sweep's neighbouring candidates:
 //
 //   - per level set: each used level's severity rate λ_i, its share S_i,
 //     the residual rate, and the four plan-independent
 //     transcendentals RetryCount/TruncExp of (δ_i, λ_c) and (R_i, λ_c);
-//   - per level: γ_i, E(τ_i, λ_i) and level i's Eqn. 10 summand for the
-//     last τ_i seen, keyed on τ_i's exact bits. The sweep's count
-//     odometer turns its last digit fastest, so below the top level τ_i
-//     rarely changes between calls.
+//   - per depth d, for the last plan's τ0 and first d counts: τ_d, Eqn.
+//     10's running sum Σ_{k<d} lost_k, S_d = Π_{k<d}(N_k+1), and level
+//     d's τ_d terms γ_d, E(τ_d, λ_d) and lost_d once computed.
 //
+// A call resumes from the deepest state whose τ0, level set and counts
+// the plan shares, so fixing one more count costs one level of Eqn. 4.
+// The sweep enumerates counts depth first and gives its bound and its
+// objective one evaluator, so the objective resumes at the top level.
 // Each cached value is the expression the recursion would compute,
 // evaluated once, and the remaining arithmetic runs in the recursion's
 // order, so results are bitwise identical to a fresh evaluator's. Predict
@@ -153,7 +156,9 @@ type evaluator struct {
 	restRate float64
 	lv       []levelConst
 
-	memo []levelMemo // per used level, keyed on τ_i
+	// st[0..have] are the last plan's depth states; have < 0: none.
+	st   []depthState
+	have int
 }
 
 // levelConst holds one used level's plan-independent constants.
@@ -164,13 +169,18 @@ type levelConst struct {
 	rRetry, rTrunc   float64 // RetryCount, TruncExp of (R_i, λ_c)
 }
 
-// levelMemo is one level's one-entry memo of its τ_i-dependent terms.
-type levelMemo struct {
-	valid   bool
-	tauBits uint64
-	gamma   float64 // Eqn. 5: γ_i = RetryCount(τ_i, λ_i)
-	trunc   float64 // E(τ_i, λ_i)
-	lost    float64 // Eqn. 10 summand: (τ_i + γ_i·E(τ_i, λ_i))·S_i
+// depthState is the recursion once a plan's first d counts are fixed.
+type depthState struct {
+	count     int     // N_{d−1}, the count fixed last (d ≥ 1)
+	tau       float64 // τ_d: τ0 at d = 0, then Eqn. 4 for level d−1
+	lostSum   float64 // Σ_{k<d} lost_k
+	intervals int     // S_d = Π_{k<d}(N_k+1) τ0 intervals per τ_d
+
+	// Level d's τ_d terms, filled by the first level call.
+	termsOK bool
+	gamma   float64 // Eqn. 5: γ_d = RetryCount(τ_d, λ_d)
+	trunc   float64 // E(τ_d, λ_d)
+	lost    float64 // Eqn. 10 summand: (τ_d + γ_d·E(τ_d, λ_d))·λ_d/λ
 }
 
 type levelTerms struct {
@@ -184,34 +194,34 @@ func newEvaluator(sys *system.System) *evaluator {
 		lambdaFull: sys.Lambda(),
 		levels:     make([]int, 0, n),
 		lv:         make([]levelConst, n),
-		memo:       make([]levelMemo, n),
+		st:         make([]depthState, n),
+		have:       -1,
 	}
 }
 
-// useLevels loads the level-set constants for levels, unless they are
-// already loaded. A new level set invalidates the per-level memo: its
-// entries depend on λ_i and S_i.
-func (e *evaluator) useLevels(levels []int) {
-	if e.loaded && slices.Equal(e.levels, levels) {
-		return
-	}
+// loadLevels loads the level-set constants for levels. A new level set
+// drops the depth states: they depend on λ_i and S_i.
+func (e *evaluator) loadLevels(levels []int) {
 	e.loaded = true
 	e.levels = append(e.levels[:0], levels...)
+	e.have = -1
 	ell := len(levels)
 	if len(e.lv) < ell {
 		e.lv = make([]levelConst, ell)
-		e.memo = make([]levelMemo, ell)
+		e.st = make([]depthState, ell)
 	}
 	sys := e.sys
 	// Severity mass handled by each used level: classes between the
 	// previous used level (exclusive) and this one (inclusive) restart
-	// from this level's checkpoint.
+	// from this level's checkpoint. Every product is rounded explicitly
+	// (float64(...)), here and below, so that no GOARCH fuses it into an
+	// addition.
 	lo := 1
 	var lambdaC float64
 	for i, u := range levels {
 		var rate float64
 		for sev := lo; sev <= u; sev++ {
-			rate += sys.LevelRate(sev)
+			rate += float64(sys.LevelRate(sev))
 		}
 		lo = u + 1
 		lambdaC += rate
@@ -223,12 +233,11 @@ func (e *evaluator) useLevels(levels []int) {
 			ckRetry: dist.RetryCount(delta, lambdaC), ckTrunc: dist.TruncExp(delta, lambdaC),
 			rRetry: dist.RetryCount(restart, lambdaC), rTrunc: dist.TruncExp(restart, lambdaC),
 		}
-		e.memo[i].valid = false
 	}
 	// Residual severities above the top used level lose everything.
 	var restRate float64
 	for sev := lo; sev <= sys.NumLevels(); sev++ {
-		restRate += sys.LevelRate(sev)
+		restRate += float64(sys.LevelRate(sev))
 	}
 	e.restRate = restRate
 }
@@ -242,6 +251,95 @@ func rejection(sys *system.System, plan pattern.Plan, level int) error {
 	return fmt.Errorf("dauwe: model diverged at level %d for plan %v", level, plan)
 }
 
+// descend brings the depth states up to depth d of plan, its first d
+// counts fixed, resuming from the deepest state it shares with the
+// states already held. ok=false when τ went NaN on the way: level is
+// then the 1-based level that diverged. When terms is non-nil every
+// level is recomputed and its terms appended.
+func (e *evaluator) descend(plan pattern.Plan, d int, terms *[]levelTerms) (level int, ok bool) {
+	if !e.loaded || !slices.Equal(e.levels, plan.Levels) {
+		e.loadLevels(plan.Levels)
+	}
+	if e.have < 0 || terms != nil || math.Float64bits(e.st[0].tau) != math.Float64bits(plan.Tau0) {
+		e.st[0] = depthState{tau: plan.Tau0, intervals: 1}
+		e.have = 0
+	}
+	h := 0
+	for h < e.have && h < d && e.st[h+1].count == plan.Counts[h] {
+		h++
+	}
+	if h < e.have && h < d {
+		e.have = h // the plan leaves the held states at depth h
+	}
+	for ; ; h++ {
+		s := &e.st[h]
+		if math.IsNaN(s.tau) {
+			return h, false
+		}
+		if h == d {
+			return 0, true
+		}
+		// Below the top a level-(h+1) interval holds N_h checkpoints
+		// and N_h+1 intervals (DESIGN.md §2.1).
+		c := plan.Counts[h]
+		nCk := float64(c)
+		tau := e.level(h, s, nCk, nCk+1, terms)
+		e.st[h+1] = depthState{count: c, tau: tau, lostSum: s.lostSum + s.lost, intervals: s.intervals * (c + 1)}
+		e.have = h + 1
+	}
+}
+
+// level is one step of Eqn. 4: used level i's execution interval s.tau
+// occurs nIv times, with nCk level-i checkpoints, in one level-(i+1)
+// execution interval, whose expected length it returns. Its terms are
+// appended to terms when that is non-nil.
+func (e *evaluator) level(i int, s *depthState, nCk, nIv float64, terms *[]levelTerms) float64 {
+	c := &e.lv[i]
+
+	// Eqn. 5: expected level-i failures per τ_i interval, with
+	// E(τ_i, λ_i) and the Eqn. 10 summand, once per depth state.
+	if !s.termsOK {
+		s.termsOK = true
+		s.gamma = dist.RetryCount(s.tau, c.rate)
+		s.trunc = dist.TruncExp(s.tau, c.rate)
+		s.lost = float64((s.tau + float64(s.gamma*s.trunc)) * c.share)
+	}
+	gamma := s.gamma
+
+	// Eqn. 6: recomputation of work lost during computation.
+	tWTau := float64(float64(gamma*s.trunc) * nIv)
+
+	// Eqn. 7: successful checkpoints.
+	tCk := float64(nCk * c.delta)
+
+	// Eqns. 8–9: failed checkpoints.
+	alpha := float64(c.ckRetry * nCk)
+	tCkFail := float64(alpha * c.ckTrunc)
+
+	// Eqn. 10: progress lost to failed checkpoints — the interval
+	// preceding the checkpoint plus its failure overhead, weighted
+	// by each contributing severity share S_k.
+	tWCk := float64((s.lostSum + s.lost) * alpha)
+
+	// Eqn. 11: expected successful level-i restarts.
+	siAlpha := float64(c.share * alpha)
+	beta := siAlpha + float64(gamma*(siAlpha+nIv))
+
+	// Eqns. 12–14: restart time, successful and failed.
+	zeta := float64(c.rRetry * beta)
+	tR := float64(beta * c.restart)
+	tRFail := float64(zeta * c.rTrunc)
+
+	if terms != nil {
+		*terms = append(*terms, levelTerms{
+			tCk: tCk, tCkFail: tCkFail, tR: tR, tRFail: tRFail,
+			tWTau: tWTau, tWCk: tWCk, nIv: nIv,
+		})
+	}
+	// Eqn. 4.
+	return float64(s.tau*nIv) + tCk + tCkFail + tR + tRFail + tWTau + tWCk
+}
+
 // expectedTime runs the level-by-level recursion of Eqn. 4. ok=false
 // rejects the plan without allocating or formatting anything: level is
 // then the 1-based level at which the recursion diverged, or 0 for a
@@ -252,7 +350,6 @@ func rejection(sys *system.System, plan pattern.Plan, level int) error {
 // occurrence count of their enclosing interval.
 func (e *evaluator) expectedTime(plan pattern.Plan, bk *Breakdown) (t float64, level int, ok bool) {
 	ell := plan.NumUsed()
-	e.useLevels(plan.Levels)
 
 	// N_L per Eqn. 3: number of top-level execution intervals.
 	nTop := plan.TopPeriods(e.sys.BaselineTime)
@@ -260,78 +357,20 @@ func (e *evaluator) expectedTime(plan pattern.Plan, bk *Breakdown) (t float64, l
 		return 0, 0, false
 	}
 
-	tau := plan.Tau0
 	var terms []levelTerms
+	var rec *[]levelTerms
 	if bk != nil {
 		terms = make([]levelTerms, 0, ell)
+		rec = &terms
 	}
-	for i := 0; i < ell; i++ {
-		c := &e.lv[i]
-
-		// Checkpoint and interval counts inside one level-(i+1)
-		// execution interval. The paper's recursion uses N_i
-		// checkpoints and N_i+1 intervals below the top; at the top we
-		// use N_L intervals and N_L checkpoints (Eqn. 3's count; see
-		// DESIGN.md §2.1 for the indexing convention).
-		var nCk, nIv float64
-		if i < ell-1 {
-			nCk = float64(plan.Counts[i])
-			nIv = nCk + 1
-		} else {
-			nCk = nTop
-			nIv = nTop
-		}
-
-		// Eqn. 5: expected level-i failures per τ_i interval, with
-		// E(τ_i, λ_i) and the Eqn. 10 summand, from the memo.
-		m := &e.memo[i]
-		if bits := math.Float64bits(tau); !m.valid || m.tauBits != bits {
-			m.valid, m.tauBits = true, bits
-			m.gamma = dist.RetryCount(tau, c.rate)
-			m.trunc = dist.TruncExp(tau, c.rate)
-			m.lost = (tau + m.gamma*m.trunc) * c.share
-		}
-		gamma := m.gamma
-
-		// Eqn. 6: recomputation of work lost during computation.
-		tWTau := gamma * m.trunc * nIv
-
-		// Eqn. 7: successful checkpoints.
-		tCk := nCk * c.delta
-
-		// Eqns. 8–9: failed checkpoints.
-		alpha := c.ckRetry * nCk
-		tCkFail := alpha * c.ckTrunc
-
-		// Eqn. 10: progress lost to failed checkpoints — the interval
-		// preceding the checkpoint plus its failure overhead, weighted
-		// by each contributing severity share S_k.
-		var tWCk float64
-		for k := 0; k <= i; k++ {
-			tWCk += e.memo[k].lost
-		}
-		tWCk *= alpha
-
-		// Eqn. 11: expected successful level-i restarts.
-		si := c.share
-		beta := si*alpha + gamma*(si*alpha+nIv)
-
-		// Eqns. 12–14: restart time, successful and failed.
-		zeta := c.rRetry * beta
-		tR := beta * c.restart
-		tRFail := zeta * c.rTrunc
-
-		// Eqn. 4.
-		tau = tau*nIv + tCk + tCkFail + tR + tRFail + tWTau + tWCk
-		if math.IsNaN(tau) {
-			return 0, i + 1, false
-		}
-		if bk != nil {
-			terms = append(terms, levelTerms{
-				tCk: tCk, tCkFail: tCkFail, tR: tR, tRFail: tRFail,
-				tWTau: tWTau, tWCk: tWCk, nIv: nIv,
-			})
-		}
+	if level, ok := e.descend(plan, ell-1, rec); !ok {
+		return 0, level, false
+	}
+	// At the top a level-L interval holds N_L intervals and N_L
+	// checkpoints (Eqn. 3's count; see DESIGN.md §2.1).
+	tau := e.level(ell-1, &e.st[ell-1], nTop, nTop, rec)
+	if math.IsNaN(tau) {
+		return 0, ell, false
 	}
 	if bk != nil {
 		// Each level-i term occurs once per level-(i+1) execution
@@ -339,11 +378,11 @@ func (e *evaluator) expectedTime(plan pattern.Plan, bk *Breakdown) (t float64, l
 		occ := 1.0
 		for i := ell - 1; i >= 0; i-- {
 			t := terms[i]
-			bk.CheckpointOK += occ * t.tCk
-			bk.CheckpointFail += occ * t.tCkFail
-			bk.RestartOK += occ * t.tR
-			bk.RestartFail += occ * t.tRFail
-			bk.Recompute += occ * (t.tWTau + t.tWCk)
+			bk.CheckpointOK += float64(occ * t.tCk)
+			bk.CheckpointFail += float64(occ * t.tCkFail)
+			bk.RestartOK += float64(occ * t.tR)
+			bk.RestartFail += float64(occ * t.tRFail)
+			bk.Recompute += float64(occ * (t.tWTau + t.tWCk))
 			occ *= t.nIv
 		}
 		// occ is now the total number of τ0 intervals: their content is
@@ -356,7 +395,7 @@ func (e *evaluator) expectedTime(plan pattern.Plan, bk *Breakdown) (t float64, l
 	// zero process over an exposure window of length τ is
 	// τ + γ_rest·E(τ, λ_rest) = (e^{λ_rest·τ} - 1)/λ_rest.
 	if r := e.restRate; r > 0 {
-		loss := dist.RetryCount(tau, r) * dist.TruncExp(tau, r)
+		loss := float64(dist.RetryCount(tau, r) * dist.TruncExp(tau, r))
 		tau += loss
 		if bk != nil {
 			bk.Recompute += loss
@@ -365,10 +404,37 @@ func (e *evaluator) expectedTime(plan pattern.Plan, bk *Breakdown) (t float64, l
 	return tau, 0, true
 }
 
+// bound is the sweep's incremental lower bound (optimize.Bound) on the
+// objective of every completion of prefix, with d = len(prefix.Counts):
+//
+//	T_B·τ_d/(τ0·S_d)·(1 − 1e-9)           while counts are free,
+//	T_B·(τ_{ℓ−1} + δ_top)/(τ0·S)·(1 − 1e-9) once all are fixed,
+//
+// and +Inf once τ has gone NaN, because the objective rejects every
+// completion then. Every Eqn. 4 term is ≥ 0 and rounding is monotone,
+// so τ_{i+1} ≥ fl(τ_i·(N_i+1)) and T ≥ N_L·(τ_{ℓ−1} + δ_top); DESIGN.md
+// §2.7 gives the argument and the margin. Fixing a count costs one
+// level, whose state the objective then resumes from.
+func (e *evaluator) bound(prefix pattern.Plan) float64 {
+	d := len(prefix.Counts)
+	if _, ok := e.descend(prefix, d, nil); !ok {
+		return math.Inf(1)
+	}
+	s := &e.st[d]
+	tau := s.tau
+	if d == len(prefix.Levels)-1 {
+		tau += e.lv[d].delta
+	}
+	return e.sys.BaselineTime * tau / (prefix.Tau0 * float64(s.intervals)) * (1 - 1e-9)
+}
+
 // Optimize implements the bounded brute-force search of Section III-C:
-// every (τ0, N_1..N_{ℓ-1}) combination on the grid is evaluated with the
-// model, over the level-prefix family {1..ℓ} when level exclusion is
-// enabled, and the plan with the smallest predicted execution time wins.
+// every (τ0, N_1..N_{ℓ-1}) combination on the grid is considered, over
+// the level-prefix family {1..ℓ} when level exclusion is enabled, and
+// the plan with the smallest predicted execution time wins. The sweep is
+// a branch-and-bound: after each count it fixes, the evaluator's bound
+// skips every completion that cannot beat the best time so far, so most
+// candidates are never evaluated, and the winner is the same.
 func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction, error) {
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
@@ -389,7 +455,7 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		Spans:      t.Spans,
 		Context:    t.Context,
 	}
-	res, err := optimize.SweepObjectives(space, func(int, *obs.Registry) optimize.Objective {
+	res, err := optimize.SweepObjectives(space, func(int, *obs.Registry) (optimize.Objective, optimize.Bound) {
 		return newSweepObjective(sys)
 	})
 	if err != nil {
@@ -398,14 +464,15 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	return res.Plan, model.NewPrediction(sys.BaselineTime, res.ExpectedTime), nil
 }
 
-// newSweepObjective builds a goroutine-local sweep objective around its
-// own evaluator, so consecutive candidates share the evaluator's caches.
-func newSweepObjective(sys *system.System) optimize.Objective {
+// newSweepObjective builds one sweep worker's objective and bound around
+// one evaluator, so that the objective resumes from the depth states the
+// bound has just built.
+func newSweepObjective(sys *system.System) (optimize.Objective, optimize.Bound) {
 	e := newEvaluator(sys)
 	return func(p pattern.Plan) (float64, bool) {
 		v, _, ok := e.expectedTime(p, nil)
 		return v, ok && v > 0
-	}
+	}, e.bound
 }
 
 // SetSweepMetrics directs the optimizer sweep's telemetry into reg

@@ -271,6 +271,18 @@ func TestOptimizeRejectsInvalidSystem(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsNegativeCounts is the regression test for a
+// negative count value, which used to give a plan that plan.Validate
+// rejects, with a nil error.
+func TestOptimizeRejectsNegativeCounts(t *testing.T) {
+	tech := New()
+	tech.Tau0Points = 8
+	tech.CountVals = []int{-2, 3}
+	if plan, _, err := tech.Optimize(fourLevel()); err == nil {
+		t.Fatalf("CountVals {-2, 3}: plan %v and no error", plan)
+	}
+}
+
 func TestPredictionsFiniteAcrossTableI(t *testing.T) {
 	d := New()
 	for _, sys := range system.TableI() {

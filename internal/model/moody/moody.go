@@ -187,10 +187,10 @@ func (*Technique) Predict(sys *system.System, plan pattern.Plan) (model.Predicti
 // possible checkpoint intervals"). Each sweep worker evaluates the
 // Markov objective through a goroutine-local memo of period shapes and a
 // reusable chain solver (see newSweepObjective). The sweep is a
-// branch-and-bound: nestedBound gives every candidate an admissible lower
-// bound, the sweep claims the cells with the smallest bounds first, and
-// candidates whose bound already exceeds the best expected time are
-// pruned before the chain is ever solved.
+// branch-and-bound: nestedBound gives every count prefix an admissible
+// lower bound, the sweep claims the cells with the smallest bounds first,
+// and prefixes whose bound already exceeds the best expected time are
+// pruned, with all their completions, before a chain is ever solved.
 func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction, error) {
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
@@ -207,13 +207,12 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		MaxPeriodIntervals: t.MaxPeriodIntervals,
 		Workers:            t.Workers,
 		RefineTau0:         true,
-		LowerBound:         lb.bound,
 		Metrics:            t.Metrics,
 		Spans:              t.Spans,
 		Context:            t.Context,
 	}
-	res, err := optimize.SweepObjectives(space, func(_ int, reg *obs.Registry) optimize.Objective {
-		return newSweepObjective(sys, reg)
+	res, err := optimize.SweepObjectives(space, func(_ int, reg *obs.Registry) (optimize.Objective, optimize.Bound) {
+		return newSweepObjective(sys, reg), lb.worker()
 	})
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
@@ -243,8 +242,9 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 // closes. DESIGN.md §2.7 gives the admissibility argument and the
 // reason for the 1e-9 relative margin.
 //
-// The per-τ0 and per-level tables are built once, so a candidate pays
-// O(L²) multiply-adds and no exp. Every product is rounded explicitly
+// The per-τ0 and per-level tables are built once, and each sweep worker
+// keeps X_u per depth (see worker), so fixing a count pays O(L)
+// multiply-adds and no exp. Every product is rounded explicitly
 // (float64(...)) so that no GOARCH fuses it into an addition.
 type nestedBound struct {
 	grid  []float64   // ascending, as Tau0Grid's
@@ -289,37 +289,76 @@ func newNestedBound(sys *system.System, grid []float64) (*nestedBound, error) {
 	return b, nil
 }
 
-// bound returns the lower bound of a plan that uses every level, as the
-// sweep's candidates do, or 0 for a τ0 off the grid. A count of zero
-// contributes nothing, so the +Inf floor of a level that is absent
-// never meets a zero factor (0·Inf is NaN).
-func (b *nestedBound) bound(p pattern.Plan) float64 {
+// worker returns one sweep worker's incremental view of the bound (see
+// optimize.Bound). With u−1 counts fixed, X_u and S_u are fixed, and
+// X_u/(S_u·τ0)·(1 − 1e-9) bounds every completion, because
+// X_{u+1}/S_{u+1} ≥ X_u/S_u and X_L + K_L ≥ X_L. Once all counts are
+// fixed it is the plan's bound. The worker keeps X_u and S_u per depth
+// and resumes from the deepest depth the next prefix shares, so fixing a
+// count costs one level.
+func (b *nestedBound) worker() optimize.Bound {
 	L := len(b.ckptF)
-	at, ok := slices.BinarySearch(b.grid, p.Tau0)
-	if !ok {
-		return 0
+	w := &nestedWorker{b: b, x: make([]float64, L), s: make([]int, L), counts: make([]int, L), have: -1}
+	return w.bound
+}
+
+// nestedWorker is one goroutine's per-depth state of a nestedBound.
+type nestedWorker struct {
+	b      *nestedBound
+	tau0   float64
+	at     int       // τ0's grid index
+	x      []float64 // x[u−1] = X_u
+	s      []int     // s[u−1] = S_u
+	counts []int     // counts[u−2] = N_{u−1}
+	have   int       // X_u and S_u are held for u ≤ have+1; < 0: none
+}
+
+// bound returns the lower bound of a prefix of a plan that uses every
+// level, as the sweep's candidates do, or 0 for a τ0 off the grid. A
+// count of zero contributes nothing, so the +Inf floor of a level that
+// is absent never meets a zero factor (0·Inf is NaN).
+func (w *nestedWorker) bound(p pattern.Plan) float64 {
+	b := w.b
+	L := len(b.ckptF)
+	if w.have < 0 || math.Float64bits(w.tau0) != math.Float64bits(p.Tau0) {
+		at, ok := slices.BinarySearch(b.grid, p.Tau0)
+		if !ok {
+			w.have = -1
+			return 0
+		}
+		w.tau0, w.at, w.have = p.Tau0, at, 0
+		w.x[0], w.s[0] = b.tauF[at], 1
 	}
-	f := b.tauF[at]
-	if math.IsInf(f, 1) {
+	if math.IsInf(w.x[0], 1) {
 		// Every period has a τ0 interval, so the sweep returns +Inf.
-		return f
+		return w.x[0]
 	}
-	var buf [8]float64
-	x := append(buf[:0], f) // x[u−1] = X_u
-	n := 1                  // S_u
-	for u := 2; u <= L; u++ {
-		c := p.Counts[u-2]
-		xu := float64(float64(c+1) * x[u-2])
+	d := len(p.Counts)
+	h := 0
+	for h < w.have && h < d && w.counts[h] == p.Counts[h] {
+		h++
+	}
+	if h < w.have && h < d {
+		w.have = h
+	}
+	for ; h < d; h++ {
+		// X_u for u = h+2 from N_{u−1} = Counts[h].
+		c := p.Counts[h]
+		xu := float64(float64(c+1) * w.x[h])
 		if c > 0 {
-			xu += float64(float64(c) * b.checkpoint(u-1, x))
+			xu += float64(float64(c) * b.checkpoint(h+1, w.x))
 		}
-		n *= c + 1
+		n := w.s[h] * (c + 1)
 		if n > 1 {
-			xu += float64(b.ramp[at*L+u-1] * float64(n*(n-1)))
+			xu += float64(b.ramp[w.at*L+h+1] * float64(n*(n-1)))
 		}
-		x = append(x, xu)
+		w.x[h+1], w.s[h+1], w.counts[h] = xu, n, c
+		w.have = h + 1
 	}
-	return (x[L-1] + b.checkpoint(L, x)) / (float64(n) * p.Tau0) * (1 - 1e-9)
+	if d == L-1 {
+		return (w.x[d] + b.checkpoint(L, w.x)) / (float64(w.s[d]) * p.Tau0) * (1 - 1e-9)
+	}
+	return w.x[d] / (float64(w.s[d]) * p.Tau0) * (1 - 1e-9)
 }
 
 // checkpoint returns K_l given x[u−1] = X_u for u = 1..l.

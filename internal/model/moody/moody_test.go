@@ -177,6 +177,22 @@ func TestPredictImpossibleSystem(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsNegativeCounts is the regression test for a
+// negative count value, which used to panic on a sweep worker goroutine
+// (makeslice: len out of range), where no caller can recover it.
+func TestOptimizeRejectsNegativeCounts(t *testing.T) {
+	b, err := system.ByName("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tech := New()
+	tech.Tau0Points = 8
+	tech.CountVals = []int{-2, 3}
+	if plan, _, err := tech.Optimize(b); err == nil {
+		t.Fatalf("CountVals {-2, 3}: plan %v and no error", plan)
+	}
+}
+
 func TestOptimizeRejectsInvalidSystem(t *testing.T) {
 	bad := twoLevel(24)
 	bad.Levels[0].SeverityProb = 2
@@ -260,7 +276,7 @@ func TestSweepObjectiveOdometerMatchesFresh(t *testing.T) {
 
 // TestSweepObjectiveAllocs guards the sweep's hot path: once the shape
 // memo and the solver's scratch are warm, a cell of candidates allocates
-// nothing, in the objective or in the pruning bound.
+// nothing, in the objective or in the pruning bound at any depth.
 func TestSweepObjectiveAllocs(t *testing.T) {
 	sys, err := system.ByName("B")
 	if err != nil {
@@ -272,10 +288,15 @@ func TestSweepObjectiveAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bound := nb.worker()
 	cell := odometerCell(grid[7], pattern.AllLevels(sys), []int{0, 2, 5})
 	run := func() {
 		for _, p := range cell {
-			nb.bound(p)
+			for d := 0; d <= len(p.Counts); d++ {
+				q := p
+				q.Counts = p.Counts[:d]
+				bound(q)
+			}
 			obj(p)
 		}
 	}
@@ -317,11 +338,12 @@ func scaledB(t *testing.T, pfsCosts []float64, tb float64) []*system.System {
 // objective on every candidate of whole sweep grids: the Fast grid on the
 // Table I systems, the Figure 4 systems (PFS 10–40, T_B 1440) and the
 // Figure 5 systems, and the default grid on B, D4 and M. Admissibility —
-// the bound never exceeds the objective of a candidate the objective
-// accepts — is what makes pruning and the best-bound-first cell order
-// result-neutral. It also checks F(d) >= d and c_v(d) >= 0 for every
-// duration the bound uses, so the bound dominates the failure-free
-// period time over its work.
+// the bound of a candidate, and of each of its count prefixes, never
+// exceeds the objective of a candidate the objective accepts — is what
+// makes pruning and the best-bound-first cell order result-neutral. One
+// worker bound answers every prefix, in the sweep's order. It also
+// checks F(d) >= d and c_v(d) >= 0 for every duration the bound uses, so
+// the bound dominates the failure-free period time over its work.
 func TestFloorBoundAdmissible(t *testing.T) {
 	type target struct {
 		sys  *system.System
@@ -373,6 +395,7 @@ func TestFloorBoundAdmissible(t *testing.T) {
 			t.Fatal(err)
 		}
 		obj := newSweepObjective(sys, obs.NewRegistry())
+		bound := nb.worker()
 		for _, tau0 := range tau {
 			for _, p := range odometerCell(tau0, pattern.AllLevels(sys), tg.grid.counts) {
 				if p.PeriodIntervals() > tg.grid.maxPeriod {
@@ -382,11 +405,15 @@ func TestFloorBoundAdmissible(t *testing.T) {
 				if !ok {
 					continue
 				}
-				b := nb.bound(p)
-				if !(b <= v) {
-					t.Fatalf("%s %v: bound %v exceeds objective %v", sys.Name, p, b, v)
+				for d := 0; d <= len(p.Counts); d++ {
+					q := p
+					q.Counts = p.Counts[:d]
+					b := bound(q)
+					if !(b <= v) {
+						t.Fatalf("%s %v: bound %v of the %d-count prefix exceeds objective %v", sys.Name, p, b, d, v)
+					}
+					worst = max(worst, b/v)
 				}
-				worst = max(worst, b/v)
 				checked++
 			}
 		}

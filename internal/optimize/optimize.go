@@ -8,20 +8,22 @@
 // The sweep is deterministic by construction: workers pull (τ0 ×
 // level-set) cells from a chunked atomic work queue (so load balances
 // dynamically — small-τ0 cells can cost far more under the Markov
-// objective), best-bound-first when the space has a lower bound (a
-// branch-and-bound), each keeps a running best under a total candidate
-// order (expected time, then τ0, then levels, then counts,
-// lexicographically), and the per-worker bests are reduced under the
-// same order. The result is therefore byte-identical for any worker
-// count. The hot path is allocation-free: count vectors are enumerated
-// into per-worker scratch buffers that are only copied when a candidate
-// becomes a worker's new best.
+// objective), best-bound-first when the objectives come with a lower
+// bound (a branch-and-bound that skips whole count subtrees), each keeps
+// a running best under a total candidate order (expected time, then τ0,
+// then levels, then counts, lexicographically), and the per-worker bests
+// are reduced under the same order. The result is therefore
+// byte-identical for any worker count. The hot path is allocation-free:
+// count vectors are enumerated depth first into per-worker scratch
+// buffers that are only copied when a candidate becomes a worker's new
+// best.
 package optimize
 
 import (
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -42,19 +44,40 @@ import (
 // not be.
 type Objective func(plan pattern.Plan) (expectedTime float64, ok bool)
 
-// ObjectiveFactory builds one Objective per worker goroutine (plus one
-// for the τ0 refinement stage). Factories let objectives keep
+// Bound is an admissible lower bound on an Objective, incremental over a
+// candidate's counts. prefix holds τ0, the levels and the first
+// len(prefix.Counts) counts of a candidate; the other
+// len(prefix.Levels)−1−len(prefix.Counts) counts are free, and a prefix
+// with all of them fixed is one candidate. Bound(prefix) must not exceed
+// the objective's value of any completion of prefix that the objective
+// accepts. The sweep asks it about every prefix it enumerates, depth
+// first in odometer order, so an implementation may keep per-depth state
+// and pay one level per call; its value must still depend on prefix
+// alone. A Bound built by an ObjectiveFactory belongs to one goroutine,
+// like its objective, and may share the objective's scratch.
+type Bound func(prefix pattern.Plan) float64
+
+// ObjectiveFactory builds one Objective per worker goroutine, plus one
+// for the τ0 refinement stage. Factories let objectives keep
 // goroutine-local scratch — memo tables, reusable solvers — without
 // locks, mirroring the observer-shard idiom of sim.Campaign. metrics is
 // the worker's private telemetry shard (never nil; discarded unless
 // Space.Metrics is set), so objectives can count cache hits and misses.
-type ObjectiveFactory func(worker int, metrics *obs.Registry) Objective
+// A non-nil Bound makes the sweep a branch-and-bound: subtrees whose
+// bound strictly exceeds the best time found so far (shared across
+// workers) are skipped without evaluating the objective, and the work
+// queue hands out cells best-bound-first (see cellOrder). Because the
+// skip is strict, neither can change the sweep's result — only the
+// number of objective calls (reported via Metrics, not Result). Every
+// call of one factory returns a Bound, or none does.
+type ObjectiveFactory func(worker int, metrics *obs.Registry) (Objective, Bound)
 
 // Space bounds the brute-force sweep.
 type Space struct {
 	// Tau0 holds the candidate computation intervals in minutes.
 	Tau0 []float64
-	// CountVals holds the candidate values for each N_i.
+	// CountVals holds the candidate values for each N_i, in the order the
+	// sweep enumerates them. A negative value is an error.
 	CountVals []int
 	// LevelSets holds the candidate used-level subsets (ascending,
 	// 1-based system levels).
@@ -70,16 +93,6 @@ type Space struct {
 	// refinement bracket is clamped to the grid span, so refined τ0
 	// never escapes [Tau0[first], Tau0[last]].
 	RefineTau0 bool
-	// LowerBound, when non-nil, is an admissible lower bound on the
-	// objective: LowerBound(plan) must never exceed the objective's
-	// value for a feasible plan. It must be safe for concurrent use.
-	// Candidates whose bound strictly exceeds the best time found so far
-	// (shared across workers) are skipped without evaluating the
-	// objective, and the work queue hands out cells best-bound-first
-	// (see cellOrder) so that best time is near-optimal early. Because
-	// the skip is strict, neither can change the sweep's result — only
-	// the number of objective calls (reported via Metrics, not Result).
-	LowerBound func(plan pattern.Plan) float64
 	// Metrics, when non-nil, receives the sweep's telemetry counters
 	// (opt_candidates_total, opt_evaluations_total, opt_pruned_total,
 	// opt_refine_evaluations_total, plus whatever the objectives
@@ -88,9 +101,10 @@ type Space struct {
 	// is not supported.
 	Metrics *obs.Registry
 	// Spans, when non-nil, receives the sweep's span tree: each worker
-	// records a "sweep" span with one "chunk" child per work-queue grab,
-	// the best-bound-first pre-pass records "order" and the τ0
-	// refinement stage records "refine". Worker shards are
+	// records a "sweep" span with one "chunk" child per work-queue grab
+	// and, in a bounded sweep, an "order" span for its share of the
+	// best-bound-first pre-pass; the τ0 refinement stage records
+	// "refine". Worker shards are
 	// goroutine-local tracers merged here once after the sweep; the same
 	// single-sweep-per-sink rule as Metrics applies.
 	Spans *obs.Tracer
@@ -112,9 +126,9 @@ type Result struct {
 	// Evaluated counts the candidates considered (those passing the
 	// static τ0 and period-length filters). It is a pure function of
 	// the Space — candidates served by an objective's memo or skipped
-	// by the lower-bound prune still count, so Result is identical for
-	// every worker count; the actual objective-call split is reported
-	// via Metrics.
+	// by the bound, alone or in a pruned subtree or cell, still count,
+	// so Result is identical for every worker count; the actual
+	// objective-call split is reported via Metrics.
 	Evaluated int
 }
 
@@ -155,83 +169,115 @@ func (m *atomicMin) lower(v float64) {
 	}
 }
 
-// countScratch enumerates count vectors into reusable buffers.
-type countScratch struct {
-	counts, idx []int
+// cellWalk enumerates the count vectors of one cell at a time, depth
+// first in odometer order: the first count slowest, each count over
+// CountVals in order. A prefix whose period already spans more than
+// MaxPeriodIntervals τ0 intervals is dropped, since no count shortens a
+// period. When there is a bound, the walk asks it about every prefix,
+// the empty one included, and its visitor may skip the prefix's whole
+// subtree. A cellWalk belongs to one goroutine.
+type cellWalk struct {
+	vals      []int
+	maxPeriod int
+	bound     Bound
+	counts    []int          // the count vector, reused
+	fits      map[[2]int]int // fit's memo
 }
 
-// forEach enumerates all count vectors of length n over vals in odometer
-// order (last index fastest). A zero-length vector yields one empty
-// enumeration. The slice passed to fn is reused between calls.
-func (s *countScratch) forEach(n int, vals []int, fn func([]int)) {
-	if n <= 0 {
-		fn(nil)
-		return
-	}
-	if len(vals) == 0 {
-		return
-	}
-	if cap(s.counts) < n {
-		s.counts = make([]int, n)
-		s.idx = make([]int, n)
-	}
-	counts, idx := s.counts[:n], s.idx[:n]
-	for i := range idx {
-		idx[i] = 0
-	}
-	for {
-		for i := range counts {
-			counts[i] = vals[idx[i]]
+// cellVisitor receives the nodes of a cellWalk.
+type cellVisitor interface {
+	// cut reports whether to skip the subtree of a prefix whose bound is
+	// b; rest more counts complete the prefix, whose period spans s τ0
+	// intervals so far.
+	cut(b float64, rest, s int) bool
+	// leaf receives each candidate that was not cut, with its bound
+	// (−Inf without one). Its Counts is the walk's scratch vector.
+	leaf(plan pattern.Plan, b float64)
+}
+
+// walk visits the candidates of the cell (tau0, levels).
+func (c *cellWalk) walk(tau0 float64, levels []int, v cellVisitor) {
+	p := pattern.Plan{Tau0: tau0, Levels: levels}
+	// A one-level cell's candidate keeps nil Counts.
+	if n := len(levels) - 1; n > 0 {
+		if cap(c.counts) < n {
+			c.counts = make([]int, n)
 		}
-		fn(counts)
-		// Odometer increment.
-		i := n - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(vals) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
+		p.Counts = c.counts[:0]
+	}
+	c.visit(p, len(levels)-1, 1, v)
+}
+
+// visit handles the prefix p of an n-count cell, whose period spans s
+// τ0 intervals, and its subtree.
+func (c *cellWalk) visit(p pattern.Plan, n, s int, v cellVisitor) {
+	d := len(p.Counts)
+	b := math.Inf(-1)
+	if c.bound != nil {
+		b = c.bound(p)
+		if v.cut(b, n-d, s) {
 			return
 		}
 	}
+	if d == n {
+		v.leaf(p, b)
+		return
+	}
+	p.Counts = p.Counts[:d+1]
+	for _, val := range c.vals {
+		s1 := s * (val + 1)
+		if c.maxPeriod > 0 && s1 > c.maxPeriod {
+			continue
+		}
+		p.Counts[d] = val
+		c.visit(p, n, s1, v)
+	}
 }
 
-// forEachCounts enumerates all count vectors of the given length over the
-// candidate values. A zero-length vector yields one empty enumeration.
-// The slice passed to fn is reused between calls.
-func forEachCounts(n int, vals []int, fn func([]int)) {
-	var s countScratch
-	s.forEach(n, vals, fn)
+// completions returns how many ways rest more counts complete a prefix
+// whose period spans s ≤ MaxPeriodIntervals τ0 intervals, within
+// MaxPeriodIntervals.
+func (c *cellWalk) completions(rest, s int) int {
+	if c.maxPeriod <= 0 {
+		k := 1
+		for ; rest > 0; rest-- {
+			k *= len(c.vals)
+		}
+		return k
+	}
+	return c.fit(rest, c.maxPeriod/s)
 }
 
-// periodFits reports whether a count vector's top-level period stays
-// within MaxPeriodIntervals.
-func (s *Space) periodFits(counts []int) bool {
-	if s.MaxPeriodIntervals <= 0 {
-		return true
+// fit returns the number of r-count vectors whose period spans at most
+// m ≥ 1 τ0 intervals.
+func (c *cellWalk) fit(r, m int) int {
+	if r == 0 {
+		return 1
 	}
-	intervals := 1
-	for _, c := range counts {
-		intervals *= c + 1
+	key := [2]int{r, m}
+	if k, ok := c.fits[key]; ok {
+		return k
 	}
-	return intervals <= s.MaxPeriodIntervals
+	k := 0
+	for _, v := range c.vals {
+		if v+1 <= m {
+			k += c.fit(r-1, m/(v+1))
+		}
+	}
+	if c.fits == nil {
+		c.fits = make(map[[2]int]int)
+	}
+	c.fits[key] = k
+	return k
 }
 
 // sweepWorker is the per-goroutine sweep state: the worker's running
-// best under the total candidate order, its scratch buffers, and its
-// metrics shard. Everything here is touched by exactly one goroutine.
+// best under the total candidate order, its count walk, and its metrics
+// shard. Everything here is touched by exactly one goroutine.
 type sweepWorker struct {
-	space   *Space
-	obj     Objective
-	scratch countScratch
-	bound   *atomicMin
-
-	// Current cell.
-	tau0   float64
-	levels []int
+	obj  Objective
+	walk cellWalk
+	best *atomicMin
 
 	// Running best.
 	plan  pattern.Plan
@@ -243,23 +289,25 @@ type sweepWorker struct {
 	evals, pruned *obs.Counter
 }
 
-// candidate filters, optionally prunes, and evaluates one count vector
-// of the current cell. counts is scratch — copied only on improvement.
-func (w *sweepWorker) candidate(counts []int) {
-	if !w.space.periodFits(counts) {
-		return
+// cut skips a subtree whose bound strictly exceeds the best time any
+// worker has found, and counts its candidates as pruned. The comparison
+// is strict: a candidate tying the current best is still evaluated, so
+// the (τ0, levels, counts) tie-break sees it and pruning cannot change
+// the result.
+func (w *sweepWorker) cut(b float64, rest, s int) bool {
+	if !(b > w.best.load()) {
+		return false
 	}
+	k := w.walk.completions(rest, s)
+	w.candidates += k
+	w.pruned.Add(uint64(k))
+	return true
+}
+
+// leaf evaluates one candidate. Its Counts is scratch — copied only on
+// improvement.
+func (w *sweepWorker) leaf(plan pattern.Plan, _ float64) {
 	w.candidates++
-	plan := pattern.Plan{Tau0: w.tau0, Counts: counts, Levels: w.levels}
-	if lb := w.space.LowerBound; lb != nil {
-		// Strict comparison: a candidate tying the current best is
-		// still evaluated, so the (τ0, levels, counts) tie-break sees
-		// it and pruning cannot change the result.
-		if lb(plan) > w.bound.load() {
-			w.pruned.Inc()
-			return
-		}
-	}
 	w.evals.Inc()
 	t, ok := w.obj(plan)
 	if !ok || math.IsNaN(t) {
@@ -277,30 +325,38 @@ func (w *sweepWorker) candidate(counts []int) {
 	// would give a one-level plan []int{} or nil depending on which
 	// worker found it.
 	var keep []int
-	if len(counts) > 0 {
-		keep = append(w.plan.Counts[:0], counts...)
+	if len(plan.Counts) > 0 {
+		keep = append(w.plan.Counts[:0], plan.Counts...)
 	}
 	w.plan = pattern.Plan{Tau0: plan.Tau0, Counts: keep, Levels: plan.Levels}
-	w.bound.lower(t)
+	w.best.lower(t)
 }
 
 // Sweep minimizes the objective over the space. The objective must be
 // safe for concurrent use; use SweepObjectives to give each worker its
-// own.
+// own, or a bound.
 func Sweep(space Space, objective Objective) (Result, error) {
-	return SweepObjectives(space, func(int, *obs.Registry) Objective { return objective })
+	return SweepObjectives(space, func(int, *obs.Registry) (Objective, Bound) { return objective, nil })
 }
 
-// SweepObjectives minimizes over the space with one objective per worker
-// goroutine, built by the factory. The result is independent of
-// Space.Workers: cells are scheduled dynamically, but candidates are
-// reduced under a total order (expected time, then τ0, then levels, then
-// counts).
+// SweepObjectives minimizes over the space with one objective, and
+// optionally one bound, per worker goroutine, built by the factory. The
+// result is independent of Space.Workers: cells are scheduled
+// dynamically, but candidates are reduced under a total order (expected
+// time, then τ0, then levels, then counts).
 func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 	if len(space.Tau0) == 0 || len(space.LevelSets) == 0 {
 		return Result{}, errors.New("optimize: empty search space")
 	}
-	cells := len(space.Tau0) * len(space.LevelSets)
+	// A negative count would give a period of zero or negative length,
+	// and break the walk's rule that no count shortens a period.
+	for _, v := range space.CountVals {
+		if v < 0 {
+			return Result{}, fmt.Errorf("optimize: negative count value %d", v)
+		}
+	}
+	nl := len(space.LevelSets)
+	cells := len(space.Tau0) * nl
 	workers := space.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -317,7 +373,7 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 		chunk = 1
 	}
 
-	regs := make([]*obs.Registry, workers+1) // last shard: ordering and refinement
+	regs := make([]*obs.Registry, workers+1) // last shard: refinement
 	trs := make([]*obs.Tracer, workers+1)    // nil tracers no-op when Spans is unset
 	for i := range regs {
 		regs[i] = obs.NewRegistry()
@@ -334,40 +390,57 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 		mergeSpans(space.Spans, trs)
 		return res, err
 	}
-
-	// The queue hands out cells τ0-major, or best-bound-first when the
-	// space has a bound: order[i] is the cell at queue position i.
-	var order []int
-	if space.LowerBound != nil {
-		orderSpan := trs[workers].Start("order")
-		var err error
-		order, err = cellOrder(&space)
-		orderSpan.End()
-		if err != nil {
-			return finish(Result{}, err)
-		}
-	}
-
-	var next atomic.Int64
-	var bound atomicMin
-	bound.init(math.Inf(1))
+	// Each worker builds its objective and bound on a goroutine of its
+	// own, so that no two workers' scratch shares a cache line, and in a
+	// bounded sweep then computes cell keys for the best-bound-first
+	// queue (see cellOrder).
+	var best atomicMin
+	best.init(math.Inf(1))
 	ws := make([]*sweepWorker, workers)
+	keys := make([]float64, cells)
+	var nextKey atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range ws {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			reg := regs[w]
+			obj, bound := factory(w, reg)
 			sw := &sweepWorker{
-				space:  &space,
-				obj:    factory(w, reg),
-				bound:  &bound,
+				obj:    obj,
+				walk:   cellWalk{vals: space.CountVals, maxPeriod: space.MaxPeriodIntervals, bound: bound},
+				best:   &best,
 				time:   math.Inf(1),
 				evals:  reg.Counter("opt_evaluations_total"),
 				pruned: reg.Counter("opt_pruned_total"),
 			}
 			ws[w] = sw
-			process := sw.candidate
+			if bound != nil {
+				orderSpan := trs[w].Start("order")
+				sw.walk.cellKeys(&space, keys, &nextKey)
+				orderSpan.End()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := canceled(space.Context); err != nil {
+		return finish(Result{}, err)
+	}
+	// The queue hands out cells τ0-major, or best-bound-first when there
+	// is a bound: order[i] is the cell at queue position i, and keys[c]
+	// the smallest bound in cell c.
+	var order []int
+	if ws[0].walk.bound != nil {
+		order = cellOrder(keys)
+	} else {
+		keys = nil
+	}
+
+	var next atomic.Int64
+	for w, sw := range ws {
+		wg.Add(1)
+		go func(w int, sw *sweepWorker) {
+			defer wg.Done()
 			sweepSpan := trs[w].Start("sweep")
 			for canceled(space.Context) == nil {
 				start := int(next.Add(int64(chunk))) - chunk
@@ -387,19 +460,22 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 					if order != nil {
 						c = order[i]
 					}
-					tau0 := space.Tau0[c/len(space.LevelSets)]
+					tau0 := space.Tau0[c/nl]
 					if !(tau0 > 0) {
 						continue
 					}
-					sw.tau0 = tau0
-					sw.levels = space.LevelSets[c%len(space.LevelSets)]
-					sw.scratch.forEach(len(sw.levels)-1, space.CountVals, process)
+					levels := space.LevelSets[c%nl]
+					// The cell's smallest bound decides the whole cell.
+					if keys != nil && sw.cut(keys[c], len(levels)-1, 1) {
+						continue
+					}
+					sw.walk.walk(tau0, levels, sw)
 				}
 				chunkSpan.End()
 			}
 			sweepSpan.End()
-			reg.Counter("opt_candidates_total").Add(uint64(sw.candidates))
-		}(w)
+			regs[w].Counter("opt_candidates_total").Add(uint64(sw.candidates))
+		}(w, sw)
 	}
 	wg.Wait()
 	if err := canceled(space.Context); err != nil {
@@ -428,47 +504,49 @@ func SweepObjectives(space Space, factory ObjectiveFactory) (Result, error) {
 	if space.RefineTau0 {
 		reg := regs[workers]
 		refineSpan := trs[workers].Start("refine")
+		refine, _ := factory(workers, reg)
 		refined, t := refineTau0(out.Plan, out.ExpectedTime, space.Tau0,
-			factory(workers, reg), reg.Counter("opt_refine_evaluations_total"))
+			refine, reg.Counter("opt_refine_evaluations_total"))
 		refineSpan.End()
 		out.Plan, out.ExpectedTime = refined, t
 	}
 	return finish(out, nil)
 }
 
-// cellOrder returns the queue order of a bounded sweep: every cell,
-// sorted by its key — the smallest LowerBound over the candidates the
-// sweep will consider in it, under the same τ0 > 0 and
-// MaxPeriodIntervals filters, or +Inf when there are none — with ties
-// broken by cell index. Claiming the most promising cells first makes
-// the shared best time near-optimal before the expensive cells run, so
-// the strict prune skips most of them. The result cannot change: the
-// winner is the minimum under the total candidate order, and an
-// admissible bound with a strict prune never skips it or a candidate
-// tied with it, whatever the schedule. The pre-pass checks the context
-// between cells and returns its error once canceled.
-func cellOrder(space *Space) ([]int, error) {
+// cellKeys computes cell keys for a bounded sweep's queue order, taking
+// cells from next until none is left or the context is canceled. A
+// cell's key is the smallest bound over the candidates the sweep will
+// consider in it, under the same τ0 > 0 and MaxPeriodIntervals filters,
+// or +Inf when there are none. The walk skips every prefix whose bound
+// is ≥ the smallest candidate bound found so far in the cell: a bound
+// that grows down the tree cannot lower the key there. Either way the
+// key bounds every candidate of the cell, so a worker may skip a cell
+// whose key exceeds the best time. A key depends on its cell alone, so
+// the keys do not depend on which worker computed which.
+func (c *cellWalk) cellKeys(space *Space, keys []float64, next *atomic.Int64) {
 	nl := len(space.LevelSets)
-	keys := make([]float64, len(space.Tau0)*nl)
-	var scratch countScratch
-	for c := range keys {
-		if err := canceled(space.Context); err != nil {
-			return nil, err
+	var k cellKey
+	for canceled(space.Context) == nil {
+		i := int(next.Add(1)) - 1
+		if i >= len(keys) {
+			return
 		}
-		key := math.Inf(1)
-		if tau0 := space.Tau0[c/nl]; tau0 > 0 {
-			levels := space.LevelSets[c%nl]
-			scratch.forEach(len(levels)-1, space.CountVals, func(counts []int) {
-				if !space.periodFits(counts) {
-					return
-				}
-				if b := space.LowerBound(pattern.Plan{Tau0: tau0, Counts: counts, Levels: levels}); b < key {
-					key = b
-				}
-			})
+		k.key = math.Inf(1)
+		if tau0 := space.Tau0[i/nl]; tau0 > 0 {
+			c.walk(tau0, space.LevelSets[i%nl], &k)
 		}
-		keys[c] = key
+		keys[i] = k.key
 	}
+}
+
+// cellOrder returns the queue order of a bounded sweep: every cell,
+// sorted by key, ties by cell index. Claiming the most promising cells
+// first makes the shared best time near-optimal before the expensive
+// cells run, so the strict prune skips most of them. The result cannot
+// change: the winner is the minimum under the total candidate order,
+// and an admissible bound with a strict prune never skips it or a
+// candidate tied with it, whatever the schedule.
+func cellOrder(keys []float64) []int {
 	order := make([]int, len(keys))
 	for i := range order {
 		order[i] = i
@@ -479,7 +557,18 @@ func cellOrder(space *Space) ([]int, error) {
 		}
 		return cmp.Compare(a, b)
 	})
-	return order, nil
+	return order
+}
+
+// cellKey is cellKeys' visitor: the smallest candidate bound so far.
+type cellKey struct{ key float64 }
+
+func (k *cellKey) cut(b float64, _, _ int) bool { return b >= k.key }
+
+func (k *cellKey) leaf(_ pattern.Plan, b float64) {
+	if b < k.key {
+		k.key = b
+	}
 }
 
 // canceled returns the context's error (nil contexts never cancel).

@@ -207,6 +207,21 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// leafFunc is a cellVisitor that cuts nothing and hands each
+// candidate's counts to the function.
+type leafFunc func([]int)
+
+func (leafFunc) cut(float64, int, int) bool { return false }
+
+func (f leafFunc) leaf(p pattern.Plan, _ float64) { f(p.Counts) }
+
+// forEachCounts enumerates the n-count vectors over vals in the sweep's
+// order, through an unbounded cellWalk.
+func forEachCounts(n int, vals []int, fn func([]int)) {
+	w := cellWalk{vals: vals}
+	w.walk(1, make([]int, n+1), leafFunc(fn))
+}
+
 func TestForEachCounts(t *testing.T) {
 	var got [][]int
 	forEachCounts(2, []int{0, 1}, func(c []int) {
@@ -373,9 +388,44 @@ func TestPlanLess(t *testing.T) {
 	}
 }
 
-// TestSweepLowerBoundPrune checks that an admissible lower bound changes
-// the objective-call count but never the result, and that the sweep's
-// telemetry counters account for every candidate.
+// bounded returns a factory that pairs a shared objective with a
+// shared bound.
+func bounded(obj Objective, bound Bound) ObjectiveFactory {
+	return func(int, *obs.Registry) (Objective, Bound) { return obj, bound }
+}
+
+// exactBound returns the tightest admissible Bound for value: the
+// smallest value over the completions of a prefix that fit maxPeriod
+// (+Inf when none does), found by brute force.
+func exactBound(value func(pattern.Plan) float64, vals []int, maxPeriod int) Bound {
+	return func(prefix pattern.Plan) float64 {
+		n := len(prefix.Levels) - 1
+		best := math.Inf(1)
+		counts := slices.Clone(prefix.Counts)
+		var rec func()
+		rec = func() {
+			if len(counts) < n {
+				for _, v := range vals {
+					counts = append(counts, v)
+					rec()
+					counts = counts[:len(counts)-1]
+				}
+				return
+			}
+			p := pattern.Plan{Tau0: prefix.Tau0, Counts: counts, Levels: prefix.Levels}
+			if maxPeriod <= 0 || p.PeriodIntervals() <= maxPeriod {
+				best = min(best, value(p))
+			}
+		}
+		rec()
+		return best
+	}
+}
+
+// TestSweepLowerBoundPrune checks that an admissible bound changes the
+// objective-call count but never the result, and that the sweep's
+// telemetry counters account for every candidate, those in pruned
+// subtrees included.
 func TestSweepLowerBoundPrune(t *testing.T) {
 	obj := func(p pattern.Plan) (float64, bool) {
 		return p.Tau0 + float64(p.PeriodIntervals()), true
@@ -383,7 +433,7 @@ func TestSweepLowerBoundPrune(t *testing.T) {
 	space := Space{
 		Tau0:      Tau0Grid(testSys(), 24),
 		CountVals: []int{0, 1, 2, 4},
-		LevelSets: PrefixLevelSets(2),
+		LevelSets: PrefixLevelSets(3),
 		Workers:   1,
 	}
 	plain, err := Sweep(space, obj)
@@ -392,9 +442,11 @@ func TestSweepLowerBoundPrune(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	space.Metrics = reg
-	// Admissible: the bound never exceeds the true value.
-	space.LowerBound = func(p pattern.Plan) float64 { return p.Tau0 }
-	pruned, err := Sweep(space, obj)
+	// Admissible at every depth: counts still free can only lengthen
+	// the period.
+	pruned, err := SweepObjectives(space, bounded(obj, func(p pattern.Plan) float64 {
+		return p.Tau0 + float64(p.PeriodIntervals())
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,9 +497,16 @@ func TestSweepBestBoundFirst(t *testing.T) {
 		LevelSets:          [][]int{{1, 2}},
 		MaxPeriodIntervals: 5,
 	}
+	// Exact, hence admissible. It is asked about each count vector
+	// only: the one-count cells' empty prefixes get -Inf.
+	leafBound := func(p pattern.Plan) float64 {
+		if len(p.Counts) == 0 {
+			return math.Inf(-1)
+		}
+		return value(p)
+	}
 	for _, workers := range []int{1, 4, 16} {
 		space.Workers = workers
-		space.LowerBound = nil
 		space.Metrics = obs.NewRegistry()
 		plain, err := Sweep(space, obj)
 		if err != nil {
@@ -456,10 +515,9 @@ func TestSweepBestBoundFirst(t *testing.T) {
 		plainSnap := space.Metrics.Snapshot()
 
 		evaluated = nil
-		space.LowerBound = value // exact, hence admissible
 		space.Metrics = obs.NewRegistry()
 		space.Spans = obs.NewTracer()
-		bounded, err := Sweep(space, obj)
+		bounded, err := SweepObjectives(space, bounded(obj, leafBound))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,13 +557,200 @@ func TestSweepBestBoundFirst(t *testing.T) {
 	cancel()
 	evaluated = nil
 	var bounds atomic.Int64
-	space.LowerBound = func(p pattern.Plan) float64 { bounds.Add(1); return value(p) }
 	space.Context = ctx
-	if res, err := Sweep(space, obj); !errors.Is(err, context.Canceled) || !reflect.DeepEqual(res, Result{}) {
+	res, err := SweepObjectives(space, bounded(obj, func(p pattern.Plan) float64 { bounds.Add(1); return leafBound(p) }))
+	if !errors.Is(err, context.Canceled) || !reflect.DeepEqual(res, Result{}) {
 		t.Fatalf("pre-canceled bounded sweep = (%+v, %v), want a zero Result and context.Canceled", res, err)
 	}
 	if len(evaluated) != 0 || bounds.Load() != 0 {
 		t.Fatalf("pre-canceled bounded sweep evaluated %v and computed %d bounds", evaluated, bounds.Load())
+	}
+}
+
+// TestSweepDepthFirstEnumeration checks the bounded sweep's walk on a
+// space with three-count cells under MaxPeriodIntervals and an exact
+// prefix-aware bound, at 1, 4 and 16 workers: the Result equals the
+// unbounded sweep's, every candidate is counted once — evaluated, or
+// pruned alone, in a subtree or in a whole cell — and a lone worker
+// evaluates each cell's candidates in odometer order, the order of
+// CountVals and not of the values.
+func TestSweepDepthFirstEnumeration(t *testing.T) {
+	vals := []int{3, 0, 1, 5, 2}
+	const maxPeriod = 24
+	value := func(p pattern.Plan) float64 {
+		v := math.Abs(p.Tau0-2.5) - 0.1*float64(len(p.Levels))
+		for i, c := range p.Counts {
+			v += 0.2 * math.Abs(float64(c-i-1))
+		}
+		return v
+	}
+	space := Space{
+		Tau0:               []float64{1, 4, 2.5, 2, 3},
+		CountVals:          vals,
+		LevelSets:          [][]int{{1, 2, 3, 4}, {1}, {1, 2}},
+		MaxPeriodIntervals: maxPeriod,
+	}
+	// Every cell's candidates in odometer order, cells τ0-major.
+	cellOf := func(p pattern.Plan) int {
+		ti := slices.Index(space.Tau0, p.Tau0)
+		li := slices.IndexFunc(space.LevelSets, func(l []int) bool { return slices.Equal(l, p.Levels) })
+		return ti*len(space.LevelSets) + li
+	}
+	var want []pattern.Plan
+	for _, tau0 := range space.Tau0 {
+		for _, levels := range space.LevelSets {
+			var rec func(counts []int)
+			rec = func(counts []int) {
+				if len(counts) < len(levels)-1 {
+					for _, v := range vals {
+						rec(append(counts, v))
+					}
+					return
+				}
+				p := pattern.Plan{Tau0: tau0, Counts: slices.Clone(counts), Levels: levels}
+				if p.PeriodIntervals() <= maxPeriod {
+					want = append(want, p)
+				}
+			}
+			rec(nil)
+		}
+	}
+	var mu sync.Mutex
+	var evaluated []pattern.Plan
+	obj := func(p pattern.Plan) (float64, bool) {
+		mu.Lock()
+		evaluated = append(evaluated, pattern.Plan{Tau0: p.Tau0, Counts: slices.Clone(p.Counts), Levels: p.Levels})
+		mu.Unlock()
+		return value(p), true
+	}
+	// The unbounded lone worker evaluates exactly the reference
+	// enumeration, in its order.
+	space.Workers = 1
+	plain, err := Sweep(space, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if len(want[i].Counts) == 0 {
+			want[i].Counts = nil
+		}
+	}
+	if !reflect.DeepEqual(evaluated, want) {
+		t.Fatalf("unbounded walk evaluated %d candidates %v, want the odometer enumeration %v", len(evaluated), evaluated, want)
+	}
+	if plain.Evaluated != len(want) {
+		t.Fatalf("unbounded Evaluated %d, want %d", plain.Evaluated, len(want))
+	}
+	if got := plain.Plan; got.Tau0 != 2.5 || !slices.Equal(got.Counts, []int{1, 2, 3}) {
+		t.Fatalf("winner %v, want τ0 2.5 counts [1 2 3]", got)
+	}
+
+	// Each cell's key is the smallest bound over its candidates, here
+	// their smallest value: the key walk's prefix skips lose nothing.
+	bound := exactBound(value, vals, maxPeriod)
+	keyer := cellWalk{vals: vals, maxPeriod: maxPeriod, bound: bound}
+	keys := make([]float64, len(space.Tau0)*len(space.LevelSets))
+	var next atomic.Int64
+	keyer.cellKeys(&space, keys, &next)
+	for c, key := range keys {
+		min := math.Inf(1)
+		for _, p := range want {
+			if cellOf(p) == c {
+				min = math.Min(min, value(p))
+			}
+		}
+		if key != min {
+			t.Fatalf("cell %d: key %v, smallest candidate value %v", c, key, min)
+		}
+	}
+
+	for _, workers := range []int{1, 4, 16} {
+		space.Workers = workers
+		space.Metrics = obs.NewRegistry()
+		evaluated = nil
+		res, err := SweepObjectives(space, bounded(obj, bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, plain) {
+			t.Fatalf("workers=%d: bounded %#v, unbounded %#v", workers, res, plain)
+		}
+		snap := space.Metrics.Snapshot()
+		cands, evals, pruned := snap.Counter("opt_candidates_total"), snap.Counter("opt_evaluations_total"), snap.Counter("opt_pruned_total")
+		if cands != evals+pruned || cands != uint64(res.Evaluated) || int(evals) != len(evaluated) {
+			t.Fatalf("workers=%d: candidates %d, evaluations %d + pruned %d, Evaluated %d, objective calls %d",
+				workers, cands, evals, pruned, res.Evaluated, len(evaluated))
+		}
+		if evals*4 > cands {
+			t.Fatalf("workers=%d: an exact bound left %d of %d candidates to evaluate", workers, evals, cands)
+		}
+		if workers != 1 {
+			continue
+		}
+		// Cells run one at a time; each one's evaluations follow its
+		// odometer order.
+		done := map[int]bool{}
+		pos := 0 // next position in want
+		for i, p := range evaluated {
+			c := cellOf(p)
+			if i == 0 || cellOf(evaluated[i-1]) != c {
+				if done[c] {
+					t.Fatalf("cell of %v evaluated in two runs", p)
+				}
+				done[c] = true
+				pos = slices.IndexFunc(want, func(q pattern.Plan) bool { return cellOf(q) == c })
+			}
+			for pos < len(want) && cellOf(want[pos]) == c && !reflect.DeepEqual(want[pos], p) {
+				pos++
+			}
+			if pos == len(want) || cellOf(want[pos]) != c {
+				t.Fatalf("evaluated %v out of its cell's odometer order: %v", p, evaluated)
+			}
+			pos++
+		}
+	}
+}
+
+// TestSweepBoundKeepsTies checks that pruning is strict: with a
+// constant objective and an exact bound every candidate ties, and the
+// bounded sweep must still pick the smallest (τ0, levels, counts), not
+// the first candidate it happens to evaluate.
+func TestSweepBoundKeepsTies(t *testing.T) {
+	obj := func(pattern.Plan) (float64, bool) { return 7, true }
+	space := Space{
+		Tau0:      []float64{4, 2, 1, 3}, // deliberately unsorted
+		CountVals: []int{2, 0, 1},
+		LevelSets: [][]int{{1, 2, 3}, {2, 3}},
+	}
+	for _, workers := range []int{1, 3} {
+		space.Workers = workers
+		res, err := SweepObjectives(space, bounded(obj, func(pattern.Plan) float64 { return 7 }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := res.Plan; p.Tau0 != 1 || !slices.Equal(p.Levels, []int{1, 2, 3}) || !slices.Equal(p.Counts, []int{0, 0}) {
+			t.Fatalf("workers=%d: tie winner %v, want τ0 1 levels [1 2 3] counts [0 0]", workers, p)
+		}
+	}
+}
+
+// TestSweepRejectsNegativeCounts checks that a negative count value is
+// an error before any worker or objective is built: it would make a
+// zero-length or negative period.
+func TestSweepRejectsNegativeCounts(t *testing.T) {
+	built := 0
+	space := Space{
+		Tau0:      []float64{1, 2},
+		CountVals: []int{-2, 3},
+		LevelSets: [][]int{{1, 2, 3}},
+		Workers:   2,
+	}
+	_, err := SweepObjectives(space, func(int, *obs.Registry) (Objective, Bound) {
+		built++
+		return func(pattern.Plan) (float64, bool) { return 1, true }, nil
+	})
+	if err == nil || built != 0 {
+		t.Fatalf("negative CountVals: err %v after %d factory calls, want an error and none", err, built)
 	}
 }
 
@@ -525,7 +770,7 @@ func findSpan(nodes []obs.SpanNode, name string) *obs.SpanNode {
 func TestSweepObjectivesPerWorker(t *testing.T) {
 	var mu sync.Mutex
 	built := 0
-	factory := func(worker int, reg *obs.Registry) Objective {
+	factory := func(worker int, reg *obs.Registry) (Objective, Bound) {
 		mu.Lock()
 		built++
 		mu.Unlock()
@@ -536,7 +781,7 @@ func TestSweepObjectivesPerWorker(t *testing.T) {
 		return func(p pattern.Plan) (float64, bool) {
 			memoHits.Inc()
 			return 1 + (p.Tau0-3)*(p.Tau0-3), true
-		}
+		}, nil
 	}
 	space := Space{
 		Tau0:       []float64{1, 2, 3, 4, 5, 6, 7, 8},
@@ -628,10 +873,11 @@ func TestForEachCountsEdgeCases(t *testing.T) {
 		t.Fatalf("single-value enumeration = %v", got)
 	}
 	// Scratch reuse across calls with different lengths.
-	var s countScratch
-	s.forEach(2, []int{1, 2}, func(c []int) {})
+	s := cellWalk{vals: []int{1, 2}}
+	s.walk(1, []int{1, 2, 3}, leafFunc(func([]int) {}))
 	sum := 0
-	s.forEach(1, []int{3}, func(c []int) { sum += c[0] })
+	s.vals = []int{3}
+	s.walk(1, []int{1, 2}, leafFunc(func(c []int) { sum += c[0] }))
 	if sum != 3 {
 		t.Fatalf("scratch reuse across lengths broke enumeration: sum=%d", sum)
 	}

@@ -310,10 +310,12 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 // slowPlan is a deliberately large dauwe sweep on the 4-level B system
-// (~1e6+ cells): slow enough that a short deadline always lands
-// mid-sweep.
+// (the largest grid the limits allow, ~4.5e6 candidates): slow enough
+// that a short deadline always lands mid-sweep. The branch-and-bound
+// still visits every candidate once to order its cells, so the sweep
+// takes about three times the deadline on a 2-vCPU Xeon.
 const slowPlan = `{"system":"B","technique":"dauwe",
-	"grid":{"tau0_points":512,"count_vals":[1,2,3,4,5,6,7,8,9,10,11,12]},
+	"grid":{"tau0_points":1024,"count_vals":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]},
 	"timeout_ms":40}`
 
 // TestDeadlineCancellation: a slow sweep with a short per-request
