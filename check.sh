@@ -16,7 +16,8 @@
 #                       versioned sidecar schema, and -log-json events
 #   ./check.sh stream   only the streaming-sink gates: the constant-
 #                       memory max-RSS guard (1e4 vs 1e6 trials) and
-#                       the kill -9 resume gate
+#                       the kill -9 resume gate, on a stream-sink
+#                       campaign and on a CRN comparison
 #   ./check.sh fma      only the arm64 fused multiply-add gate
 set -eu
 cd "$(dirname "$0")"
@@ -24,17 +25,18 @@ cd "$(dirname "$0")"
 # fma_gate: the Go spec lets the compiler fuse x*y + z into one
 # instruction, and arm64 does (amd64 never does), which changes the
 # bits of a result. Cross-compile the trial-path packages (sim, dist,
-# rng, pattern, system) and the optimizer packages (markov, model/moody,
-# model/dauwe, optimize) for arm64 and fail on any fused instruction
-# whose source line lies in the package's own directory; a product that
-# feeds a golden is rounded explicitly instead, as float64(x*y). Code
-# inlined from other packages reports its own file and is not counted
-# here.
+# rng, pattern, system), the optimizer packages (markov, model/moody,
+# model/dauwe, optimize) and the statistics every campaign summary and
+# CRN comparison goes through (stats) for arm64 and fail on any fused
+# instruction whose source line lies in the package's own directory; a
+# product that feeds a golden is rounded explicitly instead, as
+# float64(x*y). Code inlined from other packages reports its own file
+# and is not counted here; the gate on its own package covers it.
 fma_gate() {
-    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, optimize)"
+    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, optimize, stats)"
     asm=$(mktemp)
     fused=0
-    for pkg in sim dist rng pattern system markov model/moody model/dauwe optimize; do
+    for pkg in sim dist rng pattern system markov model/moody model/dauwe optimize stats; do
         if ! GOARCH=arm64 go build -o /dev/null -gcflags="repro/internal/$pkg=-S" \
             "./internal/$pkg/" >"$asm" 2>&1; then
             cat "$asm" >&2
@@ -63,21 +65,21 @@ if [ "${1:-}" = "fma" ]; then
     exit 0
 fi
 
-# resume_gate: reference run, checkpointed run killed with SIGKILL
+# resume_gate LABEL INTERVAL ARGS...: reference run of mlckpt ARGS,
+# checkpointed run (every INTERVAL trials) killed with SIGKILL
 # mid-campaign, resumed run — the resumed JSON must be byte-identical
 # to the uninterrupted reference (floats marshal as shortest round-trip
 # decimals, so byte equality is bit equality).
 resume_gate() {
-    echo "== resume gate (run, kill -9 mid-campaign, resume, compare)"
+    label=$1
+    interval=$2
+    shift 2
+    echo "== resume gate, $label (run, kill -9 mid-campaign, resume, compare)"
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
     go build -o "$tmp/mlckpt" ./cmd/mlckpt
-    args="-mtbf 200 -tb 600 -probs 1 -times 0.5 -techniques daly \
-          -trials 1000000 -stream -json"
-    # shellcheck disable=SC2086
-    "$tmp/mlckpt" $args >"$tmp/ref.json"
-    # shellcheck disable=SC2086
-    "$tmp/mlckpt" $args -checkpoint "$tmp/ck" -checkpoint-interval 20000 \
+    "$tmp/mlckpt" "$@" >"$tmp/ref.json"
+    "$tmp/mlckpt" "$@" -checkpoint "$tmp/ck" -checkpoint-interval "$interval" \
         >"$tmp/killed.json" 2>/dev/null &
     pid=$!
     sleep 1.5
@@ -90,16 +92,20 @@ resume_gate() {
         wait "$pid" 2>/dev/null || true
         echo "WARNING: campaign finished before the kill; resume gate is resume-of-completed only" >&2
     fi
-    # shellcheck disable=SC2086
-    "$tmp/mlckpt" $args -checkpoint "$tmp/ck" -resume >"$tmp/resumed.json"
+    "$tmp/mlckpt" "$@" -checkpoint "$tmp/ck" -resume >"$tmp/resumed.json"
     cmp "$tmp/ref.json" "$tmp/resumed.json"
     echo "resumed campaign byte-identical to uninterrupted run"
+    rm -rf "$tmp"
 }
 
 if [ "${1:-}" = "stream" ]; then
     echo "== constant-memory stream guard (max RSS, 1e4 vs 1e6 trials)"
     MLCKPT_RSS_GUARD=1 go test -run 'TestStreamConstantMemory' -count=1 -v ./cmd/mlckpt/
-    resume_gate
+    resume_gate "stream sink" 20000 -mtbf 200 -tb 600 -probs 1 -times 0.5 \
+        -techniques daly -trials 1000000 -stream -json
+    # A CRN comparison checkpoints each technique arm into its own file;
+    # the kill lands while the first arm runs or between the arms.
+    resume_gate "CRN" 4000 -system D4 -techniques di,moody -crn -trials 40000 -json
     echo "OK"
     exit 0
 fi

@@ -21,9 +21,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -124,8 +124,15 @@ func run(args []string, stdout io.Writer) error {
 	if *ckptDir != "" && *trials <= 0 {
 		return fmt.Errorf("-checkpoint needs -trials")
 	}
-	if *jsonOut && *crn {
-		return fmt.Errorf("-json is not supported with -crn yet; use the variance report")
+	// Zero turns sequential stopping off; NaN > 0 is false, so test != 0.
+	if *ciTarget != 0 && (!(*ciTarget > 0) || math.IsInf(*ciTarget, 1)) {
+		return fmt.Errorf("-ci-target %v: want a positive, finite CI half-width", *ciTarget)
+	}
+	if *ciTarget != 0 && !*crn {
+		return fmt.Errorf("-ci-target needs -crn (sequential stopping is defined on paired CIs)")
+	}
+	if *crn && *streamSim {
+		return fmt.Errorf("-stream is incompatible with -crn: paired statistics read every trial's result")
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -264,19 +271,24 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *crn {
-		// The paired runner drives every technique through one shared
-		// campaign, so the per-technique conformance and flight-recorder
-		// plumbing below does not apply.
+		// Each technique runs as one arm of experiments.CompareTechniques,
+		// which wires checkpoints, resume and events per arm; the
+		// per-technique conformance and flight-recorder plumbing below
+		// does not reach the arms.
 		if *check || *flightPath != "" {
 			return fmt.Errorf("-crn is incompatible with -check and -flight; run them on individual techniques without -crn")
 		}
 		opt := experiments.Options{
-			Trials:     *trials,
-			Seed:       *seed,
-			CITarget:   *ciTarget,
-			Metrics:    sink,
-			Spans:      tracer,
-			TrialStats: stats,
+			Trials:             *trials,
+			Seed:               *seed,
+			CITarget:           *ciTarget,
+			Metrics:            sink,
+			Spans:              tracer,
+			TrialStats:         stats,
+			CheckpointDir:      *ckptDir,
+			CheckpointInterval: *ckptInterval,
+			Resume:             *resume,
+			Events:             events.WithRun(runID),
 		}
 		if prog != nil {
 			opt.TrialDone = prog.Tick
@@ -285,7 +297,9 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := report.VarianceReport(stdout, rep); err != nil {
+		if err := emit(stdout, *jsonOut, *outPath, rep, func(w io.Writer) error {
+			return report.VarianceReport(w, rep)
+		}); err != nil {
 			return err
 		}
 		if live != nil {
@@ -294,10 +308,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			live.PublishSpans(tracer.Snapshot())
 		}
-		return finish(stdout, *traceSummary, *metricsPath, *memprofile, sink, tracer, stats)
-	}
-	if *ciTarget > 0 {
-		return fmt.Errorf("-ci-target needs -crn (sequential stopping is defined on paired CIs)")
+		return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, sink, tracer, stats)
 	}
 
 	tab := report.NewTable("technique", "levels", "plan", "predicted eff", "sim eff (mean±σ)")
@@ -385,7 +396,7 @@ func run(args []string, stdout io.Writer) error {
 					sw.SetLiveStats(stats.Snapshots)
 				}
 				camp.Progress = sw.Update
-				chainEvents(&camp, cellEvents, cellLabel, "", shardK, shardN)
+				camp.Progress = cellEvents.WithLabel(cellLabel).CampaignProgress(camp.Progress, "", shardK, shardN)
 				campSpan := tracer.Start("campaign")
 				err := camp.RunShard(spath, shardK, shardN)
 				campSpan.End()
@@ -444,7 +455,7 @@ func run(args []string, stdout io.Writer) error {
 				if camp.Checkpoint != nil {
 					ckPath = camp.Checkpoint.Path
 				}
-				chainEvents(&camp, cellEvents, cellLabel, ckPath, 0, 1)
+				camp.Progress = cellEvents.WithLabel(cellLabel).CampaignProgress(camp.Progress, ckPath, 0, 1)
 				var pool *obs.Pool
 				if sink != nil {
 					pool = &obs.Pool{}
@@ -606,25 +617,8 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 	}
-	if *jsonOut {
-		if err := writeResults(stdout, results); err != nil {
-			return err
-		}
-	} else if err := tab.Render(stdout); err != nil {
+	if err := emit(stdout, *jsonOut, *outPath, results, tab.Render); err != nil {
 		return err
-	}
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		if err := writeResults(f, results); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 	}
 	if *flightPath != "" {
 		f, err := os.Create(*flightPath)
@@ -649,7 +643,7 @@ func run(args []string, stdout io.Writer) error {
 				len(flightStreams), held, *flightPath)
 		}
 	}
-	return finish(stdout, *traceSummary, *metricsPath, *memprofile, sink, tracer, stats)
+	return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, sink, tracer, stats)
 }
 
 // techResult is one row of the machine-readable output: the chosen
@@ -667,7 +661,8 @@ type techResult struct {
 }
 
 // runResults is the top-level machine-readable document written by
-// -json and -out.
+// -json and -out (under -crn they write the experiments.VarianceReport
+// instead).
 type runResults struct {
 	System  string       `json:"system"`
 	Trials  int          `json:"trials"`
@@ -675,10 +670,35 @@ type runResults struct {
 	Results []techResult `json:"results"`
 }
 
-func writeResults(w io.Writer, r runResults) error {
+// writeJSON writes v as the indented machine-readable document.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(v)
+}
+
+// emit writes a run's result: doc's JSON document on stdout with -json,
+// the human-readable render otherwise, and the document to outPath
+// (-out) when it is set.
+func emit(stdout io.Writer, jsonOut bool, outPath string, doc any, render func(io.Writer) error) error {
+	var err error
+	if jsonOut {
+		err = writeJSON(stdout, doc)
+	} else {
+		err = render(stdout)
+	}
+	if err != nil || outPath == "" {
+		return err
+	}
+	f, err := os.Create(outPath)
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(f, doc); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runWatch is the fleet monitor (-watch): it scans a directory of
@@ -748,42 +768,6 @@ func runWatch(dir string, interval time.Duration, jsonOut bool, stdout io.Writer
 	}
 }
 
-// chainEvents chains a structured-event emitter onto the campaign's
-// Progress hook (after any sidecar writer already installed):
-// campaign_start on the first update — plus resume when the run picked
-// up a checkpoint — checkpoint on flagged merges, and
-// campaign_error/campaign_end on the terminal update.
-func chainEvents(camp *sim.Campaign, ev *obs.EventLog, label, ckPath string, shard, of int) {
-	if ev == nil {
-		return
-	}
-	ev = ev.WithLabel(label)
-	prev := camp.Progress
-	started := time.Now()
-	first := true
-	// Progress runs under the runner's merge lock; no extra
-	// synchronization needed for the closure state.
-	camp.Progress = func(u sim.ProgressUpdate) {
-		if prev != nil {
-			prev(u)
-		}
-		if first {
-			first = false
-			ev.CampaignStart(shard, of, u.First, u.Limit, u.Total)
-			if u.First > 0 && ckPath != "" {
-				ev.Resume(ckPath, u.First)
-			}
-		}
-		if u.Checkpointed {
-			ev.Checkpoint(ckPath, u.Merged)
-		}
-		if u.Final {
-			ev.Error(string(u.State), u.Err)
-			ev.CampaignEnd(string(u.State), u.Merged, time.Since(started))
-		}
-	}
-}
-
 // parseShard parses a "k/N" shard spec; an empty spec means no
 // sharding (0, 0).
 func parseShard(spec string) (k, n int, err error) {
@@ -820,49 +804,6 @@ func cellFile(sysName, tech string) string {
 
 func shardPath(dir, sysName, tech string, k, n int) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.shard%dof%d.json", cellFile(sysName, tech), k, n))
-}
-
-// finish writes the run's shared epilogue artifacts: the span summary,
-// the telemetry snapshot, and the heap profile.
-func finish(stdout io.Writer, traceSummary bool, metricsPath, memprofile string, sink *obs.SimMetrics, tracer *obs.Tracer, stats *obs.StreamSet) error {
-	if traceSummary {
-		fmt.Fprintln(stdout)
-		if err := obs.WriteSpanSummary(stdout, tracer.Snapshot()); err != nil {
-			return err
-		}
-	}
-	if metricsPath != "" {
-		snap := sink.Snapshot()
-		if tracer != nil {
-			snap.Spans = tracer.Snapshot()
-		}
-		if stats != nil {
-			snap.Stats = stats.Snapshots()
-		}
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if memprofile != "" {
-		f, err := os.Create(memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // dumpFlight best-effort writes the accumulated flight streams — used on

@@ -76,8 +76,11 @@ func TestErrors(t *testing.T) {
 		{"-mtbf", "60", "-probs", "nan", "-times", "1"},     // NaN severity probability
 		{"-system", "D4", "-crn", "-check", "-trials", "5"}, // CRN drives one shared runner
 		{"-system", "D4", "-crn", "-flight", "/tmp/x", "-trials", "5"},
-		{"-system", "D4", "-ci-target", "0.01", "-trials", "5"},          // stopping needs -crn
-		{"-system", "D4", "-crn", "-techniques", "daly", "-trials", "5"}, // pairing needs >= 2 arms
+		{"-system", "D4", "-ci-target", "0.01", "-trials", "5"},                                   // stopping needs -crn
+		{"-system", "D4", "-crn", "-techniques", "daly", "-trials", "5"},                          // pairing needs >= 2 arms
+		{"-system", "D4", "-techniques", "di,moody", "-crn", "-trials", "40", "-ci-target", "-1"}, // unusable target
+		{"-system", "D4", "-techniques", "di,moody", "-crn", "-trials", "8", "-ci-target", "NaN"},
+		{"-system", "D4", "-techniques", "di,moody", "-trials", "8", "-ci-target", "NaN"}, // NaN > 0 is false
 	}
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {

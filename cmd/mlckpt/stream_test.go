@@ -124,7 +124,6 @@ func TestNewFlagValidation(t *testing.T) {
 		{"-system", "D4", "-trials", "8", "-shard", "nope", "-shard-dir", "x"},                    // malformed spec
 		{"-system", "D4", "-trials", "8", "-shard", "0/2", "-shard-dir", "x", "-check"},           // shard + check
 		{"-system", "D4", "-trials", "8", "-shard", "0/2", "-shard-dir", "x", "-checkpoint", "y"}, // shard + checkpoint
-		{"-system", "D4", "-crn", "-json"},                                                        // crn + json
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) accepted", args)

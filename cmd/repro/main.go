@@ -32,9 +32,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"time"
@@ -73,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	streamSim := fs.Bool("stream", false, "aggregate simulations in constant memory (sketch-backed summaries instead of per-trial slices)")
-	ckptDir := fs.String("checkpoint", "", "checkpoint each cell's campaign into this directory (resume with -resume); ignored under -crn")
+	ckptDir := fs.String("checkpoint", "", "checkpoint each cell's campaign into this directory (resume with -resume)")
 	ckptInterval := fs.Int("checkpoint-interval", 0, "trials between checkpoint writes (0 = trials/8, at least 1)")
 	resume := fs.Bool("resume", false, "with -checkpoint, resume each cell's campaign from its checkpoint when present")
 	logJSON := fs.Bool("log-json", false, "emit structured JSON event logs (campaign start/checkpoint/resume/end) on stderr, correlated by run ID")
@@ -83,8 +83,15 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: repro [flags] table1|fig1|fig2|fig3|fig4|fig5|fig6|sensitivity|ablation-policy|ablation-weibull|ablation-async|all")
 	}
-	if *ciTarget > 0 && !*crn {
+	// Zero turns sequential stopping off; NaN > 0 is false, so test != 0.
+	if *ciTarget != 0 && (!(*ciTarget > 0) || math.IsInf(*ciTarget, 1)) {
+		return fmt.Errorf("-ci-target %v: want a positive, finite CI half-width", *ciTarget)
+	}
+	if *ciTarget != 0 && !*crn {
 		return fmt.Errorf("-ci-target needs -crn (sequential stopping is defined on paired CIs)")
+	}
+	if *crn && *streamSim {
+		return fmt.Errorf("-stream is incompatible with -crn: paired statistics read every trial's result")
 	}
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
@@ -186,44 +193,7 @@ func run(args []string, stdout io.Writer) error {
 			live.PublishSpans(opt.Spans.Snapshot())
 		}
 	}
-	if *traceSummary {
-		fmt.Fprintln(stdout)
-		if err := obs.WriteSpanSummary(stdout, opt.Spans.Snapshot()); err != nil {
-			return err
-		}
-	}
-	if *metricsPath != "" {
-		snap := sink.Snapshot()
-		if opt.Spans != nil {
-			snap.Spans = opt.Spans.Snapshot()
-		}
-		if opt.TrialStats != nil {
-			snap.Stats = opt.TrialStats.Snapshots()
-		}
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, sink, opt.Spans, opt.TrialStats)
 }
 
 // trialBudget estimates the total simulated trials the chosen targets

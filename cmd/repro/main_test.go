@@ -35,6 +35,13 @@ func TestUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-quiet", "-ci-target", "0.01", "fig5"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-ci-target without -crn accepted")
 	}
+	// NaN > 0 is false, so a NaN target once slipped past the -crn check.
+	if err := run([]string{"-quiet", "-fast", "-trials", "4", "-ci-target", "NaN", "fig5"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("-ci-target NaN accepted")
+	}
+	if err := run([]string{"-quiet", "-fast", "-trials", "4", "-crn", "-ci-target", "-1", "fig5"}, &bytes.Buffer{}); err == nil {
+		t.Fatal("negative -ci-target accepted")
+	}
 }
 
 func TestFig5CRN(t *testing.T) {

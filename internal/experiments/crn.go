@@ -38,34 +38,19 @@ func (r *VarianceReport) Comparison(a, b string) *sim.ArmComparison {
 // resulting plans as one CRN paired campaign (Options.CRN is implied;
 // Options.CITarget/CIBatch drive sequential stopping, and control
 // variates are always reported since the comparison exists to squeeze
-// variance). Options.Trials falls back to the paper's Figure 5 count of
-// 400.
+// variance). Every other campaign option applies to each technique's
+// arm as it does to a figure cell. Options.Trials falls back to the
+// paper's Figure 5 count of 400.
 func CompareTechniques(sys *system.System, techs []string, opt Options) (*VarianceReport, error) {
 	if len(techs) < 2 {
 		return nil, fmt.Errorf("experiments: comparing %d technique(s); need at least two", len(techs))
 	}
-	trials := opt.trials(400)
-	out := &VarianceReport{System: sys.Name, Techniques: techs}
-	arms := make([]sim.Scenario, len(techs))
-	for i, tech := range techs {
-		plan, pred, err := optimizePlan(sys, tech, opt)
-		if err != nil {
-			return nil, err
-		}
-		out.Cells = append(out.Cells, Cell{System: sys.Name, Technique: tech, Plan: plan, Predicted: pred})
-		arms[i] = opt.scenarioFor(sys, plan)
-		opt.log("crn %s/%s: plan=%v pred=%.3f", sys.Name, tech, plan, pred.Efficiency)
-	}
-	res, armMetrics, err := opt.runPaired(arms, trials, rng.Campaign(opt.seed(), "crn").Scenario(sys.Name), true)
+	cells, res, err := opt.pairedRow(sys, techs, opt.trials(400), rng.Campaign(opt.seed(), "crn").Scenario(sys.Name), true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: crn campaign on %s: %w", sys.Name, err)
 	}
-	for i := range out.Cells {
-		out.Cells[i].Sim = res.Arms[i]
-		if armMetrics != nil {
-			out.Cells[i].Metrics = armMetrics[i]
-		}
+	for _, c := range cells {
+		opt.log("crn %s/%s: plan=%v pred=%.3f", c.System, c.Technique, c.Plan, c.Predicted.Efficiency)
 	}
-	out.Paired = *res
-	return out, nil
+	return &VarianceReport{System: sys.Name, Techniques: techs, Cells: cells, Paired: *res}, nil
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -155,5 +157,48 @@ func TestFig5WithCRN(t *testing.T) {
 	// Simulator trials also flowed into the shared sink.
 	if got := sink.Trials(); got != uint64(len(r.Scenarios)*3*6) {
 		t.Errorf("sink saw %d trials, want %d", got, len(r.Scenarios)*3*6)
+	}
+}
+
+// Sequential-stopping and streaming options that a run cannot honour
+// are errors, not silently ignored: CITarget and CIBatch need CRN, and
+// CRN's paired statistics need the exact sink.
+func TestCRNOptionConflicts(t *testing.T) {
+	for name, opt := range map[string]Options{
+		"CITarget without CRN": {CITarget: 0.01},
+		"CIBatch without CRN":  {CIBatch: 8},
+		"NaN CITarget":         {CRN: true, CITarget: math.NaN()},
+		"Stream under CRN":     {CRN: true, Stream: true},
+	} {
+		opt.Trials, opt.Seed, opt.Fast = 4, 3, true
+		if _, err := Fig5(opt); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// Under CRN each technique's arm checkpoints like a figure cell: one
+// file per arm, and a resumed comparison equals the uninterrupted one.
+func TestCompareTechniquesCheckpointResume(t *testing.T) {
+	opt := Options{Trials: 48, Seed: 5, Fast: true, CITarget: 1e-9, CIBatch: 16}
+	want, err := CompareTechniques(d4(t), BestTechniques, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.CheckpointDir, opt.CheckpointInterval = t.TempDir(), 8
+	if _, err := CompareTechniques(d4(t), BestTechniques, opt); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(opt.CheckpointDir, "*.ckpt"))
+	if err != nil || len(files) != len(BestTechniques) {
+		t.Fatalf("checkpoint files = %v (%v), want one per arm", files, err)
+	}
+	opt.Resume = true
+	got, err := CompareTechniques(d4(t), BestTechniques, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Paired, got.Paired) {
+		t.Error("resumed comparison differs from the uninterrupted one")
 	}
 }

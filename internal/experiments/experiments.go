@@ -8,11 +8,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -94,22 +94,24 @@ type Options struct {
 	// CITarget, with CRN, enables sequential stopping: each row's
 	// campaigns advance in batches until every pairwise paired 95% CI
 	// half-width on mean efficiency is at most CITarget (or the trial
-	// budget runs out). Zero disables stopping. When Metrics is set, the
-	// counters vr_trials_run_total and vr_trials_saved_total record the
-	// per-arm trials executed and the budget the stopping rule left
-	// unrun.
+	// budget runs out). Zero disables stopping; a negative or non-finite
+	// value, or a CITarget or CIBatch set without CRN, is an error. When
+	// Metrics is set, the counters vr_trials_run_total and
+	// vr_trials_saved_total record the per-arm trials run and the budget
+	// the stopping rule left unrun.
 	CITarget float64
 	// CIBatch is the per-arm batch size between stopping checks
-	// (0 = the sim default of 64).
+	// (0 = the sim default of 64). With CITarget and CheckpointDir it
+	// must be a multiple of the block size (8).
 	CIBatch int
 	// Stream runs every campaign through sim.NewStreamSink: constant
 	// memory at any trial count, sketch-backed summaries, no per-trial
-	// Efficiencies. Ignored under CRN (paired comparisons need the
-	// exact per-trial slices).
+	// Efficiencies. An error under CRN: paired comparisons read the
+	// exact per-trial results.
 	Stream bool
 	// CheckpointDir, when non-empty, checkpoints every campaign into
 	// one file per (experiment, system, technique) cell under this
-	// directory. Ignored under CRN.
+	// directory; under CRN, each technique's arm is such a cell.
 	CheckpointDir string
 	// CheckpointInterval is the per-campaign checkpoint interval in
 	// trials (0 = every 1/8 of the campaign).
@@ -225,44 +227,16 @@ func (o Options) applySink(camp *sim.Campaign, label string) {
 	}
 }
 
-// applyEvents chains a structured-event emitter onto the campaign's
-// Progress hook: campaign_start on the first update (plus resume, when
-// the run picked up a checkpoint), checkpoint on flagged merges, and
-// campaign_error/campaign_end on the terminal update. Every record
-// carries label, so the records of cells running at once group by cell.
-// It composes with any Progress hook already installed.
+// applyEvents chains the structured-event emitter onto the campaign's
+// Progress hook (see obs.EventLog.CampaignProgress), composing with any
+// hook already installed. Every record carries label, so the records of
+// cells running at once group by cell.
 func (o Options) applyEvents(camp *sim.Campaign, label string) {
-	if o.Events == nil {
-		return
-	}
-	ev, prev := o.Events.WithLabel(label), camp.Progress
 	ckPath := ""
 	if camp.Checkpoint != nil {
 		ckPath = camp.Checkpoint.Path
 	}
-	started := time.Now()
-	first := true
-	// Progress runs under the runner's merge lock, so the closure state
-	// needs no extra synchronization.
-	camp.Progress = func(u sim.ProgressUpdate) {
-		if prev != nil {
-			prev(u)
-		}
-		if first {
-			first = false
-			ev.CampaignStart(0, 1, u.First, u.Limit, u.Total)
-			if u.First > 0 && ckPath != "" {
-				ev.Resume(ckPath, u.First)
-			}
-		}
-		if u.Checkpointed {
-			ev.Checkpoint(ckPath, u.Merged)
-		}
-		if u.Final {
-			ev.Error(string(u.State), u.Err)
-			ev.CampaignEnd(string(u.State), u.Merged, time.Since(started))
-		}
-	}
+	camp.Progress = o.Events.WithLabel(label).CampaignProgress(camp.Progress, ckPath, 0, 1)
 }
 
 // sanitizeCell maps a cell label to a safe filename.
@@ -278,41 +252,68 @@ func sanitizeCell(label string) string {
 	}, label)
 }
 
-// runCampaign executes a campaign with the Options' telemetry hooks
-// attached: per-trial progress ticks, and — when metrics collection is
-// on — one obs.SimMetrics shard per worker, merged after the run and
-// folded into the global sink. label names the cell: it becomes the
+// runCampaign executes one cell's campaign with every feature the
+// Options turn on (see simulate). label names the cell: it becomes the
 // checkpoint filename (applySink) and tags the campaign's events
 // (applyEvents). Returns the merged per-campaign metrics (nil when
 // collection is off).
 func (o Options) runCampaign(camp sim.Campaign, label string) (sim.CampaignResult, *obs.SimMetrics, error) {
-	o.applySink(&camp, label)
-	o.applyEvents(&camp, label)
+	if !o.CRN && (o.CITarget != 0 || o.CIBatch != 0) {
+		return sim.CampaignResult{}, nil, errors.New("experiments: CITarget and CIBatch need CRN (sequential stopping is defined on paired CIs)")
+	}
+	var res sim.CampaignResult
+	metrics, err := o.simulate([]sim.Campaign{camp}, []string{label}, func(camps []sim.Campaign) (err error) {
+		res, err = camps[0].Run()
+		return err
+	})
+	if err != nil {
+		return sim.CampaignResult{}, nil, err
+	}
+	return res, metrics[0], nil
+}
+
+// simulate wires the Options' campaign features into each of camps — the
+// sink and checkpoint (applySink), lifecycle events (applyEvents), the
+// per-trial hooks, a metrics pool and trial spans — then calls run on
+// the wired campaigns inside one "campaign" span split into
+// "setup"/"run"/"merge". The merge stage grafts the per-worker trial
+// spans under "run" and merges each campaign's metrics pool, in order,
+// into the returned per-campaign metrics (nil entries when collection is
+// off) and the global sink. Plain cells and CRN arms both run through
+// it, so every feature reaches both.
+func (o Options) simulate(camps []sim.Campaign, labels []string, run func([]sim.Campaign) error) ([]*obs.SimMetrics, error) {
 	campSpan := o.Spans.Start("campaign")
 	defer campSpan.End()
 	setupSpan := o.Spans.Start("setup")
-	camp.TrialDone = o.trialHook()
-	var pool *obs.Pool
-	if o.Metrics != nil || o.CollectMetrics {
-		pool = &obs.Pool{}
-		camp.ObserverFactory = pool.Observer
-	}
+	pools := make([]*obs.Pool, len(camps))
 	var tracers *obs.TracerPool
 	if o.Spans != nil {
 		tracers = &obs.TracerPool{}
-		inner := camp.ObserverFactory
-		camp.ObserverFactory = func(worker int) sim.Observer {
-			spans := obs.TrialSpans(tracers.Shard())
-			if inner == nil {
-				return spans
+	}
+	for i := range camps {
+		camp := &camps[i]
+		o.applySink(camp, labels[i])
+		o.applyEvents(camp, labels[i])
+		camp.TrialDone = o.trialHook()
+		if o.Metrics != nil || o.CollectMetrics {
+			pools[i] = &obs.Pool{}
+			camp.ObserverFactory = pools[i].Observer
+		}
+		if tracers != nil {
+			inner := camp.ObserverFactory
+			camp.ObserverFactory = func(worker int) sim.Observer {
+				spans := obs.TrialSpans(tracers.Shard())
+				if inner == nil {
+					return spans
+				}
+				return obs.Multi(inner(worker), spans)
 			}
-			return obs.Multi(inner(worker), spans)
 		}
 	}
 	setupSpan.End()
 
 	runSpan := o.Spans.Start("run")
-	res, err := camp.Run()
+	err := run(camps)
 	runSpan.End()
 
 	mergeSpan := o.Spans.Start("merge")
@@ -321,11 +322,22 @@ func (o Options) runCampaign(camp sim.Campaign, label string) (sim.CampaignResul
 		// Worker trial spans appear under the stage that ran them.
 		runSpan.Adopt(tracers.Merged())
 	}
-	if err != nil || pool == nil {
-		return res, nil, err
+	if err != nil {
+		return nil, err
 	}
-	m, err := o.mergeMetrics(pool)
-	return res, m, err
+	metrics := make([]*obs.SimMetrics, len(camps))
+	for i, pool := range pools {
+		if pool == nil {
+			continue
+		}
+		if metrics[i], err = pool.Merged(); err == nil && o.Metrics != nil {
+			err = o.Metrics.Merge(metrics[i])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return metrics, nil
 }
 
 // trialHook returns the per-trial telemetry callback shared by
@@ -350,21 +362,6 @@ func (o Options) trialHook() func(sim.TrialResult) {
 			done()
 		}
 	}
-}
-
-// mergeMetrics merges a pool's per-worker metrics shards and folds the
-// result into the global sink, when one is set.
-func (o Options) mergeMetrics(pool *obs.Pool) (*obs.SimMetrics, error) {
-	m, err := pool.Merged()
-	if err != nil {
-		return nil, err
-	}
-	if o.Metrics != nil {
-		if err := o.Metrics.Merge(m); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }
 
 // optimizePlan runs one technique's optimizer for one system, with the
@@ -442,95 +439,72 @@ func evaluate(sys *system.System, techName string, trials int, seed rng.Seed, op
 // evaluateRow evaluates every technique of one experiment row. Without
 // CRN each technique runs its own independently seeded campaign (the
 // historical layout) and the returned PairedResult is nil. With CRN the
-// techniques optimize exactly as before, then all plans run as one
-// sim.PairedCampaign on the shared seed.Scenario(sys.Name) — trial i of
-// every technique sees the same failure realization — and the row's
-// paired comparisons ride back alongside the cells.
+// row runs as one pairedRow on the shared seed.Scenario(sys.Name) —
+// trial i of every technique sees the same failure realization — and
+// the row's paired comparisons ride back alongside the cells.
 func evaluateRow(sys *system.System, techs []string, trials int, seed rng.Seed, opt Options) ([]Cell, *sim.PairedResult, error) {
-	if !opt.CRN {
-		cells := make([]Cell, 0, len(techs))
-		for _, tech := range techs {
-			c, err := evaluate(sys, tech, trials, seed, opt)
-			if err != nil {
-				return nil, nil, err
-			}
-			cells = append(cells, c)
+	if opt.CRN {
+		cells, paired, err := opt.pairedRow(sys, techs, trials, seed.Scenario(sys.Name), false)
+		if err != nil {
+			return nil, nil, fmt.Errorf("crn row %s: %w", sys.Name, err)
 		}
-		return cells, nil, nil
+		return cells, paired, nil
 	}
+	cells := make([]Cell, 0, len(techs))
+	for _, tech := range techs {
+		c, err := evaluate(sys, tech, trials, seed, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		cells = append(cells, c)
+	}
+	return cells, nil, nil
+}
+
+// pairedRow optimizes every technique on sys, each inside a "cell"
+// span, then simulates the plans as the arms of one sim.PairedCampaign
+// on the shared seed: each arm is the campaign evaluate would run for
+// the cell, seed aside, wired by simulate exactly as a plain cell is.
+// CITarget and CIBatch drive sequential stopping. When Metrics is set,
+// the counters vr_trials_run_total and vr_trials_saved_total record the
+// per-arm trials run and the budget the stopping rule left unrun.
+func (o Options) pairedRow(sys *system.System, techs []string, trials int, seed rng.Seed, controlVariates bool) ([]Cell, *sim.PairedResult, error) {
 	cells := make([]Cell, len(techs))
-	arms := make([]sim.Scenario, len(techs))
+	arms := make([]sim.Campaign, len(techs))
+	labels := make([]string, len(techs))
 	for i, tech := range techs {
-		cellSpan := opt.Spans.Start("cell")
-		plan, pred, err := optimizePlan(sys, tech, opt)
+		cellSpan := o.Spans.Start("cell")
+		plan, pred, err := optimizePlan(sys, tech, o)
 		cellSpan.End()
 		if err != nil {
 			return nil, nil, err
 		}
 		cells[i] = Cell{System: sys.Name, Technique: tech, Plan: plan, Predicted: pred}
-		arms[i] = opt.scenarioFor(sys, plan)
+		arms[i] = sim.Campaign{Scenario: o.scenarioFor(sys, plan), Trials: trials, Seed: seed, Workers: o.Workers}
+		labels[i] = sys.Name + "-" + tech
 	}
-	paired, armMetrics, err := opt.runPaired(arms, trials, seed.Scenario(sys.Name), false)
-	if err != nil {
-		return nil, nil, fmt.Errorf("crn row %s: %w", sys.Name, err)
-	}
-	for i := range cells {
-		cells[i].Sim = paired.Arms[i]
-		if armMetrics != nil {
-			cells[i].Metrics = armMetrics[i]
+	var res sim.PairedResult
+	metrics, err := o.simulate(arms, labels, func(arms []sim.Campaign) (err error) {
+		res, err = sim.PairedCampaign{
+			Arms:            arms,
+			TargetCI:        o.CITarget,
+			BatchSize:       o.CIBatch,
+			ControlVariates: controlVariates,
+		}.Run()
+		if err == nil && o.Metrics != nil {
+			reg := o.Metrics.Registry()
+			reg.Counter("vr_trials_run_total").Add(uint64(res.TrialsRun * len(arms)))
+			reg.Counter("vr_trials_saved_total").Add(uint64(res.TrialsSaved() * len(arms)))
 		}
-	}
-	return cells, paired, nil
-}
-
-// runPaired executes one CRN row with the Options' telemetry hooks: the
-// same per-trial progress ticks and streaming stats as runCampaign, and
-// one obs.SimMetrics pool per arm (campaign spans stay row-granular in
-// CRN mode — per-worker trial spans are not grafted).
-func (o Options) runPaired(arms []sim.Scenario, trials int, seed rng.Seed, controlVariates bool) (*sim.PairedResult, []*obs.SimMetrics, error) {
-	campSpan := o.Spans.Start("paired-campaign")
-	defer campSpan.End()
-	pc := sim.PairedCampaign{
-		Arms:            arms,
-		Trials:          trials,
-		Seed:            seed,
-		Workers:         o.Workers,
-		TargetCI:        o.CITarget,
-		BatchSize:       o.CIBatch,
-		ControlVariates: controlVariates,
-	}
-	if hook := o.trialHook(); hook != nil {
-		pc.TrialDone = func(_ int, r sim.TrialResult) { hook(r) }
-	}
-	var pools []*obs.Pool
-	if o.Metrics != nil || o.CollectMetrics {
-		pools = make([]*obs.Pool, len(arms))
-		for a := range pools {
-			pools[a] = &obs.Pool{}
-		}
-		pc.ObserverFactory = func(arm, worker int) sim.Observer { return pools[arm].Observer(worker) }
-	}
-	res, err := pc.Run()
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.Metrics != nil {
-		reg := o.Metrics.Registry()
-		reg.Counter("vr_trials_run_total").Add(uint64(res.TrialsRun * len(arms)))
-		reg.Counter("vr_trials_saved_total").Add(uint64(res.TrialsSaved() * len(arms)))
+	for i := range cells {
+		cells[i].Sim, cells[i].Metrics = res.Arms[i], metrics[i]
 	}
-	if pools == nil {
-		return &res, nil, nil
-	}
-	metrics := make([]*obs.SimMetrics, len(arms))
-	for a := range pools {
-		m, err := o.mergeMetrics(pools[a])
-		if err != nil {
-			return nil, nil, err
-		}
-		metrics[a] = m
-	}
-	return &res, metrics, nil
+	return cells, &res, nil
 }
 
 // Fig2Techniques are the five techniques of Figure 2, in plot order.

@@ -4,6 +4,8 @@ import (
 	"io"
 	"log/slog"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // EventLog is the structured campaign event stream: line-delimited JSON
@@ -104,6 +106,40 @@ func (e *EventLog) Error(state string, err error) {
 		return
 	}
 	e.l.Error("campaign_error", "state", state, "error", err.Error())
+}
+
+// CampaignProgress returns a campaign Progress hook that calls prev
+// (when set) and then logs the campaign's lifecycle: campaign_start on
+// the first update (plus resume when the run picked up the checkpoint
+// at ckPath), checkpoint on flagged merges, and campaign_error and
+// campaign_end on the final update. shard and of number a shard run
+// (0 and 1 otherwise). Progress runs under the runner's merge lock, so
+// the hook's state needs no synchronization. A nil log returns prev.
+func (e *EventLog) CampaignProgress(prev func(sim.ProgressUpdate), ckPath string, shard, of int) func(sim.ProgressUpdate) {
+	if e == nil {
+		return prev
+	}
+	started := time.Now()
+	first := true
+	return func(u sim.ProgressUpdate) {
+		if prev != nil {
+			prev(u)
+		}
+		if first {
+			first = false
+			e.CampaignStart(shard, of, u.First, u.Limit, u.Total)
+			if u.First > 0 && ckPath != "" {
+				e.Resume(ckPath, u.First)
+			}
+		}
+		if u.Checkpointed {
+			e.Checkpoint(ckPath, u.Merged)
+		}
+		if u.Final {
+			e.Error(string(u.State), u.Err)
+			e.CampaignEnd(string(u.State), u.Merged, time.Since(started))
+		}
+	}
 }
 
 // CampaignEnd records a terminal state with the merged prefix and wall

@@ -16,6 +16,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -292,6 +295,51 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(s)
+}
+
+// FinishRun writes a CLI run's closing artifacts, each only when asked
+// for: the span summary of tracer to stdout, the telemetry snapshot of
+// sink (with the spans and the stream stats) to metricsPath, and a heap
+// profile to memprofile.
+func FinishRun(stdout io.Writer, traceSummary bool, metricsPath, memprofile string, sink *SimMetrics, tracer *Tracer, stats *StreamSet) error {
+	if traceSummary {
+		fmt.Fprintln(stdout)
+		if err := WriteSpanSummary(stdout, tracer.Snapshot()); err != nil {
+			return err
+		}
+	}
+	if metricsPath != "" {
+		snap := sink.Snapshot()
+		if tracer != nil {
+			snap.Spans = tracer.Snapshot()
+		}
+		if stats != nil {
+			snap.Stats = stats.Snapshots()
+		}
+		f, err := os.Create(metricsPath)
+		if err != nil {
+			return err
+		}
+		if err := snap.WriteJSON(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	if memprofile != "" {
+		f, err := os.Create(memprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadSnapshot parses a snapshot previously produced by WriteJSON.

@@ -10,20 +10,20 @@ import (
 
 // StreamStat is a concurrent streaming estimator for live exposition:
 // campaign workers publish per-trial observations into it while an HTTP
-// handler snapshots it mid-run. It combines a Welford accumulator (mean,
-// std, and the Student-t confidence interval of the mean — the same
-// machinery the paper's Welch significance tests build on) with a
-// log-bucket stats.Sketch for quantiles — the same sketch the streaming
-// campaign sink persists in checkpoints — both behind one mutex. The
-// lock is taken once per observation (per trial, not per event), so
-// contention is negligible next to trial cost.
+// handler snapshots it mid-run. It is a stats.Sketch behind a mutex —
+// the same sketch the streaming campaign sink persists in checkpoints —
+// whose exact moments give the mean, std and the Student-t confidence
+// interval of the mean (the machinery the paper's Welch significance
+// tests build on) and whose log buckets give the quantiles. Non-finite
+// observations are rejected, as the sketch rejects them. The lock is
+// taken once per observation (per trial, not per event), so contention
+// is negligible next to trial cost.
 //
 // Unlike the Registry instruments, StreamStat is safe for concurrent
 // use — it exists precisely so a run can be watched from outside while
 // worker shards are still private.
 type StreamStat struct {
 	mu sync.Mutex
-	s  stats.Sample
 	sk *stats.Sketch
 }
 
@@ -36,7 +36,6 @@ func NewStreamStat() *StreamStat {
 // Observe records one observation. Safe for concurrent use.
 func (s *StreamStat) Observe(v float64) {
 	s.mu.Lock()
-	s.s.Add(v)
 	s.sk.Observe(v)
 	s.mu.Unlock()
 }
@@ -45,7 +44,7 @@ func (s *StreamStat) Observe(v float64) {
 func (s *StreamStat) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.s.N()
+	return int(s.sk.N())
 }
 
 // StreamStatSnapshot is a point-in-time copy of a StreamStat. CI95 is
@@ -70,19 +69,20 @@ type StreamStatSnapshot struct {
 func (s *StreamStat) Snapshot(name string) StreamStatSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := s.sk.N()
 	out := StreamStatSnapshot{
 		Name:  name,
-		Count: uint64(s.s.N()),
-		Sum:   s.s.Mean() * float64(s.s.N()),
-		Mean:  s.s.Mean(),
-		Std:   s.s.Std(),
-		Min:   s.s.Min(),
-		Max:   s.s.Max(),
+		Count: uint64(n),
+		Sum:   s.sk.Mean() * float64(n),
+		Mean:  s.sk.Mean(),
+		Std:   s.sk.Std(),
+		Min:   s.sk.Min(),
+		Max:   s.sk.Max(),
 	}
-	if ci, err := s.s.CI(0.95); err == nil && !math.IsNaN(ci) {
+	if ci, err := s.sk.CI(0.95); err == nil && !math.IsNaN(ci) {
 		out.CI95 = ci
 	}
-	if s.sk.N() > 0 {
+	if n > 0 {
 		out.P50, out.P90, out.P99 = s.sk.Quantile(0.5), s.sk.Quantile(0.9), s.sk.Quantile(0.99)
 	}
 	return out

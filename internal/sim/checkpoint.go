@@ -20,9 +20,9 @@ func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 // the same spirit as the flight recorder's "mlckpt-flight" format.
 const campaignFormatName = "mlckpt-campaign"
 
-// ErrCampaignHalted is returned by Campaign.Run when
-// CheckpointConfig.HaltAfter stopped the run at a checkpoint instead of
-// completing it. The checkpoint file then holds the merged prefix;
+// ErrCampaignHalted is returned by Campaign.Run and PairedCampaign.Run
+// when CheckpointConfig.HaltAfter stopped the run at a checkpoint
+// instead of completing it. The checkpoint file then holds the merged prefix;
 // re-running with Resume continues from it.
 var ErrCampaignHalted = errors.New("sim: campaign halted at checkpoint")
 
@@ -164,24 +164,24 @@ func (c *Campaign) validateHeader(path string, f *checkpointFile, sink PortableS
 // loadCheckpoint loads Checkpoint.Path into sink if it exists, returning
 // the resume trial index. A missing file is not an error — the campaign
 // simply starts from trial 0.
-func (c *Campaign) loadCheckpoint(sink PortableSink) (next int, loaded bool, err error) {
+func (c *Campaign) loadCheckpoint(sink PortableSink) (next int, err error) {
 	f, err := readSinkFile(c.Checkpoint.Path)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
+		return 0, nil
 	}
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if err := c.validateHeader(c.Checkpoint.Path, f, sink); err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if f.First != 0 {
-		return 0, false, fmt.Errorf("sim: %s is a shard file (first=%d), not a checkpoint", c.Checkpoint.Path, f.First)
+		return 0, fmt.Errorf("sim: %s is a shard file (first=%d), not a checkpoint", c.Checkpoint.Path, f.First)
 	}
 	if err := c.loadState(c.Checkpoint.Path, f, sink); err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	return f.Next, true, nil
+	return f.Next, nil
 }
 
 // loadState decodes a checkpoint or shard file's state into sink and
@@ -251,7 +251,7 @@ func (c Campaign) RunShard(path string, shard, of int) error {
 		return err
 	}
 	lo, hi := ShardRange(c.Trials, c.blockSize(), shard, of)
-	if _, err := c.runBlocks(sink, lo, hi); err != nil {
+	if _, err := (&campaignRun{c: &c, sink: sink}).runBlocks(lo, hi); err != nil {
 		return err
 	}
 	if err := c.writeSinkFile(path, sink, lo, hi); err != nil {
@@ -323,15 +323,20 @@ func (c Campaign) MergeShards(paths ...string) (CampaignResult, error) {
 	return base.Result()
 }
 
-// portableSink resolves the campaign's sink as a PortableSink, building
-// the default exact sink when none is set.
-func (c *Campaign) portableSink() (PortableSink, error) {
-	if c.Sink == nil {
-		s := NewExactSink()
-		s.Reserve(c.Trials, c.Scenario.System.NumLevels())
-		return s, nil
+// resolveSink returns the campaign's sink, building the default exact
+// sink, pre-sized, when none is set.
+func (c *Campaign) resolveSink() CampaignSink {
+	if c.Sink != nil {
+		return c.Sink
 	}
-	ps, ok := c.Sink.(PortableSink)
+	s := NewExactSink()
+	s.Reserve(c.Trials, c.Scenario.System.NumLevels())
+	return s
+}
+
+// portableSink resolves the campaign's sink as a PortableSink.
+func (c *Campaign) portableSink() (PortableSink, error) {
+	ps, ok := c.resolveSink().(PortableSink)
 	if !ok {
 		return nil, fmt.Errorf("sim: sink %T cannot checkpoint or shard (needs PortableSink)", c.Sink)
 	}

@@ -119,7 +119,7 @@ func TestUnalignedSinkFilesRejected(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.runBlocks(sink, first, next); err != nil {
+				if _, err := (&campaignRun{c: &c, sink: sink}).runBlocks(first, next); err != nil {
 					t.Fatal(err)
 				}
 				path := filepath.Join(dir, name)

@@ -3,52 +3,47 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
-	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/system"
 )
 
-// PairedCampaign runs several scenarios ("arms" — typically one per
+// PairedCampaign runs several campaigns ("arms" — typically one per
 // checkpointing technique on the same system) under common random
-// numbers: trial i of EVERY arm draws its stream from Seed.Trial(i), so
-// all arms face literally the same failure-arrival realization (the
-// engine consumes randomness only for failure inter-arrivals, in
-// arrival order, which is plan-independent). Differences between arms
-// are then paired differences on a shared environment, and their
-// variance shrinks with the cross-arm correlation — the paper's
-// headline claims are exactly such differences (Section IV-F), which is
-// what makes CRN a 10–100× trial-count lever.
+// numbers: every arm shares one Seed, so trial i of EVERY arm draws its
+// stream from Seed.Trial(i) and all arms face literally the same
+// failure-arrival realization (the engine consumes randomness only for
+// failure inter-arrivals, in arrival order, which is plan-independent).
+// Differences between arms are then paired differences on a shared
+// environment, and their variance shrinks with the cross-arm
+// correlation — the paper's headline claims are exactly such
+// differences (Section IV-F), which is what makes CRN a 10–100×
+// trial-count lever.
 //
-// Each arm runs through the same block runner as Campaign.Run, into its
-// own ExactSink, so its marginal results are bitwise identical to
-// running a plain Campaign{Scenario: arm, Trials, Seed} on its own: CRN
-// changes which seed the arms share, never what any single arm
-// computes.
+// Each arm is an ordinary Campaign, run through Campaign.Run's prologue,
+// block runner and epilogue, so its marginal result is bitwise
+// identical to that Campaign's own Run, and every campaign feature
+// (observers, hooks, progress, checkpoint/resume) works per arm.
 type PairedCampaign struct {
-	// Arms are the scenarios under comparison. All arms must share the
-	// same System and failure laws — pairing is only valid when every
-	// arm experiences the same failure environment.
-	Arms []Scenario
-	// Trials is the per-arm trial budget (the exact per-arm count when
-	// sequential stopping is off).
-	Trials int
-	// Seed is the shared scenario-level seed: trial i of every arm runs
-	// Seed.Trial(i). Deriving it per technique would silently break the
-	// pairing, so callers pass one seed for the whole comparison.
-	Seed rng.Seed
-	// Workers bounds parallelism per batch (0 = GOMAXPROCS), with the
-	// same limits as Campaign.Workers.
-	Workers int
+	// Arms are the campaigns under comparison. They must share Trials,
+	// Seed, the resolved Block, the System and the failure laws (one
+	// failure environment), and each arm's Sink must be nil or an
+	// *ExactSink: the paired statistics read per-trial results.
+	Arms []Campaign
 	// TargetCI, when positive, enables sequential stopping: trials run
 	// in batches (all arms advance in lockstep) until the paired 95% CI
 	// half-width of every pairwise mean-efficiency difference is at most
 	// TargetCI, or the Trials budget is exhausted. The first check comes
 	// after 16 trials per arm. The stopping decision depends only on
 	// accumulated trial results, so it is deterministic for a given Seed
-	// regardless of Workers.
+	// regardless of Workers or of where a run was resumed.
 	TargetCI float64
 	// BatchSize is the per-arm trials per sequential batch (0 = 64).
+	// With TargetCI and a checkpointing arm it must be a multiple of the
+	// block size, so that every batch end lies on the block grid that
+	// checkpoint files are validated against.
 	BatchSize int
 	// ControlVariates additionally reports a control-variate-adjusted
 	// estimate for each pairwise difference, using the failure-count
@@ -56,14 +51,6 @@ type PairedCampaign struct {
 	// exponential failure laws by the optional-stopping theorem; see
 	// DESIGN.md §2.11). Requires default laws on every arm.
 	ControlVariates bool
-	// ObserverFactory, when non-nil, builds one Observer per (arm,
-	// worker) pair, with the same contract as Campaign.ObserverFactory.
-	// Arms run sequentially within a batch, so an arm's observers never
-	// run concurrently with another arm's for the same worker index.
-	ObserverFactory func(arm, worker int) Observer
-	// TrialDone, when non-nil, is called once per completed trial with
-	// the arm index; it must be safe for concurrent use.
-	TrialDone func(arm int, r TrialResult)
 }
 
 // ArmComparison is one pairwise technique comparison out of a paired
@@ -90,7 +77,7 @@ type PairedResult struct {
 	// TrialsRun is the per-arm trial count actually executed (equal to
 	// Budget unless sequential stopping fired earlier).
 	TrialsRun int
-	// Budget echoes PairedCampaign.Trials.
+	// Budget echoes the arms' Trials.
 	Budget int
 	// Level echoes the confidence level used (always 0.95).
 	Level float64
@@ -129,54 +116,38 @@ const (
 	pairedLevel      = 0.95
 )
 
-// Run executes the paired campaign. Every sequential batch [n, n+step)
-// runs each arm through runBlocks into the arm's own ExactSink, so the
-// sinks hold the same ordered trial lists, and fold to the same bits,
-// as one Campaign.Run per arm.
+// Run executes the paired campaign. Every arm opens as Campaign.Run
+// opens (sink, checkpoint resume), advances through the sequential
+// batches [n, n+step) in lockstep via the block runner, and finishes
+// with Campaign.Run's epilogue, so the arms' sinks hold the same ordered
+// trial lists, and fold to the same bits, as one Campaign.Run per arm.
+// A halted arm (CheckpointConfig.HaltAfter) halts the whole run with
+// ErrCampaignHalted.
 func (pc PairedCampaign) Run() (PairedResult, error) {
-	if len(pc.Arms) < 2 {
-		return PairedResult{}, errors.New("sim: paired campaign needs at least two arms")
+	if pc.BatchSize == 0 {
+		pc.BatchSize = defaultBatchSize
 	}
 	if err := pc.validate(); err != nil {
 		return PairedResult{}, err
 	}
-	batch := pc.BatchSize
-	if batch <= 0 {
-		batch = defaultBatchSize
-	}
-
-	campaigns := make([]Campaign, len(pc.Arms))
+	runs := make([]*campaignRun, len(pc.Arms))
 	sinks := make([]*ExactSink, len(pc.Arms))
 	for a := range pc.Arms {
-		campaigns[a] = pc.armCampaign(a)
-		sinks[a] = NewExactSink()
-		sinks[a].Reserve(pc.Trials, pc.Arms[a].System.NumLevels())
+		r, err := pc.Arms[a].open()
+		if err != nil {
+			return PairedResult{}, fmt.Errorf("sim: paired arm %d: %w", a, err)
+		}
+		runs[a], sinks[a] = r, r.sink.(*ExactSink)
+	}
+	n, err := pc.lockstep(runs, sinks)
+	if err != nil {
+		return PairedResult{}, err
 	}
 
-	n := 0
-	for n < pc.Trials {
-		step := batch
-		if pc.TargetCI <= 0 {
-			step = pc.Trials // no stopping rule: one full-range pass per arm
-		}
-		if n+step > pc.Trials {
-			step = pc.Trials - n
-		}
-		for a := range campaigns {
-			if _, err := campaigns[a].runBlocks(sinks[a], n, n+step); err != nil {
-				return PairedResult{}, fmt.Errorf("sim: paired arm %d: %w", a, err)
-			}
-		}
-		n += step
-		if pc.TargetCI > 0 && n >= pairedMinTrials && pc.converged(sinks) {
-			break
-		}
-	}
-
-	out := PairedResult{TrialsRun: n, Budget: pc.Trials, Level: pairedLevel}
-	out.Arms = make([]CampaignResult, len(pc.Arms))
-	for a := range sinks {
-		res, err := sinks[a].Result()
+	out := PairedResult{TrialsRun: n, Budget: pc.Arms[0].Trials, Level: pairedLevel}
+	out.Arms = make([]CampaignResult, len(runs))
+	for a, r := range runs {
+		res, err := r.finish(n)
 		if err != nil {
 			return PairedResult{}, fmt.Errorf("sim: paired arm %d: %w", a, err)
 		}
@@ -190,7 +161,7 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 			results := sinks[a].Results()
 			controls[a] = make([]float64, n)
 			for i := range results {
-				controls[a][i] = failureControl(&results[i], pc.Arms[a].System)
+				controls[a][i] = failureControl(&results[i], pc.Arms[a].Scenario.System)
 			}
 			cv, err := stats.ControlVariate(out.Arms[a].Efficiencies, controls[a])
 			if err != nil {
@@ -229,12 +200,76 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 	return out, nil
 }
 
+// lockstep runs every arm through the sequential batches and returns the
+// stopping point n: the first batch end where the stopping rule holds,
+// or Trials. A resumed arm already holds a prefix of its trials; a
+// batch runs only what each arm lacks, and the stopping rule reads the
+// prefix [0, n) of every arm, so a resumed run stops at the same n with
+// the same bits. Every arm's checkpoint is flushed at n.
+func (pc PairedCampaign) lockstep(runs []*campaignRun, sinks []*ExactSink) (int, error) {
+	// abort ends a failed or halted run: every arm but skip (which did
+	// both itself) flushes its merged prefix, best effort (a failed
+	// write keeps the last checkpoint), and sends its final update.
+	abort := func(skip int, state RunState, err error) {
+		for a, r := range runs {
+			if a != skip {
+				merged := len(sinks[a].Results())
+				_ = r.flush(merged)
+				r.end(merged, state, err)
+			}
+		}
+	}
+	trials := pc.Arms[0].Trials
+	step := trials // no stopping rule: one full-range pass per arm
+	if pc.TargetCI > 0 {
+		step = pc.BatchSize
+	}
+	n := 0
+	for n < trials {
+		next := min(n+step, trials)
+		for a, r := range runs {
+			lo := max(len(sinks[a].Results()), n)
+			if lo >= next {
+				continue // resumed past this batch
+			}
+			halted, err := r.runBlocks(lo, next)
+			if err != nil {
+				err = fmt.Errorf("sim: paired arm %d: %w", a, err)
+				abort(a, RunStateFailed, err)
+				return 0, err
+			}
+			if halted {
+				abort(a, RunStateHalted, nil)
+				return 0, ErrCampaignHalted
+			}
+		}
+		n = next
+		if pc.TargetCI > 0 && n >= pairedMinTrials && pc.converged(sinks, n) {
+			break
+		}
+	}
+	for a, r := range runs {
+		var err error
+		if held := len(sinks[a].Results()); held > n {
+			err = fmt.Errorf("resumed with %d trials, past the stopping point %d", held, n)
+		} else {
+			err = r.flush(n)
+		}
+		if err != nil {
+			err = fmt.Errorf("sim: paired arm %d: %w", a, err)
+			abort(-1, RunStateFailed, err)
+			return 0, err
+		}
+	}
+	return n, nil
+}
+
 // converged reports whether every pairwise paired CI half-width over
-// the trials merged so far is within the target.
-func (pc PairedCampaign) converged(sinks []*ExactSink) bool {
+// the prefix [0, n) of every arm is within the target.
+func (pc PairedCampaign) converged(sinks []*ExactSink, n int) bool {
 	for a := 0; a < len(sinks); a++ {
 		for b := a + 1; b < len(sinks); b++ {
-			ra, rb := sinks[a].Results(), sinks[b].Results()
+			ra, rb := sinks[a].Results()[:n], sinks[b].Results()[:n]
 			var p stats.PairedSample
 			for i := range ra {
 				p.Add(ra[i].Efficiency, rb[i].Efficiency)
@@ -248,48 +283,54 @@ func (pc PairedCampaign) converged(sinks []*ExactSink) bool {
 	return true
 }
 
-// armCampaign adapts arm a's scenario and hooks into a Campaign for the
-// block runner.
-func (pc PairedCampaign) armCampaign(a int) Campaign {
-	c := Campaign{
-		Scenario: pc.Arms[a],
-		Trials:   pc.Trials,
-		Seed:     pc.Seed, // shared across arms: this IS the CRN
-		Workers:  pc.Workers,
-	}
-	if pc.ObserverFactory != nil {
-		c.ObserverFactory = func(worker int) Observer { return pc.ObserverFactory(a, worker) }
-	}
-	if pc.TrialDone != nil {
-		c.TrialDone = func(r TrialResult) { pc.TrialDone(a, r) }
-	}
-	return c
-}
-
-// validate checks arm compatibility: pairing is only meaningful when
-// every arm draws the same failure environment.
+// validate checks the paired parameters and the arms: each arm must be
+// a valid Campaign, and pairing is only meaningful when every arm runs
+// the same trials of the same failure environment.
 func (pc PairedCampaign) validate() error {
-	base := pc.Arms[0]
+	if len(pc.Arms) < 2 {
+		return errors.New("sim: paired campaign needs at least two arms")
+	}
+	if !(pc.TargetCI >= 0) || math.IsInf(pc.TargetCI, 1) {
+		return fmt.Errorf("sim: paired TargetCI %v is not a finite, non-negative CI half-width", pc.TargetCI)
+	}
+	if pc.BatchSize < 0 {
+		return fmt.Errorf("sim: negative paired BatchSize %d", pc.BatchSize)
+	}
+	base := &pc.Arms[0]
+	for s, law := range base.Scenario.FailureLaws {
+		if pc.ControlVariates && law != nil {
+			return fmt.Errorf("sim: control variates need the default exponential laws, but the arms override severity %d", s+1)
+		}
+	}
+	ckptArm := map[string]int{}
 	for a := range pc.Arms {
-		if err := pc.armCampaign(a).validate(); err != nil {
+		arm := &pc.Arms[a]
+		if err := arm.validate(); err != nil {
 			return fmt.Errorf("sim: paired arm %d: %w", a, err)
 		}
-		if pc.Arms[a].System != base.System {
+		switch {
+		case arm.Trials != base.Trials:
+			return fmt.Errorf("sim: paired arm %d runs %d trials, arm 0 runs %d", a, arm.Trials, base.Trials)
+		case arm.Seed != base.Seed:
+			return fmt.Errorf("sim: paired arm %d has a different seed than arm 0; CRN pairing needs one shared seed", a)
+		case arm.blockSize() != base.blockSize():
+			return fmt.Errorf("sim: paired arm %d uses block size %d, arm 0 uses %d", a, arm.blockSize(), base.blockSize())
+		case arm.Scenario.System != base.Scenario.System:
 			return fmt.Errorf("sim: paired arm %d uses a different system than arm 0; CRN pairing needs one shared failure environment", a)
+		case !slices.Equal(arm.Scenario.FailureLaws, base.Scenario.FailureLaws):
+			return fmt.Errorf("sim: paired arm %d uses different failure laws than arm 0", a)
 		}
-		if len(pc.Arms[a].FailureLaws) != len(base.FailureLaws) {
-			return fmt.Errorf("sim: paired arm %d overrides different failure laws than arm 0", a)
+		if _, exact := arm.Sink.(*ExactSink); arm.Sink != nil && !exact {
+			return fmt.Errorf("sim: paired arm %d has a %T; paired statistics read per-trial results, so an arm's Sink must be nil or an *ExactSink", a, arm.Sink)
 		}
-		for s := range pc.Arms[a].FailureLaws {
-			if pc.Arms[a].FailureLaws[s] != base.FailureLaws[s] {
-				return fmt.Errorf("sim: paired arm %d severity-%d failure law differs from arm 0", a, s+1)
+		if ck := arm.Checkpoint; ck != nil {
+			if b, ok := ckptArm[ck.Path]; ok {
+				return fmt.Errorf("sim: paired arm %d checkpoints to %s, as arm %d does", a, ck.Path, b)
 			}
-		}
-		if pc.ControlVariates {
-			for s, law := range pc.Arms[a].FailureLaws {
-				if law != nil {
-					return fmt.Errorf("sim: control variates need the default exponential laws, but arm %d overrides severity %d", a, s+1)
-				}
+			ckptArm[ck.Path] = a
+			if pc.TargetCI > 0 && pc.BatchSize%arm.blockSize() != 0 {
+				return fmt.Errorf("sim: paired arm %d checkpoints, but BatchSize %d is not a multiple of its block size %d, so batch ends would fall off the block grid",
+					a, pc.BatchSize, arm.blockSize())
 			}
 		}
 	}

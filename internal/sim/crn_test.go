@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -35,6 +38,16 @@ func crnArms(t *testing.T) (*system.System, []Scenario) {
 	}
 }
 
+// campaigns builds one arm Campaign per scenario, all on the shared
+// trial count, seed and worker count.
+func campaigns(scenarios []Scenario, trials int, seed rng.Seed, workers int) []Campaign {
+	arms := make([]Campaign, len(scenarios))
+	for a, sc := range scenarios {
+		arms[a] = Campaign{Scenario: sc, Trials: trials, Seed: seed, Workers: workers}
+	}
+	return arms
+}
+
 // The CRN orchestration must be bitwise-invisible per arm: every arm's
 // marginal CampaignResult must equal a standalone Campaign run with the
 // same (shared) seed — CRN changes which seed arms share, never what a
@@ -42,7 +55,7 @@ func crnArms(t *testing.T) (*system.System, []Scenario) {
 func TestPairedCampaignMarginalsBitwiseIdentical(t *testing.T) {
 	_, arms := crnArms(t)
 	seed := rng.Campaign(11, "crn").Scenario("D4")
-	pc := PairedCampaign{Arms: arms, Trials: 120, Seed: seed, Workers: 4}
+	pc := PairedCampaign{Arms: campaigns(arms, 120, seed, 4)}
 	res, err := pc.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -73,13 +86,13 @@ func TestPairedCampaignMarginalsBitwiseIdentical(t *testing.T) {
 func TestPairedCampaignBatchingInvariant(t *testing.T) {
 	_, arms := crnArms(t)
 	seed := rng.Campaign(12, "crn").Scenario("batch")
-	onePass, err := PairedCampaign{Arms: arms, Trials: 90, Seed: seed}.Run()
+	onePass, err := PairedCampaign{Arms: campaigns(arms, 90, seed, 0)}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
 		batched, err := PairedCampaign{
-			Arms: arms, Trials: 90, Seed: seed, Workers: workers,
+			Arms:     campaigns(arms, 90, seed, workers),
 			TargetCI: 1e-15, BatchSize: 7,
 		}.Run()
 		if err != nil {
@@ -105,7 +118,7 @@ func TestPairedCampaignWorkerDeterminism(t *testing.T) {
 	var prev *PairedResult
 	for _, workers := range []int{1, 3, 8} {
 		res, err := PairedCampaign{
-			Arms: arms, Trials: 300, Seed: seed, Workers: workers,
+			Arms:     campaigns(arms, 300, seed, workers),
 			TargetCI: 0.002, BatchSize: 16,
 			ControlVariates: true,
 		}.Run()
@@ -124,9 +137,8 @@ func TestPairedCampaignWorkerDeterminism(t *testing.T) {
 func TestPairedCampaignSequentialStops(t *testing.T) {
 	_, arms := crnArms(t)
 	pc := PairedCampaign{
-		Arms:   arms[:2], // the similar pair: tight paired CIs come cheap
-		Trials: 2000,
-		Seed:   rng.Campaign(14, "crn").Scenario("stop"),
+		// The similar pair: tight paired CIs come cheap.
+		Arms: campaigns(arms[:2], 2000, rng.Campaign(14, "crn").Scenario("stop"), 0),
 		// Probe runs put the 2000-trial paired width near 1e-4; a 10x
 		// looser target should stop far earlier.
 		TargetCI: 1e-3, BatchSize: 16,
@@ -158,8 +170,7 @@ func TestPairedCampaignSequentialStops(t *testing.T) {
 func TestPairedCampaignCIWidthShrinks(t *testing.T) {
 	_, arms := crnArms(t)
 	res, err := PairedCampaign{
-		Arms: arms[:2], Trials: 400,
-		Seed:            rng.Campaign(15, "crn").Scenario("width"),
+		Arms:            campaigns(arms[:2], 400, rng.Campaign(15, "crn").Scenario("width"), 0),
 		ControlVariates: true,
 	}.Run()
 	if err != nil {
@@ -200,14 +211,12 @@ func TestPairedCampaignHooks(t *testing.T) {
 	_, arms := crnArms(t)
 	var done [3]atomic.Int64
 	var events [3]atomic.Int64
-	obs := func(arm, worker int) Observer { return countObs{&events[arm]} }
-	res, err := PairedCampaign{
-		Arms: arms, Trials: 40,
-		Seed:            rng.Campaign(16, "crn").Scenario("hooks"),
-		Workers:         4,
-		ObserverFactory: obs,
-		TrialDone:       func(arm int, r TrialResult) { done[arm].Add(1) },
-	}.Run()
+	pc := PairedCampaign{Arms: campaigns(arms, 40, rng.Campaign(16, "crn").Scenario("hooks"), 4)}
+	for a := range pc.Arms {
+		pc.Arms[a].ObserverFactory = func(worker int) Observer { return countObs{&events[a]} }
+		pc.Arms[a].TrialDone = func(r TrialResult) { done[a].Add(1) }
+	}
+	res, err := pc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +237,7 @@ func (c countObs) Observe(Event) { c.n.Add(1) }
 func TestPairedCampaignValidation(t *testing.T) {
 	_, arms := crnArms(t)
 	seed := rng.Campaign(17, "crn").Scenario("validate")
-	if _, err := (PairedCampaign{Arms: arms[:1], Trials: 10, Seed: seed}).Run(); err == nil {
+	if _, err := (PairedCampaign{Arms: campaigns(arms[:1], 10, seed, 0)}).Run(); err == nil {
 		t.Error("single-arm campaign accepted")
 	}
 	other, err := system.ByName("D7")
@@ -236,7 +245,7 @@ func TestPairedCampaignValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := []Scenario{arms[0], {System: other, Plan: arms[0].Plan, MaxWallFactor: 150}}
-	if _, err := (PairedCampaign{Arms: mixed, Trials: 10, Seed: seed}).Run(); err == nil ||
+	if _, err := (PairedCampaign{Arms: campaigns(mixed, 10, seed, 0)}).Run(); err == nil ||
 		!strings.Contains(err.Error(), "different system") {
 		t.Errorf("mixed-system arms: err = %v, want different-system complaint", err)
 	}
@@ -247,25 +256,77 @@ func TestPairedCampaignValidation(t *testing.T) {
 	weib := arms[0]
 	weib.FailureLaws = []dist.Sampler{law}
 	// Arms with different failure laws break the pairing.
-	if _, err := (PairedCampaign{Arms: []Scenario{arms[0], weib}, Trials: 10, Seed: seed}).Run(); err == nil {
+	if _, err := (PairedCampaign{Arms: campaigns([]Scenario{arms[0], weib}, 10, seed, 0)}).Run(); err == nil {
 		t.Error("arms with differing failure laws accepted")
 	}
 	// Same custom law on both arms is a valid pairing, but not a valid
 	// Poisson control.
 	weib2 := arms[1]
 	weib2.FailureLaws = []dist.Sampler{law}
-	if _, err := (PairedCampaign{Arms: []Scenario{weib, weib2}, Trials: 10, Seed: seed}).Run(); err != nil {
+	if _, err := (PairedCampaign{Arms: campaigns([]Scenario{weib, weib2}, 10, seed, 0)}).Run(); err != nil {
 		t.Errorf("shared custom law rejected: %v", err)
 	}
-	if _, err := (PairedCampaign{Arms: []Scenario{weib, weib2}, Trials: 10, Seed: seed, ControlVariates: true}).Run(); err == nil {
+	if _, err := (PairedCampaign{Arms: campaigns([]Scenario{weib, weib2}, 10, seed, 0), ControlVariates: true}).Run(); err == nil {
 		t.Error("control variates accepted with non-exponential laws")
 	}
 	// Zero trials and bad workers flow through Campaign validation.
-	if _, err := (PairedCampaign{Arms: arms[:2], Seed: seed}).Run(); err == nil {
+	if _, err := (PairedCampaign{Arms: campaigns(arms[:2], 0, seed, 0)}).Run(); err == nil {
 		t.Error("zero-trial campaign accepted")
 	}
-	if _, err := (PairedCampaign{Arms: arms[:2], Trials: 10, Seed: seed, Workers: -1}).Run(); err == nil {
+	if _, err := (PairedCampaign{Arms: campaigns(arms[:2], 10, seed, -1)}).Run(); err == nil {
 		t.Error("negative workers accepted")
+	}
+	// A stopping rule it cannot use is an error, not a silent full run.
+	for _, target := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := (PairedCampaign{Arms: campaigns(arms[:2], 10, seed, 0), TargetCI: target}).Run(); err == nil {
+			t.Errorf("TargetCI %v accepted", target)
+		}
+	}
+	if _, err := (PairedCampaign{Arms: campaigns(arms[:2], 10, seed, 0), BatchSize: -1}).Run(); err == nil {
+		t.Error("negative BatchSize accepted")
+	}
+}
+
+// Arms that do not pair, or that a paired run cannot read or resume,
+// are rejected with an error that names the arm.
+func TestPairedCampaignArmRejections(t *testing.T) {
+	_, scenarios := crnArms(t)
+	seed := rng.Campaign(19, "crn").Scenario("reject")
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		edit func(pc *PairedCampaign)
+		want string
+	}{
+		{"seed", func(pc *PairedCampaign) { pc.Arms[1].Seed = rng.Campaign(20, "crn").Scenario("reject") }, "arm 1 has a different seed"},
+		{"trials", func(pc *PairedCampaign) { pc.Arms[1].Trials = 32 }, "arm 1 runs 32 trials"},
+		{"block", func(pc *PairedCampaign) { pc.Arms[1].Block = 4 }, "arm 1 uses block size 4"},
+		{"stream sink", func(pc *PairedCampaign) { pc.Arms[1].Sink = NewStreamSink() }, "arm 1 has a *sim.StreamSink"},
+		{"shared checkpoint", func(pc *PairedCampaign) {
+			pc.Arms = checkpointed(pc.Arms, dir, false, 0)
+			pc.Arms[1].Checkpoint = pc.Arms[0].Checkpoint
+		}, "arm 1 checkpoints to"},
+		{"unaligned batch", func(pc *PairedCampaign) {
+			pc.Arms = checkpointed(pc.Arms, dir, false, 0)
+			pc.TargetCI, pc.BatchSize = 0.01, 12
+		}, "arm 0 checkpoints, but BatchSize 12"},
+	} {
+		pc := PairedCampaign{Arms: campaigns(scenarios[:2], 48, seed, 2)}
+		tc.edit(&pc)
+		if _, err := pc.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	// Checkpoints of a full run hold more trials than a stopping rule
+	// that fires early lets the resumed run use.
+	full := checkpointed(campaigns(scenarios, 240, seed, 2), dir, false, 0)
+	if _, err := (PairedCampaign{Arms: full}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := PairedCampaign{Arms: checkpointed(full, dir, true, 0), TargetCI: 0.01, BatchSize: 16}.Run()
+	if err == nil || !strings.Contains(err.Error(), "past the stopping point") {
+		t.Errorf("resume past the stop: err = %v, want a past-the-stopping-point error", err)
 	}
 }
 
@@ -285,7 +346,7 @@ func TestRunBlocksSplitMatchesFullRun(t *testing.T) {
 		sink := NewExactSink()
 		sink.Reserve(camp.Trials, camp.Scenario.System.NumLevels())
 		for _, r := range [][2]int{{0, cut}, {cut, camp.Trials}} {
-			if _, err := split.runBlocks(sink, r[0], r[1]); err != nil {
+			if _, err := (&campaignRun{c: &split, sink: sink}).runBlocks(r[0], r[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -295,6 +356,75 @@ func TestRunBlocksSplitMatchesFullRun(t *testing.T) {
 		}
 		if !reflect.DeepEqual(full, res) {
 			t.Fatalf("split at %d differs from full run", cut)
+		}
+	}
+}
+
+// checkpointed gives each arm its own checkpoint file under dir,
+// resuming or halting after haltAfter merged trials (0 = never).
+func checkpointed(arms []Campaign, dir string, resume bool, haltAfter int) []Campaign {
+	out := append([]Campaign(nil), arms...)
+	for a := range out {
+		out[a].Checkpoint = &CheckpointConfig{
+			Path:      filepath.Join(dir, fmt.Sprintf("arm%d.ckpt", a)),
+			Interval:  24,
+			Resume:    resume,
+			HaltAfter: haltAfter,
+		}
+	}
+	return out
+}
+
+// A paired campaign halted part-way (HaltAfter plays the kill) and then
+// resumed from its arms' checkpoints must give the uninterrupted
+// PairedResult, with and without a stopping rule, whether the halt
+// comes before or after the stopping point, on 1 and 4 workers. A
+// resume after the stopping point re-runs nothing.
+func TestPairedCampaignKillAndResume(t *testing.T) {
+	_, scenarios := crnArms(t)
+	seed := rng.Campaign(18, "crn").Scenario("resume")
+	const trials = 240
+	for _, target := range []float64{0, 0.002} {
+		for _, workers := range []int{1, 4} {
+			arms := campaigns(scenarios, trials, seed, workers)
+			paired := func(arms []Campaign) PairedCampaign {
+				return PairedCampaign{Arms: arms, TargetCI: target, BatchSize: 16, ControlVariates: true}
+			}
+			want, err := paired(arms).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := want.TrialsRun
+			t.Logf("target %v: stops at %d", target, stop)
+			if target > 0 && (stop >= trials || stop < 64) {
+				t.Fatalf("target %v stops at %d; the matrix needs a stop well inside (64, %d)", target, stop, trials)
+			}
+			for _, haltAfter := range []int{40, stop / 2, stop + 8} {
+				name := fmt.Sprintf("target=%v/workers=%d/halt=%d", target, workers, haltAfter)
+				dir := t.TempDir()
+				_, err := paired(checkpointed(arms, dir, false, haltAfter)).Run()
+				if haltAfter < stop && !errors.Is(err, ErrCampaignHalted) {
+					t.Fatalf("%s: halted run returned %v, want ErrCampaignHalted", name, err)
+				}
+				if haltAfter > stop && err != nil {
+					t.Fatalf("%s: run that stops before its halt failed: %v", name, err)
+				}
+				var rerun atomic.Int64
+				resumed := checkpointed(arms, dir, true, 0)
+				for a := range resumed {
+					resumed[a].TrialDone = func(TrialResult) { rerun.Add(1) }
+				}
+				got, err := paired(resumed).Run()
+				if err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: resumed PairedResult differs from the uninterrupted run", name)
+				}
+				if haltAfter > stop && rerun.Load() != 0 {
+					t.Errorf("%s: resuming a finished run re-ran %d trials", name, rerun.Load())
+				}
+			}
 		}
 	}
 }

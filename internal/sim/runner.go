@@ -197,36 +197,83 @@ func (c Campaign) Run() (CampaignResult, error) {
 	if err := c.validate(); err != nil {
 		return CampaignResult{}, err
 	}
-	var sink CampaignSink
-	if c.Sink == nil {
-		s := NewExactSink()
-		s.Reserve(c.Trials, c.Scenario.System.NumLevels())
-		sink = s
-	} else {
-		sink = c.Sink
+	r, err := c.open()
+	if err != nil {
+		return CampaignResult{}, err
 	}
-	first := 0
-	if ck := c.Checkpoint; ck != nil && ck.Resume {
-		// validate() guarantees the sink is portable when Checkpoint is
-		// set.
-		next, loaded, err := c.loadCheckpoint(sink.(PortableSink))
-		if err != nil {
-			return CampaignResult{}, err
-		}
-		if loaded {
-			first = next
-		}
-	}
-	halted, err := c.runBlocks(sink, first, c.Trials)
+	halted, err := r.runBlocks(r.saved, c.Trials)
 	if err != nil {
 		return CampaignResult{}, err
 	}
 	if halted {
 		return CampaignResult{}, ErrCampaignHalted
 	}
-	c.notify(ProgressUpdate{First: 0, Limit: c.Trials, Merged: c.Trials,
-		State: RunStateComplete, Final: true})
-	return sink.Result()
+	if err := r.flush(c.Trials); err != nil {
+		r.end(c.Trials, RunStateFailed, err)
+		return CampaignResult{}, err
+	}
+	return r.finish(c.Trials)
+}
+
+// campaignRun is one run of a validated campaign into its sink. It may
+// span several runBlocks calls (a paired campaign's batches), so it
+// carries the merged prefix at which HaltAfter halts (0 = never),
+// counted from where the run resumed, and the prefix the checkpoint
+// file holds.
+type campaignRun struct {
+	c             *Campaign
+	sink          CampaignSink
+	haltAt, saved int
+}
+
+// open is Run's prologue, shared with PairedCampaign.Run: it resolves
+// the sink (a pre-sized ExactSink when none is set) and, when resuming,
+// loads the checkpoint into it. The run continues from r.saved.
+func (c *Campaign) open() (*campaignRun, error) {
+	r := &campaignRun{c: c, sink: c.resolveSink()}
+	if ck := c.Checkpoint; ck != nil {
+		if ck.Resume {
+			// validate() guarantees the sink is portable when Checkpoint
+			// is set.
+			next, err := c.loadCheckpoint(r.sink.(PortableSink))
+			if err != nil {
+				return nil, err
+			}
+			r.saved = next
+		}
+		if ck.HaltAfter > 0 {
+			r.haltAt = r.saved + ck.HaltAfter
+		}
+	}
+	return r, nil
+}
+
+// finish is Run's epilogue, shared with PairedCampaign.Run: the final
+// progress update of a run that merged trials [0, merged), and the
+// sink's result.
+func (r *campaignRun) finish(merged int) (CampaignResult, error) {
+	r.end(merged, RunStateComplete, nil)
+	return r.sink.Result()
+}
+
+// end sends the final progress update of a run that stopped in state
+// with trials [0, merged) merged.
+func (r *campaignRun) end(merged int, state RunState, err error) {
+	r.c.notify(ProgressUpdate{Limit: merged, Merged: merged, State: state, Final: true, Err: err})
+}
+
+// flush writes the merged prefix [0, next) to the checkpoint file, if
+// the campaign has one and the file does not already hold it.
+func (r *campaignRun) flush(next int) error {
+	ck := r.c.Checkpoint
+	if ck == nil || next == r.saved {
+		return nil
+	}
+	err := r.c.writeSinkFile(ck.Path, r.sink.(PortableSink), 0, next)
+	if err == nil {
+		r.saved = next
+	}
+	return err
 }
 
 // validate checks the campaign's invariants (shared by Run and
@@ -274,19 +321,14 @@ func (c Campaign) validate() error {
 // order under the prefix merger below — so the sink's folds see the
 // exact same sequences in the exact same order for every worker count,
 // which is what makes streaming aggregation, checkpoint/resume and
-// shard merges bitwise deterministic. Returns halted=true when
-// CheckpointConfig.HaltAfter stopped the run early; on every exit path
-// with a checkpoint config (success, halt, trial error) the merged
-// prefix is flushed to the checkpoint file, so the fail-fast contract
-// loses no finished work.
-func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, err error) {
-	ck := c.Checkpoint
-	flushFinal := func(next int) error {
-		if ck == nil {
-			return nil
-		}
-		return c.writeSinkFile(ck.Path, sink.(PortableSink), 0, next)
-	}
+// shard merges bitwise deterministic. Returns halted=true when the
+// merged prefix reached r.haltAt. With a checkpoint config, the merged
+// prefix is written every Interval trials and flushed when the call
+// halts or fails, so the fail-fast contract loses no finished work; a
+// call that completes leaves the final flush to its caller, which knows
+// where the run ends.
+func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
+	c, sink, ck := r.c, r.sink, r.c.Checkpoint
 	if first >= limit {
 		// Resuming a completed campaign: nothing to run.
 		return false, nil
@@ -313,13 +355,8 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 		pending      = make(map[int]SinkShard)
 		nextBlock    = firstBlock
 		mergedTrials = first
-		lastCkpt     = first
 		mergeErr     error
 	)
-	haltAt := 0
-	if ck != nil && ck.HaltAfter > 0 {
-		haltAt = first + ck.HaltAfter
-	}
 	var haltFlag atomic.Bool
 
 	// A failed trial poisons the whole campaign, so it cancels the
@@ -384,13 +421,12 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 			}
 		}
 		ckpted := false
-		if ck != nil && mergedTrials < limit && mergedTrials-lastCkpt >= ck.Interval {
-			if err := c.writeSinkFile(ck.Path, sink.(PortableSink), 0, mergedTrials); err != nil {
+		if ck != nil && mergedTrials < c.Trials && mergedTrials-r.saved >= ck.Interval {
+			if err := r.flush(mergedTrials); err != nil {
 				mergeErr = err
 				haltFlag.Store(true)
 				return
 			}
-			lastCkpt = mergedTrials
 			ckpted = true
 		}
 		if mergedTrials > before || ckpted {
@@ -399,7 +435,7 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 			c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
 				State: RunStateRunning, Checkpointed: ckpted})
 		}
-		if haltAt > 0 && mergedTrials >= haltAt {
+		if r.haltAt > 0 && mergedTrials >= r.haltAt {
 			haltFlag.Store(true)
 		}
 	}
@@ -481,7 +517,7 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 		// mirrors the same contract: it records the partial state.
 		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
 			State: RunStateFailed, Final: true, Err: worst.err})
-		if ferr := flushFinal(mergedTrials); ferr != nil {
+		if ferr := r.flush(mergedTrials); ferr != nil {
 			return false, fmt.Errorf("%w (and checkpoint flush failed: %v)", worst.err, ferr)
 		}
 		return false, worst.err
@@ -489,15 +525,10 @@ func (c Campaign) runBlocks(sink CampaignSink, first, limit int) (halted bool, e
 	if haltFlag.Load() {
 		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
 			State: RunStateHalted, Final: true})
-		if err := flushFinal(mergedTrials); err != nil {
+		if err := r.flush(mergedTrials); err != nil {
 			return false, err
 		}
 		return true, nil
-	}
-	if err := flushFinal(limit); err != nil {
-		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: limit,
-			State: RunStateFailed, Final: true, Err: err})
-		return false, err
 	}
 	return false, nil
 }

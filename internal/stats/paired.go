@@ -29,9 +29,9 @@ func (p *PairedSample) Add(a, b float64) {
 	p.meanB += db / n
 	// Cross-moment uses the pre-update delta of a and post-update delta
 	// of b (standard online covariance update).
-	p.cab += da * (b - p.meanB)
-	p.m2A += da * (a - p.meanA)
-	p.m2B += db * (b - p.meanB)
+	p.cab += float64(da * (b - p.meanB))
+	p.m2A += float64(da * (a - p.meanA))
+	p.m2B += float64(db * (b - p.meanB))
 }
 
 // AddAll records aligned slices of pairs; the slices must be the same
@@ -60,9 +60,9 @@ func (p *PairedSample) Merge(o *PairedSample) {
 	w := float64(p.n) * float64(o.n) / n
 	da := o.meanA - p.meanA
 	db := o.meanB - p.meanB
-	p.m2A += o.m2A + da*da*w
-	p.m2B += o.m2B + db*db*w
-	p.cab += o.cab + da*db*w
+	p.m2A += o.m2A + float64(da*da*w)
+	p.m2B += o.m2B + float64(db*db*w)
+	p.cab += o.cab + float64(da*db*w)
 	p.meanA += da * float64(o.n) / n
 	p.meanB += db * float64(o.n) / n
 	p.n += o.n
@@ -129,7 +129,7 @@ func (p *PairedSample) CIDiff(level float64) (float64, error) {
 	if err := p.checkFinite(); err != nil {
 		return 0, err
 	}
-	t, err := StudentTQuantile(1-(1-level)/2, float64(p.n-1))
+	t, err := StudentTQuantile(1-float64((1-level)/2), float64(p.n-1))
 	if err != nil {
 		return 0, err
 	}
@@ -258,7 +258,7 @@ func (p *PairedSample) Compare(level float64) (Comparison, error) {
 		if va > 0 || vb > 0 {
 			dfW = (va + vb) * (va + vb) / (va*va/(nf-1) + vb*vb/(nf-1))
 		}
-		tq, err := StudentTQuantile(1-(1-level)/2, dfW)
+		tq, err := StudentTQuantile(1-float64((1-level)/2), dfW)
 		if err != nil {
 			return Comparison{}, err
 		}
@@ -313,7 +313,7 @@ func (r CVResult) CI(level float64) (float64, error) {
 	if r.N < 3 {
 		return 0, fmt.Errorf("%w: have %d, need 3", ErrTooFewSamples, r.N)
 	}
-	t, err := StudentTQuantile(1-(1-level)/2, float64(r.N-2))
+	t, err := StudentTQuantile(1-float64((1-level)/2), float64(r.N-2))
 	if err != nil {
 		return 0, err
 	}
@@ -354,9 +354,9 @@ func ControlVariate(ys, cs []float64) (CVResult, error) {
 	// Adjusted observations are y_i − β(c_i − 0); their mean uses the
 	// control's KNOWN expectation (zero), which is where the variance
 	// reduction comes from.
-	out.Mean = p.meanA - out.Beta*p.meanB
+	out.Mean = p.meanA - float64(out.Beta*p.meanB)
 	// Residual second moment: m2A − β²·m2B (= m2A(1−ρ²)).
-	res := p.m2A - out.Beta*out.Beta*p.m2B
+	res := p.m2A - float64(out.Beta*out.Beta*p.m2B)
 	if res < 0 {
 		res = 0
 	}

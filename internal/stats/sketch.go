@@ -17,19 +17,20 @@ const (
 	sketchDefaultPerDecade = 8
 )
 
-// Sketch is a mergeable streaming summary: exact Welford moments and
-// min/max plus a fixed log-bucket histogram for quantile estimates. It
-// is the constant-memory stand-in for a full sample slice — Summary()
-// is exact in N/Mean/Std/Min/Max, Quantile() is bucket-interpolated
-// (relative error bounded by the bucket width, ~±1.5 % with the default
-// scheme).
+// Sketch is a mergeable streaming summary: exact moments and min/max,
+// held in a Sample, plus a fixed log-bucket histogram for quantile
+// estimates. It is the constant-memory stand-in for a full sample slice
+// — Summary() is exact in N/Mean/Std/Min/Max, Quantile() is
+// bucket-interpolated (relative error bounded by the bucket width,
+// ~±1.5 % with the default scheme).
 //
-// Determinism: Observe folds with Welford's update and Merge with the
-// Chan et al. pairwise update, so a reduction that always folds the
-// same observation sequences in the same order — e.g. the campaign
-// runner's fixed trial-block partition merged in ascending block
-// order — produces bitwise-identical state regardless of how the work
-// was scheduled. Not safe for concurrent use.
+// Determinism: Observe folds with Sample.Add (Welford's update) and
+// Merge with Sample.Merge (the Chan et al. pairwise update), so a
+// reduction that always folds the same observation sequences in the
+// same order — e.g. the campaign runner's fixed trial-block partition
+// merged in ascending block order — produces bitwise-identical state
+// regardless of how the work was scheduled. Not safe for concurrent
+// use.
 type Sketch struct {
 	lo        float64
 	hi        float64
@@ -38,11 +39,7 @@ type Sketch struct {
 
 	counts   []uint64 // len nb+2 once allocated: [under, b1..bnb, over]
 	rejected uint64
-	n        int64
-	mean     float64
-	m2       float64
-	min      float64
-	max      float64
+	m        Sample // the accepted values' moments and min/max
 }
 
 // NewSketch returns a sketch with the default bucket scheme.
@@ -60,7 +57,7 @@ func NewSketchScheme(lo, hi float64, perDecade int) (*Sketch, error) {
 	if !(lo > 0) || !(hi > lo) || perDecade < 1 {
 		return nil, fmt.Errorf("stats: invalid sketch scheme lo=%v hi=%v perDecade=%d", lo, hi, perDecade)
 	}
-	nb := int(math.Ceil(math.Log10(hi/lo)*float64(perDecade) - 1e-9))
+	nb := int(math.Ceil(float64(math.Log10(hi/lo)*float64(perDecade)) - 1e-9))
 	return &Sketch{lo: lo, hi: hi, perDecade: perDecade, nb: nb}, nil
 }
 
@@ -105,61 +102,35 @@ func (s *Sketch) Observe(v float64) {
 		s.counts = make([]uint64, s.nb+2)
 	}
 	s.counts[s.bucketIndex(v)]++
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	s.n++
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
+	s.m.Add(v)
 }
 
 // N returns the number of accepted values.
-func (s *Sketch) N() int64 { return s.n }
+func (s *Sketch) N() int64 { return int64(s.m.n) }
 
 // Rejected returns the number of rejected (non-finite) values.
 func (s *Sketch) Rejected() uint64 { return s.rejected }
 
 // Mean returns the mean of the accepted values (0 when empty).
-func (s *Sketch) Mean() float64 { return s.mean }
+func (s *Sketch) Mean() float64 { return s.m.mean }
 
 // Min returns the smallest accepted value (0 when empty).
-func (s *Sketch) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
+func (s *Sketch) Min() float64 { return s.m.min }
 
 // Max returns the largest accepted value (0 when empty).
-func (s *Sketch) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
+func (s *Sketch) Max() float64 { return s.m.max }
 
 // Std returns the unbiased sample standard deviation (0 for fewer than
 // two values).
-func (s *Sketch) Std() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
+func (s *Sketch) Std() float64 { return s.m.Std() }
+
+// CI returns the half-width of the two-sided confidence interval of the
+// accepted values' mean at the given level (see Sample.CI).
+func (s *Sketch) CI(level float64) (float64, error) { return s.m.CI(level) }
 
 // Summary snapshots the sketch's exact moments as a Summary — the
 // sketch-backed replacement for Summarize over a full slice.
-func (s *Sketch) Summary() Summary {
-	return Summary{N: int(s.n), Mean: s.mean, Std: s.Std(), Min: s.Min(), Max: s.Max()}
-}
+func (s *Sketch) Summary() Summary { return Summarize(&s.m) }
 
 // Merge folds o into s (o is unchanged; merging a sketch into itself is
 // a no-op). The two sketches must share the same bucket scheme.
@@ -172,7 +143,7 @@ func (s *Sketch) Merge(o *Sketch) error {
 			s.lo, s.hi, s.perDecade, o.lo, o.hi, o.perDecade)
 	}
 	s.rejected += o.rejected
-	if o.n == 0 {
+	if o.m.n == 0 {
 		return nil
 	}
 	if s.counts == nil {
@@ -181,21 +152,7 @@ func (s *Sketch) Merge(o *Sketch) error {
 	for i, c := range o.counts {
 		s.counts[i] += c
 	}
-	if s.n == 0 {
-		s.min, s.max, s.mean, s.m2, s.n = o.min, o.max, o.mean, o.m2, o.n
-		return nil
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n := float64(s.n + o.n)
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/n
-	s.mean += d * float64(o.n) / n
-	s.n += o.n
+	s.m.Merge(&o.m)
 	return nil
 }
 
@@ -205,7 +162,7 @@ func (s *Sketch) Reset() {
 	for i := range s.counts {
 		s.counts[i] = 0
 	}
-	s.rejected, s.n, s.mean, s.m2, s.min, s.max = 0, 0, 0, 0, 0, 0
+	s.rejected, s.m = 0, Sample{}
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) by geometric
@@ -213,16 +170,16 @@ func (s *Sketch) Reset() {
 // [Min, Max] range; estimates are non-decreasing in q. Returns NaN when
 // the sketch is empty or q is NaN.
 func (s *Sketch) Quantile(q float64) float64 {
-	if s.n == 0 || math.IsNaN(q) {
+	if s.m.n == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
 	if q <= 0 {
-		return s.min
+		return s.m.min
 	}
 	if q >= 1 {
-		return s.max
+		return s.m.max
 	}
-	target := q * float64(s.n)
+	target := q * float64(s.m.n)
 	if target < 1 {
 		target = 1
 	}
@@ -234,17 +191,17 @@ func (s *Sketch) Quantile(q float64) float64 {
 		next := cum + float64(c)
 		if next >= target {
 			v := s.interp(i, (target-cum)/float64(c))
-			if v < s.min {
-				v = s.min
+			if v < s.m.min {
+				v = s.m.min
 			}
-			if v > s.max {
-				v = s.max
+			if v > s.m.max {
+				v = s.m.max
 			}
 			return v
 		}
 		cum = next
 	}
-	return s.max
+	return s.m.max
 }
 
 // interp interpolates a value at fraction frac within bucket i.
@@ -262,7 +219,7 @@ func (s *Sketch) interp(i int, frac float64) float64 {
 		return s.lo
 	case i > s.nb:
 		// Overflow bucket is unbounded above; report the exact max.
-		return s.max
+		return s.m.max
 	default:
 		lower := s.upperBound(i - 1)
 		upper := s.upperBound(i)
@@ -298,9 +255,9 @@ type sketchJSON struct {
 func (s *Sketch) MarshalJSON() ([]byte, error) {
 	out := sketchJSON{
 		Lo: s.lo, Hi: s.hi, PerDecade: s.perDecade,
-		N: s.n, Rejected: s.rejected,
-		MeanBits: math.Float64bits(s.mean), M2Bits: math.Float64bits(s.m2),
-		MinBits: math.Float64bits(s.min), MaxBits: math.Float64bits(s.max),
+		N: int64(s.m.n), Rejected: s.rejected,
+		MeanBits: math.Float64bits(s.m.mean), M2Bits: math.Float64bits(s.m.m2),
+		MinBits: math.Float64bits(s.m.min), MaxBits: math.Float64bits(s.m.max),
 	}
 	for i, c := range s.counts {
 		if c != 0 {
@@ -321,9 +278,10 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = *ns
-	s.n, s.rejected = in.N, in.Rejected
-	s.mean, s.m2 = math.Float64frombits(in.MeanBits), math.Float64frombits(in.M2Bits)
-	s.min, s.max = math.Float64frombits(in.MinBits), math.Float64frombits(in.MaxBits)
+	s.rejected = in.Rejected
+	s.m = Sample{n: int(in.N),
+		mean: math.Float64frombits(in.MeanBits), m2: math.Float64frombits(in.M2Bits),
+		min: math.Float64frombits(in.MinBits), max: math.Float64frombits(in.MaxBits)}
 	if len(in.Buckets) > 0 {
 		s.counts = make([]uint64, s.nb+2)
 		var total uint64
@@ -334,11 +292,11 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 			s.counts[b.I] = b.C
 			total += b.C
 		}
-		if int64(total) != s.n {
-			return fmt.Errorf("stats: sketch bucket counts sum to %d, n is %d", total, s.n)
+		if int64(total) != in.N {
+			return fmt.Errorf("stats: sketch bucket counts sum to %d, n is %d", total, in.N)
 		}
-	} else if s.n != 0 {
-		return fmt.Errorf("stats: sketch has n=%d but no buckets", s.n)
+	} else if in.N != 0 {
+		return fmt.Errorf("stats: sketch has n=%d but no buckets", in.N)
 	}
 	return nil
 }

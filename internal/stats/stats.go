@@ -3,6 +3,10 @@
 // campaigns, confidence intervals, and Welch's t-test for the paper's
 // "95 % confidence that all improvements are statistically significant"
 // claim (Section IV-F).
+//
+// A product that feeds a sum is rounded explicitly, as float64(x*y), so
+// arm64 cannot fuse the two into one multiply-add and every GOARCH
+// computes the same bits (./check.sh fma gates the package).
 package stats
 
 import (
@@ -48,7 +52,7 @@ func (s *Sample) Add(x float64) {
 	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.m2 += float64(d * (x - s.mean))
 }
 
 // AddAll records a slice of observations.
@@ -123,7 +127,7 @@ func (s *Sample) CI(level float64) (float64, error) {
 	if s.n < 2 {
 		return 0, fmt.Errorf("%w: have %d, need 2", ErrTooFewSamples, s.n)
 	}
-	t, err := StudentTQuantile(1-(1-level)/2, float64(s.n-1))
+	t, err := StudentTQuantile(1-float64((1-level)/2), float64(s.n-1))
 	if err != nil {
 		return 0, err
 	}
@@ -190,11 +194,11 @@ func SortedQuantile(sorted []float64, q float64) (float64, error) {
 	if !(q >= 0 && q <= 1) { // negated so NaN is rejected too
 		return 0, fmt.Errorf("stats: quantile %v outside [0,1]", q)
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
 }
 
 // Quantiles returns the empirical quantile at each of qs, sorting the

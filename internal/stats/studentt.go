@@ -15,7 +15,7 @@ func studentTSF(t, df float64) float64 {
 	if math.IsInf(t, 1) {
 		return 0
 	}
-	x := df / (df + t*t)
+	x := df / (df + float64(t*t))
 	return 0.5 * regIncBeta(df/2, 0.5, x)
 }
 
@@ -71,7 +71,7 @@ func regIncBeta(a, b, x float64) float64 {
 		return 1
 	}
 	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(lbeta + a*math.Log(x) + b*math.Log(1-x))
+	front := math.Exp(lbeta + float64(a*math.Log(x)) + float64(b*math.Log(1-x)))
 	if x < (a+1)/(a+b+2) {
 		return front * betacf(a, b, x) / a
 	}
@@ -105,7 +105,7 @@ func betacf(a, b, x float64) float64 {
 		fm := float64(m)
 		m2 := 2 * fm
 		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -116,7 +116,7 @@ func betacf(a, b, x float64) float64 {
 		d = 1 / d
 		h *= d * c
 		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
+		d = 1 + float64(aa*d)
 		if math.Abs(d) < fpmin {
 			d = fpmin
 		}
@@ -125,7 +125,7 @@ func betacf(a, b, x float64) float64 {
 			c = fpmin
 		}
 		d = 1 / d
-		del := d * c
+		del := float64(d * c)
 		h *= del
 		if math.Abs(del-1) < eps {
 			break
