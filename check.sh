@@ -26,17 +26,18 @@ cd "$(dirname "$0")"
 # instruction, and arm64 does (amd64 never does), which changes the
 # bits of a result. Cross-compile the trial-path packages (sim, dist,
 # rng, pattern, system), the optimizer packages (markov, model/moody,
-# model/dauwe, optimize) and the statistics every campaign summary and
-# CRN comparison goes through (stats) for arm64 and fail on any fused
-# instruction whose source line lies in the package's own directory; a
-# product that feeds a golden is rounded explicitly instead, as
-# float64(x*y). Code inlined from other packages reports its own file
+# model/dauwe, optimize), the other technique models whose plans and
+# predictions feed the pins (model/di, model/benoit, model/daly) and
+# the statistics every campaign summary and CRN comparison goes through
+# (stats) for arm64 and fail on any fused instruction whose source line
+# lies in the package's own directory; a product that feeds a golden is
+# rounded explicitly instead, as float64(x*y). Code inlined from other packages reports its own file
 # and is not counted here; the gate on its own package covers it.
 fma_gate() {
-    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, optimize, stats)"
+    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, model/di, model/benoit, model/daly, optimize, stats)"
     asm=$(mktemp)
     fused=0
-    for pkg in sim dist rng pattern system markov model/moody model/dauwe optimize stats; do
+    for pkg in sim dist rng pattern system markov model/moody model/dauwe model/di model/benoit model/daly optimize stats; do
         if ! GOARCH=arm64 go build -o /dev/null -gcflags="repro/internal/$pkg=-S" \
             "./internal/$pkg/" >"$asm" 2>&1; then
             cat "$asm" >&2
@@ -66,10 +67,12 @@ if [ "${1:-}" = "fma" ]; then
 fi
 
 # resume_gate LABEL INTERVAL ARGS...: reference run of mlckpt ARGS,
-# checkpointed run (every INTERVAL trials) killed with SIGKILL
-# mid-campaign, resumed run — the resumed JSON must be byte-identical
-# to the uninterrupted reference (floats marshal as shortest round-trip
-# decimals, so byte equality is bit equality).
+# checkpointed run (every INTERVAL trials) killed with SIGKILL as soon
+# as its first checkpoint file appears, resumed run — the resumed JSON
+# must be byte-identical to the uninterrupted reference (floats marshal
+# as shortest round-trip decimals, so byte equality is bit equality).
+# A campaign that exits before the kill fails the gate: it would only
+# test resuming a completed run.
 resume_gate() {
     label=$1
     interval=$2
@@ -82,16 +85,24 @@ resume_gate() {
     "$tmp/mlckpt" "$@" -checkpoint "$tmp/ck" -checkpoint-interval "$interval" \
         >"$tmp/killed.json" 2>/dev/null &
     pid=$!
-    sleep 1.5
-    if kill -9 "$pid" 2>/dev/null; then
+    # Poll every 10 ms, for at most 60 s, for the first checkpoint.
+    polls=0
+    until ls "$tmp/ck"/*.ckpt >/dev/null 2>&1 || ! kill -0 "$pid" 2>/dev/null; do
+        polls=$((polls + 1))
+        if [ "$polls" -gt 6000 ]; then
+            kill -9 "$pid" 2>/dev/null || true
+            echo "no checkpoint written within 60 s" >&2
+            exit 1
+        fi
+        sleep 0.01
+    done
+    if ! kill -9 "$pid" 2>/dev/null; then
         wait "$pid" 2>/dev/null || true
-        echo "killed mid-campaign; checkpoints: $(ls "$tmp/ck" | tr '\n' ' ')"
-    else
-        # Fast machine finished first: the gate degrades to a resume-of-
-        # completed check, which must still reproduce the reference.
-        wait "$pid" 2>/dev/null || true
-        echo "WARNING: campaign finished before the kill; resume gate is resume-of-completed only" >&2
+        echo "campaign finished before the kill; the gate needs a mid-run resume" >&2
+        exit 1
     fi
+    wait "$pid" 2>/dev/null || true
+    echo "killed mid-campaign; checkpoints: $(ls "$tmp/ck" | tr '\n' ' ')"
     "$tmp/mlckpt" "$@" -checkpoint "$tmp/ck" -resume >"$tmp/resumed.json"
     cmp "$tmp/ref.json" "$tmp/resumed.json"
     echo "resumed campaign byte-identical to uninterrupted run"
@@ -294,10 +305,11 @@ go test -run 'TestCRNMarginalsMatchStandaloneCampaigns' ./internal/experiments/
 # The sim campaign runner, optimizer sweep, observer pool, the paired
 # stats accumulators, the figure-grid row runner and the conformance
 # checker pool are the packages that share state across goroutines; run
-# them (plus the repo root, whose integration test drives them together)
-# under the race detector.
-echo "== go test -race (sim/optimize/obs/eventq/stats/service/experiments shard)"
-go test -race ./internal/sim/ ./internal/optimize/ ./internal/obs/ ./internal/eventq/ ./internal/stats/ ./internal/service/ ./cmd/mlckptd/ ./internal/experiments/ ./cmd/repro/ .
+# them (plus the repo root, whose integration test drives them together,
+# and cmd/mlckpt, which drives -check, -flight, -crn and shard runs
+# through them) under the race detector.
+echo "== go test -race (sim/optimize/obs/eventq/stats/service/experiments/cmd shard)"
+go test -race ./internal/sim/ ./internal/optimize/ ./internal/obs/ ./internal/eventq/ ./internal/stats/ ./internal/service/ ./cmd/mlckptd/ ./internal/experiments/ ./cmd/repro/ ./cmd/mlckpt/ .
 # The conformance suite is statistics-heavy; -short keeps the race pass
 # focused on the Pool/Campaign concurrency without the full sweeps.
 echo "== go test -race -short (conformance)"

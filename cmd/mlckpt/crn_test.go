@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // runStderr runs the CLI with os.Stderr redirected to a file (where the
@@ -169,5 +171,89 @@ func TestCRNCampaignFlags(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, tc.test)
+	}
+}
+
+// TestCRNCheckAndFlight: -check and -flight reach every CRN arm, as
+// they reach every plain cell.
+func TestCRNCheckAndFlight(t *testing.T) {
+	crn := []string{"-system", "D4", "-techniques", "di,moody", "-crn", "-trials", "24"}
+	plain, _, err := runStderr(t, crn...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("check reports every arm", func(t *testing.T) {
+		checked, _, err := runStderr(t, append([]string{"-check"}, crn...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports := map[string]int{}
+		var stripped strings.Builder
+		for _, line := range strings.SplitAfter(checked, "\n") {
+			if tech, ok := strings.CutPrefix(line, "conformance["); ok {
+				reports[tech[:strings.IndexByte(tech, ']')]]++
+				if !strings.Contains(line, ": 24 trials,") || !strings.Contains(line, "all invariants held") {
+					t.Errorf("conformance line %q", line)
+				}
+				continue
+			}
+			stripped.WriteString(line)
+		}
+		if len(reports) != 2 || reports["di"] != 1 || reports["moody"] != 1 {
+			t.Errorf("conformance lines per arm = %v, want one each for di and moody", reports)
+		}
+		if stripped.String() != plain {
+			t.Errorf("-check changed the comparison:\n--- -crn:\n%s--- -crn -check, reports stripped:\n%s", plain, stripped.String())
+		}
+	})
+	t.Run("flight dumps every arm", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "f.json")
+		if _, _, err := runStderr(t, append([]string{"-flight", path}, crn...)...); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		streams, err := trace.ReadFlight(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := map[string]int{}
+		for _, s := range streams {
+			labels[s.Label]++
+		}
+		if len(labels) != 2 || labels["di"] == 0 || labels["moody"] == 0 {
+			t.Errorf("streams per label = %v, want streams from di and moody only", labels)
+		}
+	})
+}
+
+// TestOneWallCap: plain cells and CRN arms cap a trial at the engine's
+// default 400·T_B, as /v1/simulate does. With an MTBF of 1 minute and
+// 5-minute checkpoints, every trial of this system hits the cap.
+func TestOneWallCap(t *testing.T) {
+	args := []string{"-mtbf", "1", "-probs", "1", "-times", "5", "-tb", "10",
+		"-techniques", "daly,dauwe", "-trials", "4"}
+	const want = sim.DefaultMaxWallFactor * 10
+	r, _ := jsonRun(t, args...)
+	for _, tr := range r.Results {
+		if got := tr.Sim.WallTime.Max; got != want {
+			t.Errorf("%s: WallTime.Max = %v, want %v", tr.Technique, got, want)
+		}
+	}
+	stdout, _, err := runStderr(t, append(args, "-crn", "-json")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep experiments.VarianceReport
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rep.Cells {
+		if got := c.Sim.WallTime.Max; got != want {
+			t.Errorf("crn %s: WallTime.Max = %v, want %v", c.Technique, got, want)
+		}
 	}
 }

@@ -23,13 +23,11 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/conformance"
 	"repro/internal/experiments"
 	"repro/internal/faultlog"
 	"repro/internal/model"
@@ -124,6 +122,9 @@ func run(args []string, stdout io.Writer) error {
 	if *ckptDir != "" && *trials <= 0 {
 		return fmt.Errorf("-checkpoint needs -trials")
 	}
+	if *ckptInterval < 0 {
+		return fmt.Errorf("-checkpoint-interval %d: want a positive trial count (0 = trials/8)", *ckptInterval)
+	}
 	// Zero turns sequential stopping off; NaN > 0 is false, so test != 0.
 	if *ciTarget != 0 && (!(*ciTarget > 0) || math.IsInf(*ciTarget, 1)) {
 		return fmt.Errorf("-ci-target %v: want a positive, finite CI half-width", *ciTarget)
@@ -134,13 +135,29 @@ func run(args []string, stdout io.Writer) error {
 	if *crn && *streamSim {
 		return fmt.Errorf("-stream is incompatible with -crn: paired statistics read every trial's result")
 	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return err
-		}
+	opt := experiments.Options{
+		Trials: *trials,
+		Seed:   *seed,
+		// Every path, CRN arms included, caps trials at the engine's
+		// default 400·T_B, as /v1/simulate does.
+		MaxWallFactor:      sim.DefaultMaxWallFactor,
+		CITarget:           *ciTarget,
+		Stream:             *streamSim,
+		CheckpointDir:      *ckptDir,
+		CheckpointInterval: *ckptInterval,
+		Resume:             *resume,
+		Check:              *check,
+		Shard:              shardK,
+		Shards:             shardN,
 	}
-	if shardN > 0 {
-		if err := os.MkdirAll(*shardDir, 0o755); err != nil {
+	if *mergeShards > 0 {
+		opt.Shards, opt.MergeShards = *mergeShards, true
+	}
+	if opt.Shards > 0 {
+		opt.CheckpointDir = *shardDir // the shard file is the checkpoint
+	}
+	if opt.CheckpointDir != "" && !opt.MergeShards {
+		if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
 			return err
 		}
 	}
@@ -198,61 +215,59 @@ func run(args []string, stdout io.Writer) error {
 			techNames = append(techNames, name)
 		}
 	}
-	var sink *obs.SimMetrics
 	if *metricsPath != "" || *listen != "" {
-		sink = obs.NewSimMetrics()
+		opt.Metrics = obs.NewSimMetrics()
 	}
 	// Spans are recorded whenever something can show them: the summary
 	// table, the /spans endpoint, or the -metrics snapshot.
-	var tracer *obs.Tracer
 	if *traceSummary || *listen != "" || *metricsPath != "" {
-		tracer = obs.NewTracer()
+		opt.Spans = obs.NewTracer()
 	}
-	flightOn := *flightPath != "" || *listen != ""
-	var flightStreams []trace.FlightStream
-	var prog *obs.Progress
+	if *flightPath != "" || *listen != "" {
+		opt.Flight = &experiments.FlightLog{}
+	}
 	if *progress {
-		budget := int64(len(techNames) * *trials)
-		if *crn && *trials == 0 {
-			budget = int64(len(techNames)) * 400 // CompareTechniques' default
+		// The budget is the trials this invocation simulates.
+		perCell := *trials
+		switch {
+		case *crn && perCell == 0:
+			perCell = 400 // CompareTechniques' default
+		case opt.MergeShards:
+			perCell = 0
+		case shardN > 0:
+			lo, hi := sim.ShardRange(*trials, 0, shardK, shardN)
+			perCell = hi - lo
 		}
-		prog = obs.NewProgress(os.Stderr, "mlckpt", budget)
+		prog := obs.NewProgress(os.Stderr, "mlckpt", int64(len(techNames)*perCell))
 		if *progressInterval != 0 {
 			prog.SetInterval(*progressInterval)
 		}
+		opt.TrialDone = prog.Tick
 		defer prog.Finish()
 	}
 	// runID correlates this invocation's artifacts — event-log lines,
-	// flight dumps — across the fleet; per-cell config digests (shared
-	// by all shards of a cell) identify each campaign's sidecars.
+	// flight dumps and, under -log-json, sidecars — across the fleet;
+	// every shard of a cell, run with the same flags, shares it.
 	runID := sidecar.ConfigDigest("mlckpt", sys.Name, *techs,
 		strconv.FormatUint(*seed, 10), strconv.Itoa(*trials))
-	var events *obs.EventLog
 	if *logJSON {
-		events = obs.NewEventLog(os.Stderr, "")
+		opt.Events = obs.NewEventLog(os.Stderr, runID)
 	}
 	var live *obshttp.Live
-	var stats *obs.StreamSet
 	if *listen != "" {
 		live = obshttp.NewLive()
-		stats = live.Stats
-		if flightOn {
-			// Publish an empty dump so /flight serves from the start.
-			if err := live.PublishFlight(func(w io.Writer) error {
-				return trace.WriteFlightWithRun(w, runID, nil)
-			}); err != nil {
-				return err
-			}
+		opt.TrialStats = live.Stats
+		// Publish an empty dump so /flight serves from the start.
+		if err := live.PublishFlight(func(w io.Writer) error {
+			return trace.WriteFlightWithRun(w, runID, nil)
+		}); err != nil {
+			return err
 		}
-		// /shards serves the fleet view over whichever sidecar directory
-		// this process writes into (shard files, or checkpoints).
-		scanDir := *ckptDir
-		if shardN > 0 || *mergeShards > 0 {
-			scanDir = *shardDir
-		}
-		if scanDir != "" {
+		// /shards serves the fleet view over the sidecars beside this
+		// process's checkpoint or shard files.
+		if dir := opt.CheckpointDir; dir != "" {
 			live.SetShards(func() (any, error) {
-				files, err := sidecar.Scan(scanDir)
+				files, err := sidecar.Scan(dir)
 				if err != nil {
 					return nil, err
 				}
@@ -266,384 +281,105 @@ func run(args []string, stdout io.Writer) error {
 		defer srv.Close()
 		live.SetReady(true)
 		fmt.Fprintf(os.Stderr, "mlckpt: telemetry on http://%s/metrics (also /snapshot, /spans, /shards, /healthz, /flight, /debug/pprof/)\n", srv.Addr())
-	} else if sink != nil {
-		stats = obs.NewStreamSet()
+	} else if opt.Metrics != nil {
+		opt.TrialStats = obs.NewStreamSet()
+	}
+	// publish checkpoints the merged telemetry so the HTTP endpoints show
+	// everything up to the cell that just finished.
+	publish := func() error {
+		if live == nil {
+			return nil
+		}
+		if opt.Metrics != nil {
+			live.PublishSnapshot(opt.Metrics.Snapshot())
+		}
+		live.PublishSpans(opt.Spans.Snapshot())
+		return live.PublishFlight(func(w io.Writer) error {
+			return trace.WriteFlightWithRun(w, runID, opt.Flight.Streams())
+		})
+	}
+	// fail returns a campaign's error after dumping the flight streams:
+	// the black box matters most on the crash path.
+	fail := func(err error) error {
+		if *flightPath != "" {
+			dumpFlight(*flightPath, runID, opt.Flight.Streams())
+		}
+		return err
+	}
+	reportChecked := func(c experiments.Cell) {
+		if c.Conformance != nil && !*jsonOut {
+			fmt.Fprintf(stdout, "conformance[%s]: %d trials, %d events, all invariants held\n",
+				c.Technique, c.Conformance.Trials, c.Conformance.Events)
+		}
 	}
 
+	var doc any
+	var render func(io.Writer) error
 	if *crn {
-		// Each technique runs as one arm of experiments.CompareTechniques,
-		// which wires checkpoints, resume and events per arm; the
-		// per-technique conformance and flight-recorder plumbing below
-		// does not reach the arms.
-		if *check || *flightPath != "" {
-			return fmt.Errorf("-crn is incompatible with -check and -flight; run them on individual techniques without -crn")
-		}
-		opt := experiments.Options{
-			Trials:             *trials,
-			Seed:               *seed,
-			CITarget:           *ciTarget,
-			Metrics:            sink,
-			Spans:              tracer,
-			TrialStats:         stats,
-			CheckpointDir:      *ckptDir,
-			CheckpointInterval: *ckptInterval,
-			Resume:             *resume,
-			Events:             events.WithRun(runID),
-		}
-		if prog != nil {
-			opt.TrialDone = prog.Tick
-		}
 		rep, err := experiments.CompareTechniques(sys, techNames, opt)
 		if err != nil {
+			return fail(err)
+		}
+		for _, c := range rep.Cells {
+			reportChecked(c)
+		}
+		if err := publish(); err != nil {
 			return err
 		}
-		if err := emit(stdout, *jsonOut, *outPath, rep, func(w io.Writer) error {
-			return report.VarianceReport(w, rep)
-		}); err != nil {
-			return err
-		}
-		if live != nil {
-			if sink != nil {
-				live.PublishSnapshot(sink.Snapshot())
+		doc, render = rep, func(w io.Writer) error { return report.VarianceReport(w, rep) }
+	} else {
+		tab := report.NewTable("technique", "levels", "plan", "predicted eff", "sim eff (mean±σ)")
+		results := runResults{System: sys.Name, Trials: *trials, Seed: *seed}
+		seeds := rng.Campaign(*seed, "mlckpt")
+		for _, name := range techNames {
+			info, err := model.Describe(name)
+			if err != nil {
+				return err
 			}
-			live.PublishSpans(tracer.Snapshot())
-		}
-		return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, sink, tracer, stats)
-	}
-
-	tab := report.NewTable("technique", "levels", "plan", "predicted eff", "sim eff (mean±σ)")
-	results := runResults{System: sys.Name, Trials: *trials, Seed: *seed}
-	for _, name := range techNames {
-		tech, err := model.New(name)
-		if err != nil {
-			return err
-		}
-		info, err := model.Describe(name)
-		if err != nil {
-			return err
-		}
-		if sink != nil {
-			// Techniques with an instrumented optimizer sweep share the
-			// simulation telemetry snapshot.
-			if m, ok := tech.(interface{ SetSweepMetrics(*obs.Registry) }); ok {
-				m.SetSweepMetrics(sink.Registry())
+			c, err := experiments.Evaluate(sys, name, *trials, seeds, opt)
+			if err != nil {
+				return fail(err)
 			}
-		}
-		cellSpan := tracer.Start("cell")
-		var sweepSpans *obs.Tracer
-		if tracer != nil {
-			if s, ok := tech.(interface{ SetSweepSpans(*obs.Tracer) }); ok {
-				sweepSpans = obs.NewTracer()
-				s.SetSweepSpans(sweepSpans)
-			}
-		}
-		optSpan := tracer.Start("optimize")
-		plan, pred, err := tech.Optimize(sys)
-		optSpan.End()
-		optSpan.Adopt(sweepSpans)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		simCol := ""
-		var simRes *sim.CampaignResult
-		shardFile := ""
-		if *trials > 0 {
-			camp := sim.Campaign{
-				Scenario: sim.Scenario{System: sys, Plan: plan},
-				Trials:   *trials,
-				Seed:     rng.Campaign(*seed, "mlckpt").Scenario(sys.Name + "/" + name),
-			}
-			if *streamSim {
-				camp.Sink = sim.NewStreamSink()
-			}
-			if *ckptDir != "" {
-				iv := *ckptInterval
-				if iv <= 0 {
-					if iv = *trials / 8; iv < 1 {
-						iv = 1
-					}
-				}
-				camp.Checkpoint = &sim.CheckpointConfig{
-					Path:     filepath.Join(*ckptDir, cellFile(sys.Name, name)+".ckpt"),
-					Interval: iv,
-					Resume:   *resume,
-				}
-			}
-			// The cell digest identifies this campaign's configuration:
-			// every shard of the same cell computes the same digest, so
-			// their sidecars and log lines group into one fleet.
-			cellLabel := sys.Name + "/" + name
-			sinkKind := "exact"
-			if *streamSim {
-				sinkKind = "stream"
-			}
-			cellDigest := sidecar.ConfigDigest(sys.Name, name,
-				strconv.FormatUint(*seed, 10), strconv.Itoa(*trials),
-				strconv.Itoa(camp.Block), sinkKind)
-			cellEvents := events.WithRun(cellDigest)
-			if shardN > 0 {
-				spath := shardPath(*shardDir, sys.Name, name, shardK, shardN)
-				var pool *obs.Pool
-				if sink != nil {
-					pool = &obs.Pool{}
-					camp.ObserverFactory = pool.Observer
-				}
-				sw := sidecar.NewWriter(spath+sidecar.Suffix, sidecar.Meta{
-					RunID: cellDigest, ConfigDigest: cellDigest,
-					Label: cellLabel, Shard: shardK, Of: shardN,
-				})
-				if stats != nil {
-					sw.SetLiveStats(stats.Snapshots)
-				}
-				camp.Progress = sw.Update
-				camp.Progress = cellEvents.WithLabel(cellLabel).CampaignProgress(camp.Progress, "", shardK, shardN)
-				campSpan := tracer.Start("campaign")
-				err := camp.RunShard(spath, shardK, shardN)
-				campSpan.End()
-				if err != nil {
-					// The final failed sidecar was already flushed by the
-					// progress hook.
-					return fmt.Errorf("%s: shard %d/%d: %w", name, shardK, shardN, err)
-				}
-				if pool != nil {
-					m, err := pool.Merged()
-					if err != nil {
-						return err
-					}
-					if err := sink.Merge(m); err != nil {
-						return err
-					}
-					// Enrich the terminal sidecar with the shard's merged
-					// registry so fleet monitors can aggregate telemetry
-					// across processes (sidecar.MergeRegistries).
-					snap := m.Snapshot()
-					sw.SetRegistry(&snap)
-				}
-				if err := sw.Flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "mlckpt: sidecar:", err)
-				}
-				lo, hi := sim.ShardRange(camp.Trials, camp.Block, shardK, shardN)
+			reportChecked(c)
+			tr := techResult{Technique: name, Plan: c.Plan.String(), Predicted: c.Predicted.Efficiency, ShardFile: c.ShardFile}
+			simCol := ""
+			switch {
+			case *trials <= 0:
+			case shardN > 0:
+				lo, hi := sim.ShardRange(*trials, 0, shardK, shardN)
 				simCol = fmt.Sprintf("shard %d/%d (trials %d..%d)", shardK, shardN, lo, hi-1)
-				shardFile = spath
-			} else if *mergeShards > 0 {
-				paths := make([]string, *mergeShards)
-				for k := range paths {
-					paths[k] = shardPath(*shardDir, sys.Name, name, k, *mergeShards)
-				}
-				res, err := camp.MergeShards(paths...)
-				if err != nil {
-					return fmt.Errorf("%s: merge shards: %w", name, err)
-				}
-				cellEvents.ShardMerge(paths, *trials)
-				simCol = fmt.Sprintf("%.3f±%.3f", res.Efficiency.Mean, res.Efficiency.Std)
-				simRes = &res
-			} else {
-				var sw *sidecar.Writer
-				if camp.Checkpoint != nil {
-					// Checkpointed runs keep a progress sidecar next to the
-					// checkpoint artifact; plain in-memory runs have no
-					// artifact path to anchor one.
-					sw = sidecar.NewWriter(camp.Checkpoint.Path+sidecar.Suffix, sidecar.Meta{
-						RunID: cellDigest, ConfigDigest: cellDigest, Label: cellLabel,
-					})
-					if stats != nil {
-						sw.SetLiveStats(stats.Snapshots)
-					}
-					camp.Progress = sw.Update
-				}
-				ckPath := ""
-				if camp.Checkpoint != nil {
-					ckPath = camp.Checkpoint.Path
-				}
-				camp.Progress = cellEvents.WithLabel(cellLabel).CampaignProgress(camp.Progress, ckPath, 0, 1)
-				var pool *obs.Pool
-				if sink != nil {
-					pool = &obs.Pool{}
-				}
-				var ckPool *conformance.Pool
-				if *check {
-					ckPool, err = conformance.NewPool(camp.Scenario)
-					if err != nil {
-						return fmt.Errorf("%s: %w", name, err)
-					}
-				}
-				var flightPool *trace.FlightPool
-				if flightOn {
-					flightPool = &trace.FlightPool{}
-					camp.TrialStart = flightPool.TrialStart
-				}
-				if pool != nil || ckPool != nil || flightPool != nil {
-					camp.ObserverFactory = func(w int) sim.Observer {
-						var list []sim.Observer
-						var ck *conformance.Checker
-						if ckPool != nil {
-							ck = ckPool.Observer(w).(*conformance.Checker)
-							list = append(list, ck)
-						}
-						if flightPool != nil {
-							rec := flightPool.Recorder(w)
-							if ck != nil {
-								// The checker runs earlier in the observer
-								// chain, so its verdict is current at the
-								// trial's terminal event: pin the streams of
-								// trials that added violations.
-								seen := 0
-								rec.SetJudge(func(sim.Event) (string, bool) {
-									if n := len(ck.Violations()); n > seen {
-										seen = n
-										return "conformance violation", true
-									}
-									return "", false
-								})
-							}
-							list = append(list, rec)
-						}
-						if pool != nil {
-							list = append(list, pool.Observer(w))
-						}
-						if len(list) == 1 {
-							return list[0]
-						}
-						return obs.Multi(list...)
-					}
-				}
-				var trialTracers *obs.TracerPool
-				if tracer != nil {
-					trialTracers = &obs.TracerPool{}
-					inner := camp.ObserverFactory
-					camp.ObserverFactory = func(w int) sim.Observer {
-						sp := obs.TrialSpans(trialTracers.Shard())
-						if inner == nil {
-							return sp
-						}
-						return obs.Multi(inner(w), sp)
-					}
-				}
-				var effStat, wallStat *obs.StreamStat
-				if stats != nil {
-					effStat = stats.Stat("trial_efficiency")
-					wallStat = stats.Stat("trial_walltime_minutes")
-				}
-				if prog != nil || stats != nil {
-					camp.TrialDone = func(r sim.TrialResult) {
-						if effStat != nil {
-							effStat.Observe(r.Efficiency)
-							wallStat.Observe(r.WallTime)
-						}
-						if prog != nil {
-							prog.Tick()
-						}
-					}
-				}
-				collectFlight := func() {
-					if flightPool == nil {
-						return
-					}
-					ss := flightPool.Streams()
-					for i := range ss {
-						ss[i].Label = name
-					}
-					flightStreams = append(flightStreams, ss...)
-				}
-				campSpan := tracer.Start("campaign")
-				res, err := camp.Run()
-				campSpan.End()
-				if trialTracers != nil {
-					campSpan.Adopt(trialTracers.Merged())
-				}
-				if err != nil {
-					// The black box is most valuable on the crash path: the
-					// aborted trial's stream is pinned as "unterminated".
-					collectFlight()
-					dumpFlight(*flightPath, runID, flightStreams)
-					return fmt.Errorf("%s: simulate: %w", name, err)
-				}
-				if ckPool != nil {
-					if err := ckPool.Err(); err != nil {
-						collectFlight()
-						dumpFlight(*flightPath, runID, flightStreams)
-						return fmt.Errorf("%s: conformance: %w", name, err)
-					}
-					if !*jsonOut {
-						fmt.Fprintf(stdout, "conformance[%s]: %d trials, %d events, all invariants held\n",
-							name, ckPool.Trials(), ckPool.Events())
-					}
-				}
-				collectFlight()
-				if pool != nil {
-					m, err := pool.Merged()
-					if err != nil {
-						return err
-					}
-					if err := sink.Merge(m); err != nil {
-						return err
-					}
-					if sw != nil {
-						snap := m.Snapshot()
-						sw.SetRegistry(&snap)
-					}
-				}
-				if sw != nil {
-					if err := sw.Flush(); err != nil {
-						fmt.Fprintln(os.Stderr, "mlckpt: sidecar:", err)
-					}
-				}
-				simCol = fmt.Sprintf("%.3f±%.3f", res.Efficiency.Mean, res.Efficiency.Std)
-				simRes = &res
+			default:
+				tr.Sim = &c.Sim
+				simCol = fmt.Sprintf("%.3f±%.3f", c.Sim.Efficiency.Mean, c.Sim.Efficiency.Std)
+			}
+			results.Results = append(results.Results, tr)
+			tab.AddRow(name, levelsLabel(info), tr.Plan, fmt.Sprintf("%.3f", tr.Predicted), simCol)
+			if err := publish(); err != nil {
+				return err
 			}
 		}
-		results.Results = append(results.Results, techResult{
-			Technique: name,
-			Plan:      plan.String(),
-			Predicted: pred.Efficiency,
-			Sim:       simRes,
-			ShardFile: shardFile,
-		})
-		tab.AddRow(name, levelsLabel(info), plan.String(), fmt.Sprintf("%.3f", pred.Efficiency), simCol)
-		cellSpan.End()
-		if live != nil {
-			// Checkpoint the merged telemetry so the HTTP endpoints show
-			// everything up to the technique that just finished.
-			if sink != nil {
-				live.PublishSnapshot(sink.Snapshot())
-			}
-			live.PublishSpans(tracer.Snapshot())
-			if flightOn {
-				if err := live.PublishFlight(func(w io.Writer) error {
-					return trace.WriteFlightWithRun(w, runID, flightStreams)
-				}); err != nil {
-					return err
-				}
-			}
-		}
+		doc, render = results, tab.Render
 	}
-	if err := emit(stdout, *jsonOut, *outPath, results, tab.Render); err != nil {
+	if err := emit(stdout, *jsonOut, *outPath, doc, render); err != nil {
 		return err
 	}
 	if *flightPath != "" {
-		f, err := os.Create(*flightPath)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteFlightWithRun(f, runID, flightStreams); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		streams := opt.Flight.Streams()
+		if err := writeFlight(*flightPath, runID, streams); err != nil {
 			return err
 		}
 		held := 0
-		for _, s := range flightStreams {
+		for _, s := range streams {
 			if s.Held {
 				held++
 			}
 		}
 		if !*jsonOut {
 			fmt.Fprintf(stdout, "flight recorder: %d streams (%d held) written to %s\n",
-				len(flightStreams), held, *flightPath)
+				len(streams), held, *flightPath)
 		}
 	}
-	return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, sink, tracer, stats)
+	return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, opt.Metrics, opt.Spans, opt.TrialStats)
 }
 
 // techResult is one row of the machine-readable output: the chosen
@@ -788,43 +524,33 @@ func parseShard(spec string) (k, n int, err error) {
 	return k, n, nil
 }
 
-// cellFile names per-technique artifacts (checkpoints, shard files)
-// after the system and technique, with filesystem-hostile runes mapped
-// to '_'.
-func cellFile(sysName, tech string) string {
-	safe := func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}
-	return strings.Map(safe, sysName) + "-" + strings.Map(safe, tech)
-}
-
-func shardPath(dir, sysName, tech string, k, n int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.shard%dof%d.json", cellFile(sysName, tech), k, n))
-}
-
 // dumpFlight best-effort writes the accumulated flight streams — used on
 // campaign error paths, where the pinned anomalous streams are exactly
 // what post-mortem debugging needs. Failures to dump are reported but
 // never mask the original error.
 func dumpFlight(path, runID string, streams []trace.FlightStream) {
-	if path == "" || len(streams) == 0 {
+	if len(streams) == 0 {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlckpt: flight dump:", err)
-		return
-	}
-	defer f.Close()
-	if err := trace.WriteFlightWithRun(f, runID, streams); err != nil {
+	if err := writeFlight(path, runID, streams); err != nil {
 		fmt.Fprintln(os.Stderr, "mlckpt: flight dump:", err)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "mlckpt: flight recorder dumped to %s\n", path)
+}
+
+// writeFlight writes a flight dump of streams, stamped with runID, to
+// path.
+func writeFlight(path, runID string, streams []trace.FlightStream) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteFlightWithRun(f, runID, streams); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // listTechniques renders the registry metadata — no hard-coded

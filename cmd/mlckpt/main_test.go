@@ -67,15 +67,13 @@ func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{"-system", "XX"},
 		{"-mtbf", "60"}, // missing probs/times
-		{"-mtbf", "60", "-probs", "1", "-times", "1,2"},     // length mismatch
-		{"-mtbf", "60", "-probs", "abc", "-times", "1"},     // parse error
-		{"-system", "D1", "-techniques", "doesnotexist"},    // unknown technique
-		{"-mtbf", "-5", "-probs", "1", "-times", "1"},       // invalid mtbf
-		{"-system", "D4", "-tb", "inf"},                     // non-finite baseline
-		{"-mtbf", "60", "-probs", "1", "-times", "inf"},     // non-finite checkpoint time
-		{"-mtbf", "60", "-probs", "nan", "-times", "1"},     // NaN severity probability
-		{"-system", "D4", "-crn", "-check", "-trials", "5"}, // CRN drives one shared runner
-		{"-system", "D4", "-crn", "-flight", "/tmp/x", "-trials", "5"},
+		{"-mtbf", "60", "-probs", "1", "-times", "1,2"},                                           // length mismatch
+		{"-mtbf", "60", "-probs", "abc", "-times", "1"},                                           // parse error
+		{"-system", "D1", "-techniques", "doesnotexist"},                                          // unknown technique
+		{"-mtbf", "-5", "-probs", "1", "-times", "1"},                                             // invalid mtbf
+		{"-system", "D4", "-tb", "inf"},                                                           // non-finite baseline
+		{"-mtbf", "60", "-probs", "1", "-times", "inf"},                                           // non-finite checkpoint time
+		{"-mtbf", "60", "-probs", "nan", "-times", "1"},                                           // NaN severity probability
 		{"-system", "D4", "-ci-target", "0.01", "-trials", "5"},                                   // stopping needs -crn
 		{"-system", "D4", "-crn", "-techniques", "daly", "-trials", "5"},                          // pairing needs >= 2 arms
 		{"-system", "D4", "-techniques", "di,moody", "-crn", "-trials", "40", "-ci-target", "-1"}, // unusable target

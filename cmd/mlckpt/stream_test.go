@@ -116,6 +116,7 @@ func TestShardMergeCLI(t *testing.T) {
 // TestNewFlagValidation: the flag combinations the redesign rejects.
 func TestNewFlagValidation(t *testing.T) {
 	var out bytes.Buffer
+	ck := t.TempDir()
 	for _, args := range [][]string{
 		{"-system", "D4", "-resume"},                                                              // -resume without -checkpoint
 		{"-system", "D4", "-checkpoint", "x"},                                                     // -checkpoint without -trials
@@ -124,6 +125,7 @@ func TestNewFlagValidation(t *testing.T) {
 		{"-system", "D4", "-trials", "8", "-shard", "nope", "-shard-dir", "x"},                    // malformed spec
 		{"-system", "D4", "-trials", "8", "-shard", "0/2", "-shard-dir", "x", "-check"},           // shard + check
 		{"-system", "D4", "-trials", "8", "-shard", "0/2", "-shard-dir", "x", "-checkpoint", "y"}, // shard + checkpoint
+		{"-system", "D4", "-trials", "16", "-checkpoint", ck, "-checkpoint-interval", "-3"},       // negative interval
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) accepted", args)

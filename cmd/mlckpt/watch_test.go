@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/obs/sidecar"
 	"repro/internal/sim"
 )
@@ -93,5 +97,50 @@ func TestWatchReportsFailedShards(t *testing.T) {
 	}
 	if fl.State != "failed" || fl.Failed != 1 {
 		t.Fatalf("fleet = %+v", fl)
+	}
+}
+
+// TestShardRunTelemetry: a shard run reports progress, live trial stats
+// and trial spans over its own trial range, as a whole run does over
+// all of its trials.
+func TestShardRunTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	stdout, stderr, err := runStderr(t, "-system", "D4", "-techniques", "daly", "-trials", "40",
+		"-shard", "0/2", "-shard-dir", dir, "-progress", "-metrics", metrics, "-trace-summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := sim.ShardRange(40, 0, 0, 2)
+	n := hi - lo
+	if want := fmt.Sprintf("done — %d/%d trials (100.0%%)", n, n); !strings.Contains(stderr, want) {
+		t.Errorf("progress never reached the shard's %d trials (want %q):\n%s", n, want, stderr)
+	}
+	f, err := os.Open(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := obs.ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := map[string]uint64{}
+	for _, st := range snap.Stats {
+		stats[st.Name] = st.Count
+	}
+	for _, name := range []string{"trial_efficiency", "trial_walltime_minutes"} {
+		if stats[name] != uint64(n) {
+			t.Errorf("stat %q count = %d, want %d", name, stats[name], n)
+		}
+	}
+	spans := 0
+	for _, line := range strings.Split(stdout, "\n") {
+		if fields := strings.Fields(line); len(fields) > 1 && fields[0] == "trial" {
+			spans, _ = strconv.Atoi(fields[1])
+		}
+	}
+	if spans != n {
+		t.Errorf("trace summary has %d trial spans, want %d:\n%s", spans, n, stdout)
 	}
 }

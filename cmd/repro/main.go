@@ -96,6 +96,9 @@ func run(args []string, stdout io.Writer) error {
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint")
 	}
+	if *ckptInterval < 0 {
+		return fmt.Errorf("-checkpoint-interval %d: want a positive trial count (0 = trials/8)", *ckptInterval)
+	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return err

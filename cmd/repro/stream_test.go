@@ -3,9 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs/sidecar"
 )
 
 // TestJSONTargets: -json emits a decodable JSON document per target
@@ -78,5 +82,36 @@ func TestStreamCheckpointResumeFlags(t *testing.T) {
 	}
 	if err := run(args("-resume"), &bytes.Buffer{}); err == nil {
 		t.Error("-resume without -checkpoint accepted")
+	}
+	// Rejected when flags are parsed, before any optimizer runs.
+	if err := run(args("-checkpoint", dir, "-checkpoint-interval", "-3"), &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "-checkpoint-interval") {
+		t.Errorf("negative -checkpoint-interval: err = %v, want an error naming the flag", err)
+	}
+}
+
+// TestCheckpointSidecars: every checkpointed campaign keeps a progress
+// sidecar next to its checkpoint, and the directory reads as one
+// complete fleet, as mlckpt -watch aggregates it.
+func TestCheckpointSidecars(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-quiet", "-fast", "-trials", "8", "-checkpoint", dir, "sensitivity"}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	sides, _ := filepath.Glob(filepath.Join(dir, "*"+sidecar.Suffix))
+	if len(ckpts) == 0 || len(sides) != len(ckpts) {
+		t.Fatalf("%d checkpoints and %d sidecars, want one sidecar per checkpoint", len(ckpts), len(sides))
+	}
+	for _, c := range ckpts {
+		if _, err := os.Stat(c + sidecar.Suffix); err != nil {
+			t.Errorf("checkpoint %s has no sidecar: %v", c, err)
+		}
+	}
+	files, err := sidecar.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fl := sidecar.BuildFleet(files, time.Now(), 0); fl.State != "complete" || len(fl.Shards) != len(ckpts) {
+		t.Errorf("fleet state %s over %d sidecars, want complete over %d", fl.State, len(fl.Shards), len(ckpts))
 	}
 }

@@ -66,7 +66,7 @@ func PolicyAblation(opt Options, systems []string) (*AblationResult, error) {
 		}
 		row := AblationRow{System: name, Plan: plan.String()}
 		for i, policy := range []sim.RestartPolicy{sim.RetryPolicy, sim.EscalatePolicy} {
-			res, _, err := opt.runCampaign(sim.Campaign{
+			c, err := opt.runCampaign(sim.Campaign{
 				Scenario: sim.Scenario{
 					System: sys, Plan: plan, Policy: policy,
 					MaxWallFactor: opt.wallFactor(),
@@ -74,14 +74,14 @@ func PolicyAblation(opt Options, systems []string) (*AblationResult, error) {
 				Trials:  trials,
 				Seed:    seed.Scenario(fmt.Sprintf("%s/p%d", name, i)),
 				Workers: opt.Workers,
-			}, sys.Name)
+			}, Cell{System: sys.Name})
 			if err != nil {
 				return nil, err
 			}
 			if i == 0 {
-				row.Base = res
+				row.Base = c.Sim
 			} else {
-				row.Variant = res
+				row.Variant = c.Sim
 			}
 		}
 		opt.log("ablation-policy %s: retry=%.3f escalate=%.3f (Δ %+0.3f)",
@@ -129,7 +129,7 @@ func WeibullAblation(opt Options, shape float64, systems []string) (*AblationRes
 		}
 		row := AblationRow{System: name, Plan: plan.String()}
 		for i, fl := range [][]dist.Sampler{nil, laws} {
-			res, _, err := opt.runCampaign(sim.Campaign{
+			c, err := opt.runCampaign(sim.Campaign{
 				Scenario: sim.Scenario{
 					System: sys, Plan: plan, FailureLaws: fl,
 					MaxWallFactor: opt.wallFactor(),
@@ -137,14 +137,14 @@ func WeibullAblation(opt Options, shape float64, systems []string) (*AblationRes
 				Trials:  trials,
 				Seed:    seed.Scenario(fmt.Sprintf("%s/w%d", name, i)),
 				Workers: opt.Workers,
-			}, sys.Name)
+			}, Cell{System: sys.Name})
 			if err != nil {
 				return nil, err
 			}
 			if i == 0 {
-				row.Base = res
+				row.Base = c.Sim
 			} else {
-				row.Variant = res
+				row.Variant = c.Sim
 			}
 		}
 		opt.log("ablation-weibull %s: exp=%.3f weibull=%.3f (Δ %+0.3f)",
@@ -213,7 +213,7 @@ func AsyncAblation(opt Options, systems []string) (*AblationResult, error) {
 		}
 		row := AblationRow{System: name, Plan: plan.String()}
 		for i, async := range []bool{false, true} {
-			res, _, err := opt.runCampaign(sim.Campaign{
+			c, err := opt.runCampaign(sim.Campaign{
 				Scenario: sim.Scenario{
 					System: sys, Plan: plan, AsyncTopFlush: async,
 					MaxWallFactor: opt.wallFactor(),
@@ -221,14 +221,14 @@ func AsyncAblation(opt Options, systems []string) (*AblationResult, error) {
 				Trials:  trials,
 				Seed:    seed.Scenario(fmt.Sprintf("%s/a%d", name, i)),
 				Workers: opt.Workers,
-			}, sys.Name)
+			}, Cell{System: sys.Name})
 			if err != nil {
 				return nil, err
 			}
 			if i == 0 {
-				row.Base = res
+				row.Base = c.Sim
 			} else {
-				row.Variant = res
+				row.Variant = c.Sim
 			}
 		}
 		opt.log("ablation-async %s: sync=%.3f async=%.3f (Δ %+0.3f)",

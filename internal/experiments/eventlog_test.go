@@ -28,7 +28,7 @@ func TestRunCampaignEmitsEvents(t *testing.T) {
 		Workers:  2,
 		Seed:     rng.Campaign(7, "events").Scenario(sys.Name),
 	}
-	if _, _, err := opt.runCampaign(camp, sys.Name); err != nil {
+	if _, err := opt.runCampaign(camp, Cell{System: sys.Name}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,7 +78,7 @@ func TestRunCampaignEventsComposeWithProgress(t *testing.T) {
 		Seed:     rng.Campaign(7, "events").Scenario(sys.Name),
 		Progress: func(u sim.ProgressUpdate) { seen++ },
 	}
-	if _, _, err := opt.runCampaign(camp, sys.Name); err != nil {
+	if _, err := opt.runCampaign(camp, Cell{System: sys.Name}); err != nil {
 		t.Fatal(err)
 	}
 	if seen == 0 {
@@ -115,7 +115,7 @@ func TestConcurrentCampaignEventsGroupByLabel(t *testing.T) {
 				Workers:  2,
 				Seed:     rng.Campaign(7, "events").Scenario(label),
 			}
-			_, _, err := opt.runCampaign(camp, label)
+			_, err := opt.runCampaign(camp, Cell{System: label})
 			errs <- err
 		}()
 	}

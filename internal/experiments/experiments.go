@@ -11,16 +11,22 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
+	"repro/internal/conformance"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/sidecar"
 	"repro/internal/pattern"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/system"
+	"repro/internal/trace"
 
 	// The five technique packages register themselves; the concrete
 	// types are also needed for Fast-mode resolution tuning.
@@ -111,7 +117,9 @@ type Options struct {
 	Stream bool
 	// CheckpointDir, when non-empty, checkpoints every campaign into
 	// one file per (experiment, system, technique) cell under this
-	// directory; under CRN, each technique's arm is such a cell.
+	// directory, with a progress sidecar beside each; under CRN, each
+	// technique's arm is such a cell. Shard runs and merges keep their
+	// shard files there instead (see Shards).
 	CheckpointDir string
 	// CheckpointInterval is the per-campaign checkpoint interval in
 	// trials (0 = every 1/8 of the campaign).
@@ -124,6 +132,23 @@ type Options struct {
 	// lines (see obs.EventLog), each labelled with its cell. The CLIs
 	// enable it with -log-json.
 	Events *obs.EventLog
+	// Check runs every trial under the protocol-invariant checker
+	// (internal/conformance). A violation fails the cell; otherwise
+	// Cell.Conformance counts what was checked. The checker only
+	// observes, so results are bitwise identical to unchecked runs.
+	Check bool
+	// Flight, when non-nil, runs a flight recorder on every campaign and
+	// collects its streams, those of a failed campaign included. With
+	// Check, the streams of trials that broke an invariant are held.
+	Flight *FlightLog
+	// Shards, when positive, runs each campaign as shard Shard of Shards
+	// (sim.Campaign.RunShard): the shard file goes under CheckpointDir,
+	// Cell.ShardFile names it, and Cell.Sim stays zero. With
+	// MergeShards, each campaign instead merges its Shards shard files
+	// from CheckpointDir into Cell.Sim. Not with CRN: pairing merged
+	// shards is not supported.
+	Shard, Shards int
+	MergeShards   bool
 }
 
 // fastCounts is the reduced N_i candidate set used in Fast mode.
@@ -167,6 +192,52 @@ type Cell struct {
 	// Metrics holds the campaign's merged simulator telemetry when
 	// Options enabled collection (nil otherwise).
 	Metrics *obs.SimMetrics
+	// Conformance counts what the invariant checker verified under
+	// Options.Check (nil otherwise).
+	Conformance *Conformance `json:"-"`
+	// ShardFile is the shard file a shard run wrote (Options.Shards).
+	ShardFile string `json:"-"`
+}
+
+// Conformance counts the trials and events the invariant checker
+// verified in one campaign.
+type Conformance struct {
+	Trials, Events int
+}
+
+// label names the cell's campaign: its checkpoint, shard and sidecar
+// file names and the label on its events. Campaigns that belong to no
+// technique (the ablations, the sensitivity sweep) go by their system.
+func (c *Cell) label() string {
+	if c.Technique == "" {
+		return c.System
+	}
+	return c.System + "-" + c.Technique
+}
+
+// FlightLog collects the flight-recorder streams of every campaign run
+// with Options.Flight, each stream labelled with its cell's technique.
+// It is safe for concurrent use: figure rows run at once.
+type FlightLog struct {
+	mu      sync.Mutex
+	streams []trace.FlightStream
+}
+
+// add appends one campaign's streams under label.
+func (l *FlightLog) add(label string, streams []trace.FlightStream) {
+	for i := range streams {
+		streams[i].Label = label
+	}
+	l.mu.Lock()
+	l.streams = append(l.streams, streams...)
+	l.mu.Unlock()
+}
+
+// Streams returns the streams collected so far, campaign by campaign.
+func (l *FlightLog) Streams() []trace.FlightStream {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.streams)
 }
 
 // PredictionError returns predicted minus simulated efficiency (the
@@ -197,14 +268,29 @@ func newTechnique(name string, fast bool) (model.Technique, error) {
 	return tech, nil
 }
 
+// cellPath is the path, without its extension, of a campaign's
+// checkpoint or shard files under CheckpointDir. The campaign seed
+// words disambiguate same-named cells across experiments (fig2 vs fig3
+// share system/technique names but never seeds), so a stale file can at
+// worst fail header validation, not silently resume the wrong cell.
+func (o Options) cellPath(camp *sim.Campaign, label string) string {
+	hi, lo := camp.Seed.Words()
+	return filepath.Join(o.CheckpointDir, fmt.Sprintf("%s-%08x", sanitizeCell(label), (hi^lo)&0xffffffff))
+}
+
+// shardPath is the file of the campaign's shard k of Shards.
+func (o Options) shardPath(camp *sim.Campaign, label string, k int) string {
+	return fmt.Sprintf("%s.shard%dof%d.json", o.cellPath(camp, label), k, o.Shards)
+}
+
 // applySink wires the Options' streaming/checkpoint choices into one
-// campaign. label names the cell (experiment/system/technique) and
-// becomes the checkpoint filename.
+// campaign. label names the cell and becomes the checkpoint filename.
+// A shard run takes no checkpoint: its shard file is the checkpoint.
 func (o Options) applySink(camp *sim.Campaign, label string) {
 	if o.Stream && camp.Sink == nil {
 		camp.Sink = sim.NewStreamSink()
 	}
-	if o.CheckpointDir == "" || camp.Checkpoint != nil {
+	if o.CheckpointDir == "" || o.Shards > 0 || camp.Checkpoint != nil {
 		return
 	}
 	interval := o.CheckpointInterval
@@ -214,17 +300,51 @@ func (o Options) applySink(camp *sim.Campaign, label string) {
 			interval = 1
 		}
 	}
-	// The campaign seed words disambiguate same-named cells across
-	// experiments (fig2 vs fig3 share system/technique names but never
-	// seeds), so a stale file can at worst fail header validation, not
-	// silently resume the wrong cell.
-	hi, lo := camp.Seed.Words()
-	name := fmt.Sprintf("%s-%08x.ckpt", sanitizeCell(label), (hi^lo)&0xffffffff)
 	camp.Checkpoint = &sim.CheckpointConfig{
-		Path:     filepath.Join(o.CheckpointDir, name),
+		Path:     o.cellPath(camp, label) + ".ckpt",
 		Interval: interval,
 		Resume:   o.Resume,
 	}
+}
+
+// applySidecar keeps a progress sidecar (sidecar.Suffix) next to the
+// campaign's checkpoint or shard file and returns its writer, or nil
+// when the campaign writes no such file; a merge only reads shard
+// files, whose runs keep their sidecars. The cell's config digest
+// leaves out the shard index, so all shards of one cell share it. It
+// doubles as the run ID unless an event log is attached, whose run ID
+// the sidecar then carries to correlate with the log's records.
+func (o Options) applySidecar(camp *sim.Campaign, label string) *sidecar.Writer {
+	path, shard := "", 0
+	switch {
+	case o.MergeShards:
+		return nil
+	case o.Shards > 0:
+		path, shard = o.shardPath(camp, label, o.Shard), o.Shard
+	case camp.Checkpoint != nil:
+		path = camp.Checkpoint.Path
+	default:
+		return nil
+	}
+	sinkKind := "exact"
+	if o.Stream {
+		sinkKind = "stream"
+	}
+	hi, lo := camp.Seed.Words()
+	digest := sidecar.ConfigDigest(label, strconv.FormatUint(hi, 16), strconv.FormatUint(lo, 16),
+		strconv.Itoa(camp.Trials), strconv.Itoa(camp.Block), sinkKind)
+	runID := o.Events.RunID()
+	if runID == "" {
+		runID = digest
+	}
+	w := sidecar.NewWriter(path+sidecar.Suffix, sidecar.Meta{
+		RunID: runID, ConfigDigest: digest, Label: label, Shard: shard, Of: o.Shards,
+	})
+	if o.TrialStats != nil {
+		w.SetLiveStats(o.TrialStats.Snapshots)
+	}
+	camp.Progress = w.Update
+	return w
 }
 
 // applyEvents chains the structured-event emitter onto the campaign's
@@ -232,11 +352,14 @@ func (o Options) applySink(camp *sim.Campaign, label string) {
 // hook already installed. Every record carries label, so the records of
 // cells running at once group by cell.
 func (o Options) applyEvents(camp *sim.Campaign, label string) {
-	ckPath := ""
+	ckPath, shard, of := "", 0, 1
 	if camp.Checkpoint != nil {
 		ckPath = camp.Checkpoint.Path
 	}
-	camp.Progress = o.Events.WithLabel(label).CampaignProgress(camp.Progress, ckPath, 0, 1)
+	if o.Shards > 0 {
+		shard, of = o.Shard, o.Shards
+	}
+	camp.Progress = o.Events.WithLabel(label).CampaignProgress(camp.Progress, ckPath, shard, of)
 }
 
 // sanitizeCell maps a cell label to a safe filename.
@@ -252,62 +375,76 @@ func sanitizeCell(label string) string {
 	}, label)
 }
 
-// runCampaign executes one cell's campaign with every feature the
-// Options turn on (see simulate). label names the cell: it becomes the
-// checkpoint filename (applySink) and tags the campaign's events
-// (applyEvents). Returns the merged per-campaign metrics (nil when
-// collection is off).
-func (o Options) runCampaign(camp sim.Campaign, label string) (sim.CampaignResult, *obs.SimMetrics, error) {
+// runCampaign runs the campaign of cell c, wired by simulate, in the
+// Options' run mode: the whole campaign (Run), one shard of it
+// (RunShard), or a merge of its shard files (MergeShards). It returns c
+// with the result and whatever the wiring collected.
+func (o Options) runCampaign(camp sim.Campaign, c Cell) (Cell, error) {
 	if !o.CRN && (o.CITarget != 0 || o.CIBatch != 0) {
-		return sim.CampaignResult{}, nil, errors.New("experiments: CITarget and CIBatch need CRN (sequential stopping is defined on paired CIs)")
+		return c, errors.New("experiments: CITarget and CIBatch need CRN (sequential stopping is defined on paired CIs)")
 	}
-	var res sim.CampaignResult
-	metrics, err := o.simulate([]sim.Campaign{camp}, []string{label}, func(camps []sim.Campaign) (err error) {
-		res, err = camps[0].Run()
+	// sim checks the shard index and that a merge has files to merge.
+	if o.Shards < 0 || (o.Shards > 0 || o.MergeShards) && o.CheckpointDir == "" {
+		return c, fmt.Errorf("experiments: %d shards: want a non-negative count and a CheckpointDir for the shard files", o.Shards)
+	}
+	cells := []Cell{c}
+	err := o.simulate(cells, []sim.Campaign{camp}, func(camps []sim.Campaign) (err error) {
+		camp, c := &camps[0], &cells[0]
+		switch {
+		case o.MergeShards:
+			paths := make([]string, o.Shards)
+			for k := range paths {
+				paths[k] = o.shardPath(camp, c.label(), k)
+			}
+			if c.Sim, err = camp.MergeShards(paths...); err == nil {
+				o.Events.WithLabel(c.label()).ShardMerge(paths, camp.Trials)
+			}
+		case o.Shards > 0:
+			c.ShardFile = o.shardPath(camp, c.label(), o.Shard)
+			err = camp.RunShard(c.ShardFile, o.Shard, o.Shards)
+		default:
+			c.Sim, err = camp.Run()
+		}
 		return err
 	})
-	if err != nil {
-		return sim.CampaignResult{}, nil, err
-	}
-	return res, metrics[0], nil
+	return cells[0], err
 }
 
-// simulate wires the Options' campaign features into each of camps — the
-// sink and checkpoint (applySink), lifecycle events (applyEvents), the
-// per-trial hooks, a metrics pool and trial spans — then calls run on
-// the wired campaigns inside one "campaign" span split into
-// "setup"/"run"/"merge". The merge stage grafts the per-worker trial
-// spans under "run" and merges each campaign's metrics pool, in order,
-// into the returned per-campaign metrics (nil entries when collection is
-// off) and the global sink. Plain cells and CRN arms both run through
-// it, so every feature reaches both.
-func (o Options) simulate(camps []sim.Campaign, labels []string, run func([]sim.Campaign) error) ([]*obs.SimMetrics, error) {
+// campaignHooks are the per-campaign pools and progress sidecar that
+// simulate installs before a run and reads back after it.
+type campaignHooks struct {
+	metrics *obs.Pool
+	checker *conformance.Pool
+	flight  *trace.FlightPool
+	sidecar *sidecar.Writer
+}
+
+// simulate wires the Options' campaign features into each of camps —
+// the sink and checkpoint (applySink), a progress sidecar
+// (applySidecar), lifecycle events (applyEvents), the per-trial hooks,
+// and the observers: the invariant checker, the flight recorder, a
+// metrics pool and trial spans — then calls run on the wired campaigns
+// inside one "campaign" span split into "setup"/"run"/"merge". cells[i]
+// names camps[i] and receives what its wiring collected. The merge
+// stage grafts the per-worker trial spans under "run", hands the flight
+// streams to Options.Flight (also when run failed), and then, campaign
+// by campaign, fails on a checker violation or records the checker's
+// counts and merges the metrics pool into the cell, the global sink and
+// the sidecar's last write. Plain cells, shard runs and CRN arms all
+// run through it, so every feature reaches each of them.
+func (o Options) simulate(cells []Cell, camps []sim.Campaign, run func([]sim.Campaign) error) error {
 	campSpan := o.Spans.Start("campaign")
 	defer campSpan.End()
 	setupSpan := o.Spans.Start("setup")
-	pools := make([]*obs.Pool, len(camps))
 	var tracers *obs.TracerPool
 	if o.Spans != nil {
 		tracers = &obs.TracerPool{}
 	}
+	hooks := make([]campaignHooks, len(camps))
 	for i := range camps {
-		camp := &camps[i]
-		o.applySink(camp, labels[i])
-		o.applyEvents(camp, labels[i])
-		camp.TrialDone = o.trialHook()
-		if o.Metrics != nil || o.CollectMetrics {
-			pools[i] = &obs.Pool{}
-			camp.ObserverFactory = pools[i].Observer
-		}
-		if tracers != nil {
-			inner := camp.ObserverFactory
-			camp.ObserverFactory = func(worker int) sim.Observer {
-				spans := obs.TrialSpans(tracers.Shard())
-				if inner == nil {
-					return spans
-				}
-				return obs.Multi(inner(worker), spans)
-			}
+		if err := o.wire(&camps[i], cells[i].label(), &hooks[i], tracers); err != nil {
+			setupSpan.End()
+			return err
 		}
 	}
 	setupSpan.End()
@@ -322,22 +459,118 @@ func (o Options) simulate(camps []sim.Campaign, labels []string, run func([]sim.
 		// Worker trial spans appear under the stage that ran them.
 		runSpan.Adopt(tracers.Merged())
 	}
-	if err != nil {
-		return nil, err
-	}
-	metrics := make([]*obs.SimMetrics, len(camps))
-	for i, pool := range pools {
-		if pool == nil {
-			continue
+	for i, h := range hooks {
+		if h.flight != nil {
+			// A failed run's aborted trial comes back as an unterminated,
+			// held stream: the black box matters most on the crash path.
+			o.Flight.add(cells[i].Technique, h.flight.Streams())
 		}
-		if metrics[i], err = pool.Merged(); err == nil && o.Metrics != nil {
-			err = o.Metrics.Merge(metrics[i])
+	}
+	if err != nil {
+		return err
+	}
+	for i := range hooks {
+		if err := o.collect(&hooks[i], &cells[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// wire installs one campaign's sink, sidecar, events, trial hook and
+// observers, recording the pools and sidecar in h.
+func (o Options) wire(camp *sim.Campaign, label string, h *campaignHooks, tracers *obs.TracerPool) error {
+	o.applySink(camp, label)
+	h.sidecar = o.applySidecar(camp, label)
+	o.applyEvents(camp, label)
+	camp.TrialDone = o.trialHook()
+	if o.Check {
+		var err error
+		if h.checker, err = conformance.NewPool(camp.Scenario); err != nil {
+			return fmt.Errorf("%s: conformance: %w", label, err)
+		}
+	}
+	if o.Flight != nil {
+		h.flight = &trace.FlightPool{}
+		camp.TrialStart = h.flight.TrialStart
+	}
+	if o.Metrics != nil || o.CollectMetrics {
+		h.metrics = &obs.Pool{}
+	}
+	if h.checker == nil && h.flight == nil && h.metrics == nil && tracers == nil {
+		return nil
+	}
+	camp.ObserverFactory = func(worker int) sim.Observer {
+		var list []sim.Observer
+		var ck *conformance.Checker
+		if h.checker != nil {
+			ck = h.checker.Observer(worker).(*conformance.Checker)
+			list = append(list, ck)
+		}
+		if h.flight != nil {
+			rec := h.flight.Recorder(worker)
+			if ck != nil {
+				// The checker sees each event first, so its verdict is
+				// current at the trial's terminal event: hold the streams
+				// of trials that added violations.
+				seen := 0
+				rec.SetJudge(func(sim.Event) (string, bool) {
+					if n := len(ck.Violations()); n > seen {
+						seen = n
+						return "conformance violation", true
+					}
+					return "", false
+				})
+			}
+			list = append(list, rec)
+		}
+		if h.metrics != nil {
+			list = append(list, h.metrics.Observer(worker))
+		}
+		if tracers != nil {
+			list = append(list, obs.TrialSpans(tracers.Shard()))
+		}
+		if len(list) == 1 {
+			return list[0]
+		}
+		return obs.Multi(list...)
+	}
+	return nil
+}
+
+// collect reads one successful campaign's hooks back into its cell: the
+// checker's verdict and counts, then the merged metrics (also into the
+// global sink and the sidecar's last write).
+func (o Options) collect(h *campaignHooks, c *Cell) error {
+	if h.checker != nil {
+		if err := h.checker.Err(); err != nil {
+			return fmt.Errorf("%s: conformance: %w", c.label(), err)
+		}
+		c.Conformance = &Conformance{Trials: h.checker.Trials(), Events: h.checker.Events()}
+	}
+	if h.metrics != nil {
+		m, err := h.metrics.Merged()
+		if err == nil && o.Metrics != nil {
+			err = o.Metrics.Merge(m)
 		}
 		if err != nil {
-			return nil, err
+			return err
+		}
+		c.Metrics = m
+		if h.sidecar != nil {
+			// Worker-sharded registries merge only after the run, so they
+			// join the sidecar that the final progress update wrote.
+			snap := m.Snapshot()
+			h.sidecar.SetRegistry(&snap)
 		}
 	}
-	return metrics, nil
+	if h.sidecar != nil {
+		// Sidecar I/O never fails a campaign; the event log reports it.
+		if err := h.sidecar.Flush(); err != nil {
+			o.Events.WithLabel(c.label()).Event("sidecar_error", "path", h.sidecar.Path(), "error", err.Error())
+		}
+	}
+	return nil
 }
 
 // trialHook returns the per-trial telemetry callback shared by
@@ -407,14 +640,21 @@ func (o Options) scenarioFor(sys *system.System, plan pattern.Plan) sim.Scenario
 	}
 }
 
-// evaluate optimizes one technique for one system and simulates the
-// resulting plan.
-func evaluate(sys *system.System, techName string, trials int, seed rng.Seed, opt Options) (Cell, error) {
+// Evaluate optimizes one technique for one system and, given trials,
+// simulates the resulting plan on seed.Scenario(sys.Name + "/" +
+// techName) with every campaign feature the Options turn on; seed is
+// the caller's seed namespace (a figure's, or mlckpt's). With no trials
+// the cell holds the plan and prediction alone.
+func Evaluate(sys *system.System, techName string, trials int, seed rng.Seed, opt Options) (Cell, error) {
 	cellSpan := opt.Spans.Start("cell")
 	defer cellSpan.End()
 	plan, pred, err := optimizePlan(sys, techName, opt)
 	if err != nil {
 		return Cell{}, err
+	}
+	c := Cell{System: sys.Name, Technique: techName, Plan: plan, Predicted: pred}
+	if trials <= 0 {
+		return c, nil
 	}
 	camp := sim.Campaign{
 		Scenario: opt.scenarioFor(sys, plan),
@@ -422,18 +662,10 @@ func evaluate(sys *system.System, techName string, trials int, seed rng.Seed, op
 		Seed:     seed.Scenario(sys.Name + "/" + techName),
 		Workers:  opt.Workers,
 	}
-	res, metrics, err := opt.runCampaign(camp, sys.Name+"-"+techName)
-	if err != nil {
+	if c, err = opt.runCampaign(camp, c); err != nil {
 		return Cell{}, fmt.Errorf("%s on %s: simulate: %w", techName, sys.Name, err)
 	}
-	return Cell{
-		System:    sys.Name,
-		Technique: techName,
-		Plan:      plan,
-		Predicted: pred,
-		Sim:       res,
-		Metrics:   metrics,
-	}, nil
+	return c, nil
 }
 
 // evaluateRow evaluates every technique of one experiment row. Without
@@ -452,7 +684,7 @@ func evaluateRow(sys *system.System, techs []string, trials int, seed rng.Seed, 
 	}
 	cells := make([]Cell, 0, len(techs))
 	for _, tech := range techs {
-		c, err := evaluate(sys, tech, trials, seed, opt)
+		c, err := Evaluate(sys, tech, trials, seed, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -463,15 +695,17 @@ func evaluateRow(sys *system.System, techs []string, trials int, seed rng.Seed, 
 
 // pairedRow optimizes every technique on sys, each inside a "cell"
 // span, then simulates the plans as the arms of one sim.PairedCampaign
-// on the shared seed: each arm is the campaign evaluate would run for
+// on the shared seed: each arm is the campaign Evaluate would run for
 // the cell, seed aside, wired by simulate exactly as a plain cell is.
 // CITarget and CIBatch drive sequential stopping. When Metrics is set,
 // the counters vr_trials_run_total and vr_trials_saved_total record the
 // per-arm trials run and the budget the stopping rule left unrun.
 func (o Options) pairedRow(sys *system.System, techs []string, trials int, seed rng.Seed, controlVariates bool) ([]Cell, *sim.PairedResult, error) {
+	if o.Shards != 0 || o.MergeShards {
+		return nil, nil, errors.New("experiments: shard runs and merges cannot be paired under CRN")
+	}
 	cells := make([]Cell, len(techs))
 	arms := make([]sim.Campaign, len(techs))
-	labels := make([]string, len(techs))
 	for i, tech := range techs {
 		cellSpan := o.Spans.Start("cell")
 		plan, pred, err := optimizePlan(sys, tech, o)
@@ -481,10 +715,9 @@ func (o Options) pairedRow(sys *system.System, techs []string, trials int, seed 
 		}
 		cells[i] = Cell{System: sys.Name, Technique: tech, Plan: plan, Predicted: pred}
 		arms[i] = sim.Campaign{Scenario: o.scenarioFor(sys, plan), Trials: trials, Seed: seed, Workers: o.Workers}
-		labels[i] = sys.Name + "-" + tech
 	}
 	var res sim.PairedResult
-	metrics, err := o.simulate(arms, labels, func(arms []sim.Campaign) (err error) {
+	err := o.simulate(cells, arms, func(arms []sim.Campaign) (err error) {
 		res, err = sim.PairedCampaign{
 			Arms:            arms,
 			TargetCI:        o.CITarget,
@@ -502,7 +735,7 @@ func (o Options) pairedRow(sys *system.System, techs []string, trials int, seed 
 		return nil, nil, err
 	}
 	for i := range cells {
-		cells[i].Sim, cells[i].Metrics = res.Arms[i], metrics[i]
+		cells[i].Sim = res.Arms[i]
 	}
 	return cells, &res, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -19,7 +21,7 @@ func eval(t *testing.T, sysName, tech string, opt Options) Cell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := evaluate(sys, tech, opt.trials(200), rng.Campaign(opt.seed(), "test"), opt)
+	c, err := Evaluate(sys, tech, opt.trials(200), rng.Campaign(opt.seed(), "test"), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +157,11 @@ func TestShortAppAdvantage(t *testing.T) {
 	opt := testOpts()
 	opt.Trials = 120
 	seed := rng.Campaign(11, "shortapp")
-	dauwe, err := evaluate(sys, "dauwe", opt.Trials, seed, opt)
+	dauwe, err := Evaluate(sys, "dauwe", opt.Trials, seed, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moody, err := evaluate(sys, "moody", opt.Trials, seed, opt)
+	moody, err := Evaluate(sys, "moody", opt.Trials, seed, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestEvaluateUnknownTechnique(t *testing.T) {
 	sys, _ := system.ByName("D1")
-	if _, err := evaluate(sys, "nope", 5, rng.Campaign(1, "x"), Options{}); err == nil {
+	if _, err := Evaluate(sys, "nope", 5, rng.Campaign(1, "x"), Options{}); err == nil {
 		t.Fatal("unknown technique accepted")
 	}
 }
@@ -262,7 +264,7 @@ func TestEvaluateFeedsSweepMetrics(t *testing.T) {
 	sys, _ := system.ByName("D1")
 	sink := obs.NewSimMetrics()
 	opt := Options{Metrics: sink, MaxWallFactor: 15, Fast: true}
-	if _, err := evaluate(sys, "dauwe", 2, rng.Campaign(1, "x"), opt); err != nil {
+	if _, err := Evaluate(sys, "dauwe", 2, rng.Campaign(1, "x"), opt); err != nil {
 		t.Fatal(err)
 	}
 	snap := sink.Registry().Snapshot()
@@ -271,5 +273,44 @@ func TestEvaluateFeedsSweepMetrics(t *testing.T) {
 	}
 	if snap.Counter("opt_evaluations_total")+snap.Counter("opt_pruned_total") != snap.Counter("opt_candidates_total") {
 		t.Fatal("sweep candidate accounting broken")
+	}
+}
+
+// TestCheckAndFlightAcrossRows runs a figure grid, rows in flight at
+// once, with the invariant checker and the flight recorder on every
+// cell: every cell reports its checked trials, the shared FlightLog
+// gathers streams of every technique, and the result marshals to the
+// same bytes as the unobserved run (the grid pins hash that encoding).
+func TestCheckAndFlightAcrossRows(t *testing.T) {
+	opt := Options{Trials: 8, Seed: 7, Fast: true, Workers: 2}
+	plain, err := Fig3(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Check, opt.Flight = true, &FlightLog{}
+	checked, err := Fig3(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(plain)
+	got, _ := json.Marshal(checked)
+	if !bytes.Equal(got, want) {
+		t.Error("checked, recorded run differs from the plain run")
+	}
+	for _, row := range checked.Cells {
+		for _, c := range row {
+			if c.Conformance == nil || c.Conformance.Trials != opt.Trials {
+				t.Errorf("%s/%s: conformance %+v, want %d checked trials", c.System, c.Technique, c.Conformance, opt.Trials)
+			}
+		}
+	}
+	labels := map[string]bool{}
+	for _, s := range opt.Flight.Streams() {
+		labels[s.Label] = true
+	}
+	for _, tech := range BestTechniques {
+		if !labels[tech] {
+			t.Errorf("no flight streams labelled %q (got %v)", tech, labels)
+		}
 	}
 }

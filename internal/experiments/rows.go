@@ -18,8 +18,8 @@ type rowSinks struct {
 }
 
 // options returns opt with every caller-owned sink that is not safe for
-// concurrent use redirected into s. TrialDone, TrialStats and Events are
-// already safe for concurrent use and stay live.
+// concurrent use redirected into s. TrialDone, TrialStats, Events and
+// Flight are already safe for concurrent use and stay live.
 func (s *rowSinks) options(opt Options) Options {
 	ro := opt
 	if opt.Progress != nil {

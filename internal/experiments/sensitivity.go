@@ -71,24 +71,24 @@ func Sensitivity(opt Options, systemName string, multipliers []float64) (*Sensit
 		if err != nil {
 			return nil, err
 		}
-		res, _, err := opt.runCampaign(sim.Campaign{
+		c, err := opt.runCampaign(sim.Campaign{
 			Scenario: sim.Scenario{
 				System: sys, Plan: plan, MaxWallFactor: opt.wallFactor(),
 			},
 			Trials:  trials,
 			Seed:    seed.Scenario(fmt.Sprintf("%s/x%g", systemName, m)),
 			Workers: opt.Workers,
-		}, sys.Name)
+		}, Cell{System: sys.Name})
 		if err != nil {
 			return nil, err
 		}
 		opt.log("sensitivity %s ×%g: τ0=%.3f pred=%.3f sim=%.3f",
-			systemName, m, plan.Tau0, pred.Efficiency, res.Efficiency.Mean)
+			systemName, m, plan.Tau0, pred.Efficiency, c.Sim.Efficiency.Mean)
 		out.Points = append(out.Points, SensitivityPoint{
 			Multiplier: m,
 			Tau0:       plan.Tau0,
 			Predicted:  pred.Efficiency,
-			Sim:        res.Efficiency,
+			Sim:        c.Sim.Efficiency,
 		})
 	}
 	return out, nil

@@ -27,7 +27,7 @@ func TestEvaluateRecordsSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evaluate(sys, "dauwe", 32, rng.Campaign(7, "spans"), opt); err != nil {
+	if _, err := Evaluate(sys, "dauwe", 32, rng.Campaign(7, "spans"), opt); err != nil {
 		t.Fatal(err)
 	}
 	snap := opt.Spans.Snapshot()
@@ -82,7 +82,7 @@ func TestEvaluateSpanTreeWithMetricsObservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := evaluate(sys, "daly", 24, rng.Campaign(7, "spans-m"), opt)
+	c, err := Evaluate(sys, "daly", 24, rng.Campaign(7, "spans-m"), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestCheckpointDirAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := evaluate(sysD4, "dauwe", opt.trials(200), rng.Campaign(opt.seed(), "test"), opt); err == nil {
+	if _, err := Evaluate(sysD4, "dauwe", opt.trials(200), rng.Campaign(opt.seed(), "test"), opt); err == nil {
 		t.Error("corrupt checkpoint accepted")
 	}
 }

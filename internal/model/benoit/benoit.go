@@ -85,13 +85,13 @@ func periodTime(sys *system.System, plan pattern.Plan) (expected, work float64, 
 		return 0, 0, fmt.Errorf("benoit: steady-state model requires all %d levels, plan uses %d",
 			sys.NumLevels(), plan.NumUsed())
 	}
-	work = plan.PeriodWork()
+	work = float64(plan.PeriodWork())
 	counts := plan.CheckpointsPerPeriod()
 
 	// Failure-free period length: work plus all checkpoint overhead.
 	var overhead float64
 	for i, c := range counts {
-		overhead += float64(c) * sys.Levels[plan.Levels[i]-1].Checkpoint
+		overhead += float64(float64(c) * sys.Levels[plan.Levels[i]-1].Checkpoint)
 	}
 	expected = work + overhead
 
@@ -107,8 +107,8 @@ func periodTime(sys *system.System, plan pattern.Plan) (expected, work float64, 
 			interCkptWork = plan.Tau0 * float64(sizeIntervals)
 		}
 		li := sys.LevelRate(i + 1)
-		loss := interCkptWork/2 + sys.Levels[i].Restart
-		expected += li * work * loss
+		loss := float64(interCkptWork/2) + sys.Levels[i].Restart
+		expected += float64(li * work * loss)
 	}
 	if math.IsNaN(expected) {
 		return 0, 0, fmt.Errorf("benoit: model diverged for plan %v", plan)

@@ -48,7 +48,7 @@ func DalyInterval(delta, mtbf float64) float64 {
 		return mtbf
 	}
 	r := delta / (2 * mtbf)
-	return math.Sqrt(2*delta*mtbf)*(1+math.Sqrt(r)/3+r/9) - delta
+	return float64(math.Sqrt(2*delta*mtbf)*(1+math.Sqrt(r)/3+r/9)) - delta
 }
 
 // ExpectedTime evaluates Daly's complete expected-runtime formula for an

@@ -116,7 +116,7 @@ func expectedTime(sys *system.System, plan pattern.Plan) (t float64, level int, 
 		u := plan.Levels[i]
 		var li float64
 		for sev := lo; sev <= u; sev++ {
-			li += sys.LevelRate(sev)
+			li += float64(sys.LevelRate(sev))
 		}
 		lo = u + 1
 		delta := sys.Levels[u-1].Checkpoint
@@ -132,24 +132,24 @@ func expectedTime(sys *system.System, plan pattern.Plan) (t float64, level int, 
 		}
 
 		gamma := dist.RetryCount(tau, li)
-		tWTau := gamma * dist.TruncExp(tau, li) * nIv
-		tCk := nCk * delta
+		tWTau := float64(gamma * dist.TruncExp(tau, li) * nIv)
+		tCk := float64(nCk * delta)
 		// Failure-free C/R: only restarts triggered by computation
 		// failures, each succeeding on the first attempt.
 		beta := gamma * nIv
-		tR := beta * restart
+		tR := float64(beta * restart)
 
-		tau = tau*nIv + tCk + tR + tWTau
+		tau = float64(tau*nIv) + tCk + tR + tWTau
 		if math.IsNaN(tau) {
 			return 0, i + 1, false
 		}
 	}
 	var restRate float64
 	for sev := lo; sev <= sys.NumLevels(); sev++ {
-		restRate += sys.LevelRate(sev)
+		restRate += float64(sys.LevelRate(sev))
 	}
 	if restRate > 0 {
-		tau += dist.RetryCount(tau, restRate) * dist.TruncExp(tau, restRate)
+		tau += float64(dist.RetryCount(tau, restRate) * dist.TruncExp(tau, restRate))
 	}
 	return tau, 0, true
 }

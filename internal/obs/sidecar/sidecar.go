@@ -53,7 +53,7 @@ type File struct {
 	// digests match.
 	RunID        string `json:"run_id"`
 	ConfigDigest string `json:"config_digest,omitempty"`
-	// Label names the campaign cell (e.g. "D7/daly").
+	// Label names the campaign cell (e.g. "D7-daly").
 	Label string `json:"label,omitempty"`
 	// Shard/Of locate this process in the fleet; 0/1 for an unsharded run.
 	Shard int `json:"shard"`

@@ -367,13 +367,26 @@ func TestGracefulDrain(t *testing.T) {
 	inFlight := `{"system":"B","technique":"dauwe",
 		"grid":{"tau0_points":256,"count_vals":[1,2,3,4,5,6,7,8]},
 		"timeout_ms":60000}`
+	// The route enters the gate before the handler reads the body, so
+	// the request stays in flight until the test sends its body: the
+	// drain checks below see it in flight however loaded the machine.
+	bodyR, bodyW := io.Pipe()
+	defer bodyW.Close() // a failed check must not leave the request hanging
 	var wg sync.WaitGroup
 	var code int
 	var body []byte
+	var postErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		code, _, body = h.post(t, "/v1/plan", inFlight)
+		resp, err := http.Post(h.ts.URL+"/v1/plan", "application/json", bodyR)
+		if err != nil {
+			postErr = err
+			return
+		}
+		defer resp.Body.Close()
+		code = resp.StatusCode
+		body, postErr = io.ReadAll(resp.Body)
 	}()
 	waitFor(t, 5*time.Second, "request to be in flight", func() bool {
 		h.srv.gate.mu.Lock()
@@ -397,7 +410,14 @@ func TestGracefulDrain(t *testing.T) {
 		t.Errorf("new request during drain = %d, want 503", newCode)
 	}
 
+	if _, err := io.WriteString(bodyW, inFlight); err != nil {
+		t.Fatal(err)
+	}
+	bodyW.Close()
 	wg.Wait()
+	if postErr != nil {
+		t.Fatalf("in-flight request: %v", postErr)
+	}
 	if code != http.StatusOK {
 		t.Fatalf("in-flight request during drain = %d body=%s, want 200", code, body)
 	}
