@@ -173,6 +173,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer srv.Close()
+		live.SetReady(true)
 		fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics (also /snapshot, /spans, /debug/pprof/)\n", srv.Addr())
 	} else if *metricsPath != "" {
 		opt.TrialStats = obs.NewStreamSet()

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,5 +65,62 @@ func TestListenFlagSmoke(t *testing.T) {
 		"-listen", "127.0.0.1:0", "table1"}, &out)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// blockingWriter holds every write until release is closed, then
+// discards it.
+type blockingWriter struct{ release chan struct{} }
+
+func (w blockingWriter) Write(p []byte) (int, error) {
+	<-w.release
+	return len(p), nil
+}
+
+// TestListenReady scrapes /readyz of a running repro -listen. The run
+// is held at its first stdout write, so it is still serving when the
+// scrape arrives.
+func TestListenReady(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	saved := os.Stderr
+	os.Stderr = w
+	defer func() { os.Stderr = saved }()
+	stdout := blockingWriter{release: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-quiet", "-listen", "127.0.0.1:0", "table1"}, stdout)
+		w.Close()
+	}()
+	defer func() {
+		close(stdout.release)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	// The first stderr line names the address.
+	br := bufio.NewReader(r)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no listen line on stderr: %v", err)
+	}
+	go io.Copy(io.Discard, br)
+	_, rest, ok := strings.Cut(line, "http://")
+	addr, _, ok2 := strings.Cut(rest, "/")
+	if !ok || !ok2 {
+		t.Fatalf("listen line %q has no address", line)
+	}
+	resp, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/readyz of a running repro = %d %q, want 200", resp.StatusCode, body)
 	}
 }

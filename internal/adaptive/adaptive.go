@@ -72,10 +72,11 @@ func (e *Estimator) advance(now float64) {
 }
 
 // Rate returns the posterior-mean rate of a 1-based severity:
-// (believed·prior + count) / (prior + observed).
+// (believed·prior + count) / (prior + observed). The product is rounded
+// (float64(...)) so that no GOARCH fuses it into the addition.
 func (e *Estimator) Rate(severity int) float64 {
 	i := severity - 1
-	return (e.believed[i]*e.priorMinutes + float64(e.counts[i])) /
+	return (float64(e.believed[i]*e.priorMinutes) + float64(e.counts[i])) /
 		(e.priorMinutes + e.observedMin)
 }
 

@@ -61,7 +61,9 @@ func (m Model) Validate() error {
 // machine energy.
 func (m Model) joules(computeMin, ioMin float64) float64 {
 	const secPerMin = 60
-	perNode := computeMin*secPerMin*m.Power.ComputeWatts + ioMin*secPerMin*m.Power.IOWatts
+	// Each product is rounded (float64(...)) so that no GOARCH fuses it
+	// into the addition.
+	perNode := float64(computeMin*secPerMin*m.Power.ComputeWatts) + float64(ioMin*secPerMin*m.Power.IOWatts)
 	return perNode * float64(m.Nodes)
 }
 
@@ -94,8 +96,8 @@ const (
 type Optimizer struct {
 	Model     Model
 	Objective Objective
-	// Technique supplies the underlying prediction model; nil uses
-	// dauwe defaults.
+	// Technique supplies the underlying prediction model and the
+	// sweep's settings; nil uses dauwe defaults.
 	Technique *dauwe.Technique
 }
 
@@ -120,13 +122,7 @@ func (o *Optimizer) Optimize(sys *system.System) (Result, error) {
 	if tech == nil {
 		tech = dauwe.New()
 	}
-	space := optimize.Space{
-		Tau0:       optimize.Tau0Grid(sys, tech.Tau0Points),
-		CountVals:  tech.CountVals,
-		LevelSets:  optimize.PrefixLevelSets(sys.NumLevels()),
-		Workers:    tech.Workers,
-		RefineTau0: true,
-	}
+	space := tech.Space(sys, optimize.PrefixLevelSets(sys.NumLevels()))
 	res, err := optimize.Sweep(space, func(p pattern.Plan) (float64, bool) {
 		_, bk, err := tech.PredictDetailed(sys, p)
 		if err != nil {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/sidecar"
+	"repro/internal/optimize"
 	"repro/internal/pattern"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -28,12 +29,12 @@ import (
 	"repro/internal/system"
 	"repro/internal/trace"
 
-	// The five technique packages register themselves; the concrete
-	// types are also needed for Fast-mode resolution tuning.
-	"repro/internal/model/benoit"
+	// The five technique packages register themselves; Moody's concrete
+	// type is also needed for its Fast-mode period bound.
+	_ "repro/internal/model/benoit"
 	_ "repro/internal/model/daly"
-	"repro/internal/model/dauwe"
-	"repro/internal/model/di"
+	_ "repro/internal/model/dauwe"
+	_ "repro/internal/model/di"
 	"repro/internal/model/moody"
 )
 
@@ -253,16 +254,11 @@ func newTechnique(name string, fast bool) (model.Technique, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fast {
-		switch t := tech.(type) {
-		case *dauwe.Technique:
-			t.Tau0Points, t.CountVals = 24, fastCounts
-		case *di.Technique:
-			t.Tau0Points, t.CountVals = 24, fastCounts
-		case *benoit.Technique:
-			t.Tau0Points, t.CountVals = 24, fastCounts
-		case *moody.Technique:
-			t.Tau0Points, t.CountVals, t.MaxPeriodIntervals = 20, fastCounts, 128
+	if t, ok := tech.(optimize.Tunable); ok && fast {
+		t.SweepSettings().SetSweepGrid(24, fastCounts)
+		// Markov solves cost more per candidate than the other objectives.
+		if m, ok := tech.(*moody.Technique); ok {
+			m.Tau0Points, m.MaxPeriodIntervals = 20, 128
 		}
 	}
 	return tech, nil
@@ -604,20 +600,18 @@ func optimizePlan(sys *system.System, techName string, opt Options) (pattern.Pla
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
-	if opt.Metrics != nil {
-		// Techniques with an instrumented optimizer sweep feed the
-		// global telemetry sink alongside the simulator shards.
-		if m, ok := tech.(interface{ SetSweepMetrics(*obs.Registry) }); ok {
-			m.SetSweepMetrics(opt.Metrics.Registry())
-		}
-	}
 	var sweepSpans *obs.Tracer
-	if opt.Spans != nil {
-		// The sweep merges its per-worker span shards into a private
-		// tracer, grafted under this cell's "optimize" span afterwards.
-		if s, ok := tech.(interface{ SetSweepSpans(*obs.Tracer) }); ok {
+	if t, ok := tech.(optimize.Tunable); ok {
+		// A sweep feeds the global telemetry sink alongside the
+		// simulator shards, and merges its per-worker span shards into a
+		// private tracer, grafted under this cell's "optimize" span
+		// afterwards.
+		if opt.Metrics != nil {
+			t.SweepSettings().SetSweepMetrics(opt.Metrics.Registry())
+		}
+		if opt.Spans != nil {
 			sweepSpans = obs.NewTracer()
-			s.SetSweepSpans(sweepSpans)
+			t.SweepSettings().SetSweepSpans(sweepSpans)
 		}
 	}
 	optSpan := opt.Spans.Start("optimize")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/model/dauwe"
 	"repro/internal/pattern"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -53,8 +52,7 @@ func Sensitivity(opt Options, systemName string, multipliers []float64) (*Sensit
 	if err != nil {
 		return nil, err
 	}
-	d := tech.(*dauwe.Technique)
-	best, _, err := d.Optimize(sys)
+	best, _, err := tech.Optimize(sys)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +65,7 @@ func Sensitivity(opt Options, systemName string, multipliers []float64) (*Sensit
 		}
 		plan := best
 		plan.Tau0 = best.Tau0 * m
-		pred, err := d.Predict(sys, plan)
+		pred, err := tech.Predict(sys, plan)
 		if err != nil {
 			return nil, err
 		}

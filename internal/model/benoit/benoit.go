@@ -18,16 +18,16 @@
 // reports for this technique, and of its accuracy degradation as the
 // number of levels grows (the sharp Figure 2 drop on the four-level
 // system B).
+//
+// The optimizer is [18]'s closed form (AnalyticPlan) and nothing else:
+// the technique runs no sweep, so it has no sweep settings to tune.
 package benoit
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/obs"
-	"repro/internal/optimize"
 	"repro/internal/pattern"
 	"repro/internal/system"
 )
@@ -40,39 +40,12 @@ func init() {
 	}, func() model.Technique { return New() })
 }
 
-// Technique is the Benoit et al. first-order model + optimizer.
-type Technique struct {
-	// Tau0Points is the τ0 grid resolution of the optimizer sweep.
-	Tau0Points int
-	// CountVals is the N_i candidate set of the optimizer sweep.
-	CountVals []int
-	// Workers bounds optimizer parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Metrics, when non-nil, receives the optimizer sweep's telemetry
-	// (candidates/evaluations/prunes). Not for use across concurrent
-	// Optimize calls.
-	Metrics *obs.Registry
-	// Spans, when non-nil, receives the optimizer sweep's span tree
-	// (see optimize.Space.Spans). Not for use across concurrent
-	// Optimize calls.
-	Spans *obs.Tracer
-	// Context, when non-nil, cancels an in-flight Optimize sweep (see
-	// optimize.Space.Context). Not for use across concurrent Optimize
-	// calls.
-	Context context.Context
-	// Analytic selects the closed-form optimizer (the default, matching
-	// [18]'s derivation): per-level optimum work distances
-	// W_l = sqrt(2·δ_l/λ_l), rounded onto the pattern lattice. When
-	// false, a brute-force sweep of the same first-order objective is
-	// used instead — available for the ablation of how much the
-	// closed-form rounding costs.
-	Analytic bool
-}
+// Technique is the Benoit et al. first-order model and its closed-form
+// optimizer. It has no settings.
+type Technique struct{}
 
-// New returns the technique with reproduction settings.
-func New() *Technique {
-	return &Technique{Tau0Points: 96, CountVals: optimize.DefaultCounts(), Analytic: true}
-}
+// New returns the technique.
+func New() *Technique { return &Technique{} }
 
 // Name implements model.Model.
 func (*Technique) Name() string { return "benoit" }
@@ -178,76 +151,15 @@ func AnalyticPlan(sys *system.System) (pattern.Plan, error) {
 	return plan, nil
 }
 
-// Optimize returns the closed-form analytic pattern (the default) or
-// brute-force-sweeps full-level patterns for the best first-order period
-// efficiency.
+// Optimize returns the closed-form pattern of AnalyticPlan with the
+// first-order model's prediction for it.
 func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction, error) {
-	if err := sys.Validate(); err != nil {
-		return pattern.Plan{}, model.Prediction{}, err
-	}
-	if t.Analytic {
-		plan, err := AnalyticPlan(sys)
-		if err != nil {
-			return pattern.Plan{}, model.Prediction{}, err
-		}
-		pred, err := t.Predict(sys, plan)
-		return plan, pred, err
-	}
-	space := optimize.Space{
-		Tau0:       optimize.Tau0Grid(sys, t.Tau0Points),
-		CountVals:  t.CountVals,
-		LevelSets:  [][]int{pattern.AllLevels(sys)},
-		Workers:    t.Workers,
-		RefineTau0: true,
-		Metrics:    t.Metrics,
-		Spans:      t.Spans,
-		Context:    t.Context,
-	}
-	res, err := optimize.Sweep(space, func(p pattern.Plan) (float64, bool) {
-		expected, work, err := periodTime(sys, p)
-		if err != nil || !(work > 0) {
-			return 0, false
-		}
-		// Minimizing normalized period time maximizes efficiency.
-		return expected / work, true
-	})
+	plan, err := AnalyticPlan(sys)
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
-	// res.ExpectedTime is the normalized period time = 1/efficiency.
-	return res.Plan, model.NewPrediction(sys.BaselineTime, sys.BaselineTime*res.ExpectedTime), nil
+	pred, err := t.Predict(sys, plan)
+	return plan, pred, err
 }
-
-// SetSweepMetrics directs the optimizer sweep's telemetry into reg
-// (nil disables collection). Implements the optional interface the CLIs
-// and experiment harness probe for.
-func (t *Technique) SetSweepMetrics(reg *obs.Registry) { t.Metrics = reg }
-
-// SetSweepSpans directs the optimizer sweep's span tree into tr (nil
-// disables collection). Implements the optional interface the CLIs and
-// experiment harness probe for.
-func (t *Technique) SetSweepSpans(tr *obs.Tracer) { t.Spans = tr }
-
-// SetSweepContext installs a cancellation context for the optimizer
-// sweep (nil disables cancellation). Implements the optional interface
-// the serving layer probes for.
-func (t *Technique) SetSweepContext(ctx context.Context) { t.Context = ctx }
-
-// SetSweepGrid overrides the optimizer search grid: tau0Points τ0 grid
-// points (0 keeps the default) and countVals as the per-level count
-// candidate set (nil keeps the default). Implements the optional
-// interface the serving layer probes for.
-func (t *Technique) SetSweepGrid(tau0Points int, countVals []int) {
-	if tau0Points > 0 {
-		t.Tau0Points = tau0Points
-	}
-	if len(countVals) > 0 {
-		t.CountVals = countVals
-	}
-}
-
-// SetSweepWorkers bounds optimizer parallelism (0 = GOMAXPROCS).
-// Implements the optional interface the serving layer probes for.
-func (t *Technique) SetSweepWorkers(n int) { t.Workers = n }
 
 var _ model.Technique = (*Technique)(nil)

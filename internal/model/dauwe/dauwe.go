@@ -16,7 +16,6 @@
 package dauwe
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -39,36 +38,19 @@ func init() {
 
 // Technique is the Dauwe et al. model + optimizer.
 type Technique struct {
-	// Tau0Points is the τ0 grid resolution of the optimizer sweep.
-	Tau0Points int
-	// CountVals is the N_i candidate set of the optimizer sweep.
-	CountVals []int
+	// Settings tune the optimizer sweep.
+	optimize.Settings
 	// AllowLevelExclusion enables the Section IV-F behavior of
 	// considering plans that skip the costly top levels. On by default
 	// (it is one of the model's two headline advantages).
 	AllowLevelExclusion bool
-	// Workers bounds optimizer parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Metrics, when non-nil, receives the optimizer sweep's telemetry
-	// (candidates/evaluations/prunes). Not for use across concurrent
-	// Optimize calls.
-	Metrics *obs.Registry
-	// Spans, when non-nil, receives the optimizer sweep's span tree
-	// (see optimize.Space.Spans). Not for use across concurrent
-	// Optimize calls.
-	Spans *obs.Tracer
-	// Context, when non-nil, cancels an in-flight Optimize sweep (see
-	// optimize.Space.Context). Not for use across concurrent Optimize
-	// calls.
-	Context context.Context
 }
 
 // New returns the technique with the evaluation settings used in the
 // paper reproduction.
 func New() *Technique {
 	return &Technique{
-		Tau0Points:          96,
-		CountVals:           optimize.DefaultCounts(),
+		Settings:            optimize.Settings{Tau0Points: 96, CountVals: optimize.DefaultCounts()},
 		AllowLevelExclusion: true,
 	}
 }
@@ -445,17 +427,7 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	} else {
 		sets = [][]int{pattern.AllLevels(sys)}
 	}
-	space := optimize.Space{
-		Tau0:       optimize.Tau0Grid(sys, t.Tau0Points),
-		CountVals:  t.CountVals,
-		LevelSets:  sets,
-		Workers:    t.Workers,
-		RefineTau0: true,
-		Metrics:    t.Metrics,
-		Spans:      t.Spans,
-		Context:    t.Context,
-	}
-	res, err := optimize.SweepObjectives(space, func(int, *obs.Registry) (optimize.Objective, optimize.Bound) {
+	res, err := optimize.SweepObjectives(t.Space(sys, sets), func(int, *obs.Registry) (optimize.Objective, optimize.Bound) {
 		return newSweepObjective(sys)
 	})
 	if err != nil {
@@ -474,37 +446,5 @@ func newSweepObjective(sys *system.System) (optimize.Objective, optimize.Bound) 
 		return v, ok && v > 0
 	}, e.bound
 }
-
-// SetSweepMetrics directs the optimizer sweep's telemetry into reg
-// (nil disables collection). Implements the optional interface the CLIs
-// and experiment harness probe for.
-func (t *Technique) SetSweepMetrics(reg *obs.Registry) { t.Metrics = reg }
-
-// SetSweepSpans directs the optimizer sweep's span tree into tr (nil
-// disables collection). Implements the optional interface the CLIs and
-// experiment harness probe for.
-func (t *Technique) SetSweepSpans(tr *obs.Tracer) { t.Spans = tr }
-
-// SetSweepContext installs a cancellation context for the optimizer
-// sweep (nil disables cancellation). Implements the optional interface
-// the serving layer probes for.
-func (t *Technique) SetSweepContext(ctx context.Context) { t.Context = ctx }
-
-// SetSweepGrid overrides the optimizer search grid: tau0Points τ0 grid
-// points (0 keeps the default) and countVals as the per-level count
-// candidate set (nil keeps the default). Implements the optional
-// interface the serving layer probes for.
-func (t *Technique) SetSweepGrid(tau0Points int, countVals []int) {
-	if tau0Points > 0 {
-		t.Tau0Points = tau0Points
-	}
-	if len(countVals) > 0 {
-		t.CountVals = countVals
-	}
-}
-
-// SetSweepWorkers bounds optimizer parallelism (0 = GOMAXPROCS).
-// Implements the optional interface the serving layer probes for.
-func (t *Technique) SetSweepWorkers(n int) { t.Workers = n }
 
 var _ model.Technique = (*Technique)(nil)

@@ -22,7 +22,6 @@
 package moody
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -45,66 +44,17 @@ func init() {
 
 // Technique is the Moody et al. SCR Markov model + optimizer.
 type Technique struct {
-	// Tau0Points is the τ0 grid resolution of the optimizer sweep.
-	Tau0Points int
-	// CountVals is the N_i candidate set of the optimizer sweep.
-	CountVals []int
+	// Settings tune the optimizer sweep.
+	optimize.Settings
 	// MaxPeriodIntervals bounds the period length the sweep evaluates
 	// (the Markov solve is linear in period length).
 	MaxPeriodIntervals int
-	// Workers bounds optimizer parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Metrics, when non-nil, receives the optimizer sweep's telemetry
-	// (candidates/evaluations/prunes plus the period-shape memo's
-	// hit/miss counters). Not for use across concurrent Optimize calls.
-	Metrics *obs.Registry
-	// Spans, when non-nil, receives the optimizer sweep's span tree
-	// (see optimize.Space.Spans). Not for use across concurrent
-	// Optimize calls.
-	Spans *obs.Tracer
-	// Context, when non-nil, cancels an in-flight Optimize sweep (see
-	// optimize.Space.Context). Not for use across concurrent Optimize
-	// calls.
-	Context context.Context
 }
-
-// SetSweepMetrics directs the optimizer sweep's telemetry into reg
-// (nil disables collection). Implements the optional interface the CLIs
-// and experiment harness probe for.
-func (t *Technique) SetSweepMetrics(reg *obs.Registry) { t.Metrics = reg }
-
-// SetSweepSpans directs the optimizer sweep's span tree into tr (nil
-// disables collection). Implements the optional interface the CLIs and
-// experiment harness probe for.
-func (t *Technique) SetSweepSpans(tr *obs.Tracer) { t.Spans = tr }
-
-// SetSweepContext installs a cancellation context for the optimizer
-// sweep (nil disables cancellation). Implements the optional interface
-// the serving layer probes for.
-func (t *Technique) SetSweepContext(ctx context.Context) { t.Context = ctx }
-
-// SetSweepGrid overrides the optimizer search grid: tau0Points τ0 grid
-// points (0 keeps the default) and countVals as the per-level count
-// candidate set (nil keeps the default). Implements the optional
-// interface the serving layer probes for.
-func (t *Technique) SetSweepGrid(tau0Points int, countVals []int) {
-	if tau0Points > 0 {
-		t.Tau0Points = tau0Points
-	}
-	if len(countVals) > 0 {
-		t.CountVals = countVals
-	}
-}
-
-// SetSweepWorkers bounds optimizer parallelism (0 = GOMAXPROCS).
-// Implements the optional interface the serving layer probes for.
-func (t *Technique) SetSweepWorkers(n int) { t.Workers = n }
 
 // New returns the technique with reproduction settings.
 func New() *Technique {
 	return &Technique{
-		Tau0Points:         64,
-		CountVals:          optimize.DefaultCounts(),
+		Settings:           optimize.Settings{Tau0Points: 64, CountVals: optimize.DefaultCounts()},
 		MaxPeriodIntervals: 512,
 	}
 }
@@ -195,21 +145,11 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
-	grid := optimize.Tau0Grid(sys, t.Tau0Points)
-	lb, err := newNestedBound(sys, grid)
+	space := t.Space(sys, [][]int{pattern.AllLevels(sys)})
+	space.MaxPeriodIntervals = t.MaxPeriodIntervals
+	lb, err := newNestedBound(sys, space.Tau0)
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
-	}
-	space := optimize.Space{
-		Tau0:               grid,
-		CountVals:          t.CountVals,
-		LevelSets:          [][]int{pattern.AllLevels(sys)},
-		MaxPeriodIntervals: t.MaxPeriodIntervals,
-		Workers:            t.Workers,
-		RefineTau0:         true,
-		Metrics:            t.Metrics,
-		Spans:              t.Spans,
-		Context:            t.Context,
 	}
 	res, err := optimize.SweepObjectives(space, func(_ int, reg *obs.Registry) (optimize.Objective, optimize.Bound) {
 		return newSweepObjective(sys, reg), lb.worker()

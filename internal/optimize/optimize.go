@@ -119,6 +119,77 @@ type Space struct {
 	Context context.Context
 }
 
+// Settings are what a caller may tune on a technique's sweep. Each
+// technique whose optimizer sweeps embeds them, so its method set holds
+// the Tunable probe and the SetSweep* setters; a closed-form technique
+// has none of them. The settings belong to one technique value and are
+// not for use across concurrent Optimize calls.
+type Settings struct {
+	// Tau0Points is the resolution of the sweep's Tau0Grid.
+	Tau0Points int
+	// CountVals is the N_i candidate set (Space.CountVals).
+	CountVals []int
+	// Workers bounds sweep parallelism (0 = GOMAXPROCS).
+	Workers int
+	// Metrics, Spans and Context are the sweep's telemetry sinks and
+	// cancellation context, as in Space.
+	Metrics *obs.Registry
+	Spans   *obs.Tracer
+	Context context.Context
+}
+
+// Tunable is a technique whose optimizer is a sweep over its embedded
+// Settings. Callers probe a technique for it before tuning the sweep.
+type Tunable interface {
+	SweepSettings() *Settings
+}
+
+// SweepSettings returns s: the settings of the technique embedding it.
+func (s *Settings) SweepSettings() *Settings { return s }
+
+// SetSweepGrid overrides the grid: tau0Points τ0 points (0 keeps the
+// current resolution) and countVals as the count candidate set (empty
+// keeps the current set).
+func (s *Settings) SetSweepGrid(tau0Points int, countVals []int) {
+	if tau0Points > 0 {
+		s.Tau0Points = tau0Points
+	}
+	if len(countVals) > 0 {
+		s.CountVals = countVals
+	}
+}
+
+// SetSweepWorkers bounds sweep parallelism (0 = GOMAXPROCS).
+func (s *Settings) SetSweepWorkers(n int) { s.Workers = n }
+
+// SetSweepMetrics directs the sweep's telemetry into reg (nil disables
+// collection).
+func (s *Settings) SetSweepMetrics(reg *obs.Registry) { s.Metrics = reg }
+
+// SetSweepSpans directs the sweep's span tree into tr (nil disables
+// collection).
+func (s *Settings) SetSweepSpans(tr *obs.Tracer) { s.Spans = tr }
+
+// SetSweepContext installs the sweep's cancellation context (nil
+// disables cancellation).
+func (s *Settings) SetSweepContext(ctx context.Context) { s.Context = ctx }
+
+// Space returns the τ0-refined search space over the system's Tau0Grid
+// of Tau0Points points and the given level sets, carrying the rest of
+// the settings.
+func (s *Settings) Space(sys *system.System, levelSets [][]int) Space {
+	return Space{
+		Tau0:       Tau0Grid(sys, s.Tau0Points),
+		CountVals:  s.CountVals,
+		LevelSets:  levelSets,
+		Workers:    s.Workers,
+		RefineTau0: true,
+		Metrics:    s.Metrics,
+		Spans:      s.Spans,
+		Context:    s.Context,
+	}
+}
+
 // Result is the outcome of a sweep.
 type Result struct {
 	Plan         pattern.Plan

@@ -293,23 +293,16 @@ func resolvePlan(req PlanRequest) (*planSpec, *apiError) {
 		if aerr := req.Grid.validate(); aerr != nil {
 			return nil, aerr
 		}
-		if req.Grid.Tau0Points != 0 || len(req.Grid.CountVals) != 0 {
-			// Probe a throwaway instance: a grid on a technique that
-			// has no sweep (e.g. daly's closed form) would be silently
-			// ignored, which is worse than a 400.
-			tech, err := model.New(req.Technique)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			if _, ok := tech.(sweepGridder); !ok {
+		sp.tau0Points = req.Grid.Tau0Points
+		sp.countVals = append([]int(nil), req.Grid.CountVals...)
+		// A grid on a technique that has no sweep (a closed form such
+		// as daly's or benoit's) would be silently ignored, which is
+		// worse than a 400.
+		if sp.tau0Points != 0 || len(sp.countVals) != 0 {
+			if _, ok := sp.settings(); !ok {
 				return nil, badRequest("technique %q does not take a grid", req.Technique)
 			}
 		}
-		sp.tau0Points = req.Grid.Tau0Points
-		sp.countVals = append([]int(nil), req.Grid.CountVals...)
-	}
-	if aerr := sp.checkCandidates(); aerr != nil {
-		return nil, aerr
 	}
 	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
 		return nil, badRequest("timeout_ms %d outside [0, %d]", req.TimeoutMS, maxTimeoutMS)
@@ -372,22 +365,33 @@ func (g *Grid) validate() *apiError {
 	return nil
 }
 
+// settings returns the sweep settings the request's technique runs
+// with, its grid applied, on a throwaway instance; ok is false when the
+// technique does not sweep.
+func (sp *planSpec) settings() (st *optimize.Settings, ok bool) {
+	tech, err := model.New(sp.technique)
+	t, ok := tech.(optimize.Tunable)
+	if err != nil || !ok {
+		return nil, false
+	}
+	st = t.SweepSettings()
+	st.SetSweepGrid(sp.tau0Points, sp.countVals)
+	return st, true
+}
+
 // checkCandidates bounds the sweep search space so a hostile grid
-// cannot pin a pool slot for hours. The estimate is the most expensive
-// shape any technique enumerates: every τ0 point × every count
+// cannot pin a pool slot for hours; a technique that does not sweep
+// passes. The estimate is the most expensive shape any technique
+// enumerates on the technique's grid: every τ0 point × every count
 // combination over L-1 inner levels × level-subset choices.
 func (sp *planSpec) checkCandidates() *apiError {
-	points := sp.tau0Points
-	if points == 0 {
-		points = 96 // largest technique default
+	st, ok := sp.settings()
+	if !ok {
+		return nil
 	}
-	counts := len(sp.countVals)
-	if counts == 0 {
-		counts = len(optimize.DefaultCounts())
-	}
-	est := float64(points)
+	est := float64(st.Tau0Points)
 	for i := 1; i < sp.sys.NumLevels(); i++ {
-		est *= float64(counts)
+		est *= float64(len(st.CountVals))
 		if est > maxCandidates {
 			break
 		}

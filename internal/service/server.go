@@ -42,17 +42,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Optional capability interfaces probed on techniques (the same idiom
-// the CLIs use for SetSweepMetrics/SetSweepSpans).
-type (
-	sweepGridder interface {
-		SetSweepGrid(tau0Points int, countVals []int)
-	}
-	sweepContexter interface{ SetSweepContext(ctx context.Context) }
-	sweepWorkerser interface{ SetSweepWorkers(n int) }
-	sweepMetricser interface{ SetSweepMetrics(reg *obs.Registry) }
-)
-
 // Config sizes the daemon. The zero value gets sensible defaults.
 type Config struct {
 	// Workers is the intra-job parallelism (sweep workers, campaign
@@ -437,8 +426,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) int {
 }
 
 // planBytes returns the (cached, coalesced) /v1/plan response bytes for
-// a resolved request.
+// a resolved request whose sweep, if any, fits the candidate cap.
 func (s *Server) planBytes(ctx context.Context, sp *planSpec) ([]byte, string, *apiError) {
+	if aerr := sp.checkCandidates(); aerr != nil {
+		return nil, "", aerr
+	}
 	key := sp.digest()
 	return s.cachedOrCompute(ctx, key, "plan", func(cctx context.Context, _ *call) ([]byte, error) {
 		return s.computePlan(cctx, sp, key)
@@ -479,22 +471,19 @@ func (s *Server) computePlan(ctx context.Context, sp *planSpec, key string) ([]b
 
 // configureSweep applies the request grid, cancellation context, worker
 // bound, and a private telemetry registry (merged after the sweep — the
-// shared registry is not concurrency-safe) via the optional interfaces.
+// shared registry is not concurrency-safe) to a sweeping technique. A
+// closed form gets none of them and returns a nil registry.
 func (s *Server) configureSweep(tech model.Technique, ctx context.Context, sp *planSpec) *obs.Registry {
-	if g, ok := tech.(sweepGridder); ok {
-		g.SetSweepGrid(sp.tau0Points, sp.countVals)
+	t, ok := tech.(optimize.Tunable)
+	if !ok {
+		return nil
 	}
-	if c, ok := tech.(sweepContexter); ok {
-		c.SetSweepContext(ctx)
-	}
-	if wk, ok := tech.(sweepWorkerser); ok {
-		wk.SetSweepWorkers(s.cfg.Workers)
-	}
-	var reg *obs.Registry
-	if m, ok := tech.(sweepMetricser); ok {
-		reg = obs.NewRegistry()
-		m.SetSweepMetrics(reg)
-	}
+	st := t.SweepSettings()
+	st.SetSweepGrid(sp.tau0Points, sp.countVals)
+	st.SetSweepContext(ctx)
+	st.SetSweepWorkers(s.cfg.Workers)
+	reg := obs.NewRegistry()
+	st.SetSweepMetrics(reg)
 	return reg
 }
 

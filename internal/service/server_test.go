@@ -5,22 +5,32 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/model"
+	_ "repro/internal/model/benoit"
 	_ "repro/internal/model/daly"
 	_ "repro/internal/model/dauwe"
+	_ "repro/internal/model/di"
 	_ "repro/internal/model/moody"
+	"repro/internal/obs"
+	"repro/internal/optimize"
+	"repro/internal/pattern"
+	"repro/internal/system"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -578,6 +588,7 @@ func TestRequestValidation(t *testing.T) {
 		{"both systems", "/v1/plan", `{"system":"D4","system_spec":{"mtbf_minutes":60,"baseline_minutes":100,"levels":[{"checkpoint_minutes":1,"restart_minutes":1,"severity_prob":1}]},"technique":"daly"}`, 400},
 		{"negative mtbf override", "/v1/plan", `{"system":"D4","technique":"daly","mtbf_minutes":-5}`, 400},
 		{"grid on closed form", "/v1/plan", `{"system":"D4","technique":"daly","grid":{"tau0_points":16}}`, 400},
+		{"grid on benoit", "/v1/plan", `{"system":"D4","technique":"benoit","grid":{"tau0_points":16}}`, 400},
 		{"tau0 points too big", "/v1/plan", `{"system":"D4","technique":"dauwe","grid":{"tau0_points":9999}}`, 400},
 		{"count vals not ascending", "/v1/plan", `{"system":"D4","technique":"dauwe","grid":{"count_vals":[4,2]}}`, 400},
 		{"count val out of range", "/v1/plan", `{"system":"D4","technique":"dauwe","grid":{"count_vals":[5000]}}`, 400},
@@ -603,6 +614,141 @@ func TestRequestValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCandidateCapOnlyOnSweeps: the search-space cap holds back sweeps
+// alone. On a five-level system where the dauwe grid estimate exceeds
+// the cap, requests that run no sweep answer 200: a prediction, a
+// simulation of a given plan, and a closed-form plan.
+func TestCandidateCapOnlyOnSweeps(t *testing.T) {
+	h := newTestServer(t, Config{})
+	const spec = `"system_spec":{"mtbf_minutes":60,"baseline_minutes":1440,"levels":[` +
+		`{"checkpoint_minutes":0.1,"restart_minutes":0.1,"severity_prob":0.5},` +
+		`{"checkpoint_minutes":0.5,"restart_minutes":0.5,"severity_prob":0.2},` +
+		`{"checkpoint_minutes":1,"restart_minutes":1,"severity_prob":0.15},` +
+		`{"checkpoint_minutes":5,"restart_minutes":5,"severity_prob":0.1},` +
+		`{"checkpoint_minutes":20,"restart_minutes":20,"severity_prob":0.05}]}`
+	const plan = `"plan":{"tau0_minutes":5,"counts":[1,1,1,1],"levels":[1,2,3,4,5]}`
+	for _, tc := range []struct {
+		path, body string
+		code       int
+	}{
+		{"/v1/predict", `{` + spec + `,"technique":"dauwe",` + plan + `}`, 200},
+		{"/v1/simulate", `{` + spec + `,"technique":"dauwe",` + plan + `,"trials":10}`, 200},
+		{"/v1/plan", `{` + spec + `,"technique":"daly"}`, 200},
+		{"/v1/plan", `{` + spec + `,"technique":"dauwe"}`, 400},
+	} {
+		if code, _, body := h.post(t, tc.path, tc.body); code != tc.code {
+			t.Errorf("%s %s: code = %d body=%s, want %d", tc.path, tc.body, code, body, tc.code)
+		}
+	}
+	code, _, body := h.post(t, "/v1/batch", `{"requests":[{`+spec+`,"technique":"daly"},{`+spec+`,"technique":"dauwe"}]}`)
+	var resp BatchResponse
+	if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil || len(resp.Results) != 2 {
+		t.Fatalf("batch: code = %d body=%s (err %v)", code, body, err)
+	}
+	if resp.Results[0].Response == nil || resp.Results[1].Status != http.StatusBadRequest {
+		t.Errorf("batch items = %+v, want daly answered and dauwe a 400", resp.Results)
+	}
+}
+
+// TestSweepSettingsAcrossTechniques: every registered technique either
+// sweeps, and then honours each of its sweep settings, or does not, and
+// then /v1/plan refuses a grid for it.
+func TestSweepSettingsAcrossTechniques(t *testing.T) {
+	sys, err := system.ByName("D2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newTestServer(t, Config{})
+	for _, name := range model.RegisteredNames() {
+		t.Run(name, func(t *testing.T) {
+			// settings returns a fresh instance and its sweep settings.
+			settings := func() (model.Technique, *optimize.Settings) {
+				tech, err := model.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tu, ok := tech.(optimize.Tunable)
+				if !ok {
+					return tech, nil
+				}
+				return tech, tu.SweepSettings()
+			}
+			if _, st := settings(); st == nil {
+				code, _, body := h.post(t, "/v1/plan", `{"system":"D2","technique":"`+name+`","grid":{"tau0_points":8}}`)
+				if code != http.StatusBadRequest {
+					t.Fatalf("grid on %s: code = %d body=%s, want 400", name, code, body)
+				}
+				return
+			}
+			candidates := func(coarse bool) uint64 {
+				tech, st := settings()
+				reg := obs.NewRegistry()
+				st.SetSweepMetrics(reg)
+				if coarse {
+					st.SetSweepGrid(8, []int{0, 1})
+				}
+				if _, _, err := tech.Optimize(sys); err != nil {
+					t.Fatal(err)
+				}
+				return reg.Snapshot().Counter("opt_candidates_total")
+			}
+			if def, coarse := candidates(false), candidates(true); !(coarse > 0 && coarse < def) {
+				t.Errorf("opt_candidates_total: coarse grid %d, default grid %d", coarse, def)
+			}
+
+			var plans []pattern.Plan
+			var preds []model.Prediction
+			for _, workers := range []int{1, 4} {
+				tech, st := settings()
+				st.SetSweepGrid(16, nil)
+				st.SetSweepWorkers(workers)
+				plan, pred, err := tech.Optimize(sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans, preds = append(plans, plan), append(preds, pred)
+			}
+			if !planBitsEqual(plans[0], plans[1]) || preds[0] != preds[1] {
+				t.Errorf("workers 1 vs 4: %v %v vs %v %v", plans[0], preds[0], plans[1], preds[1])
+			}
+
+			tech, st := settings()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			st.SetSweepContext(ctx)
+			if _, _, err := tech.Optimize(sys); !errors.Is(err, context.Canceled) {
+				t.Errorf("canceled context: err = %v, want context.Canceled", err)
+			}
+
+			tech, st = settings()
+			tr := obs.NewTracer()
+			st.SetSweepSpans(tr)
+			if _, _, err := tech.Optimize(sys); err != nil {
+				t.Fatal(err)
+			}
+			if !hasSpan(tr.Snapshot(), "sweep") {
+				t.Errorf("no sweep span in %+v", tr.Snapshot())
+			}
+		})
+	}
+}
+
+// planBitsEqual compares two plans bit for bit.
+func planBitsEqual(a, b pattern.Plan) bool {
+	return math.Float64bits(a.Tau0) == math.Float64bits(b.Tau0) &&
+		slices.Equal(a.Counts, b.Counts) && slices.Equal(a.Levels, b.Levels)
+}
+
+// hasSpan reports whether the forest holds a span named name.
+func hasSpan(forest []obs.SpanNode, name string) bool {
+	for _, n := range forest {
+		if n.Name == name || hasSpan(n.Children, name) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestMethodNotAllowed(t *testing.T) {
