@@ -237,6 +237,42 @@ func BenchmarkSimTrialLight(b *testing.B) {
 	}
 }
 
+// BenchmarkSimTrialCapped measures one simulated trial of a capped
+// Figure 5 cell: system B with a 20-minute PFS, MTBF 3 min and a
+// 30-minute application, under the plan τ0 = 0.5587 min, counts
+// [1 0 16], all four levels, and the 150·T_B wall cap. Most of its
+// trials fail until they hit the cap, so it weighs the failure storms
+// that dominate the paper run, where BenchmarkSimTrial weighs a D4
+// trial that completes. It reports the share of trials capped.
+func BenchmarkSimTrialCapped(b *testing.B) {
+	sys, err := system.ByName("B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := sim.NewEngine(sim.Scenario{
+		System:        sys.WithTopCost(20).WithMTBF(3).WithBaseline(30),
+		Plan:          pattern.Plan{Tau0: 0.5587, Counts: []int{1, 0, 16}, Levels: []int{1, 2, 3, 4}},
+		MaxWallFactor: 150,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := rng.Campaign(1, "bench-sim-capped")
+	capped := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Run(seed.Trial(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Completed {
+			capped++
+		}
+	}
+	b.ReportMetric(float64(capped)/float64(b.N), "capped/op")
+}
+
 // BenchmarkSimTrialObserved is BenchmarkSimTrial with an obs.SimMetrics
 // observer attached, to measure the cost of full event-stream telemetry
 // (compare against BenchmarkSimTrial for the observer-disabled baseline;

@@ -19,6 +19,7 @@
 #                       the kill -9 resume gate, on a stream-sink
 #                       campaign and on a CRN comparison
 #   ./check.sh fma      only the arm64 fused multiply-add gate
+#   ./check.sh cruise   only the call-free loop gate
 set -eu
 cd "$(dirname "$0")"
 
@@ -62,8 +63,44 @@ fma_gate() {
     echo "no fused multiply-adds"
 }
 
+# cruise_gate: the trial engine's failure-free loop, sim's
+# Engine.cruise, must have no call site (DESIGN.md §2.8): Go's calling
+# convention saves no registers across a call, so a single call in the
+# loop moves the loop's state to stack slots. Only the runtime's
+# bounds-check panics may appear in its code.
+cruise_gate() {
+    echo "== call-free loop gate (sim Engine.cruise)"
+    asm=$(mktemp)
+    if ! go build -o /dev/null -gcflags="repro/internal/sim=-S" ./internal/sim/ >"$asm" 2>&1; then
+        cat "$asm" >&2
+        rm -f "$asm"
+        exit 1
+    fi
+    body=$(awk '/^repro\/internal\/sim\.\(\*Engine\)\.cruise STEXT/ { f = 1; next }
+        /^[^[:space:]].* STEXT/ { f = 0 }
+        f' "$asm")
+    rm -f "$asm"
+    if [ -z "$body" ]; then
+        echo "no code for sim Engine.cruise" >&2
+        exit 1
+    fi
+    calls=$(echo "$body" | grep -E '[[:space:]]CALL[[:space:]]' |
+        grep -v -E 'CALL[[:space:]]+runtime\.panic' || true)
+    if [ -n "$calls" ]; then
+        echo "calls in sim Engine.cruise:" >&2
+        echo "$calls" >&2
+        exit 1
+    fi
+    echo "no calls"
+}
+
 if [ "${1:-}" = "fma" ]; then
     fma_gate
+    echo "OK"
+    exit 0
+fi
+if [ "${1:-}" = "cruise" ]; then
+    cruise_gate
     echo "OK"
     exit 0
 fi
@@ -291,6 +328,7 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 fma_gate
+cruise_gate
 echo "== go test ./..."
 go test ./...
 # bench/ is a module of its own (it replaces repro with ../), so the root
@@ -329,7 +367,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     echo "== go test -bench (sim engine, writes bench_sim.txt)"
-    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialPair|BenchmarkSimTrialLight|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
+    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialPair|BenchmarkSimTrialLight|BenchmarkSimTrialCapped|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
         -benchmem -benchtime 2s . | tee bench_sim.txt
     # The Moody sweeps report evals/op, the Markov solves left after
     # branch-and-bound pruning.

@@ -276,6 +276,50 @@ func TestEvaluateFeedsSweepMetrics(t *testing.T) {
 	}
 }
 
+// TestCellMetricsJSON: a cell that collected metrics encodes their
+// snapshot, counters included, and a Figure 5 run without metrics still
+// encodes every cell's Metrics as null, the bytes bench/pins.json
+// digests.
+func TestCellMetricsJSON(t *testing.T) {
+	sys, err := system.ByName("D7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MaxWallFactor: 15, Fast: true, CollectMetrics: true}
+	c, err := Evaluate(sys, "daly", 12, rng.Campaign(7, "json"), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Metrics obs.Snapshot }
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Metrics.Counter("sim_trials_total"); got != 12 {
+		t.Errorf("encoded sim_trials_total = %d, want 12: %s", got, b)
+	}
+	if testing.Short() {
+		return
+	}
+	f5, err := Fig5(Options{Trials: 2, Seed: 3, MaxWallFactor: 15, Fast: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err = json.Marshal(f5); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, row := range f5.Cells {
+		cells += len(row)
+	}
+	if n := bytes.Count(b, []byte(`"Metrics":null`)); cells == 0 || n != cells {
+		t.Errorf(`%d "Metrics":null fields for %d cells`, n, cells)
+	}
+}
+
 // TestCheckAndFlightAcrossRows runs a figure grid, rows in flight at
 // once, with the invariant checker and the flight recorder on every
 // cell: every cell reports its checked trials, the shared FlightLog

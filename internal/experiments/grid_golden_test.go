@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -23,9 +24,10 @@ type gridPin struct {
 
 // gridRun is everything one figure run leaves behind.
 type gridRun struct {
-	pin     gridPin
-	spans   []obs.SpanNode
-	metrics obs.Snapshot
+	pin         gridPin
+	spans       []obs.SpanNode
+	metrics     obs.Snapshot
+	cellMetrics [][]byte // each cell's metrics JSON, in cell order
 }
 
 // gridFigures are the pinned figure harnesses.
@@ -74,10 +76,32 @@ func runGridFigure(t *testing.T, run func(Options) (any, error), workers int, cr
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The pins were taken when a cell's metrics encoded as {}. The digest
+	// covers the result with each cell's metrics put back to {}; the
+	// metrics themselves are compared across worker counts.
+	var cellMetrics [][]byte
+	for _, row := range gridCells(res) {
+		for _, c := range row {
+			if c.Metrics == nil {
+				continue
+			}
+			m, err := json.Marshal(c.Metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			field := append([]byte(`"Metrics":`), m...)
+			if !bytes.Contains(b, field) {
+				t.Fatalf("%s/%s: metrics %s not in the result JSON", c.System, c.Technique, m)
+			}
+			b = bytes.Replace(b, field, []byte(`"Metrics":{}`), 1)
+			cellMetrics = append(cellMetrics, m)
+		}
+	}
 	return gridRun{
-		pin:     gridPin{Result: sha256Hex(b), Progress: sha256Hex([]byte(strings.Join(lines, "\n")))},
-		spans:   spanShape(opt.Spans.Snapshot()),
-		metrics: schedulingFree(opt.Metrics.Snapshot()),
+		pin:         gridPin{Result: sha256Hex(b), Progress: sha256Hex([]byte(strings.Join(lines, "\n")))},
+		spans:       spanShape(opt.Spans.Snapshot()),
+		metrics:     schedulingFree(opt.Metrics.Snapshot()),
+		cellMetrics: cellMetrics,
 	}
 }
 
@@ -132,8 +156,9 @@ func schedulingFree(s obs.Snapshot) obs.Snapshot {
 // under CRN. The pins were captured while the figure rows still ran
 // one after another; a row scheduler that changes a result bit, a
 // progress line or its order shows up here. Between the two worker
-// counts the span tree (names and counts), the simulator telemetry and
-// the optimizer's candidate count must also agree.
+// counts the span tree (names and counts), the simulator telemetry
+// (the merged registry and each cell's JSON) and the optimizer's
+// candidate count must also agree.
 func TestGridGoldenPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure grid")
@@ -158,7 +183,7 @@ func TestGridGoldenPins(t *testing.T) {
 			got[key] = r.pin
 			if workers == 1 {
 				base = r
-				if len(r.spans) == 0 || r.metrics.Counter("sim_trials_total") == 0 {
+				if len(r.spans) == 0 || r.metrics.Counter("sim_trials_total") == 0 || len(r.cellMetrics) == 0 {
 					t.Fatalf("%s: no spans or simulator telemetry recorded", key)
 				}
 			} else {
@@ -170,6 +195,9 @@ func TestGridGoldenPins(t *testing.T) {
 				}
 				if !reflect.DeepEqual(r.metrics, base.metrics) {
 					t.Errorf("%s: telemetry differs from workers=1:\n got %+v\nwant %+v", key, r.metrics, base.metrics)
+				}
+				if !reflect.DeepEqual(r.cellMetrics, base.cellMetrics) {
+					t.Errorf("%s: a cell's metrics JSON differs from workers=1", key)
 				}
 			}
 			if *updatePins {

@@ -421,19 +421,22 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
-	var sets [][]int
-	if t.AllowLevelExclusion {
-		sets = optimize.PrefixLevelSets(sys.NumLevels())
-	} else {
-		sets = [][]int{pattern.AllLevels(sys)}
-	}
-	res, err := optimize.SweepObjectives(t.Space(sys, sets), func(int, *obs.Registry) (optimize.Objective, optimize.Bound) {
+	res, err := optimize.SweepObjectives(t.Space(sys, t.LevelSets(sys)), func(int, *obs.Registry) (optimize.Objective, optimize.Bound) {
 		return newSweepObjective(sys)
 	})
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
 	return res.Plan, model.NewPrediction(sys.BaselineTime, res.ExpectedTime), nil
+}
+
+// LevelSets implements optimize.Tunable: the level-prefix family
+// {1..ℓ} when level exclusion is enabled, else all levels.
+func (t *Technique) LevelSets(sys *system.System) [][]int {
+	if t.AllowLevelExclusion {
+		return optimize.PrefixLevelSets(sys.NumLevels())
+	}
+	return [][]int{pattern.AllLevels(sys)}
 }
 
 // newSweepObjective builds one sweep worker's objective and bound around

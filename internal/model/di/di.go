@@ -136,21 +136,24 @@ func expectedTime(sys *system.System, plan pattern.Plan) (t float64, level int, 
 	return tau, 0, true
 }
 
-// Optimize sweeps the two-level plan family over the system's top two
-// levels (Section IV-C): both levels, the lower alone, or the PFS alone
-// (the last two cover the short-application behavior of Section IV-F).
+// LevelSets implements optimize.Tunable: the two-level plan family over
+// the system's top two levels (Section IV-C), both levels, the lower
+// alone, or the PFS alone (the last two cover the short-application
+// behavior of Section IV-F).
+func (*Technique) LevelSets(sys *system.System) [][]int {
+	top := sys.NumLevels()
+	if top >= 2 {
+		return [][]int{{top - 1, top}, {top - 1}, {top}}
+	}
+	return [][]int{{top}}
+}
+
+// Optimize sweeps the level sets of LevelSets.
 func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction, error) {
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
-	top := sys.NumLevels()
-	var sets [][]int
-	if top >= 2 {
-		sets = [][]int{{top - 1, top}, {top - 1}, {top}}
-	} else {
-		sets = [][]int{{top}}
-	}
-	res, err := optimize.Sweep(t.Space(sys, sets), sweepObjective(sys))
+	res, err := optimize.Sweep(t.Space(sys, t.LevelSets(sys)), sweepObjective(sys))
 	if err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}

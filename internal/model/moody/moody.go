@@ -145,7 +145,7 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 	if err := sys.Validate(); err != nil {
 		return pattern.Plan{}, model.Prediction{}, err
 	}
-	space := t.Space(sys, [][]int{pattern.AllLevels(sys)})
+	space := t.Space(sys, t.LevelSets(sys))
 	space.MaxPeriodIntervals = t.MaxPeriodIntervals
 	lb, err := newNestedBound(sys, space.Tau0)
 	if err != nil {
@@ -158,6 +158,11 @@ func (t *Technique) Optimize(sys *system.System) (pattern.Plan, model.Prediction
 		return pattern.Plan{}, model.Prediction{}, err
 	}
 	return res.Plan, model.NewPrediction(sys.BaselineTime, sys.BaselineTime*res.ExpectedTime), nil
+}
+
+// LevelSets implements optimize.Tunable: [5]'s patterns use every level.
+func (*Technique) LevelSets(sys *system.System) [][]int {
+	return [][]int{pattern.AllLevels(sys)}
 }
 
 // nestedBound is an admissible lower bound on the Markov objective

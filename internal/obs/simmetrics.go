@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -416,6 +417,11 @@ func (m *SimMetrics) Snapshot() Snapshot { return m.reg.Snapshot() }
 
 // WriteJSON writes the registry snapshot as JSON.
 func (m *SimMetrics) WriteJSON(w io.Writer) error { return m.reg.WriteJSON(w) }
+
+// MarshalJSON encodes the registry snapshot, so that a value holding
+// metrics (experiments.Cell) carries its counters; a nil *SimMetrics
+// still encodes as null.
+func (m *SimMetrics) MarshalJSON() ([]byte, error) { return json.Marshal(m.Snapshot()) }
 
 // WriteSummary prints the aggregate phase-time breakdown and failure
 // counters as an aligned human-readable table.

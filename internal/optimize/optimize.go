@@ -139,9 +139,13 @@ type Settings struct {
 }
 
 // Tunable is a technique whose optimizer is a sweep over its embedded
-// Settings. Callers probe a technique for it before tuning the sweep.
+// Settings and the level sets LevelSets names. Callers probe a technique
+// for it before tuning the sweep or sizing its search space.
 type Tunable interface {
 	SweepSettings() *Settings
+	// LevelSets returns the used-level subsets the technique's sweep
+	// enumerates on sys; its Optimize takes them from here.
+	LevelSets(sys *system.System) [][]int
 }
 
 // SweepSettings returns s: the settings of the technique embedding it.

@@ -299,7 +299,7 @@ func resolvePlan(req PlanRequest) (*planSpec, *apiError) {
 		// as daly's or benoit's) would be silently ignored, which is
 		// worse than a 400.
 		if sp.tau0Points != 0 || len(sp.countVals) != 0 {
-			if _, ok := sp.settings(); !ok {
+			if _, ok := sp.sweep(); !ok {
 				return nil, badRequest("technique %q does not take a grid", req.Technique)
 			}
 		}
@@ -365,38 +365,38 @@ func (g *Grid) validate() *apiError {
 	return nil
 }
 
-// settings returns the sweep settings the request's technique runs
-// with, its grid applied, on a throwaway instance; ok is false when the
-// technique does not sweep.
-func (sp *planSpec) settings() (st *optimize.Settings, ok bool) {
+// sweep returns a throwaway instance of the request's technique with
+// the request's grid applied; ok is false when the technique does not
+// sweep.
+func (sp *planSpec) sweep() (t optimize.Tunable, ok bool) {
 	tech, err := model.New(sp.technique)
-	t, ok := tech.(optimize.Tunable)
+	t, ok = tech.(optimize.Tunable)
 	if err != nil || !ok {
 		return nil, false
 	}
-	st = t.SweepSettings()
-	st.SetSweepGrid(sp.tau0Points, sp.countVals)
-	return st, true
+	t.SweepSettings().SetSweepGrid(sp.tau0Points, sp.countVals)
+	return t, true
 }
 
 // checkCandidates bounds the sweep search space so a hostile grid
 // cannot pin a pool slot for hours; a technique that does not sweep
-// passes. The estimate is the most expensive shape any technique
-// enumerates on the technique's grid: every τ0 point × every count
-// combination over L-1 inner levels × level-subset choices.
+// passes. The estimate counts what the technique's sweep enumerates on
+// its grid: for each level set it sweeps, every τ0 point × every count
+// combination over the set's inner levels.
 func (sp *planSpec) checkCandidates() *apiError {
-	st, ok := sp.settings()
+	t, ok := sp.sweep()
 	if !ok {
 		return nil
 	}
-	est := float64(st.Tau0Points)
-	for i := 1; i < sp.sys.NumLevels(); i++ {
-		est *= float64(len(st.CountVals))
-		if est > maxCandidates {
-			break
+	st := t.SweepSettings()
+	est := 0.0
+	for _, set := range t.LevelSets(sp.sys) {
+		n := float64(st.Tau0Points)
+		for range set[1:] {
+			n *= float64(len(st.CountVals))
 		}
+		est += n
 	}
-	est *= math.Pow(2, float64(sp.sys.NumLevels()))
 	if est > maxCandidates {
 		return badRequest("search space ≈%.3g candidates exceeds the %g limit; shrink grid or levels", est, float64(maxCandidates))
 	}

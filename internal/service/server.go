@@ -437,17 +437,23 @@ func (s *Server) planBytes(ctx context.Context, sp *planSpec) ([]byte, string, *
 	})
 }
 
-// computePlan runs one optimizer sweep. Exactly one of these runs per
-// coalesced digest — the sweep_runs_total counter the coalescing test
-// pins counts real sweeps, not requests.
+// computePlan runs one optimizer: a sweep, or a technique's closed
+// form. Exactly one of these runs per coalesced digest — the
+// sweep_runs_total counter the coalescing test pins counts real sweeps,
+// not requests, and neither it nor the sweep_* events count closed
+// forms.
 func (s *Server) computePlan(ctx context.Context, sp *planSpec, key string) ([]byte, error) {
-	s.met.inc("sweep_runs_total")
-	s.cfg.Events.Event("sweep_start", "digest", key, "system", sp.sys.Name, "technique", sp.technique)
 	tech, err := model.New(sp.technique)
 	if err != nil {
 		return nil, err
 	}
-	sweepReg := s.configureSweep(tech, ctx, sp)
+	var sweepReg *obs.Registry
+	t, sweeps := tech.(optimize.Tunable)
+	if sweeps {
+		s.met.inc("sweep_runs_total")
+		s.cfg.Events.Event("sweep_start", "digest", key, "system", sp.sys.Name, "technique", sp.technique)
+		sweepReg = s.configureSweep(t, ctx, sp)
+	}
 	plan, pred, err := tech.Optimize(sp.sys)
 	if merr := s.met.merge(sweepReg); merr != nil {
 		return nil, merr
@@ -456,10 +462,14 @@ func (s *Server) computePlan(ctx context.Context, sp *planSpec, key string) ([]b
 		if cerr := ctx.Err(); cerr != nil {
 			err = cerr
 		}
-		s.cfg.Events.Event("sweep_error", "digest", key, "error", err.Error())
+		if sweeps {
+			s.cfg.Events.Event("sweep_error", "digest", key, "error", err.Error())
+		}
 		return nil, err
 	}
-	s.cfg.Events.Event("sweep_done", "digest", key)
+	if sweeps {
+		s.cfg.Events.Event("sweep_done", "digest", key)
+	}
 	return marshalBody(PlanResponse{
 		Digest:    key,
 		System:    sp.sys.Name,
@@ -471,13 +481,9 @@ func (s *Server) computePlan(ctx context.Context, sp *planSpec, key string) ([]b
 
 // configureSweep applies the request grid, cancellation context, worker
 // bound, and a private telemetry registry (merged after the sweep — the
-// shared registry is not concurrency-safe) to a sweeping technique. A
-// closed form gets none of them and returns a nil registry.
-func (s *Server) configureSweep(tech model.Technique, ctx context.Context, sp *planSpec) *obs.Registry {
-	t, ok := tech.(optimize.Tunable)
-	if !ok {
-		return nil
-	}
+// shared registry is not concurrency-safe) to a sweeping technique, and
+// returns the registry.
+func (s *Server) configureSweep(t optimize.Tunable, ctx context.Context, sp *planSpec) *obs.Registry {
 	st := t.SweepSettings()
 	st.SetSweepGrid(sp.tau0Points, sp.countVals)
 	st.SetSweepContext(ctx)

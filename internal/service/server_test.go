@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,46 @@ func TestPlanHerdWindow(t *testing.T) {
 	}
 	if hits, misses := h.metricValue(t, "svc_cache_hits_total"), h.metricValue(t, "svc_cache_misses_total"); hits != 1 || misses != 1 {
 		t.Errorf("cache hits/misses = %v/%v, want 1/1 (B's join is a hit)", hits, misses)
+	}
+}
+
+// syncBuffer lets the test read the event log while the server's
+// goroutines may still write to it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *syncBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *syncBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestSweepRunsCountOnlySweeps: a closed-form plan is no sweep. A moody
+// plan and a daly plan on a fresh server leave sweep_runs_total at 1 and
+// one sweep_start/sweep_done pair in the event log.
+func TestSweepRunsCountOnlySweeps(t *testing.T) {
+	var log syncBuffer
+	h := newTestServer(t, Config{Events: obs.NewEventLog(&log, "")})
+	for _, technique := range []string{"moody", "daly"} {
+		if code, _, body := h.post(t, "/v1/plan", `{"system":"D4","technique":"`+technique+`"}`); code != http.StatusOK {
+			t.Fatalf("%s plan: code = %d body=%s", technique, code, body)
+		}
+	}
+	if got := h.metricValue(t, "sweep_runs_total"); got != 1 {
+		t.Errorf("sweep_runs_total = %v, want 1", got)
+	}
+	for _, event := range []string{"sweep_start", "sweep_done"} {
+		if n := strings.Count(log.String(), `"msg":"`+event+`"`); n != 1 {
+			t.Errorf("%d %s events, want 1:\n%s", n, event, log.String())
+		}
 	}
 }
 
@@ -617,9 +658,12 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestCandidateCapOnlyOnSweeps: the search-space cap holds back sweeps
-// alone. On a five-level system where the dauwe grid estimate exceeds
-// the cap, requests that run no sweep answer 200: a prediction, a
-// simulation of a given plan, and a closed-form plan.
+// alone, and counts only the level sets a technique sweeps. On a
+// five-level system, under a dauwe grid whose five level prefixes hold
+// 1024 × (1 + 64 + … + 64⁴) ≈ 1.7e10 candidates, requests that run no
+// sweep answer 200: a prediction, a simulation of a given plan, and a
+// closed-form plan. Moody sweeps one level set, 64 × 16⁴ ≈ 4.2e6
+// candidates on its default grid, and answers 200 too.
 func TestCandidateCapOnlyOnSweeps(t *testing.T) {
 	h := newTestServer(t, Config{})
 	const spec = `"system_spec":{"mtbf_minutes":60,"baseline_minutes":1440,"levels":[` +
@@ -629,6 +673,11 @@ func TestCandidateCapOnlyOnSweeps(t *testing.T) {
 		`{"checkpoint_minutes":5,"restart_minutes":5,"severity_prob":0.1},` +
 		`{"checkpoint_minutes":20,"restart_minutes":20,"severity_prob":0.05}]}`
 	const plan = `"plan":{"tau0_minutes":5,"counts":[1,1,1,1],"levels":[1,2,3,4,5]}`
+	counts := make([]string, 64)
+	for i := range counts {
+		counts[i] = strconv.Itoa(i)
+	}
+	huge := `"grid":{"tau0_points":1024,"count_vals":[` + strings.Join(counts, ",") + `]}`
 	for _, tc := range []struct {
 		path, body string
 		code       int
@@ -636,13 +685,14 @@ func TestCandidateCapOnlyOnSweeps(t *testing.T) {
 		{"/v1/predict", `{` + spec + `,"technique":"dauwe",` + plan + `}`, 200},
 		{"/v1/simulate", `{` + spec + `,"technique":"dauwe",` + plan + `,"trials":10}`, 200},
 		{"/v1/plan", `{` + spec + `,"technique":"daly"}`, 200},
-		{"/v1/plan", `{` + spec + `,"technique":"dauwe"}`, 400},
+		{"/v1/plan", `{` + spec + `,"technique":"dauwe",` + huge + `}`, 400},
+		{"/v1/plan", `{` + spec + `,"technique":"moody"}`, 200},
 	} {
 		if code, _, body := h.post(t, tc.path, tc.body); code != tc.code {
 			t.Errorf("%s %s: code = %d body=%s, want %d", tc.path, tc.body, code, body, tc.code)
 		}
 	}
-	code, _, body := h.post(t, "/v1/batch", `{"requests":[{`+spec+`,"technique":"daly"},{`+spec+`,"technique":"dauwe"}]}`)
+	code, _, body := h.post(t, "/v1/batch", `{"requests":[{`+spec+`,"technique":"daly"},{`+spec+`,"technique":"dauwe",`+huge+`}]}`)
 	var resp BatchResponse
 	if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil || len(resp.Results) != 2 {
 		t.Fatalf("batch: code = %d body=%s (err %v)", code, body, err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/pattern"
 	"repro/internal/rng"
+	"repro/internal/system"
 )
 
 // cachePad is the room, in bytes, kept free on each side of an engine's
@@ -319,21 +320,20 @@ func (e *Engine) startPhase(p Phase, level int, duration float64) {
 	}
 }
 
-// tick advances the pattern odometer past one completed τ0 interval and
-// returns the used-level index of the checkpoint that follows it: the
-// number of digits that carried. A carry out of the top digit wraps the
-// period, which ends in a top-level checkpoint.
-func (e *Engine) tick() int {
-	e.pos++
-	for i, n := range e.plan.Counts {
-		if e.digits[i] < n {
-			e.digits[i]++
-			return i
+// tick advances the pattern odometer digits past one completed τ0
+// interval from position pos. It returns the new position and the
+// used-level index of the checkpoint that follows: the number of digits
+// that carried. A carry out of the top digit wraps the period, which
+// ends in a top-level checkpoint.
+func tick(digits, counts []int, pos int) (int, int) {
+	for i, n := range counts {
+		if digits[i] < n {
+			digits[i]++
+			return pos + 1, i
 		}
-		e.digits[i] = 0
+		digits[i] = 0
 	}
-	e.pos = 0
-	return len(e.plan.Counts)
+	return 0, len(counts)
 }
 
 // seek sets the odometer to pattern position pos of the current plan.
@@ -349,19 +349,52 @@ func (e *Engine) seek(pos int) {
 	}
 }
 
-// computeInterval is the length of the compute phase that starts at
-// progress done: τ0, or the work left if that is shorter.
-func (e *Engine) computeInterval(done float64) float64 {
-	remaining := e.scn.System.BaselineTime - done
-	interval := e.plan.Tau0
-	if interval > remaining {
-		interval = remaining
+// commit writes st to every used level at or below level. A level-i
+// checkpoint commits to all levels ≤ i, and used levels ascend, so that
+// is a prefix of the store table.
+func commit(stores []store, levels []int, level int, st store) {
+	for i, lvl := range levels {
+		if lvl > level {
+			return
+		}
+		stores[i] = st
 	}
-	return interval
+}
+
+// computeInterval is the length of the compute phase that starts at
+// progress done of an application of baseline tb: τ0, or the work left
+// if that is shorter.
+func computeInterval(tau0, tb, done float64) float64 {
+	if remaining := tb - done; tau0 > remaining {
+		return remaining
+	}
+	return tau0
+}
+
+// completes reports whether progress done finishes an application of
+// baseline tb; the slack absorbs rounding in the summed intervals.
+func completes(done, tb float64) bool { return done >= tb-1e-12 }
+
+// asyncTop reports whether the plan's top-level checkpoints are async
+// captures: under async flush, with two or more used levels. The tick
+// into a top-level checkpoint is the one that wraps the odometer, so a
+// checkpoint is a capture exactly when asyncTop holds and its position
+// is 0.
+func (e *Engine) asyncTop() bool { return e.scn.AsyncTopFlush && len(e.plan.Levels) >= 2 }
+
+// checkpointCost is how long the checkpoint at used-level index idx
+// blocks the application: its level's checkpoint time, or for an async
+// capture the next-lower used level's, while the top-level write drains
+// in the background.
+func checkpointCost(costs []system.Level, levels []int, idx int, capture bool) float64 {
+	if capture {
+		idx--
+	}
+	return costs[levels[idx]-1].Checkpoint
 }
 
 func (e *Engine) startCompute() {
-	e.startPhase(PhaseCompute, 0, e.computeInterval(e.done))
+	e.startPhase(PhaseCompute, 0, computeInterval(e.plan.Tau0, e.scn.System.BaselineTime, e.done))
 }
 
 // run drives the event loop until completion or the wall-time cap.
@@ -422,127 +455,201 @@ func (e *Engine) run() {
 // before the phase, win the tie. advance returns true when the
 // application has finished (or a controller produced an invalid plan).
 //
-// The phase-end state lives in locals while the loop runs. It is written
-// back (save) before every observer callback, controller call and
-// rollback and on return; the phase timer entry is written only on exit.
+// A trial with no observer and no controller runs its compute ⇄
+// checkpoint phase ends in cruise. Every other phase end goes through
+// endPhase, one at a time: a restart end, the completing compute end,
+// the end of an async capture, and every phase end of a trial with an
+// observer or a controller.
 func (e *Engine) advance() bool {
-	sys := e.scn.System
-	plan := &e.plan
-	flush := &e.timers[e.flushTimer()]
-	now, start, done, phase := e.now, e.phaseStart, e.done, e.phase
-	useful, ckptOK := e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK
 	// Arrivals change only at failures, so their part of the horizon
-	// holds for the whole loop. The flush is re-read every iteration: a
-	// checkpoint end may arm it and a controller switch disarms it.
+	// holds until advance returns.
 	horizon := e.maxWall
 	if e.arrival >= 0 && e.timers[e.arrival].t < horizon {
 		horizon = e.timers[e.arrival].t
 	}
-	var end float64
-	var seq uint64
+	plain := e.observer == nil && e.controller == nil
+	for {
+		if plain && !e.cruise(horizon) {
+			return false
+		}
+		if e.endPhase() {
+			return true
+		}
+		if !e.popPhase(horizon) {
+			return false
+		}
+	}
+}
+
+// cruise is advance's loop for a trial with no observer and no
+// controller. Starting with the phase end at e.now, it handles compute
+// and checkpoint ends for as long as the next phase end is strictly
+// earlier than horizon and the armed flush deadline; it then arms that
+// phase end and returns false. It returns true, with the phase end at
+// e.now still unhandled, when that end is a restart end, the compute end
+// that completes the application or the end of an async capture:
+// endPhase handles those. Only that last one arms or disarms the flush,
+// so the flush deadline is read once.
+//
+// The loop has no call site. Go's calling convention saves no registers
+// across a call, so a single call in the loop, even a guarded one that
+// never runs, puts its state in stack slots; without one, the clock,
+// progress, accumulators, odometer position, seq and phase level stay in
+// registers. tick, checkpointCost, commit and computeInterval are
+// inlined. To spare registers the phase is not a variable of its own:
+// level 0 is a compute phase, any other level a checkpoint.
+func (e *Engine) cruise(horizon float64) bool {
+	if e.phase == PhaseRestart {
+		return true
+	}
+	if f := &e.timers[e.flushTimer()]; f.armed && f.t < horizon {
+		horizon = f.t
+	}
+	levels, counts, costs := e.plan.Levels, e.plan.Counts, e.scn.System.Levels
+	digits, stores, async := e.digits[:len(counts)], e.stores[:len(levels)], e.asyncTop()
+	tau0, tb := e.plan.Tau0, e.scn.System.BaselineTime
+	now, start, done, pos := e.now, e.phaseStart, e.done, e.pos
+	useful, ckptOK := e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK
+	level, seq := e.phaseLevel, e.seq
+	pending := false
 	for {
 		d := now - start
-		var next Phase
-		var level int
 		var duration float64
-		switch phase {
-		case PhaseCompute:
+		if level == 0 {
+			if completes(done+d, tb) {
+				pending = true
+				break
+			}
 			useful += d // reclassified to Lost on rollback
 			done += d
-			if e.observer != nil {
-				e.save(now, start, done, useful, ckptOK, phase)
-				e.observe(EvPhaseEnd, 0)
+			var idx int
+			pos, idx = tick(digits, counts, pos)
+			level = levels[idx]
+			duration = checkpointCost(costs, levels, idx, async && pos == 0)
+		} else {
+			if async && pos == 0 {
+				pending = true
+				break
 			}
-			if done >= sys.BaselineTime-1e-12 {
-				e.save(now, start, sys.BaselineTime, useful, ckptOK, phase)
-				return true
-			}
-			// The odometer now holds the position this checkpoint
-			// commits; a failure before the commit rolls back through
-			// seek.
-			usedIdx := e.tick()
-			lvl := plan.Levels[usedIdx]
-			duration = sys.Levels[lvl-1].Checkpoint
-			e.asyncCapture = false
-			if e.scn.AsyncTopFlush && usedIdx == plan.NumUsed()-1 && plan.NumUsed() >= 2 {
-				// Async: block only for the capture to the next-lower
-				// level; the top-level write drains in the background.
-				capture := plan.Levels[usedIdx-1]
-				duration = sys.Levels[capture-1].Checkpoint
-				e.asyncCapture = true
-			}
-			next, level = PhaseCheckpoint, lvl
-		case PhaseCheckpoint:
 			ckptOK += d
-			if e.observer != nil {
-				e.save(now, start, done, useful, ckptOK, phase)
-				e.observe(EvPhaseEnd, e.phaseLevel)
-			}
-			commitLevel := e.phaseLevel
-			if e.asyncCapture {
-				// Commit only up to the capture level now; the top level
-				// commits when the background flush completes. A flush
-				// still in flight is superseded by the newer data.
-				commitLevel = plan.Levels[plan.NumUsed()-2]
-				e.flushStore = store{valid: true, progress: done, pos: e.pos}
-				e.arm(e.flushTimer(), now+sys.Levels[e.phaseLevel-1].Checkpoint)
-				e.asyncCapture = false
-			}
-			// Commit to every used level at or below the committed level.
-			for i, lvl := range plan.Levels {
-				if lvl <= commitLevel {
-					e.stores[i] = store{valid: true, progress: done, pos: e.pos}
-				}
-			}
-			if e.controller != nil {
-				e.save(now, start, done, useful, ckptOK, phase)
-				if newPlan, ok := e.controller.Replan(now, done); ok {
-					if err := e.switchPlan(newPlan); err != nil {
-						e.err = err
-						e.finish(false)
-						return true
-					}
-				}
-			}
-			next, duration = PhaseCompute, e.computeInterval(done)
-		case PhaseRestart:
-			e.res.Breakdown.RestartOK += d
-			// rollbackTo works on the engine's done and UsefulCompute.
-			e.save(now, start, done, useful, ckptOK, phase)
-			if e.observer != nil {
-				e.observe(EvPhaseEnd, e.phaseLevel)
-			}
-			e.rollbackTo(e.stores[e.restartIdx])
-			done, useful = e.done, e.res.Breakdown.UsefulCompute
-			next, duration = PhaseCompute, e.computeInterval(done)
+			commit(stores, levels, level, store{valid: true, progress: done, pos: pos})
+			level = 0
+			duration = computeInterval(tau0, tb, done)
 		}
-		// Start the next phase; its end is armed in the timer table
-		// only on exit.
-		phase, e.phaseLevel, start = next, level, now
-		end, seq = now+duration, e.seq
-		e.seq++
-		if e.observer != nil {
-			e.save(now, start, done, useful, ckptOK, phase)
-			e.observe(EvPhaseStart, level)
-		}
-		h := horizon
-		if flush.armed && flush.t < h {
-			h = flush.t
-		}
-		if !(end < h) {
+		// The next phase starts; its end is armed only on exit.
+		start, seq = now, seq+1
+		end := now + duration
+		if !(end < horizon) {
+			e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: true}
 			break
 		}
 		now = end
 	}
-	e.save(now, start, done, useful, ckptOK, phase)
-	e.timers[e.phaseTimer()] = timer{t: end, seq: seq, armed: true}
+	e.now, e.phaseStart, e.done, e.pos = now, start, done, pos
+	e.phase, e.phaseLevel, e.seq = PhaseCompute, level, seq
+	if level != 0 {
+		e.phase = PhaseCheckpoint
+	}
+	e.asyncCapture = level != 0 && async && pos == 0
+	e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK = useful, ckptOK
+	return pending
+}
+
+// popPhase takes the pending phase end as the next event, setting the
+// clock to it, when it is strictly earlier than horizon and the armed
+// flush deadline. The flush is read at every call: a checkpoint end with
+// an async capture arms it, and a controller's plan switch disarms it.
+func (e *Engine) popPhase(horizon float64) bool {
+	if f := &e.timers[e.flushTimer()]; f.armed && f.t < horizon {
+		horizon = f.t
+	}
+	p := &e.timers[e.phaseTimer()]
+	if !(p.t < horizon) {
+		return false
+	}
+	p.armed = false
+	e.now = p.t
+	return true
+}
+
+// endPhase handles the end of the current phase at e.now and starts the
+// phase that follows. It returns true when the application has finished
+// (or a controller produced an invalid plan).
+func (e *Engine) endPhase() bool {
+	switch e.phase {
+	case PhaseCompute:
+		return e.endCompute()
+	case PhaseCheckpoint:
+		return e.endCheckpoint()
+	}
+	e.endRestart()
 	return false
 }
 
-// save writes advance's loop-local state back to the engine.
-func (e *Engine) save(now, start, done, useful, ckptOK float64, phase Phase) {
-	e.now, e.phaseStart, e.done, e.phase = now, start, done, phase
-	e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK = useful, ckptOK
+// endCompute closes a compute phase. Unless the application has
+// finished, it starts the checkpoint the odometer selects.
+func (e *Engine) endCompute() bool {
+	d := e.now - e.phaseStart
+	e.res.Breakdown.UsefulCompute += d // reclassified to Lost on rollback
+	e.done += d
+	if e.observer != nil {
+		e.observe(EvPhaseEnd, 0)
+	}
+	if completes(e.done, e.scn.System.BaselineTime) {
+		e.done = e.scn.System.BaselineTime
+		return true
+	}
+	// The odometer now holds the position this checkpoint commits; a
+	// failure before the commit rolls back through seek.
+	var idx int
+	e.pos, idx = tick(e.digits, e.plan.Counts, e.pos)
+	e.asyncCapture = e.asyncTop() && e.pos == 0
+	e.startPhase(PhaseCheckpoint, e.plan.Levels[idx],
+		checkpointCost(e.scn.System.Levels, e.plan.Levels, idx, e.asyncCapture))
+	return false
+}
+
+// endCheckpoint commits a finished checkpoint, lets the controller
+// replan, and starts the next compute phase.
+func (e *Engine) endCheckpoint() bool {
+	e.res.Breakdown.CheckpointOK += e.now - e.phaseStart
+	if e.observer != nil {
+		e.observe(EvPhaseEnd, e.phaseLevel)
+	}
+	st := store{valid: true, progress: e.done, pos: e.pos}
+	level := e.phaseLevel
+	if e.asyncCapture {
+		// Commit only up to the capture level now; the top level commits
+		// when the background flush completes. A flush still in flight is
+		// superseded by the newer data.
+		level = e.plan.Levels[e.plan.NumUsed()-2]
+		e.flushStore = st
+		e.arm(e.flushTimer(), e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint)
+		e.asyncCapture = false
+	}
+	commit(e.stores, e.plan.Levels, level, st)
+	if e.controller != nil {
+		if p, ok := e.controller.Replan(e.now, e.done); ok {
+			if err := e.switchPlan(p); err != nil {
+				e.err = err
+				e.finish(false)
+				return true
+			}
+		}
+	}
+	e.startCompute()
+	return false
+}
+
+// endRestart closes a restart: the application rolls back to the store
+// it read and computes again.
+func (e *Engine) endRestart() {
+	e.res.Breakdown.RestartOK += e.now - e.phaseStart
+	if e.observer != nil {
+		e.observe(EvPhaseEnd, e.phaseLevel)
+	}
+	e.rollbackTo(e.stores[e.restartIdx])
+	e.startCompute()
 }
 
 // chargePartialPhase books the elapsed portion of an interrupted phase

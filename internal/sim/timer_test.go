@@ -67,6 +67,59 @@ func TestTimerTieOrderGolden(t *testing.T) {
 	checkBits(t, "RestartFail", b.RestartFail, 0x3fe0000000000000)
 }
 
+// restartLevels records the level of every restart a trial starts.
+type restartLevels []int
+
+func (r *restartLevels) Observe(e Event) {
+	if e.Kind == EvPhaseStart && e.Phase == PhaseRestart {
+		*r = append(*r, e.Level)
+	}
+}
+
+// TestStoreRuleGolden pins the store rule (DESIGN.md §2.6): after a
+// severity-s failure, a recovery reads the lowest used level ≥ need
+// whose store no failure has invalidated since its last commit.
+//
+//   - t=40: a severity-2 arrival mid-compute, with level 1 holding
+//     progress 30 and level 2 progress 20. It invalidates level 1, so
+//     the recovery reads level 2.
+//   - t=50: a severity-1 arrival mid-compute, before any commit since.
+//     Level 1 is still invalid, so this recovery reads level 2 as well.
+//
+// Both restarts cost R_2 = 4. The trial runs unobserved, through the
+// engine's call-free loop, and observed, through its per-phase steps.
+func TestStoreRuleGolden(t *testing.T) {
+	sys := dyadicSystem(2, 60)
+	for _, observed := range []bool{false, true} {
+		script := &scriptedFailures{times: []float64{40, 50}, severities: []int{2, 1}}
+		eng, err := NewEngine(Scenario{
+			System:      sys,
+			Plan:        pattern.Plan{Tau0: 10, Counts: []int{1}, Levels: []int{1, 2}},
+			FailureLaws: script.laws(sys),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var levels restartLevels
+		if observed {
+			eng.Observe(&levels)
+		}
+		res, err := eng.Run(seed("store-rule").Trial(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || res.Failures[0] != 1 || res.Failures[1] != 1 {
+			t.Fatalf("observed=%v: %+v", observed, res)
+		}
+		checkBits(t, "RestartOK", res.Breakdown.RestartOK, 0x4020000000000000)
+		checkBits(t, "LostCompute", res.Breakdown.LostCompute, 0x4035000000000000)
+		checkBits(t, "WallTime", res.WallTime, 0x4058c00000000000)
+		if observed && (len(levels) != 2 || levels[0] != 2 || levels[1] != 2) {
+			t.Errorf("restart levels %v, want [2 2]", levels)
+		}
+	}
+}
+
 // levelChecker asserts that every checkpoint the engine starts is the
 // one pattern.Plan.LevelAfterInterval prescribes. With τ0 = 1 and dyadic
 // costs, progress counts whole intervals exactly, so the pattern position
