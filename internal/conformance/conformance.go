@@ -238,8 +238,9 @@ func (c *Checker) resetTrial() {
 
 // durEps is the tolerance for duration comparisons: scheduled phase ends
 // pop at now+duration, so the observed elapsed time can differ from the
-// configured duration by floating-point rounding only.
-func durEps(scale float64) float64 { return 1e-9 * (1 + math.Abs(scale)) }
+// configured duration by floating-point rounding only. The product is
+// rounded (float64(...)) so that no GOARCH fuses it into x + durEps(x).
+func durEps(scale float64) float64 { return float64(1e-9 * (1 + math.Abs(scale))) }
 
 // accEps is the tolerance for accounting sums, which accumulate one
 // rounding error per phase.

@@ -13,8 +13,7 @@ import (
 // sim.Campaign.ObserverFactory, or combine it with other observers via
 // obs.Multi.
 type Pool struct {
-	scn         sim.Scenario
-	allowReplan bool
+	scn sim.Scenario
 
 	mu       sync.Mutex
 	checkers []*Checker
@@ -28,10 +27,6 @@ func NewPool(scn sim.Scenario) (*Pool, error) {
 	return &Pool{scn: scn}, nil
 }
 
-// AllowReplan relaxes the plan-dependent invariants on every checker the
-// pool hands out (for campaigns that install a ControllerFactory).
-func (p *Pool) AllowReplan() { p.allowReplan = true }
-
 // Observer implements sim.Campaign.ObserverFactory.
 func (p *Pool) Observer(worker int) sim.Observer {
 	c, err := NewChecker(p.scn)
@@ -39,9 +34,6 @@ func (p *Pool) Observer(worker int) sim.Observer {
 		// NewPool validated the scenario; a failure here is a
 		// programming error (the scenario was mutated after NewPool).
 		panic(fmt.Sprintf("conformance: scenario invalidated after NewPool: %v", err))
-	}
-	if p.allowReplan {
-		c.AllowReplan()
 	}
 	p.mu.Lock()
 	p.checkers = append(p.checkers, c)

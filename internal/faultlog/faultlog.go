@@ -228,12 +228,13 @@ func FitWeibull(samples []float64) (dist.Weibull, error) {
 	meanLog /= float64(n)
 
 	// Profile equation g(k) = A(k)/B(k) − 1/k − meanLog = 0 where
-	// A = Σ x^k ln x, B = Σ x^k; g is increasing in k.
+	// A = Σ x^k ln x, B = Σ x^k; g is increasing in k. Products are
+	// rounded (float64(...)) so that no GOARCH fuses them into the sums.
 	g := func(k float64) float64 {
 		var a, b float64
 		for _, x := range samples {
 			xk := math.Pow(x, k)
-			a += xk * math.Log(x)
+			a += float64(xk * math.Log(x))
 			b += xk
 		}
 		return a/b - 1/k - meanLog
@@ -286,7 +287,8 @@ func ExponentialGoodness(samples []float64) (cv2 float64, err error) {
 	}
 	var v float64
 	for _, x := range samples {
-		v += (x - mean) * (x - mean)
+		// Rounded so that no GOARCH fuses the square into the sum.
+		v += float64((x - mean) * (x - mean))
 	}
 	v /= float64(len(samples) - 1)
 	return v / (mean * mean), nil

@@ -1,92 +1,31 @@
 package obs
 
 import (
-	"fmt"
 	"math"
+
+	"repro/internal/stats"
 )
 
-// Default bucket scheme: log-scaled buckets spanning [1e-9, 1e12) with
-// BucketsPerDecade buckets per decade, plus an underflow bucket for
-// values <= Lo (including zero and negatives) and an overflow bucket for
-// values > Hi. Simulated times are minutes, so the range comfortably
-// covers sub-microsecond phases through multi-century wall times.
-const (
-	defaultLo               = 1e-9
-	defaultHi               = 1e12
-	defaultBucketsPerDecade = 8
-)
-
-// Histogram is a streaming histogram over fixed log-scaled buckets with
-// exact min/max/mean/stddev and bucket-interpolated quantiles. Non-finite
-// observations (NaN, ±Inf) are rejected and tallied separately. Not safe
-// for concurrent use; shard per goroutine and Merge.
+// Histogram is a streaming histogram over the fixed log-bucket scheme
+// of stats.LogBuckets, with exact min/max/mean/stddev and
+// bucket-interpolated quantiles. Non-finite observations (NaN, ±Inf) are
+// rejected and tallied separately. Not safe for concurrent use; shard
+// per goroutine and Merge.
 type Histogram struct {
-	lo        float64
-	hi        float64
-	perDecade int
-	nb        int // log buckets, excluding under/overflow
-
-	counts   []uint64 // len nb+2 once allocated: [under, b1..bnb, over]
+	b        stats.LogBuckets
 	count    uint64
 	rejected uint64
 	// sum and sumSq are exact superaccumulators, so merges are
 	// associative: any shard partition of the same samples produces
-	// bit-identical Sum/Mean/Std — the property fleet-wide cross-process
-	// registry merges rely on.
+	// bit-identical Sum/Mean/Std.
 	sum   ExactSum
 	sumSq ExactSum
 	min   float64
 	max   float64
 }
 
-// NewHistogram returns a histogram with the default bucket scheme.
-func NewHistogram() *Histogram {
-	h, err := NewHistogramScheme(defaultLo, defaultHi, defaultBucketsPerDecade)
-	if err != nil {
-		panic(err) // defaults are statically valid
-	}
-	return h
-}
-
-// NewHistogramScheme returns a histogram with log-scaled buckets of
-// perDecade buckets per decade spanning (lo, hi].
-func NewHistogramScheme(lo, hi float64, perDecade int) (*Histogram, error) {
-	if !(lo > 0) || !(hi > lo) || perDecade < 1 {
-		return nil, fmt.Errorf("obs: invalid histogram scheme lo=%v hi=%v perDecade=%d", lo, hi, perDecade)
-	}
-	nb := int(math.Ceil(math.Log10(hi/lo)*float64(perDecade) - 1e-9))
-	return &Histogram{lo: lo, hi: hi, perDecade: perDecade, nb: nb}, nil
-}
-
-// bucketIndex maps a finite value into [0, nb+1].
-func (h *Histogram) bucketIndex(v float64) int {
-	if v <= h.lo {
-		return 0
-	}
-	if v > h.hi {
-		return h.nb + 1
-	}
-	idx := 1 + int(math.Floor(math.Log10(v/h.lo)*float64(h.perDecade)))
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > h.nb {
-		idx = h.nb
-	}
-	return idx
-}
-
-// upperBound returns the inclusive upper bound of bucket i in [0, nb+1].
-func (h *Histogram) upperBound(i int) float64 {
-	switch {
-	case i <= 0:
-		return h.lo
-	case i > h.nb:
-		return math.Inf(1)
-	default:
-		return h.lo * math.Pow(10, float64(i)/float64(h.perDecade))
-	}
-}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one sample. NaN and ±Inf are rejected (counted in
 // Rejected, excluded from every statistic).
@@ -95,10 +34,7 @@ func (h *Histogram) Observe(v float64) {
 		h.rejected++
 		return
 	}
-	if h.counts == nil {
-		h.counts = make([]uint64, h.nb+2)
-	}
-	h.counts[h.bucketIndex(v)]++
+	h.b.Add(v)
 	if h.count == 0 {
 		h.min, h.max = v, v
 	} else {
@@ -165,7 +101,9 @@ func (h *Histogram) Std() float64 {
 	}
 	n := float64(h.count)
 	mean := h.sum.Round() / n
-	v := (h.sumSq.Round() - n*mean*mean) / (n - 1)
+	// The product is rounded (float64(...)) so that no GOARCH fuses it
+	// into the subtraction.
+	v := (h.sumSq.Round() - float64(n*mean*mean)) / (n - 1)
 	if v < 0 {
 		v = 0 // rounding
 	}
@@ -177,85 +115,19 @@ func (h *Histogram) Std() float64 {
 // [Min, Max] range; estimates are non-decreasing in q. Returns NaN when
 // the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return h.min
-	}
-	if q >= 1 {
-		return h.max
-	}
-	target := q * float64(h.count)
-	if target < 1 {
-		target = 1
-	}
-	var cum float64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= target {
-			v := h.interp(i, (target-cum)/float64(c))
-			// Clamp to the observed range (bucket bounds are coarser
-			// than the exact extremes).
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-		cum = next
-	}
-	return h.max
+	return h.b.Quantile(q, h.count, h.min, h.max)
 }
 
-// interp interpolates a value at fraction frac within bucket i.
-func (h *Histogram) interp(i int, frac float64) float64 {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	switch {
-	case i == 0:
-		// Underflow bucket has no lower bound; report its upper bound
-		// (the clamp pulls it to min when appropriate).
-		return h.lo
-	case i > h.nb:
-		// Overflow bucket is unbounded above; report the exact max.
-		return h.max
-	default:
-		lower := h.upperBound(i - 1)
-		upper := h.upperBound(i)
-		return lower * math.Pow(upper/lower, frac)
-	}
-}
-
-// Merge adds o's samples into h. The two histograms must share the same
-// bucket scheme.
-func (h *Histogram) Merge(o *Histogram) error {
+// Merge adds o's samples into h.
+func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o == h {
-		return nil
-	}
-	if h.lo != o.lo || h.hi != o.hi || h.perDecade != o.perDecade {
-		return fmt.Errorf("obs: histogram scheme mismatch: (%g,%g,%d) vs (%g,%g,%d)",
-			h.lo, h.hi, h.perDecade, o.lo, o.hi, o.perDecade)
+		return
 	}
 	h.rejected += o.rejected
 	if o.count == 0 {
-		return nil
+		return
 	}
-	if h.counts == nil {
-		h.counts = make([]uint64, h.nb+2)
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
+	h.b.Merge(&o.b)
 	if h.count == 0 {
 		h.min, h.max = o.min, o.max
 	} else {
@@ -269,26 +141,23 @@ func (h *Histogram) Merge(o *Histogram) error {
 	h.count += o.count
 	h.sum.Merge(&o.sum)
 	h.sumSq.Merge(&o.sumSq)
-	return nil
 }
 
 // HistogramBucket is one non-empty bucket in a snapshot: Count samples
 // at values <= UpperBound (and above the previous bucket's bound).
-// Index is the bucket's position in the scheme (0 = underflow,
-// nb+1 = overflow), which makes restoration from a snapshot exact even
-// though the overflow bucket's serialized bound is the observed max.
+// Index is the bucket's position in the scheme (0 = underflow, 169 =
+// overflow); the overflow bucket's serialized bound is the observed max.
 type HistogramBucket struct {
 	UpperBound float64 `json:"le"`
 	Count      uint64  `json:"count"`
 	Index      int     `json:"i"`
 }
 
-// HistogramSnapshot is one histogram in a snapshot. Quantiles holds the
-// p50/p90/p99 estimates; Buckets lists only non-empty buckets. The
-// scheme fields (Lo, Hi, PerDecade) and the exact sum states make the
-// snapshot portable: HistogramFromSnapshot reconstructs a histogram
-// that merges exactly, so shard snapshots serialized by different
-// processes aggregate to the same bits a single process would produce.
+// HistogramSnapshot is one histogram in a snapshot. P50/P90/P99 hold
+// the quantile estimates; Buckets lists only non-empty buckets. The
+// scheme fields (Lo, Hi, PerDecade) always hold stats' constants; they
+// and the exact sum states are kept so the format stays as readers
+// know it.
 type HistogramSnapshot struct {
 	Name       string            `json:"name"`
 	Labels     []Label           `json:"labels,omitempty"`
@@ -314,7 +183,7 @@ func (h *Histogram) snapshot(name string, labels []Label) HistogramSnapshot {
 	s := HistogramSnapshot{
 		Name: name, Labels: labels,
 		Count: h.count, Rejected: h.rejected, Sum: h.sum.Round(),
-		Lo: h.lo, Hi: h.hi, PerDecade: h.perDecade,
+		Lo: stats.BucketLo, Hi: stats.BucketHi, PerDecade: stats.BucketsPerDecade,
 	}
 	if h.count > 0 {
 		s.Min, s.Max, s.Mean, s.Std = h.min, h.max, h.Mean(), h.Std()
@@ -322,72 +191,12 @@ func (h *Histogram) snapshot(name string, labels []Label) HistogramSnapshot {
 		sum, sumSq := h.sum.State(), h.sumSq.State()
 		s.SumExact, s.SumSqExact = &sum, &sumSq
 	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		ub := h.upperBound(i)
+	for _, b := range h.b.Sparse() {
+		ub := stats.UpperBound(b.I)
 		if math.IsInf(ub, 1) {
 			ub = h.max // JSON cannot carry +Inf; the exact max bounds the overflow bucket
 		}
-		s.Buckets = append(s.Buckets, HistogramBucket{UpperBound: ub, Count: c, Index: i})
+		s.Buckets = append(s.Buckets, HistogramBucket{UpperBound: ub, Count: b.C, Index: b.I})
 	}
 	return s
-}
-
-// HistogramFromSnapshot reconstructs a histogram from its snapshot. When
-// the snapshot carries exact sum states (any snapshot produced since
-// they were introduced), the reconstruction is lossless: merging
-// restored histograms equals merging the originals, bit for bit. Legacy
-// snapshots without them degrade gracefully — the rounded Sum seeds the
-// accumulator and sumSq is recovered from Std/Mean — and remain
-// mergeable, just without the exactness guarantee.
-func HistogramFromSnapshot(s HistogramSnapshot) (*Histogram, error) {
-	lo, hi, pd := s.Lo, s.Hi, s.PerDecade
-	if pd == 0 {
-		lo, hi, pd = defaultLo, defaultHi, defaultBucketsPerDecade
-	}
-	h, err := NewHistogramScheme(lo, hi, pd)
-	if err != nil {
-		return nil, fmt.Errorf("obs: histogram %q: %w", s.Name, err)
-	}
-	h.count, h.rejected = s.Count, s.Rejected
-	if s.Count > 0 {
-		h.min, h.max = s.Min, s.Max
-	}
-	if len(s.Buckets) > 0 {
-		h.counts = make([]uint64, h.nb+2)
-		var total uint64
-		for _, b := range s.Buckets {
-			if b.Index < 0 || b.Index > h.nb+1 {
-				return nil, fmt.Errorf("obs: histogram %q: bucket index %d out of range", s.Name, b.Index)
-			}
-			if b.Index == 0 && b.UpperBound > h.lo {
-				return nil, fmt.Errorf("obs: histogram %q: snapshot predates bucket indices", s.Name)
-			}
-			h.counts[b.Index] += b.Count
-			total += b.Count
-		}
-		if total != s.Count {
-			return nil, fmt.Errorf("obs: histogram %q: bucket counts sum to %d, want %d", s.Name, total, s.Count)
-		}
-	} else if s.Count > 0 {
-		return nil, fmt.Errorf("obs: histogram %q: count %d but no buckets", s.Name, s.Count)
-	}
-	if s.SumExact != nil {
-		if h.sum, err = ExactSumFromState(*s.SumExact); err != nil {
-			return nil, fmt.Errorf("obs: histogram %q: sum: %w", s.Name, err)
-		}
-	} else {
-		h.sum.Add(s.Sum)
-	}
-	if s.SumSqExact != nil {
-		if h.sumSq, err = ExactSumFromState(*s.SumSqExact); err != nil {
-			return nil, fmt.Errorf("obs: histogram %q: sumsq: %w", s.Name, err)
-		}
-	} else if s.Count > 0 {
-		n := float64(s.Count)
-		h.sumSq.Add(s.Std*s.Std*(n-1) + n*s.Mean*s.Mean)
-	}
-	return h, nil
 }

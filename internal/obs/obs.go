@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -175,8 +174,7 @@ func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 	return r.lookup(name, kindGauge, labelPairs).g
 }
 
-// Histogram returns (registering on first use) the histogram member,
-// using the default bucket scheme.
+// Histogram returns (registering on first use) the histogram member.
 func (r *Registry) Histogram(name string, labelPairs ...string) *Histogram {
 	return r.lookup(name, kindHistogram, labelPairs).h
 }
@@ -184,8 +182,8 @@ func (r *Registry) Histogram(name string, labelPairs ...string) *Histogram {
 // Merge folds every instrument of o into r: counters and histograms add,
 // gauges adopt o's value when o has set one (last writer wins). Metrics
 // that exist only in o are created in r. Merging the same name with a
-// different instrument kind or an incompatible histogram scheme is an
-// error. Do not merge two registries into each other concurrently.
+// different instrument kind is an error. Do not merge two registries
+// into each other concurrently.
 func (r *Registry) Merge(o *Registry) error {
 	if o == nil || o == r {
 		return nil
@@ -222,9 +220,7 @@ func (r *Registry) Merge(o *Registry) error {
 				r.Gauge(oe.name, pairs...).Set(oe.g.Value())
 			}
 		case kindHistogram:
-			if err := r.Histogram(oe.name, pairs...).Merge(oe.h); err != nil {
-				return fmt.Errorf("obs: merge %s: %w", id, err)
-			}
+			r.Histogram(oe.name, pairs...).Merge(oe.h)
 		}
 	}
 	return nil
@@ -238,8 +234,7 @@ type CounterSnapshot struct {
 }
 
 // GaugeSnapshot is one gauge in a snapshot. Set distinguishes an
-// explicit zero from a registered-but-never-written gauge, so restored
-// registries keep the original last-writer-wins merge behavior.
+// explicit zero from a registered-but-never-written gauge.
 type GaugeSnapshot struct {
 	Name   string  `json:"name"`
 	Labels []Label `json:"labels,omitempty"`
@@ -349,154 +344,6 @@ func ReadSnapshot(rd io.Reader) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("obs: decode snapshot: %w", err)
 	}
 	return s, nil
-}
-
-// RegistryFromSnapshot reconstructs a live registry from a serialized
-// snapshot — the receiving half of cross-process telemetry: a shard
-// process snapshots its registry into a progress sidecar, and the
-// aggregating process restores and merges. With exact-sum states in the
-// histograms (always present in snapshots this code writes), the
-// restoration is lossless, so merging restored shard registries is
-// bit-identical to merging the live ones. Spans and Stats are not part
-// of a Registry; see MergeSnapshots for whole-snapshot aggregation.
-func RegistryFromSnapshot(s Snapshot) (*Registry, error) {
-	r := NewRegistry()
-	for _, c := range s.Counters {
-		labels := append([]Label(nil), c.Labels...)
-		id := metricID(c.Name, labels)
-		if _, ok := r.entries[id]; ok {
-			return nil, fmt.Errorf("obs: snapshot: duplicate counter %s", id)
-		}
-		r.entries[id] = &entry{name: c.Name, labels: labels, kind: kindCounter, c: &Counter{n: c.Value}}
-	}
-	for _, g := range s.Gauges {
-		labels := append([]Label(nil), g.Labels...)
-		id := metricID(g.Name, labels)
-		if _, ok := r.entries[id]; ok {
-			return nil, fmt.Errorf("obs: snapshot: duplicate gauge %s", id)
-		}
-		// Legacy snapshots lack the Set flag; treat a non-zero value as set.
-		r.entries[id] = &entry{name: g.Name, labels: labels, kind: kindGauge,
-			g: &Gauge{v: g.Value, set: g.Set || g.Value != 0}}
-	}
-	for _, hs := range s.Histograms {
-		h, err := HistogramFromSnapshot(hs)
-		if err != nil {
-			return nil, err
-		}
-		labels := append([]Label(nil), hs.Labels...)
-		id := metricID(hs.Name, labels)
-		if _, ok := r.entries[id]; ok {
-			return nil, fmt.Errorf("obs: snapshot: duplicate histogram %s", id)
-		}
-		r.entries[id] = &entry{name: hs.Name, labels: labels, kind: kindHistogram, h: h}
-	}
-	return r, nil
-}
-
-// MergeSnapshots restores and merges serialized snapshots into one
-// fleet-wide snapshot. Counters, histograms, and spans aggregate
-// exactly and order-independently, so the result is deterministic for a
-// given shard set — byte-identical to the snapshot a single process
-// covering the same work would have written. Gauges are last-writer-wins
-// in argument order, and Stats sections are pooled approximately
-// (quantiles are count-weighted means of the shard quantiles), so fleet
-// views that need strict determinism should rely on the registry and
-// span sections.
-func MergeSnapshots(snaps ...Snapshot) (Snapshot, error) {
-	merged := NewRegistry()
-	tracer := NewTracer()
-	anySpans := false
-	var statGroups [][]StreamStatSnapshot
-	for _, s := range snaps {
-		r, err := RegistryFromSnapshot(s)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		if err := merged.Merge(r); err != nil {
-			return Snapshot{}, err
-		}
-		if len(s.Spans) > 0 {
-			anySpans = true
-			tracer.Merge(TracerFromSnapshot(s.Spans))
-		}
-		if len(s.Stats) > 0 {
-			statGroups = append(statGroups, s.Stats)
-		}
-	}
-	out := merged.Snapshot()
-	if anySpans {
-		out.Spans = tracer.Snapshot()
-	}
-	out.Stats = mergeStatSnapshots(statGroups)
-	return out, nil
-}
-
-// mergeStatSnapshots pools stream-stat snapshots by name: counts, sums,
-// and extremes combine exactly; std via pooled moments; quantiles as
-// count-weighted means (an approximation — the underlying sketches are
-// not serialized).
-func mergeStatSnapshots(groups [][]StreamStatSnapshot) []StreamStatSnapshot {
-	if len(groups) == 0 {
-		return nil
-	}
-	type acc struct {
-		count         uint64
-		sum, sumSq    float64
-		min, max      float64
-		p50, p90, p99 float64 // count-weighted accumulators
-	}
-	accs := map[string]*acc{}
-	var names []string
-	for _, group := range groups {
-		for _, st := range group {
-			a, ok := accs[st.Name]
-			if !ok {
-				a = &acc{min: math.Inf(1), max: math.Inf(-1)}
-				accs[st.Name] = a
-				names = append(names, st.Name)
-			}
-			n := float64(st.Count)
-			a.count += st.Count
-			a.sum += st.Sum
-			if st.Count > 1 {
-				a.sumSq += st.Std*st.Std*(n-1) + n*st.Mean*st.Mean
-			} else {
-				a.sumSq += st.Mean * st.Mean * n
-			}
-			if st.Count > 0 {
-				if st.Min < a.min {
-					a.min = st.Min
-				}
-				if st.Max > a.max {
-					a.max = st.Max
-				}
-			}
-			a.p50 += st.P50 * n
-			a.p90 += st.P90 * n
-			a.p99 += st.P99 * n
-		}
-	}
-	sort.Strings(names)
-	out := make([]StreamStatSnapshot, 0, len(names))
-	for _, name := range names {
-		a := accs[name]
-		st := StreamStatSnapshot{Name: name, Count: a.count, Sum: a.sum}
-		if a.count > 0 {
-			n := float64(a.count)
-			st.Mean = a.sum / n
-			st.Min, st.Max = a.min, a.max
-			st.P50, st.P90, st.P99 = a.p50/n, a.p90/n, a.p99/n
-			if a.count > 1 {
-				v := (a.sumSq - n*st.Mean*st.Mean) / (n - 1)
-				if v > 0 {
-					st.Std = math.Sqrt(v)
-				}
-			}
-		}
-		out = append(out, st)
-	}
-	return out
 }
 
 // Counter returns the value of the named counter in the snapshot

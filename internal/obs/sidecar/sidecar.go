@@ -5,10 +5,9 @@
 // peak RSS, and optionally an embedded obs registry snapshot. Sidecars
 // are the cross-process half of the telemetry layer: a monitor (mlckpt
 // -watch, obshttp /shards) scans a directory of them and aggregates a
-// fleet view without talking to the worker processes at all, and the
-// embedded snapshots merge (obs.MergeSnapshots) into a fleet-wide
-// registry that is byte-identical to what a single process covering the
-// same trials would report.
+// fleet view without talking to the worker processes at all. The
+// embedded registry snapshot is for readers (mlckpt -watch -json,
+// obshttp /shards); it is not read back into a registry.
 //
 // Staleness is self-describing: every sidecar records its writer's
 // refresh cadence (RefreshMS), so a monitor flags a shard as stalled
@@ -204,28 +203,4 @@ func ConfigDigest(parts ...string) string {
 		h.Write([]byte{0})
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// MergeRegistries merges the embedded registry snapshots of a shard set
-// into one fleet-wide snapshot via obs.MergeSnapshots — deterministic
-// (and for counters/histograms/spans bit-identical to a single-process
-// snapshot) because the files are ordered by shard. Files without a
-// registry are skipped; merging zero registries returns an empty
-// snapshot.
-func MergeRegistries(files []*File) (obs.Snapshot, error) {
-	ordered := append([]*File(nil), files...)
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.ConfigDigest != b.ConfigDigest {
-			return a.ConfigDigest < b.ConfigDigest
-		}
-		return a.Shard < b.Shard
-	})
-	var snaps []obs.Snapshot
-	for _, f := range ordered {
-		if f.Registry != nil {
-			snaps = append(snaps, *f.Registry)
-		}
-	}
-	return obs.MergeSnapshots(snaps...)
 }

@@ -417,7 +417,8 @@ func TestCampaignSidecarFailed(t *testing.T) {
 // TestCrossProcessRegistryDeterminism is the fleet-determinism
 // satellite: one process observing a whole campaign and four shard
 // "processes" each observing their slice must yield byte-identical
-// registry snapshots once the shard sidecars' registries merge.
+// registry snapshots once the shard registries merge, in either order;
+// each shard's sidecar embeds its registry's snapshot for readers.
 func TestCrossProcessRegistryDeterminism(t *testing.T) {
 	const trials = 128
 	base := testCampaign("sidecar-fleet", trials, 0)
@@ -441,14 +442,16 @@ func TestCrossProcessRegistryDeterminism(t *testing.T) {
 	}
 
 	// Four shard processes, each with its own pool, worker count, and
-	// sidecar; registries ride in the sidecars.
+	// sidecar.
 	dir := t.TempDir()
-	for shard := 0; shard < 4; shard++ {
+	shards := make([]*obs.Registry, 4)
+	for shard := range shards {
 		c := base
 		c.Workers = 1 + shard
 		var pool obs.Pool
 		c.ObserverFactory = pool.Observer
-		w := NewWriter(filepath.Join(dir, fmt.Sprintf("shard%d.json%s", shard, Suffix)), Meta{
+		sidecarPath := filepath.Join(dir, fmt.Sprintf("shard%d.json%s", shard, Suffix))
+		w := NewWriter(sidecarPath, Meta{
 			RunID: "0123456789abcdef", ConfigDigest: "0123456789abcdef",
 			Label: "fleet", Shard: shard, Of: 4,
 		})
@@ -460,44 +463,39 @@ func TestCrossProcessRegistryDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards[shard] = merged.Registry()
 		snap := merged.Snapshot()
 		w.SetRegistry(&snap)
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(mustRead(t, sidecarPath).Registry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("shard %d sidecar registry differs from the shard's snapshot", shard)
+		}
 	}
 
-	files, err := Scan(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 4 {
-		t.Fatalf("scanned %d sidecars, want 4", len(files))
-	}
-	fleetSnap, err := MergeRegistries(files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleetJSON, err := json.Marshal(fleetSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fleetJSON) != string(soloJSON) {
-		t.Fatalf("fleet-merged registry differs from single-process registry\nsolo:  %s\nfleet: %s",
-			soloJSON, fleetJSON)
-	}
-
-	// Merge order must not matter: reverse the shard set.
-	rev := []*File{files[3], files[2], files[1], files[0]}
-	revSnap, err := MergeRegistries(rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	revJSON, err := json.Marshal(revSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(revJSON) != string(soloJSON) {
-		t.Fatal("reversed shard order changed the merged registry")
+	for _, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+		fleet := obs.NewRegistry()
+		for _, shard := range order {
+			if err := fleet.Merge(shards[shard]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fleetJSON, err := json.Marshal(fleet.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(fleetJSON) != string(soloJSON) {
+			t.Fatalf("shards merged in order %v differ from the single-process registry\nsolo:  %s\nfleet: %s",
+				order, soloJSON, fleetJSON)
+		}
 	}
 }

@@ -197,46 +197,6 @@ func (t *Tracer) Snapshot() []SpanNode {
 	return t.snapshotNode(0)
 }
 
-// TracerFromSnapshot reconstructs a tracer from a serialized span
-// forest, so span trees travel across processes: a shard snapshots its
-// tracer into a sidecar, the aggregator restores each forest and merges
-// them with Tracer.Merge. Counts and durations are integers, so the
-// round trip is lossless and fleet merges are exact.
-func TracerFromSnapshot(forest []SpanNode) *Tracer {
-	t := NewTracer()
-	t.graft(0, forest)
-	return t
-}
-
-func (t *Tracer) graft(parent int32, forest []SpanNode) {
-	for _, n := range forest {
-		idx := int32(len(t.nodes))
-		t.nodes = append(t.nodes, spanNode{
-			name:   n.Name,
-			parent: parent,
-			count:  n.Count,
-			total:  time.Duration(n.TotalNS),
-		})
-		if t.nodes[parent].children == nil {
-			t.nodes[parent].children = make(map[string]int32)
-		}
-		t.nodes[parent].children[n.Name] = idx
-		t.graft(idx, n.Children)
-	}
-}
-
-// MergeSpanForests merges serialized span forests into one, summing
-// counts and durations along equal paths. The result is deterministic
-// (children sorted by name, integer arithmetic) regardless of input
-// order.
-func MergeSpanForests(forests ...[]SpanNode) []SpanNode {
-	t := NewTracer()
-	for _, f := range forests {
-		t.Merge(TracerFromSnapshot(f))
-	}
-	return t.Snapshot()
-}
-
 // WriteSpanSummary renders a span forest as an indented table: count,
 // total, mean, and share of the parent's total.
 func WriteSpanSummary(w io.Writer, spans []SpanNode) error {

@@ -27,8 +27,7 @@ type StreamStat struct {
 	sk *stats.Sketch
 }
 
-// NewStreamStat returns an empty estimator with the default sketch
-// bucket scheme.
+// NewStreamStat returns an empty estimator.
 func NewStreamStat() *StreamStat {
 	return &StreamStat{sk: stats.NewSketch()}
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ExactSum accumulates float64 values exactly, in a fixed-point
 // superaccumulator wide enough to hold any sum of finite doubles without
@@ -11,9 +8,9 @@ import (
 // associative and commutative: any grouping of the same multiset of
 // values — one process or many, any worker count, any merge order —
 // yields bit-identical state and therefore a bit-identical Round().
-// That property is what makes fleet-wide registry merges deterministic:
-// a histogram's sum restored from four shard sidecars and merged equals
-// the single-process sum exactly, not merely approximately.
+// That property is what makes registry merges deterministic: a
+// histogram's sum merged from four shard registries equals the
+// single-process sum exactly, not merely approximately.
 //
 // Representation: the value is
 //
@@ -199,28 +196,4 @@ func (s *ExactSum) State() ExactSumState {
 		}
 	}
 	return st
-}
-
-// ExactSumFromState reconstructs an accumulator from a serialized state,
-// validating that it is canonical (ascending unique indices in range,
-// limb values in [0, 2^32)).
-func ExactSumFromState(st ExactSumState) (ExactSum, error) {
-	var s ExactSum
-	prev := -1
-	for _, lv := range st.Limbs {
-		i, v := lv[0], lv[1]
-		if i < 0 || i >= xsumLimbs {
-			return ExactSum{}, fmt.Errorf("obs: exact sum limb index %d out of range", i)
-		}
-		if int(i) <= prev {
-			return ExactSum{}, fmt.Errorf("obs: exact sum limb indices not ascending at %d", i)
-		}
-		if v < 0 || v > xsumLimbMask {
-			return ExactSum{}, fmt.Errorf("obs: exact sum limb value %d not canonical", v)
-		}
-		prev = int(i)
-		s.limbs[i] = v
-	}
-	s.spill = st.Spill
-	return s, nil
 }

@@ -562,7 +562,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) int {
 	defer cancel()
 
 	if b, ok := s.cached(key, "simulate"); ok {
-		return s.writeSimulate(w, b, "hit", req.Stream, nil, key)
+		return s.writeSimulate(w, b, "hit", req.Stream)
 	}
 	c, source := s.joinFlight(key, "simulate", func(cctx context.Context, cc *call) ([]byte, error) {
 		return s.computeSimulate(cctx, cc, sp, plan, trials, seed, key)
@@ -575,14 +575,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) int {
 		if aerr != nil {
 			return writeError(w, aerr)
 		}
-		return s.writeSimulate(w, body, source, req.Stream, nil, key)
+		return s.writeSimulate(w, body, source, req.Stream)
 	}
 	return s.streamSimulate(w, ctx, key, c, source)
 }
 
 // writeSimulate writes a completed simulate response, optionally
 // wrapped in the streaming envelope for consistency with streamed runs.
-func (s *Server) writeSimulate(w http.ResponseWriter, body []byte, source string, stream bool, _ *call, _ string) int {
+func (s *Server) writeSimulate(w http.ResponseWriter, body []byte, source string, stream bool) int {
 	w.Header().Set("X-Cache", source)
 	if !stream {
 		w.Header().Set("Content-Type", "application/json")

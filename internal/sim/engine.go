@@ -421,6 +421,11 @@ func (e *Engine) run() {
 		switch i {
 		case e.phaseTimer():
 			if e.advance() {
+				if e.err != nil {
+					// endCheckpoint aborted the trial on an invalid
+					// plan; it stays unterminated.
+					return
+				}
 				e.finish(true)
 				if e.observer != nil {
 					e.observe(EvComplete, 0)

@@ -644,8 +644,21 @@ func TestControllerInvalidPlanAbortsTrial(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Control(func() PlanController { return ctl })
-	if _, err := eng.Run(seed("badswitch").Trial(0)); err == nil {
+	var rec collectObserver
+	eng.Observe(&rec)
+	res, err := eng.Run(seed("badswitch").Trial(0))
+	if err == nil {
 		t.Fatal("invalid controller plan accepted")
+	}
+	// The aborted trial is left unterminated: not completed, short of
+	// T_B, and with no terminal event.
+	if res.Completed || !(res.Progress < sys.BaselineTime) {
+		t.Errorf("aborted trial reports Completed %v, Progress %v of %v", res.Completed, res.Progress, sys.BaselineTime)
+	}
+	for _, e := range rec.events {
+		if e.Kind == EvComplete || e.Kind == EvCapped {
+			t.Fatalf("aborted trial emitted terminal event %v at %v", e.Kind, e.Time)
+		}
 	}
 }
 

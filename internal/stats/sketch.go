@@ -6,23 +6,12 @@ import (
 	"math"
 )
 
-// Default sketch bucket scheme: log-scaled buckets spanning (1e-9, 1e12]
-// with 8 buckets per decade, plus an underflow bucket for values <= lo
-// (including zero and negatives) and an overflow bucket for values > hi.
-// Simulated efficiencies live in (0, 1] and wall times in minutes, so
-// the range covers both with ~2.9 % relative bucket width.
-const (
-	sketchDefaultLo        = 1e-9
-	sketchDefaultHi        = 1e12
-	sketchDefaultPerDecade = 8
-)
-
 // Sketch is a mergeable streaming summary: exact moments and min/max,
-// held in a Sample, plus a fixed log-bucket histogram for quantile
-// estimates. It is the constant-memory stand-in for a full sample slice
-// — Summary() is exact in N/Mean/Std/Min/Max, Quantile() is
-// bucket-interpolated (relative error bounded by the bucket width,
-// ~±1.5 % with the default scheme).
+// held in a Sample, plus the fixed log-bucket histogram (LogBuckets)
+// for quantile estimates. It is the constant-memory stand-in for a full
+// sample slice — Summary() is exact in N/Mean/Std/Min/Max, Quantile()
+// is bucket-interpolated (relative error bounded by the bucket width,
+// ~±1.5 %).
 //
 // Determinism: Observe folds with Sample.Add (Welford's update) and
 // Merge with Sample.Merge (the Chan et al. pairwise update), so a
@@ -32,64 +21,13 @@ const (
 // regardless of how the work was scheduled. Not safe for concurrent
 // use.
 type Sketch struct {
-	lo        float64
-	hi        float64
-	perDecade int
-	nb        int // log buckets, excluding under/overflow
-
-	counts   []uint64 // len nb+2 once allocated: [under, b1..bnb, over]
+	b        LogBuckets
 	rejected uint64
 	m        Sample // the accepted values' moments and min/max
 }
 
-// NewSketch returns a sketch with the default bucket scheme.
-func NewSketch() *Sketch {
-	s, err := NewSketchScheme(sketchDefaultLo, sketchDefaultHi, sketchDefaultPerDecade)
-	if err != nil {
-		panic(err) // defaults are statically valid
-	}
-	return s
-}
-
-// NewSketchScheme returns a sketch with log-scaled buckets of perDecade
-// buckets per decade spanning (lo, hi].
-func NewSketchScheme(lo, hi float64, perDecade int) (*Sketch, error) {
-	if !(lo > 0) || !(hi > lo) || perDecade < 1 {
-		return nil, fmt.Errorf("stats: invalid sketch scheme lo=%v hi=%v perDecade=%d", lo, hi, perDecade)
-	}
-	nb := int(math.Ceil(float64(math.Log10(hi/lo)*float64(perDecade)) - 1e-9))
-	return &Sketch{lo: lo, hi: hi, perDecade: perDecade, nb: nb}, nil
-}
-
-// bucketIndex maps a finite value into [0, nb+1].
-func (s *Sketch) bucketIndex(v float64) int {
-	if v <= s.lo {
-		return 0
-	}
-	if v > s.hi {
-		return s.nb + 1
-	}
-	idx := 1 + int(math.Floor(math.Log10(v/s.lo)*float64(s.perDecade)))
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > s.nb {
-		idx = s.nb
-	}
-	return idx
-}
-
-// upperBound returns the inclusive upper bound of bucket i in [0, nb+1].
-func (s *Sketch) upperBound(i int) float64 {
-	switch {
-	case i <= 0:
-		return s.lo
-	case i > s.nb:
-		return math.Inf(1)
-	default:
-		return s.lo * math.Pow(10, float64(i)/float64(s.perDecade))
-	}
-}
+// NewSketch returns an empty sketch.
+func NewSketch() *Sketch { return &Sketch{} }
 
 // Observe records one value. NaN and ±Inf are rejected (counted in
 // Rejected, excluded from every statistic).
@@ -98,10 +36,7 @@ func (s *Sketch) Observe(v float64) {
 		s.rejected++
 		return
 	}
-	if s.counts == nil {
-		s.counts = make([]uint64, s.nb+2)
-	}
-	s.counts[s.bucketIndex(v)]++
+	s.b.Add(v)
 	s.m.Add(v)
 }
 
@@ -133,35 +68,25 @@ func (s *Sketch) CI(level float64) (float64, error) { return s.m.CI(level) }
 func (s *Sketch) Summary() Summary { return Summarize(&s.m) }
 
 // Merge folds o into s (o is unchanged; merging a sketch into itself is
-// a no-op). The two sketches must share the same bucket scheme.
+// a no-op). Every sketch shares the one bucket scheme, so the error is
+// always nil.
 func (s *Sketch) Merge(o *Sketch) error {
 	if o == nil || o == s {
 		return nil
-	}
-	if s.lo != o.lo || s.hi != o.hi || s.perDecade != o.perDecade {
-		return fmt.Errorf("stats: sketch scheme mismatch: (%g,%g,%d) vs (%g,%g,%d)",
-			s.lo, s.hi, s.perDecade, o.lo, o.hi, o.perDecade)
 	}
 	s.rejected += o.rejected
 	if o.m.n == 0 {
 		return nil
 	}
-	if s.counts == nil {
-		s.counts = make([]uint64, s.nb+2)
-	}
-	for i, c := range o.counts {
-		s.counts[i] += c
-	}
+	s.b.Merge(&o.b)
 	s.m.Merge(&o.m)
 	return nil
 }
 
-// Reset returns the sketch to its empty state, keeping the scheme and
-// the bucket allocation (shard-pool reuse).
+// Reset returns the sketch to its empty state, keeping the bucket
+// allocation (shard-pool reuse).
 func (s *Sketch) Reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
+	s.b.Reset()
 	s.rejected, s.m = 0, Sample{}
 }
 
@@ -170,133 +95,59 @@ func (s *Sketch) Reset() {
 // [Min, Max] range; estimates are non-decreasing in q. Returns NaN when
 // the sketch is empty or q is NaN.
 func (s *Sketch) Quantile(q float64) float64 {
-	if s.m.n == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s.m.min
-	}
-	if q >= 1 {
-		return s.m.max
-	}
-	target := q * float64(s.m.n)
-	if target < 1 {
-		target = 1
-	}
-	var cum float64
-	for i, c := range s.counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= target {
-			v := s.interp(i, (target-cum)/float64(c))
-			if v < s.m.min {
-				v = s.m.min
-			}
-			if v > s.m.max {
-				v = s.m.max
-			}
-			return v
-		}
-		cum = next
-	}
-	return s.m.max
-}
-
-// interp interpolates a value at fraction frac within bucket i.
-func (s *Sketch) interp(i int, frac float64) float64 {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	switch {
-	case i == 0:
-		// Underflow bucket has no lower bound; report its upper bound
-		// (the clamp pulls it to min when appropriate).
-		return s.lo
-	case i > s.nb:
-		// Overflow bucket is unbounded above; report the exact max.
-		return s.m.max
-	default:
-		lower := s.upperBound(i - 1)
-		upper := s.upperBound(i)
-		return lower * math.Pow(upper/lower, frac)
-	}
-}
-
-// sketchBucket is one non-empty bucket in the serialized form.
-type sketchBucket struct {
-	I int    `json:"i"`
-	C uint64 `json:"c"`
+	return s.b.Quantile(q, uint64(s.m.n), s.m.min, s.m.max)
 }
 
 // sketchJSON is the serialized sketch state. Moments are carried as
 // IEEE-754 bit patterns so a save/load round trip is bitwise exact —
 // the property campaign checkpoint resume relies on (decimal float
-// formatting would round).
+// formatting would round). The scheme fields always hold the constants.
 type sketchJSON struct {
-	Lo        float64        `json:"lo"`
-	Hi        float64        `json:"hi"`
-	PerDecade int            `json:"per_decade"`
-	N         int64          `json:"n"`
-	Rejected  uint64         `json:"rejected,omitempty"`
-	MeanBits  uint64         `json:"mean_bits"`
-	M2Bits    uint64         `json:"m2_bits"`
-	MinBits   uint64         `json:"min_bits"`
-	MaxBits   uint64         `json:"max_bits"`
-	Buckets   []sketchBucket `json:"buckets,omitempty"`
+	Lo        float64  `json:"lo"`
+	Hi        float64  `json:"hi"`
+	PerDecade int      `json:"per_decade"`
+	N         int64    `json:"n"`
+	Rejected  uint64   `json:"rejected,omitempty"`
+	MeanBits  uint64   `json:"mean_bits"`
+	M2Bits    uint64   `json:"m2_bits"`
+	MinBits   uint64   `json:"min_bits"`
+	MaxBits   uint64   `json:"max_bits"`
+	Buckets   []Bucket `json:"buckets,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler (sparse buckets, bit-exact
 // moments).
 func (s *Sketch) MarshalJSON() ([]byte, error) {
-	out := sketchJSON{
-		Lo: s.lo, Hi: s.hi, PerDecade: s.perDecade,
+	return json.Marshal(sketchJSON{
+		Lo: BucketLo, Hi: BucketHi, PerDecade: BucketsPerDecade,
 		N: int64(s.m.n), Rejected: s.rejected,
 		MeanBits: math.Float64bits(s.m.mean), M2Bits: math.Float64bits(s.m.m2),
 		MinBits: math.Float64bits(s.m.min), MaxBits: math.Float64bits(s.m.max),
-	}
-	for i, c := range s.counts {
-		if c != 0 {
-			out.Buckets = append(out.Buckets, sketchBucket{I: i, C: c})
-		}
-	}
-	return json.Marshal(out)
+		Buckets: s.b.Sparse(),
+	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A state written with
+// another bucket scheme, or whose buckets do not hold its n values, is
+// an error.
 func (s *Sketch) UnmarshalJSON(data []byte) error {
 	var in sketchJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
 	}
-	ns, err := NewSketchScheme(in.Lo, in.Hi, in.PerDecade)
-	if err != nil {
-		return err
+	if in.Lo != BucketLo || in.Hi != BucketHi || in.PerDecade != BucketsPerDecade {
+		return fmt.Errorf("stats: sketch scheme (%g,%g,%d), want (%g,%g,%d)",
+			in.Lo, in.Hi, in.PerDecade, BucketLo, BucketHi, BucketsPerDecade)
 	}
-	*s = *ns
-	s.rejected = in.Rejected
-	s.m = Sample{n: int(in.N),
+	if in.N < 0 {
+		return fmt.Errorf("stats: sketch has n=%d", in.N)
+	}
+	var b LogBuckets
+	if err := b.Restore(in.Buckets, uint64(in.N)); err != nil {
+		return fmt.Errorf("stats: sketch: %w", err)
+	}
+	*s = Sketch{b: b, rejected: in.Rejected, m: Sample{n: int(in.N),
 		mean: math.Float64frombits(in.MeanBits), m2: math.Float64frombits(in.M2Bits),
-		min: math.Float64frombits(in.MinBits), max: math.Float64frombits(in.MaxBits)}
-	if len(in.Buckets) > 0 {
-		s.counts = make([]uint64, s.nb+2)
-		var total uint64
-		for _, b := range in.Buckets {
-			if b.I < 0 || b.I >= len(s.counts) {
-				return fmt.Errorf("stats: sketch bucket index %d outside [0,%d]", b.I, len(s.counts)-1)
-			}
-			s.counts[b.I] = b.C
-			total += b.C
-		}
-		if int64(total) != in.N {
-			return fmt.Errorf("stats: sketch bucket counts sum to %d, n is %d", total, in.N)
-		}
-	} else if in.N != 0 {
-		return fmt.Errorf("stats: sketch has n=%d but no buckets", in.N)
-	}
+		min: math.Float64frombits(in.MinBits), max: math.Float64frombits(in.MaxBits)}}
 	return nil
 }
