@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/adaptive"
+	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/model/dauwe"
 	"repro/internal/model/moody"
@@ -142,6 +143,33 @@ func BenchmarkMoodyPredict(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// drawSink keeps BenchmarkExponentialSample's draws live.
+var drawSink float64
+
+// BenchmarkExponentialSample measures one exponential inter-arrival draw
+// at D4's rate through the dist.Sampler interface, as the trial engine
+// draws every arrival: a PCG uniform, dist.UnitExp and one division.
+// The dist.exp_sample_ns layer metric times the same draw on the
+// concrete dist.Exponential, and only inside a full mlbench run.
+func BenchmarkExponentialSample(b *testing.B) {
+	sys, err := system.ByName("D4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	exp, err := dist.NewExponential(sys.Lambda())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var law dist.Sampler = exp
+	r := rng.Campaign(1, "bench-exp").Rand()
+	sum := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += law.Sample(r)
+	}
+	drawSink = sum
 }
 
 // BenchmarkSimTrial measures one simulated trial on a failure-heavy

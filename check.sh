@@ -68,8 +68,9 @@ fma_gate() {
 # cruise_gate: the trial engine's failure-free loop, sim's
 # Engine.cruise, must have no call site (DESIGN.md §2.8): Go's calling
 # convention saves no registers across a call, so a single call in the
-# loop moves the loop's state to stack slots. Only the runtime's
-# bounds-check panics may appear in its code.
+# loop moves the loop's state to stack slots. Only the runtime's panics
+# (bounds checks, and a divide by zero in the restart prologue's
+# odometer re-seek) may appear in its code.
 cruise_gate() {
     echo "== call-free loop gate (sim Engine.cruise)"
     asm=$(mktemp)
@@ -369,7 +370,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     echo "== go test -bench (sim engine, writes bench_sim.txt)"
-    go test -run XXX -bench 'BenchmarkSimTrial$|BenchmarkSimTrialPair|BenchmarkSimTrialLight|BenchmarkSimTrialCapped|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
+    go test -run XXX -bench 'BenchmarkExponentialSample|BenchmarkSimTrial$|BenchmarkSimTrialPair|BenchmarkSimTrialLight|BenchmarkSimTrialCapped|BenchmarkSimTrialObserved|BenchmarkCampaignD7' \
         -benchmem -benchtime 2s . | tee bench_sim.txt
     # The Moody sweeps report evals/op, the Markov solves left after
     # branch-and-bound pruning.

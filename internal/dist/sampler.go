@@ -26,26 +26,16 @@ type Rewinder interface {
 	Rewind()
 }
 
-// Sample draws an exponential inter-arrival time.
+// Sample draws an exponential inter-arrival time by inversion: a unit
+// exponential (UnitExp) over the rate.
 func (e Exponential) Sample(src *rand.Rand) float64 {
-	return e.sampleAt(src.Float64())
+	return UnitExp(src.Float64()) / e.rate
 }
 
-func (e Exponential) sampleAt(u float64) float64 {
-	// Guard against u == 1 producing -log(0).
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log1p(-u) / e.rate
-}
-
-// Sample draws a Weibull inter-arrival time.
+// Sample draws a Weibull inter-arrival time by inversion: the scale
+// times a unit exponential to the power 1/k.
 func (w Weibull) Sample(src *rand.Rand) float64 {
-	u := src.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return w.scale * math.Pow(-math.Log1p(-u), 1/w.shape)
+	return w.scale * math.Pow(UnitExp(src.Float64()), 1/w.shape)
 }
 
 // SeverityPicker samples the severity class of a failure given the

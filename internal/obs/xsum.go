@@ -159,21 +159,6 @@ func (s *ExactSum) Round() float64 {
 	return sign * r
 }
 
-// IsZero reports whether the accumulated value is exactly zero.
-func (s *ExactSum) IsZero() bool {
-	t := *s
-	t.propagate()
-	if t.spill != 0 {
-		return false
-	}
-	for _, l := range t.limbs {
-		if l != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ExactSumState is the portable serialization of an ExactSum: the
 // non-zero canonical limbs as [index, value] pairs in ascending index
 // order, plus the spill. Limb values are below 2^32, so every field

@@ -121,8 +121,8 @@ func TestExactSumCancellation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Add(-1.25e-300)
 	}
-	if !s.IsZero() {
-		t.Fatalf("full cancellation: not zero (round %g)", s.Round())
+	if got := s.Round(); got != 0 {
+		t.Fatalf("full cancellation: not zero (round %g)", got)
 	}
 }
 

@@ -343,8 +343,14 @@ func (e *Engine) seek(pos int) {
 		e.digits = padded[int](len(e.plan.Counts))
 	}
 	e.digits = e.digits[:len(e.plan.Counts)]
-	for i, n := range e.plan.Counts {
-		e.digits[i] = pos % (n + 1)
+	setDigits(e.digits, e.plan.Counts, pos)
+}
+
+// setDigits writes pattern position pos into the odometer digits, in
+// the mixed radix of counts.
+func setDigits(digits, counts []int, pos int) {
+	for i, n := range counts {
+		digits[i] = pos % (n + 1)
 		pos /= n + 1
 	}
 }
@@ -460,10 +466,10 @@ func (e *Engine) run() {
 // before the phase, win the tie. advance returns true when the
 // application has finished (or a controller produced an invalid plan).
 //
-// A trial with no observer and no controller runs its compute ⇄
-// checkpoint phase ends in cruise. Every other phase end goes through
-// endPhase, one at a time: a restart end, the completing compute end,
-// the end of an async capture, and every phase end of a trial with an
+// A trial with no observer and no controller runs its restart ends and
+// its compute ⇄ checkpoint phase ends in cruise. Every other phase end
+// goes through endPhase, one at a time: the completing compute end, the
+// end of an async capture, and every phase end of a trial with an
 // observer or a controller.
 func (e *Engine) advance() bool {
 	// Arrivals change only at failures, so their part of the horizon
@@ -491,22 +497,25 @@ func (e *Engine) advance() bool {
 // and checkpoint ends for as long as the next phase end is strictly
 // earlier than horizon and the armed flush deadline; it then arms that
 // phase end and returns false. It returns true, with the phase end at
-// e.now still unhandled, when that end is a restart end, the compute end
-// that completes the application or the end of an async capture:
-// endPhase handles those. Only that last one arms or disarms the flush,
-// so the flush deadline is read once.
+// e.now still unhandled, when that end is the compute end that
+// completes the application or the end of an async capture: endPhase
+// handles those. Only that last one arms or disarms the flush, so the
+// flush deadline is read once.
+//
+// A restart end can only be the first phase end it handles, so a
+// prologue handles it (endRestart's rule): it books the restart, rolls
+// the application back to the store the restart read, re-seeks the
+// odometer there and starts the next compute phase.
 //
 // The loop has no call site. Go's calling convention saves no registers
 // across a call, so a single call in the loop, even a guarded one that
 // never runs, puts its state in stack slots; without one, the clock,
 // progress, accumulators, odometer position, seq and phase level stay in
-// registers. tick, checkpointCost, commit and computeInterval are
-// inlined. To spare registers the phase is not a variable of its own:
-// level 0 is a compute phase, any other level a checkpoint.
+// registers. rollback, setDigits, tick, checkpointCost, commit and
+// computeInterval are inlined. To spare registers the phase is not a
+// variable of its own: level 0 is a compute phase, any other level a
+// checkpoint.
 func (e *Engine) cruise(horizon float64) bool {
-	if e.phase == PhaseRestart {
-		return true
-	}
 	if f := &e.timers[e.flushTimer()]; f.armed && f.t < horizon {
 		horizon = f.t
 	}
@@ -517,6 +526,21 @@ func (e *Engine) cruise(horizon float64) bool {
 	useful, ckptOK := e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK
 	level, seq := e.phaseLevel, e.seq
 	pending := false
+	if e.phase == PhaseRestart {
+		b := &e.res.Breakdown
+		b.RestartOK += now - start
+		st := stores[e.restartIdx]
+		done, useful, b.LostCompute = rollback(done, st.progress, useful, b.LostCompute)
+		pos = st.pos
+		setDigits(digits, counts, pos)
+		level, start, seq = 0, now, seq+1
+		end := now + computeInterval(tau0, tb, done)
+		if !(end < horizon) {
+			e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: true}
+			goto park
+		}
+		now = end
+	}
 	for {
 		d := now - start
 		var duration float64
@@ -550,6 +574,7 @@ func (e *Engine) cruise(horizon float64) bool {
 		}
 		now = end
 	}
+park:
 	e.now, e.phaseStart, e.done, e.pos = now, start, done, pos
 	e.phase, e.phaseLevel, e.seq = PhaseCompute, level, seq
 	if level != 0 {
@@ -675,14 +700,20 @@ func (e *Engine) chargePartialPhase() {
 
 // rollbackTo restores application state from a committed checkpoint.
 func (e *Engine) rollbackTo(st store) {
-	// Progress between the checkpoint and now is lost: reclassify.
-	lost := e.done - st.progress
-	if lost > 0 {
-		e.res.Breakdown.UsefulCompute -= lost
-		e.res.Breakdown.LostCompute += lost
-	}
-	e.done = st.progress
+	b := &e.res.Breakdown
+	e.done, b.UsefulCompute, b.LostCompute = rollback(e.done, st.progress, b.UsefulCompute, b.LostCompute)
 	e.seek(st.pos)
+}
+
+// rollback returns the progress and the useful and lost compute after a
+// rollback from progress done to a store that committed progress to:
+// the work in between was computed but is lost, so it is reclassified.
+func rollback(done, to, useful, lost float64) (float64, float64, float64) {
+	if d := done - to; d > 0 {
+		useful -= d
+		lost += d
+	}
+	return to, useful, lost
 }
 
 // failure handles a severity-s arrival. The recovery phase it starts

@@ -35,8 +35,9 @@ type pinScenario struct {
 // top level at Young's interval) and a multi-level plan (every level,
 // two checkpoints of each lower level per period, Young's interval for
 // level 1), each under Retry and Escalate with the async top-level
-// flush off and on. Three rows on D4's multi-level plan follow: a wall
-// cap that cuts some trials short, Weibull failure laws, and a
+// flush off and on. Four rows on D4's multi-level plan follow: a wall
+// cap that cuts some trials short, Weibull failure laws, a Weibull law
+// for severity 1 beside the default exponential for severity 2, and a
 // PlanController that switches plans mid-trial.
 func trialPinScenarios(t *testing.T) []pinScenario {
 	t.Helper()
@@ -90,6 +91,12 @@ func trialPinScenarios(t *testing.T) []pinScenario {
 		weibull.FailureLaws = append(weibull.FailureLaws, law)
 	}
 	rows = append(rows, pinScenario{name: "D4/multi/retry/async/weibull", scn: weibull})
+
+	// Severity 1 Weibull, severity 2 the system's default exponential
+	// law: the two laws draw from one stream, in arming order.
+	mixed := d4Multi
+	mixed.FailureLaws = weibull.FailureLaws[:1]
+	rows = append(rows, pinScenario{name: "D4/multi/retry/async/mixed", scn: mixed})
 
 	next := pattern.Plan{Tau0: 2.5, Counts: []int{1}, Levels: []int{1, 2}}
 	rows = append(rows, pinScenario{
