@@ -15,10 +15,13 @@ import (
 // completes without panics, errors, or invariant violations. This is the
 // package's strongest claim: for the whole decodable scenario space —
 // not just hand-picked Table I configurations — the engine's event
-// streams obey the protocol. Every trial also runs on a second engine
-// with no observer, which must return a bit-identical TrialResult: the
+// streams obey the protocol. Every trial also runs on two engines with
+// no observer, which must return a bit-identical TrialResult: the
 // observed engine writes its phase-end state back before each callback,
-// the bare one keeps it in locals, and the two paths must agree.
+// the bare ones keep it in locals, and the paths must agree. One bare
+// engine runs the trial through Run, which draws unit exponentials
+// ahead in growing fills, the other through RunRand on the same stream,
+// which draws one at a time.
 func FuzzEngineScenario(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -43,6 +46,10 @@ func FuzzEngineScenario(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		single, err := sim.NewEngine(scn)
+		if err != nil {
+			t.Fatal(err)
+		}
 		h := fnv.New64a()
 		_, _ = h.Write(data)
 		seed := rng.FromWords(h.Sum64(), uint64(len(data)))
@@ -57,6 +64,13 @@ func FuzzEngineScenario(f *testing.F) {
 			}
 			if !sameBits(res, want) {
 				t.Fatalf("trial %d: observed engine returned %+v, unobserved engine %+v", trial, res, want)
+			}
+			one, err := single.RunRand(seed.Trial(trial).Rand())
+			if err != nil {
+				t.Fatalf("trial %d (RunRand): %v", trial, err)
+			}
+			if !sameBits(one, want) {
+				t.Fatalf("trial %d: RunRand returned %+v, Run %+v", trial, one, want)
 			}
 			if !(res.WallTime > 0) {
 				t.Fatalf("trial %d: non-positive wall time %v", trial, res.WallTime)

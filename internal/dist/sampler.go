@@ -26,16 +26,29 @@ type Rewinder interface {
 	Rewind()
 }
 
-// Sample draws an exponential inter-arrival time by inversion: a unit
-// exponential (UnitExp) over the rate.
+// Sample draws an exponential inter-arrival time by inversion:
+// FromUnit(UnitExp(src.Float64())).
 func (e Exponential) Sample(src *rand.Rand) float64 {
-	return UnitExp(src.Float64()) / e.rate
+	return e.FromUnit(UnitExp(src.Float64()))
 }
 
-// Sample draws a Weibull inter-arrival time by inversion: the scale
-// times a unit exponential to the power 1/k.
+// FromUnit maps a unit exponential x to an exponential inter-arrival
+// time: x over the rate. Sample is FromUnit of one UnitExp draw, so a
+// caller that draws the unit exponentials itself, in the same order,
+// gets the same bits.
+func (e Exponential) FromUnit(x float64) float64 { return x / e.rate }
+
+// Sample draws a Weibull inter-arrival time by inversion:
+// FromUnit(UnitExp(src.Float64())).
 func (w Weibull) Sample(src *rand.Rand) float64 {
-	return w.scale * math.Pow(UnitExp(src.Float64()), 1/w.shape)
+	return w.FromUnit(UnitExp(src.Float64()))
+}
+
+// FromUnit maps a unit exponential x to a Weibull inter-arrival time:
+// the scale times x to the power 1/k. Sample is FromUnit of one UnitExp
+// draw, as for Exponential.
+func (w Weibull) FromUnit(x float64) float64 {
+	return w.scale * math.Pow(x, 1/w.shape)
 }
 
 // SeverityPicker samples the severity class of a failure given the

@@ -149,18 +149,24 @@ func TestUnitExpMatchesLog1p(t *testing.T) {
 }
 
 // TestSamplersUseUnitExp checks that both inversion samplers draw
-// through UnitExp, with the stream position of one rand.Float64 each.
+// through UnitExp, with the stream position of one rand.Float64 each,
+// and that FromUnit of the same unit exponential gives the same bits
+// (the simulator draws these laws' unit exponentials ahead).
 func TestSamplersUseUnitExp(t *testing.T) {
 	rate, scale, shape := 0.25, 10.0, 0.7
 	e, _ := NewExponential(rate)
 	w, _ := NewWeibull(scale, shape)
 	a, b := rand.New(rand.NewPCG(5, 8)), rand.New(rand.NewPCG(5, 8))
 	for i := 0; i < 1000; i++ {
-		if got, want := e.Sample(a), UnitExp(b.Float64())/rate; got != want {
-			t.Fatalf("draw %d: exponential %v, want %v", i, got, want)
+		x := UnitExp(b.Float64())
+		got, want := e.Sample(a), x/rate
+		if got != want || math.Float64bits(e.FromUnit(x)) != math.Float64bits(got) {
+			t.Fatalf("draw %d: exponential %v, FromUnit %v, want %v", i, got, e.FromUnit(x), want)
 		}
-		if got, want := w.Sample(a), scale*math.Pow(UnitExp(b.Float64()), 1/shape); got != want {
-			t.Fatalf("draw %d: weibull %v, want %v", i, got, want)
+		x = UnitExp(b.Float64())
+		got, want = w.Sample(a), scale*math.Pow(x, 1/shape)
+		if got != want || math.Float64bits(w.FromUnit(x)) != math.Float64bits(got) {
+			t.Fatalf("draw %d: weibull %v, FromUnit %v, want %v", i, got, w.FromUnit(x), want)
 		}
 	}
 }

@@ -69,8 +69,16 @@ type Engine struct {
 	_ [cachePad]byte
 
 	// Immutable after construction.
-	scn      Scenario
-	laws     []dist.Sampler // per severity, index 0 = severity 1
+	scn  Scenario
+	laws []dist.Sampler // per severity, index 0 = severity 1
+	// units holds, per severity, the law if its draw is FromUnit of one
+	// unit exponential (a dist.Exponential or dist.Weibull), else nil.
+	// rewinders lists the laws that restart their stream every trial.
+	units     []unitLaw
+	rewinders []dist.Rewinder
+	// maxFill is the most unit exponentials one fill draws under Run:
+	// len(ahead), or 1 when a law outside units draws from the stream too.
+	maxFill  int
 	maxWall  float64
 	observer Observer
 	makeCtl  func() PlanController
@@ -112,7 +120,21 @@ type Engine struct {
 	failures []int // per-severity counters, reused across trials
 	res      TrialResult
 
+	// ahead[aheadAt:aheadN] are unit exponentials drawn ahead of the
+	// arrivals they will time, in arming order. A fill draws fill of
+	// them; fill doubles after each fill up to fillMax, which is maxFill
+	// under Run and 1 under RunRand.
+	ahead           [16]float64
+	aheadAt, aheadN int
+	fill, fillMax   int
+
 	_ [cachePad]byte
+}
+
+// unitLaw is a failure law whose Sample(src) is, bit for bit,
+// FromUnit(dist.UnitExp(src.Float64())).
+type unitLaw interface {
+	FromUnit(x float64) float64
 }
 
 // NewEngine validates the scenario once and builds a reusable engine.
@@ -122,22 +144,33 @@ func NewEngine(scn Scenario) (*Engine, error) {
 	}
 	sys := scn.System
 	L := sys.NumLevels()
-	e := &Engine{scn: scn, laws: make([]dist.Sampler, L)}
+	e := &Engine{scn: scn, laws: make([]dist.Sampler, L), units: make([]unitLaw, L)}
+	e.maxFill = len(e.ahead)
 	for sev := 1; sev <= L; sev++ {
+		law := dist.Sampler(nil) // nil: the severity never fires
 		if len(scn.FailureLaws) >= sev && scn.FailureLaws[sev-1] != nil {
-			e.laws[sev-1] = scn.FailureLaws[sev-1]
-			continue
-		}
-		rate := sys.LevelRate(sev)
-		if rate <= 0 {
-			e.laws[sev-1] = nil // severity never fires
-			continue
-		}
-		law, err := dist.NewExponential(rate)
-		if err != nil {
-			return nil, err
+			law = scn.FailureLaws[sev-1]
+		} else if rate := sys.LevelRate(sev); rate > 0 {
+			exp, err := dist.NewExponential(rate)
+			if err != nil {
+				return nil, err
+			}
+			law = exp
 		}
 		e.laws[sev-1] = law
+		// Only these two concrete types: a type that embeds one of them
+		// gets FromUnit but may sample differently.
+		switch law.(type) {
+		case nil:
+		case dist.Exponential, dist.Weibull:
+			e.units[sev-1] = law.(unitLaw)
+		default:
+			// It draws at arm time, so nothing may be drawn ahead of it.
+			e.maxFill = 1
+		}
+		if rw, ok := law.(dist.Rewinder); ok {
+			e.rewinders = append(e.rewinders, rw)
+		}
 	}
 	factor := scn.MaxWallFactor
 	if factor == 0 {
@@ -165,8 +198,11 @@ func (e *Engine) Control(factory func() PlanController) { e.makeCtl = factory }
 
 // Run simulates one trial drawn from the given seed and returns its
 // result. The engine's internal PCG generator is reseeded from the
-// seed's raw words, so the stream is byte-identical to
-// RunRand(seed.Rand()) without the per-trial generator allocation.
+// seed's raw words, so the trial is bit-identical to
+// RunRand(seed.Rand()) without the per-trial generator allocation. Run
+// draws the unit exponentials of exponential and Weibull laws ahead, up
+// to 16 at a time, so the engine's own stream may end a few draws past
+// the trial's last arrival.
 //
 // The returned result's Failures slice aliases engine scratch and is
 // valid until the next Run/RunRand; callers that retain results across
@@ -174,17 +210,24 @@ func (e *Engine) Control(factory func() PlanController) { e.makeCtl = factory }
 func (e *Engine) Run(seed rng.Seed) (TrialResult, error) {
 	hi, lo := seed.Words()
 	e.pcg.Seed(hi, lo)
-	return e.RunRand(&e.ownRng)
+	return e.trial(&e.ownRng, e.maxFill)
 }
 
 // RunRand simulates one trial using a caller-provided random stream
-// (trace replays and tests drive this directly). The same Failures
-// aliasing contract as Run applies.
+// (trace replays and tests drive this directly). It draws one uniform
+// at a time, so r ends exactly as many draws further on as the trial
+// used. The same Failures aliasing contract as Run applies.
 func (e *Engine) RunRand(r *rand.Rand) (TrialResult, error) {
 	if r == nil {
 		return TrialResult{}, fmt.Errorf("sim: nil random source")
 	}
-	e.rng = r
+	return e.trial(r, 1)
+}
+
+// trial runs one trial on stream r, filling at most fillMax unit
+// exponentials at a time.
+func (e *Engine) trial(r *rand.Rand, fillMax int) (TrialResult, error) {
+	e.rng, e.fillMax = r, fillMax
 	e.reset()
 	e.run()
 	return e.res, e.err
@@ -237,17 +280,19 @@ func (e *Engine) reset() {
 		e.failures[i] = 0
 	}
 	e.res = TrialResult{Failures: e.failures}
+	e.aheadAt, e.aheadN, e.fill = 0, 0, min(2, e.fillMax)
 
 	// Stateful failure laws (trace replays) restart their stream.
-	for _, law := range e.laws {
-		if rw, ok := law.(dist.Rewinder); ok {
-			rw.Rewind()
-		}
+	for _, rw := range e.rewinders {
+		rw.Rewind()
 	}
 
-	// Arm one arrival per severity.
-	for sev := 1; sev <= len(e.laws); sev++ {
-		e.armFailure(sev)
+	// Arm one arrival per severity that fires.
+	for i, law := range e.laws {
+		if law != nil {
+			e.reserve(i)
+			e.armFailure(i + 1)
+		}
 	}
 	e.startCompute()
 }
@@ -260,6 +305,14 @@ func (e *Engine) flushTimer() int { return len(e.laws) + 1 }
 // arm sets timer i to fire at t, superseding whatever it held.
 func (e *Engine) arm(i int, t float64) {
 	e.timers[i] = timer{t: t, seq: e.seq, armed: true}
+	e.seq++
+}
+
+// reserve disarms timer i and gives it the next seq, for armFailure to
+// arm later: an arrival takes its place in the arming order before the
+// recovery phase that its failure starts, and is drawn after it.
+func (e *Engine) reserve(i int) {
+	e.timers[i] = timer{seq: e.seq}
 	e.seq++
 }
 
@@ -290,14 +343,42 @@ func (e *Engine) next() int {
 	return e.earliest(e.arrival, e.phaseTimer(), len(e.timers))
 }
 
-// armFailure schedules the next arrival of a severity class.
+// armFailure draws the next arrival of severity sev and arms its timer
+// with the seq that reserve gave it.
 func (e *Engine) armFailure(sev int) {
-	law := e.laws[sev-1]
-	if law == nil {
-		return
-	}
-	e.arm(sev-1, e.now+law.Sample(e.rng))
+	tm := &e.timers[sev-1]
+	tm.t, tm.armed = e.now+e.sample(sev), true
 	e.arrival = e.earliest(-1, 0, len(e.laws))
+}
+
+// sample draws severity sev's next inter-arrival time. A unit law maps
+// the next unit exponential drawn ahead; any other law samples the
+// stream itself. Every law takes its uniforms in arming order, so the
+// draws are those of sampling every law at arm time.
+func (e *Engine) sample(sev int) float64 {
+	u := e.units[sev-1]
+	if u == nil {
+		return e.laws[sev-1].Sample(e.rng)
+	}
+	if e.aheadAt == e.aheadN {
+		e.refill()
+	}
+	x := e.ahead[e.aheadAt]
+	e.aheadAt++
+	return u.FromUnit(x)
+}
+
+// refill draws the next fill of unit exponentials. The logs of one fill
+// do not depend on each other, so the processor overlaps them.
+func (e *Engine) refill() {
+	n := e.fill
+	for i := range e.ahead[:n] {
+		e.ahead[i] = dist.UnitExp(e.rng.Float64())
+	}
+	e.aheadAt, e.aheadN = 0, n
+	if n < e.fillMax {
+		e.fill = 2 * n
+	}
 }
 
 // observe reports an event to the observer; callers check for a nil
@@ -355,6 +436,16 @@ func setDigits(digits, counts []int, pos int) {
 	}
 }
 
+// reseek moves the odometer from position pos to position to and
+// returns to. The digits are a function of the position, so an
+// unchanged position keeps them.
+func reseek(digits, counts []int, pos, to int) int {
+	if to != pos {
+		setDigits(digits, counts, to)
+	}
+	return to
+}
+
 // commit writes st to every used level at or below level. A level-i
 // checkpoint commits to all levels ≤ i, and used levels ascend, so that
 // is a prefix of the store table.
@@ -403,9 +494,18 @@ func (e *Engine) startCompute() {
 	e.startPhase(PhaseCompute, 0, computeInterval(e.plan.Tau0, e.scn.System.BaselineTime, e.done))
 }
 
-// run drives the event loop until completion or the wall-time cap.
+// run drives the event loop until completion or the wall-time cap. In a
+// trial with no observer and no controller, advance takes every phase
+// end and every arrival before the cap, so the loop pops only flush
+// completions and the cap. In a hooked trial the loop pops every event,
+// and steps handles its phase ends.
 func (e *Engine) run() {
+	plain := e.observer == nil && e.controller == nil
 	for {
+		if plain && e.advance() {
+			e.finish(true)
+			return
+		}
 		i := e.next()
 		if i < 0 {
 			// No pending events can only mean all severities are
@@ -426,7 +526,7 @@ func (e *Engine) run() {
 		}
 		switch i {
 		case e.phaseTimer():
-			if e.advance() {
+			if e.steps() {
 				if e.err != nil {
 					// endCheckpoint aborted the trial on an invalid
 					// plan; it stays unterminated.
@@ -449,40 +549,52 @@ func (e *Engine) run() {
 			if e.controller != nil {
 				e.controller.OnFailure(e.now, sev)
 			}
-			e.armFailure(sev)
 			e.failure(sev)
+			e.armFailure(sev)
 		}
 	}
 	e.finish(e.done >= e.scn.System.BaselineTime)
 }
 
-// advance handles the end of the current phase, which the event loop
-// has just popped, and then every phase end that follows it for as long
-// as the next one is strictly earlier than the earliest pending arrival,
-// the armed flush deadline and the wall cap: exactly the events the
-// (t, seq) rule would pop next, so the trial is bit-identical to popping
-// each phase end through the loop. On an equal time the loop gets the
-// event back, and its (t, seq) rule lets the arrival or flush, armed
-// before the phase, win the tie. advance returns true when the
-// application has finished (or a controller produced an invalid plan).
-//
-// A trial with no observer and no controller runs its restart ends and
-// its compute ⇄ checkpoint phase ends in cruise. Every other phase end
-// goes through endPhase, one at a time: the completing compute end, the
-// end of an async capture, and every phase end of a trial with an
-// observer or a controller.
+// advance runs a trial with no observer and no controller for as long as
+// its next event is a phase end or an arrival before the wall cap. cruise
+// handles those events; advance draws the next arrival of each severity
+// that cruise hands back, and passes to endPhase each phase end that
+// cruise leaves. It returns true when the application has finished, and
+// false when the next event is a flush completion or the cap, which the
+// event loop pops.
 func (e *Engine) advance() bool {
+	for {
+		switch sev := e.cruise(); {
+		case sev > 0:
+			e.armFailure(sev)
+		case sev < 0:
+			if e.endPhase() {
+				return true
+			}
+		default:
+			return false
+		}
+	}
+}
+
+// steps handles the end of the current phase, which the event loop has
+// just popped, and then every phase end that follows it for as long as
+// the next one is strictly earlier than the earliest pending arrival,
+// the armed flush deadline and the wall cap: exactly the events the
+// (t, seq) rule would pop next. On an equal time the loop gets the event
+// back, and its (t, seq) rule lets the arrival or flush, armed before
+// the phase, win the tie. It runs the phase ends of trials with an
+// observer or a controller, one step each, and returns true when the
+// application has finished (or a controller produced an invalid plan).
+func (e *Engine) steps() bool {
 	// Arrivals change only at failures, so their part of the horizon
-	// holds until advance returns.
+	// holds until steps returns.
 	horizon := e.maxWall
 	if e.arrival >= 0 && e.timers[e.arrival].t < horizon {
 		horizon = e.timers[e.arrival].t
 	}
-	plain := e.observer == nil && e.controller == nil
 	for {
-		if plain && !e.cruise(horizon) {
-			return false
-		}
 		if e.endPhase() {
 			return true
 		}
@@ -492,56 +604,73 @@ func (e *Engine) advance() bool {
 	}
 }
 
-// cruise is advance's loop for a trial with no observer and no
-// controller. Starting with the phase end at e.now, it handles compute
-// and checkpoint ends for as long as the next phase end is strictly
-// earlier than horizon and the armed flush deadline; it then arms that
-// phase end and returns false. It returns true, with the phase end at
-// e.now still unhandled, when that end is the compute end that
-// completes the application or the end of an async capture: endPhase
-// handles those. Only that last one arms or disarms the flush, so the
-// flush deadline is read once.
+// cruise is the call-free loop of a trial with no observer and no
+// controller. It takes the trial's next events in (t, seq) order for as
+// long as each is a phase end or an arrival before the wall cap. Every
+// arrival and the flush were armed before the current phase, so a phase
+// end goes first only when it is strictly earlier than the earliest
+// arrival, the armed flush deadline and the cap, and an arrival goes
+// first when it is no later than the flush. cruise returns:
+//   - a severity s > 0 when it has handled an arrival of severity s at
+//     e.now with failure's rules (charge, invalidate, restartNeed,
+//     recoveryIndex, rollback) and started the recovery phase: the
+//     caller draws the arrival's next time (armFailure), whose seq was
+//     reserved before the recovery phase's;
+//   - -1, with the phase end at e.now still unhandled, when that end is
+//     the compute end that completes the application or the end of an
+//     async capture: endPhase handles those;
+//   - 0 when the next event is a flush completion or the cap.
 //
-// A restart end can only be the first phase end it handles, so a
-// prologue handles it (endRestart's rule): it books the restart, rolls
-// the application back to the store the restart read, re-seeks the
-// odometer there and starts the next compute phase.
+// On return the phase timer holds the current phase's end, disarmed
+// when that end is pending.
 //
-// The loop has no call site. Go's calling convention saves no registers
-// across a call, so a single call in the loop, even a guarded one that
-// never runs, puts its state in stack slots; without one, the clock,
+// Only a failure and an async capture end change the arrivals or the
+// flush, and both end the call, so cruise reads them once. A restart
+// end can only be the first phase end it handles, since a failure ends
+// the call, so a prologue handles it (endRestart's rule): it books the
+// restart, rolls the application back to the store the restart read,
+// re-seeks the odometer there and starts the next compute phase.
+//
+// cruise has no call site. Go's calling convention saves no registers
+// across a call, so a single call, even a guarded one that never runs,
+// puts the loop's state in stack slots; without one, the clock,
 // progress, accumulators, odometer position, seq and phase level stay in
-// registers. rollback, setDigits, tick, checkpointCost, commit and
-// computeInterval are inlined. To spare registers the phase is not a
-// variable of its own: level 0 is a compute phase, any other level a
-// checkpoint.
-func (e *Engine) cruise(horizon float64) bool {
-	if f := &e.timers[e.flushTimer()]; f.armed && f.t < horizon {
-		horizon = f.t
-	}
+// registers. rollback, reseek, tick, checkpointCost, commit,
+// computeInterval and the failure rules are inlined. To spare registers
+// the phase is not a variable of its own: level 0 is a compute phase, a
+// positive level a checkpoint, and a negative one a restart reading
+// level −level.
+func (e *Engine) cruise() int {
 	levels, counts, costs := e.plan.Levels, e.plan.Counts, e.scn.System.Levels
 	digits, stores, async := e.digits[:len(counts)], e.stores[:len(levels)], e.asyncTop()
 	tau0, tb := e.plan.Tau0, e.scn.System.BaselineTime
+	horizon := e.maxWall
+	if a := e.arrival; a >= 0 && e.timers[a].t < horizon {
+		horizon = e.timers[a].t
+	}
+	if f := &e.timers[e.flushTimer()]; f.armed && f.t < horizon {
+		horizon = f.t
+	}
 	now, start, done, pos := e.now, e.phaseStart, e.done, e.pos
 	useful, ckptOK := e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK
 	level, seq := e.phaseLevel, e.seq
-	pending := false
 	if e.phase == PhaseRestart {
+		level = -level
+	}
+	end := e.timers[e.phaseTimer()].t
+	if level < 0 && end < horizon {
+		now = end
 		b := &e.res.Breakdown
 		b.RestartOK += now - start
 		st := stores[e.restartIdx]
 		done, useful, b.LostCompute = rollback(done, st.progress, useful, b.LostCompute)
-		pos = st.pos
-		setDigits(digits, counts, pos)
+		pos = reseek(digits, counts, pos, st.pos)
 		level, start, seq = 0, now, seq+1
-		end := now + computeInterval(tau0, tb, done)
-		if !(end < horizon) {
-			e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: true}
-			goto park
-		}
-		now = end
+		end = now + computeInterval(tau0, tb, done)
 	}
-	for {
+	pending := false
+	for end < horizon {
+		now = end
 		d := now - start
 		var duration float64
 		if level == 0 {
@@ -567,22 +696,57 @@ func (e *Engine) cruise(horizon float64) bool {
 		}
 		// The next phase starts; its end is armed only on exit.
 		start, seq = now, seq+1
-		end := now + duration
-		if !(end < horizon) {
-			e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: true}
-			break
+		end = now + duration
+	}
+	sev := -1 // the phase end at now is pending
+	if !pending {
+		sev = 0
+		if a := e.arrival; a >= 0 && e.timers[a].t == horizon && horizon < e.maxWall {
+			// The arrival comes next: failure's rules, on the locals.
+			sev = a + 1
+			now = horizon
+			b := &e.res.Breakdown
+			e.res.Failures[a]++
+			useful, b.CheckpointFail, b.RestartFail = charge(phaseOf(level), now-start, useful, b.CheckpointFail, b.RestartFail)
+			e.timers[e.flushTimer()].armed = false
+			invalidate(stores, levels, sev)
+			need := sev
+			if level < 0 {
+				need = restartNeed(e.scn.Policy, levels, -level, sev)
+			}
+			e.timers[a], seq = timer{seq: seq}, seq+1 // reserve
+			if i := recoveryIndex(stores, levels, need); i >= 0 {
+				e.restartIdx = i
+				level = -levels[i]
+				end = now + costs[levels[i]-1].Restart
+			} else {
+				e.res.ScratchRestarts++
+				done, useful, b.LostCompute = rollback(done, 0, useful, b.LostCompute)
+				pos = reseek(digits, counts, pos, 0)
+				level = 0
+				end = now + computeInterval(tau0, tb, done)
+			}
+			start, seq = now, seq+1
 		}
-		now = end
 	}
-park:
-	e.now, e.phaseStart, e.done, e.pos = now, start, done, pos
-	e.phase, e.phaseLevel, e.seq = PhaseCompute, level, seq
-	if level != 0 {
-		e.phase = PhaseCheckpoint
-	}
-	e.asyncCapture = level != 0 && async && pos == 0
+	e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: !pending}
+	e.now, e.phaseStart, e.done, e.pos, e.seq = now, start, done, pos, seq
 	e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK = useful, ckptOK
-	return pending
+	e.phase, e.phaseLevel = phaseOf(level), max(level, -level)
+	e.asyncCapture = level > 0 && async && pos == 0
+	return sev
+}
+
+// phaseOf is the phase that cruise encodes as level: 0 is a compute
+// phase, a positive level a checkpoint, a negative one a restart.
+func phaseOf(level int) Phase {
+	switch {
+	case level > 0:
+		return PhaseCheckpoint
+	case level < 0:
+		return PhaseRestart
+	}
+	return PhaseCompute
 }
 
 // popPhase takes the pending phase end as the next event, setting the
@@ -685,24 +849,33 @@ func (e *Engine) endRestart() {
 // chargePartialPhase books the elapsed portion of an interrupted phase
 // into the matching failure bucket.
 func (e *Engine) chargePartialPhase() {
-	d := e.now - e.phaseStart
-	switch e.phase {
+	b := &e.res.Breakdown
+	b.UsefulCompute, b.CheckpointFail, b.RestartFail = charge(e.phase, e.now-e.phaseStart,
+		b.UsefulCompute, b.CheckpointFail, b.RestartFail)
+}
+
+// charge books d, the elapsed part of an interrupted phase p, into the
+// matching bucket and returns the useful compute, failed checkpoint and
+// failed restart totals. Partial computation counts as compute time; the
+// progress it represented is lost implicitly because done is not
+// advanced.
+func charge(p Phase, d, useful, ckptFail, restartFail float64) (float64, float64, float64) {
+	switch p {
 	case PhaseCompute:
-		// Partial computation counts as compute time; the progress it
-		// represented is lost implicitly because done is not advanced.
-		e.res.Breakdown.UsefulCompute += d
+		useful += d
 	case PhaseCheckpoint:
-		e.res.Breakdown.CheckpointFail += d
+		ckptFail += d
 	case PhaseRestart:
-		e.res.Breakdown.RestartFail += d
+		restartFail += d
 	}
+	return useful, ckptFail, restartFail
 }
 
 // rollbackTo restores application state from a committed checkpoint.
 func (e *Engine) rollbackTo(st store) {
 	b := &e.res.Breakdown
 	e.done, b.UsefulCompute, b.LostCompute = rollback(e.done, st.progress, b.UsefulCompute, b.LostCompute)
-	e.seek(st.pos)
+	e.pos = reseek(e.digits, e.plan.Counts, e.pos, st.pos)
 }
 
 // rollback returns the progress and the useful and lost compute after a
@@ -716,70 +889,78 @@ func rollback(done, to, useful, lost float64) (float64, float64, float64) {
 	return to, useful, lost
 }
 
-// failure handles a severity-s arrival. The recovery phase it starts
-// supersedes the interrupted phase's pending end.
+// failure handles a severity-sev arrival at e.now. The recovery phase it
+// starts supersedes the interrupted phase's pending end. The arrival's
+// timer gets its seq before the recovery phase's; the caller then draws
+// its next time (armFailure). cruise applies the same rules.
 func (e *Engine) failure(sev int) {
 	e.chargePartialPhase()
 	// An in-flight background flush loses its source data.
 	e.timers[e.flushTimer()].armed = false
-
-	// The failure destroys checkpoint data at levels below its
-	// severity.
-	for i, lvl := range e.plan.Levels {
-		if lvl < sev {
-			e.stores[i].valid = false
-		}
-	}
-
+	invalidate(e.stores, e.plan.Levels, sev)
 	need := sev
 	if e.phase == PhaseRestart {
-		need = e.nextRestartNeed(sev)
+		need = restartNeed(e.scn.Policy, e.plan.Levels, e.phaseLevel, sev)
 	}
+	e.reserve(sev - 1)
 	e.beginRecovery(need)
 }
 
-// nextRestartNeed applies the restart policy when a failure of severity
-// sev interrupts the in-progress restart.
-func (e *Engine) nextRestartNeed(sev int) int {
-	cur := e.phaseLevel
-	switch e.scn.Policy {
-	case EscalatePolicy:
+// invalidate marks invalid the stores of the used levels below severity
+// sev: a severity-sev failure destroys the checkpoint data there.
+func invalidate(stores []store, levels []int, sev int) {
+	for i, lvl := range levels {
+		if lvl < sev {
+			stores[i].valid = false
+		}
+	}
+}
+
+// restartNeed applies the restart policy when a failure of severity sev
+// interrupts a restart that reads level cur, and returns the level the
+// next recovery needs.
+func restartNeed(policy RestartPolicy, levels []int, cur, sev int) int {
+	if policy == EscalatePolicy {
 		// Escalate to the next used level above the current one, and
 		// at least to the failing severity's level.
 		next := cur
-		for _, lvl := range e.plan.Levels {
+		for _, lvl := range levels {
 			if lvl > cur {
 				next = lvl
 				break
 			}
 		}
-		if sev > next {
-			next = sev
-		}
-		return next
-	default: // RetryPolicy
-		if sev > cur {
-			return sev
-		}
-		return cur
+		return max(next, sev)
 	}
+	// RetryPolicy.
+	return max(cur, sev)
+}
+
+// recoveryIndex returns the used-level index of the lowest used level
+// >= need that holds a valid checkpoint, or -1 if there is none.
+func recoveryIndex(stores []store, levels []int, need int) int {
+	for i, lvl := range levels {
+		if lvl >= need && stores[i].valid {
+			return i
+		}
+	}
+	return -1
 }
 
 // beginRecovery starts a restart from the lowest used level >= need that
 // holds a valid checkpoint, or restarts the application from scratch.
 func (e *Engine) beginRecovery(need int) {
-	for i, lvl := range e.plan.Levels {
-		if lvl >= need && e.stores[i].valid {
-			e.restartIdx = i
-			e.startPhase(PhaseRestart, lvl, e.scn.System.Levels[lvl-1].Restart)
-			return
-		}
+	if i := recoveryIndex(e.stores, e.plan.Levels, need); i >= 0 {
+		lvl := e.plan.Levels[i]
+		e.restartIdx = i
+		e.startPhase(PhaseRestart, lvl, e.scn.System.Levels[lvl-1].Restart)
+		return
 	}
 	// No usable checkpoint anywhere: restart from scratch. The paper's
 	// short-application study treats this as relaunching the job with
 	// no state to read, so no restart read cost is charged.
 	e.res.ScratchRestarts++
-	e.rollbackTo(store{valid: true, progress: 0, pos: 0})
+	e.rollbackTo(store{valid: true})
 	e.startCompute()
 }
 

@@ -18,11 +18,13 @@ func rangeOf[T any](s []T) memRange {
 }
 
 // mutableRanges lists the memory an engine may write while it runs a
-// trial: the struct between its two pads and the backing arrays of its
-// timer table, failure counters, checkpoint stores and odometer digits.
+// trial: every field of the struct between its two pads and the backing
+// arrays of its timer table, failure counters, checkpoint stores and
+// odometer digits.
 func mutableRanges(e *Engine) []memRange {
+	lo := uintptr(unsafe.Pointer(e))
 	return []memRange{
-		{uintptr(unsafe.Pointer(&e.scn)), uintptr(unsafe.Pointer(&e.res)) + unsafe.Sizeof(e.res)},
+		{lo + cachePad, lo + unsafe.Sizeof(*e) - cachePad},
 		rangeOf(e.timers),
 		rangeOf(e.failures),
 		rangeOf(e.stores),
@@ -49,6 +51,10 @@ func distance(a, b memRange) uintptr {
 // second case switches plans mid-trial, which re-makes the store table
 // and grows the odometer: the padding must survive that too.
 func TestEnginesDoNotShareCacheLines(t *testing.T) {
+	var e Engine
+	if first := unsafe.Offsetof(e.scn); first != cachePad {
+		t.Fatalf("first field after the leading pad at offset %d, want %d", first, cachePad)
+	}
 	sys, err := system.ByName("D4")
 	if err != nil {
 		t.Fatal(err)

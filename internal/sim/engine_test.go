@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"testing"
@@ -161,6 +163,82 @@ func TestEngineRunMatchesRunTrial(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("trial %d: reused engine %+v != fresh %+v", i, a, b)
+		}
+	}
+}
+
+// TestRunRandConsumesOnlyItsDraws checks that RunRand leaves a caller's
+// stream exactly as many uniforms further on as the trial uses: one per
+// armed arrival, which is one per severity that fires and one per
+// failure. Run draws the unit exponentials of its trial ahead, several
+// per fill; RunRand must fill one at a time, so that its caller's stream
+// advances as if every arrival drew at arm time, and must return the
+// same bits as Run.
+func TestRunRandConsumesOnlyItsDraws(t *testing.T) {
+	d4, err := system.ByName("D4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := system.ByName("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []pinScenario{
+		{name: "D4", scn: Scenario{System: d4, Plan: pattern.Plan{Tau0: 1.3, Counts: []int{3}, Levels: []int{1, 2}}}},
+		{name: "capped", scn: Scenario{
+			System:        b.WithTopCost(20).WithMTBF(3).WithBaseline(30),
+			Plan:          pattern.Plan{Tau0: 0.5587, Counts: []int{1, 0, 16}, Levels: []int{1, 2, 3, 4}},
+			MaxWallFactor: 150,
+		}},
+	}
+	for _, row := range trialPinScenarios(t) {
+		if row.name == "D4/multi/retry/async/mixed" {
+			rows = append(rows, row)
+		}
+	}
+	if len(rows) != 3 {
+		t.Fatal("no D4/multi/retry/async/mixed row in trialPinScenarios")
+	}
+	for _, row := range rows {
+		eng, err := NewEngine(row.scn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		active := 0
+		for _, law := range eng.laws {
+			if law != nil {
+				active++
+			}
+		}
+		s := rng.Campaign(1, "runrand-draws").Scenario(row.name)
+		for i := 0; i < 3; i++ {
+			hi, lo := s.Trial(i).Words()
+			src := rand.NewPCG(hi, lo)
+			res, err := eng.RunRand(rand.New(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			draws := active
+			for _, n := range res.Failures {
+				draws += n
+			}
+			pin := resultPin(res)
+			ref := rand.NewPCG(hi, lo)
+			for k := 0; k < draws; k++ {
+				ref.Uint64()
+			}
+			got, _ := src.MarshalBinary() // a PCG always marshals
+			want, _ := ref.MarshalBinary()
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s trial %d: RunRand's stream is not %d draws on", row.name, i, draws)
+			}
+			ran, err := eng.Run(s.Trial(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rp := resultPin(ran); rp != pin {
+				t.Errorf("%s trial %d: Run\n got %s\nwant %s (RunRand)", row.name, i, rp, pin)
+			}
 		}
 	}
 }
