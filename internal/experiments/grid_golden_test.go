@@ -25,12 +25,13 @@ type gridPin struct {
 // gridRun is everything one figure run leaves behind.
 type gridRun struct {
 	pin         gridPin
+	cells       int // the result's cell count; an ablation has none
 	spans       []obs.SpanNode
 	metrics     obs.Snapshot
 	cellMetrics [][]byte // each cell's metrics JSON, in cell order
 }
 
-// gridFigures are the pinned figure harnesses.
+// gridFigures are the pinned figure harnesses and ablations.
 var gridFigures = []struct {
 	name string
 	crn  bool
@@ -41,6 +42,9 @@ var gridFigures = []struct {
 	{"fig4", false, func(o Options) (any, error) { return Fig4(o) }},
 	{"fig5", false, func(o Options) (any, error) { return Fig5(o) }},
 	{"fig5-crn", true, func(o Options) (any, error) { return Fig5(o) }},
+	{"ablation-policy", false, func(o Options) (any, error) { return PolicyAblation(o, nil) }},
+	{"ablation-weibull", false, func(o Options) (any, error) { return WeibullAblation(o, 0.7, nil) }},
+	{"ablation-async", false, func(o Options) (any, error) { return AsyncAblation(o, nil) }},
 }
 
 func sha256Hex(b []byte) string {
@@ -80,7 +84,9 @@ func runGridFigure(t *testing.T, run func(Options) (any, error), workers int, cr
 	// covers the result with each cell's metrics put back to {}; the
 	// metrics themselves are compared across worker counts.
 	var cellMetrics [][]byte
+	cells := 0
 	for _, row := range gridCells(res) {
+		cells += len(row)
 		for _, c := range row {
 			if c.Metrics == nil {
 				continue
@@ -99,6 +105,7 @@ func runGridFigure(t *testing.T, run func(Options) (any, error), workers int, cr
 	}
 	return gridRun{
 		pin:         gridPin{Result: sha256Hex(b), Progress: sha256Hex([]byte(strings.Join(lines, "\n")))},
+		cells:       cells,
 		spans:       spanShape(opt.Spans.Snapshot()),
 		metrics:     schedulingFree(opt.Metrics.Snapshot()),
 		cellMetrics: cellMetrics,
@@ -151,9 +158,9 @@ func schedulingFree(s obs.Snapshot) obs.Snapshot {
 	return out
 }
 
-// TestGridGoldenPins pins Figures 2–5 end to end on the Fast grids —
-// result JSON and Progress lines — at 1 and 4 workers, and Figure 5
-// under CRN. The pins were captured while the figure rows still ran
+// TestGridGoldenPins pins Figures 2–5 and the three ablations end to
+// end on the Fast grids — result JSON and Progress lines — at 1 and 4
+// workers, and Figure 5 under CRN. The pins were captured while the figure rows still ran
 // one after another; a row scheduler that changes a result bit, a
 // progress line or its order shows up here. Between the two worker
 // counts the span tree (names and counts), the simulator telemetry
@@ -183,7 +190,7 @@ func TestGridGoldenPins(t *testing.T) {
 			got[key] = r.pin
 			if workers == 1 {
 				base = r
-				if len(r.spans) == 0 || r.metrics.Counter("sim_trials_total") == 0 || len(r.cellMetrics) == 0 {
+				if len(r.spans) == 0 || r.metrics.Counter("sim_trials_total") == 0 || len(r.cellMetrics) < r.cells {
 					t.Fatalf("%s: no spans or simulator telemetry recorded", key)
 				}
 			} else {
