@@ -69,8 +69,9 @@ fma_gate() {
 # Engine.cruise, must have no call site (DESIGN.md §2.8): Go's calling
 # convention saves no registers across a call, so a single call in the
 # loop moves the loop's state to stack slots. Only the runtime's panics
-# (bounds checks, and a divide by zero in the restart prologue's
-# odometer re-seek) may appear in its code.
+# may appear in its code: bounds checks, and the divide-by-zero checks
+# of setDigits, which is inlined twice (into the restart prologue's
+# odometer re-seek and into the scratch restart's).
 cruise_gate() {
     echo "== call-free loop gate (sim Engine.cruise)"
     asm=$(mktemp)

@@ -216,7 +216,7 @@ func TestCRNCheckAndFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		streams, err := trace.ReadFlight(f)
+		streams, _, err := trace.ReadFlightRun(f)
 		if err != nil {
 			t.Fatal(err)
 		}

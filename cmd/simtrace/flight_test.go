@@ -29,7 +29,7 @@ func writeFlightFixture(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteFlight(f, streams); err != nil {
+	if err := trace.WriteFlightWithRun(f, "", streams); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -60,7 +60,7 @@ func TestFlightReaderJSON(t *testing.T) {
 	if err := run([]string{"-flight", path, "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	streams, err := trace.ReadFlight(&out)
+	streams, _, err := trace.ReadFlightRun(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,7 @@ func TestJSONStdout(t *testing.T) {
 	if strings.Contains(out.String(), "system:") {
 		t.Errorf("-json mixed human output into stdout:\n%s", out.String())
 	}
-	rec, err := trace.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) == 0 {
+	if len(decodeTrace(t, &out)) == 0 {
 		t.Fatal("no records in -json output")
 	}
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +11,23 @@ import (
 
 	"repro/internal/trace"
 )
+
+// decodeTrace decodes an mlckpt-trace document and returns its records.
+func decodeTrace(t *testing.T, r io.Reader) []trace.Record {
+	t.Helper()
+	var doc struct {
+		Format  string         `json:"format"`
+		Version int            `json:"version"`
+		Records []trace.Record `json:"records"`
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Format != "mlckpt-trace" || doc.Version != 1 {
+		t.Fatalf("document is %q version %d, want mlckpt-trace version 1", doc.Format, doc.Version)
+	}
+	return doc.Records
+}
 
 func TestExplicitPlan(t *testing.T) {
 	var out bytes.Buffer
@@ -37,11 +56,7 @@ func TestOptimizedPlanAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rec, err := trace.Read(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) == 0 {
+	if len(decodeTrace(t, f)) == 0 {
 		t.Fatal("trace file has no records")
 	}
 }

@@ -343,56 +343,6 @@ func TestCheckerFlagsForeignScenario(t *testing.T) {
 	}
 }
 
-// TestCheckerAllowReplanWithController: plan-switching trials pass under
-// the relaxed mode and keep the plan-independent invariants enforced.
-func TestCheckerAllowReplanWithController(t *testing.T) {
-	sys, err := system.ByName("D4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	scn := sim.Scenario{System: sys, Plan: pattern.Plan{Tau0: 1.5, Counts: []int{3}, Levels: []int{1, 2}}}
-	ck, err := NewChecker(scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.AllowReplan()
-	eng, err := sim.NewEngine(scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Observe(ck)
-	eng.Control(func() sim.PlanController {
-		return &switchAfter{n: 2, plan: pattern.Plan{Tau0: 2.5, Counts: []int{1}, Levels: []int{1, 2}}}
-	})
-	seed := rng.Campaign(23, "replan")
-	for trial := 0; trial < 20; trial++ {
-		if _, err := eng.Run(seed.Trial(trial)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ck.Err(); err != nil {
-		t.Fatalf("replanned trials flagged: %v", err)
-	}
-}
-
-// switchAfter swaps to a fixed plan at the n-th replan consult.
-type switchAfter struct {
-	n        int
-	plan     pattern.Plan
-	consults int
-	done     bool
-}
-
-func (s *switchAfter) OnFailure(float64, int) {}
-func (s *switchAfter) Replan(float64, float64) (pattern.Plan, bool) {
-	s.consults++
-	if s.done || s.consults < s.n {
-		return pattern.Plan{}, false
-	}
-	s.done = true
-	return s.plan, true
-}
-
 // TestPoolAggregatesAcrossWorkers runs a parallel campaign under the
 // pool and verifies per-worker checkers cover every trial.
 func TestPoolAggregatesAcrossWorkers(t *testing.T) {

@@ -117,10 +117,6 @@ type Checker struct {
 	plan    pattern.Plan
 	maxWall float64
 	canFire []bool // per severity: a failure of this class may arrive
-	// allowReplan relaxes the plan-dependent invariants (odometer,
-	// store tracking, durations vs the static plan) for trials driven
-	// by an online PlanController, which may switch plans mid-trial.
-	allowReplan bool
 
 	violations []Violation
 	nviol      int
@@ -172,11 +168,6 @@ func NewChecker(scn sim.Scenario) (*Checker, error) {
 	c.resetTrial()
 	return c, nil
 }
-
-// AllowReplan relaxes the plan-dependent invariants for trials driven by
-// an online plan controller (which may switch plans after any commit).
-// Clock, transition, accounting and severity invariants stay enforced.
-func (c *Checker) AllowReplan() { c.allowReplan = true }
 
 // TrialsChecked returns the number of finished trials observed.
 func (c *Checker) TrialsChecked() int { return c.trials }
@@ -297,9 +288,7 @@ func (c *Checker) Observe(e sim.Event) {
 		return
 	}
 
-	if !c.allowReplan {
-		c.resolveFlush(e)
-	}
+	c.resolveFlush(e)
 
 	switch e.Kind {
 	case sim.EvPhaseStart:
@@ -345,18 +334,12 @@ func (c *Checker) phaseStartEvent(e sim.Event) {
 				"progress changed across compute-end→checkpoint-start: %v → %v", c.phaseProg, e.Progress)
 			return
 		}
-		if !c.allowReplan {
-			// I5 odometer: the checkpoint level is fully determined by
-			// the pattern position.
-			want := c.plan.Levels[c.plan.LevelAfterInterval(c.pos)]
-			if e.Level != want {
-				c.violatef("odometer", e.Time,
-					"checkpoint at level %d after interval %d, pattern demands level %d",
-					e.Level, c.pos, want)
-				return
-			}
-		} else if !c.validSystemLevel(e.Level) {
-			c.violatef("odometer", e.Time, "checkpoint at unknown level %d", e.Level)
+		// I5 odometer: the checkpoint level is fully determined by the
+		// pattern position.
+		if want := c.plan.Levels[c.plan.LevelAfterInterval(c.pos)]; e.Level != want {
+			c.violatef("odometer", e.Time,
+				"checkpoint at level %d after interval %d, pattern demands level %d",
+				e.Level, c.pos, want)
 			return
 		}
 	case ctxAfterCheckpointEnd, ctxAfterRestartEnd:
@@ -375,7 +358,7 @@ func (c *Checker) phaseStartEvent(e sim.Event) {
 					"progress changed across checkpoint commit: %v → %v", c.phaseProg, e.Progress)
 				return
 			}
-		} else if !c.allowReplan {
+		} else {
 			// I6 rollback: a completed restart resumes from exactly the
 			// state the restarted store committed.
 			st := c.stores[c.restartIdx]
@@ -403,15 +386,13 @@ func (c *Checker) phaseStartEvent(e sim.Event) {
 				c.violatef("scratch-restart", e.Time, "scratch restart resumed at progress %v, want 0", e.Progress)
 				return
 			}
-			if !c.allowReplan {
-				if idx := c.lowestValidStore(c.need); idx >= 0 {
-					c.violatef("scratch-restart", e.Time,
-						"restarted from scratch while level %d holds a valid checkpoint for need %d",
-						c.plan.Levels[idx], c.need)
-					return
-				}
-				c.pos = 0
+			if idx := c.lowestValidStore(c.need); idx >= 0 {
+				c.violatef("scratch-restart", e.Time,
+					"restarted from scratch while level %d holds a valid checkpoint for need %d",
+					c.plan.Levels[idx], c.need)
+				return
 			}
+			c.pos = 0
 		default:
 			c.violatef("phase-transition", e.Time, "recovery opened %v phase", e.Phase)
 			return
@@ -447,9 +428,6 @@ func (c *Checker) checkRestartChoice(e sim.Event) bool {
 		// way recovery below the required level reads destroyed data.
 		c.violatef("restart-choice", e.Time, "restart at level %d below required level %d", e.Level, c.need)
 		return false
-	}
-	if c.allowReplan {
-		return true
 	}
 	idx := c.lowestValidStore(c.need)
 	if idx < 0 {
@@ -503,19 +481,17 @@ func (c *Checker) phaseEndEvent(e sim.Event) {
 				"compute advanced progress %v → %v over %v minutes", c.phaseProg, e.Progress, d)
 			return
 		}
-		if !c.allowReplan {
-			// I3 durations: a full compute interval is min(τ0, remaining
-			// work); phase ends fire exactly on schedule.
-			expect := c.plan.Tau0
-			if rem := c.sys.BaselineTime - c.phaseProg; expect > rem {
-				expect = rem
-			}
-			if math.Abs(d-expect) > durEps(expect) {
-				c.violatef("phase-duration", e.Time,
-					"compute interval ran %v minutes, want min(τ0=%v, remaining=%v)",
-					d, c.plan.Tau0, c.sys.BaselineTime-c.phaseProg)
-				return
-			}
+		// I3 durations: a full compute interval is min(τ0, remaining
+		// work); phase ends fire exactly on schedule.
+		expect := c.plan.Tau0
+		if rem := c.sys.BaselineTime - c.phaseProg; expect > rem {
+			expect = rem
+		}
+		if math.Abs(d-expect) > durEps(expect) {
+			c.violatef("phase-duration", e.Time,
+				"compute interval ran %v minutes, want min(τ0=%v, remaining=%v)",
+				d, c.plan.Tau0, c.sys.BaselineTime-c.phaseProg)
+			return
 		}
 		c.ctx = ctxAfterComputeEnd
 	case sim.PhaseCheckpoint:
@@ -525,18 +501,12 @@ func (c *Checker) phaseEndEvent(e sim.Event) {
 				"progress changed during checkpoint: %v → %v", c.phaseProg, e.Progress)
 			return
 		}
-		if !c.allowReplan {
-			if expect := c.blockingCheckpointCost(c.phaseLevel); math.Abs(d-expect) > durEps(expect) {
-				c.violatef("phase-duration", e.Time,
-					"level-%d checkpoint ran %v minutes, want %v", c.phaseLevel, d, expect)
-				return
-			}
-			c.commitShadow(e)
-		} else if expect := c.sys.Levels[c.phaseLevel-1].Checkpoint; d > expect+durEps(expect) {
+		if expect := c.blockingCheckpointCost(c.phaseLevel); math.Abs(d-expect) > durEps(expect) {
 			c.violatef("phase-duration", e.Time,
-				"level-%d checkpoint ran %v minutes, exceeds δ=%v", c.phaseLevel, d, expect)
+				"level-%d checkpoint ran %v minutes, want %v", c.phaseLevel, d, expect)
 			return
 		}
+		c.commitShadow(e)
 		c.ctx = ctxAfterCheckpointEnd
 	case sim.PhaseRestart:
 		c.totals.Restart[c.phaseLevel-1] += d
@@ -645,12 +615,10 @@ func (c *Checker) escalatedNeed(cur, sev int) int {
 	switch c.scn.Policy {
 	case sim.EscalatePolicy:
 		next := cur
-		if !c.allowReplan {
-			for _, lvl := range c.plan.Levels {
-				if lvl > cur {
-					next = lvl
-					break
-				}
+		for _, lvl := range c.plan.Levels {
+			if lvl > cur {
+				next = lvl
+				break
 			}
 		}
 		if sev > next {
@@ -666,12 +634,7 @@ func (c *Checker) escalatedNeed(cur, sev int) int {
 }
 
 func (c *Checker) completeEvent(e sim.Event) {
-	okCtx := c.ctx == ctxAfterComputeEnd ||
-		// A controller abort surfaces EvComplete straight after the
-		// checkpoint commit it failed at; the engine also returns an
-		// error, which the caller sees.
-		(c.allowReplan && c.ctx == ctxAfterCheckpointEnd)
-	if !okCtx {
+	if c.ctx != ctxAfterComputeEnd {
 		c.violatef("completion", e.Time, "EvComplete in context %d, want after a compute end", int(c.ctx))
 		return
 	}
@@ -679,7 +642,7 @@ func (c *Checker) completeEvent(e sim.Event) {
 		c.violatef("completion", e.Time, "EvComplete at %.9g, final phase ended at %.9g", e.Time, c.lastTime)
 		return
 	}
-	if c.ctx == ctxAfterComputeEnd && e.Progress != c.sys.BaselineTime {
+	if e.Progress != c.sys.BaselineTime {
 		c.violatef("completion", e.Time, "completed with progress %v, want T_B=%v", e.Progress, c.sys.BaselineTime)
 		return
 	}

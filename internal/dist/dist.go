@@ -1,8 +1,9 @@
 // Package dist provides the probability substrate used by the multilevel
 // checkpoint models and the simulator: the exponential failure law of the
 // paper (Eqn. 1), truncated expectations (Eqn. 2), negative-binomial
-// retry-count estimators (Eqns. 5, 8, 12), competing-risk decompositions,
-// and a Weibull extension for non-memoryless failure studies.
+// retry-count estimators (Eqns. 5, 8, 12), competing-risk severity
+// shares, the samplers the simulator draws arrivals from, and a Weibull
+// extension for non-memoryless failure studies.
 //
 // All durations are expressed in minutes, matching Table I of the paper,
 // and all rates are in failures per minute.
@@ -30,15 +31,6 @@ func FailProb(t, rate float64) float64 {
 	}
 	// -math.Expm1(-x) = 1-exp(-x) with full precision for small x.
 	return -math.Expm1(-rate * t)
-}
-
-// SurviveProb returns exp(-X*t), the probability that no failure occurs
-// during an interval of length t.
-func SurviveProb(t, rate float64) float64 {
-	if t <= 0 || rate <= 0 {
-		return 1
-	}
-	return math.Exp(-rate * t)
 }
 
 // TruncExp returns E(t, X), the expected value of an exponential
@@ -98,23 +90,8 @@ func (e Exponential) Rate() float64 { return e.rate }
 // MTBF returns the mean time between failures, 1/rate.
 func (e Exponential) MTBF() float64 { return 1 / e.rate }
 
-// CDF returns P(failure <= t).
-func (e Exponential) CDF(t float64) float64 { return FailProb(t, e.rate) }
-
 // Mean returns the unconditional mean 1/rate.
 func (e Exponential) Mean() float64 { return 1 / e.rate }
-
-// TruncMean returns the truncated expectation E(t, rate) (paper Eqn. 2).
-func (e Exponential) TruncMean(t float64) float64 { return TruncExp(t, e.rate) }
-
-// Quantile returns the time by which a failure has occurred with
-// probability p (the inverse CDF). p must lie in [0, 1).
-func (e Exponential) Quantile(p float64) (float64, error) {
-	if p < 0 || p >= 1 {
-		return 0, fmt.Errorf("dist: quantile probability %v outside [0,1)", p)
-	}
-	return -math.Log1p(-p) / e.rate, nil
-}
 
 // CompetingRates describes a set of independent exponential failure
 // processes racing against each other — the L severity classes of a
@@ -157,46 +134,6 @@ func (c *CompetingRates) Rate(i int) float64 { return c.rates[i] }
 // one occurs, belongs to class i.
 func (c *CompetingRates) Share(i int) float64 { return c.rates[i] / c.total }
 
-// PrefixRate returns λ_c = Σ_{j<=i} λ_j over the 0-based prefix [0, i],
-// the rate the paper uses for events that only lower-severity failures
-// can interrupt.
-func (c *CompetingRates) PrefixRate(i int) float64 {
-	if i < 0 {
-		return 0
-	}
-	if i >= len(c.rates) {
-		i = len(c.rates) - 1
-	}
-	var s float64
-	for j := 0; j <= i; j++ {
-		s += c.rates[j]
-	}
-	return s
-}
-
-// SuffixRate returns Σ_{j>i} λ_j over classes strictly above the 0-based
-// index i — the residual severity mass when a plan only uses levels <= i.
-func (c *CompetingRates) SuffixRate(i int) float64 {
-	var s float64
-	for j := i + 1; j < len(c.rates); j++ {
-		s += c.rates[j]
-	}
-	return s
-}
-
-// FirstFailureSplit returns, for an interval of length t, the probability
-// that a failure occurs at all and, conditioned on that, the probability
-// that the *first* failure belongs to each class. For independent
-// exponentials the first-failure class is λ_i/λ independent of time.
-func (c *CompetingRates) FirstFailureSplit(t float64) (pAny float64, classProb []float64) {
-	pAny = FailProb(t, c.total)
-	classProb = make([]float64, len(c.rates))
-	for i := range c.rates {
-		classProb[i] = c.rates[i] / c.total
-	}
-	return pAny, classProb
-}
-
 // Weibull is a Weibull failure law, the common non-memoryless extension
 // in the checkpointing literature. Shape k = 1 reduces to Exponential.
 type Weibull struct {
@@ -222,41 +159,7 @@ func (w Weibull) Scale() float64 { return w.scale }
 // Shape returns the Weibull shape parameter k.
 func (w Weibull) Shape() float64 { return w.shape }
 
-// CDF returns P(failure <= t) = 1 - exp(-(t/λ)^k).
-func (w Weibull) CDF(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return -math.Expm1(-math.Pow(t/w.scale, w.shape))
-}
-
 // Mean returns λ·Γ(1 + 1/k).
 func (w Weibull) Mean() float64 {
 	return w.scale * math.Gamma(1+1/w.shape)
-}
-
-// Quantile returns the inverse CDF. p must lie in [0, 1).
-func (w Weibull) Quantile(p float64) (float64, error) {
-	if p < 0 || p >= 1 {
-		return 0, fmt.Errorf("dist: quantile probability %v outside [0,1)", p)
-	}
-	return w.scale * math.Pow(-math.Log1p(-p), 1/w.shape), nil
-}
-
-// HazardAt returns the instantaneous hazard rate at time t since the last
-// renewal: (k/λ)·(t/λ)^(k-1).
-func (w Weibull) HazardAt(t float64) float64 {
-	if t < 0 {
-		t = 0
-	}
-	if w.shape == 1 {
-		return 1 / w.scale
-	}
-	if t == 0 {
-		if w.shape < 1 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return w.shape / w.scale * math.Pow(t/w.scale, w.shape-1)
 }

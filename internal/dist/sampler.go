@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 )
@@ -83,31 +82,3 @@ func (p *SeverityPicker) Pick(src *rand.Rand) int {
 
 // Classes returns the number of severity classes the picker covers.
 func (p *SeverityPicker) Classes() int { return len(p.cum) }
-
-// MixtureSampler races several independent samplers and reports which one
-// fired first. It generalizes the competing exponential processes to
-// arbitrary laws (used for the Weibull ablation).
-type MixtureSampler struct {
-	laws []Sampler
-}
-
-// NewMixtureSampler builds a racing sampler over one law per severity
-// class.
-func NewMixtureSampler(laws []Sampler) (*MixtureSampler, error) {
-	if len(laws) == 0 {
-		return nil, fmt.Errorf("dist: mixture sampler needs at least one law")
-	}
-	return &MixtureSampler{laws: append([]Sampler(nil), laws...)}, nil
-}
-
-// SampleFirst draws one arrival from each law and returns the earliest
-// time along with the 0-based index of the law that produced it.
-func (m *MixtureSampler) SampleFirst(src *rand.Rand) (t float64, class int) {
-	t = math.Inf(1)
-	for i, l := range m.laws {
-		if v := l.Sample(src); v < t {
-			t, class = v, i
-		}
-	}
-	return t, class
-}

@@ -35,28 +35,34 @@ type AblationResult struct {
 // default: one per difficulty regime.
 var DefaultAblationSystems = []string{"B", "D2", "D4", "D7"}
 
-// PolicyAblation quantifies Moody et al.'s restart-escalation assumption
-// (DESIGN.md §2.2): each system's dauwe-optimized plan is simulated under
-// the realistic retry policy and under escalation. The gap is the real
-// cost of the behavior Moody's model assumes, and explains that model's
-// systematic efficiency underestimation (paper Section IV-G).
-func PolicyAblation(opt Options, systems []string) (*AblationResult, error) {
+// ablation is one design-choice study: each system's dauwe-optimized
+// plan simulated under a baseline scenario and under a variant of it.
+type ablation struct {
+	result AblationResult // the study's name and labels
+	tag    string         // seed namespace and progress-line prefix
+	key    string         // names the scenario in each campaign's seed
+	logs   [2]string      // the two efficiencies' names on the progress line
+	// variant turns a copy of the baseline scenario into the variant.
+	variant func(scn *sim.Scenario) error
+	// multiLevel skips systems whose plan uses a single level.
+	multiLevel bool
+}
+
+// run ablates every system, each as one runRows row: systems run
+// concurrently as figure rows do, and rows come back in system order.
+func (a ablation) run(opt Options, systems []string) (*AblationResult, error) {
 	if len(systems) == 0 {
 		systems = DefaultAblationSystems
 	}
-	out := &AblationResult{
-		Name:         "restart policy",
-		BaseLabel:    "retry (realistic)",
-		VariantLabel: "escalate (Moody)",
-	}
 	trials := opt.trials(200)
-	seed := rng.Campaign(opt.seed(), "ablation-policy")
-	for _, name := range systems {
+	seed := rng.Campaign(opt.seed(), a.tag)
+	rows, err := runRows(opt, len(systems), func(i int, ro Options) (*AblationRow, error) {
+		name := systems[i]
 		sys, err := system.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		tech, err := newTechnique("dauwe", opt.Fast)
+		tech, err := newTechnique("dauwe", ro.Fast)
 		if err != nil {
 			return nil, err
 		}
@@ -64,31 +70,67 @@ func PolicyAblation(opt Options, systems []string) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := AblationRow{System: name, Plan: plan.String()}
-		for i, policy := range []sim.RestartPolicy{sim.RetryPolicy, sim.EscalatePolicy} {
-			c, err := opt.runCampaign(sim.Campaign{
-				Scenario: sim.Scenario{
-					System: sys, Plan: plan, Policy: policy,
-					MaxWallFactor: opt.wallFactor(),
-				},
-				Trials:  trials,
-				Seed:    seed.Scenario(fmt.Sprintf("%s/p%d", name, i)),
-				Workers: opt.Workers,
+		if a.multiLevel && plan.NumUsed() < 2 {
+			return nil, nil
+		}
+		base := sim.Scenario{System: sys, Plan: plan, MaxWallFactor: ro.wallFactor()}
+		variant := base
+		if err := a.variant(&variant); err != nil {
+			return nil, err
+		}
+		row := &AblationRow{System: name, Plan: plan.String()}
+		for v, scn := range []sim.Scenario{base, variant} {
+			c, err := ro.runCampaign(sim.Campaign{
+				Scenario: scn,
+				Trials:   trials,
+				Seed:     seed.Scenario(fmt.Sprintf("%s/%s%d", name, a.key, v)),
+				Workers:  ro.Workers,
 			}, Cell{System: sys.Name})
 			if err != nil {
 				return nil, err
 			}
-			if i == 0 {
+			if v == 0 {
 				row.Base = c.Sim
 			} else {
 				row.Variant = c.Sim
 			}
 		}
-		opt.log("ablation-policy %s: retry=%.3f escalate=%.3f (Δ %+0.3f)",
-			name, row.Base.Efficiency.Mean, row.Variant.Efficiency.Mean, row.Delta())
-		out.Rows = append(out.Rows, row)
+		ro.log("%s %s: %s=%.3f %s=%.3f (Δ %+0.3f)", a.tag, name,
+			a.logs[0], row.Base.Efficiency.Mean, a.logs[1], row.Variant.Efficiency.Mean, row.Delta())
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	out := a.result
+	for _, r := range rows {
+		if r != nil {
+			out.Rows = append(out.Rows, *r)
+		}
+	}
+	return &out, nil
+}
+
+// PolicyAblation quantifies Moody et al.'s restart-escalation assumption
+// (DESIGN.md §2.2): each system's dauwe-optimized plan is simulated under
+// the realistic retry policy and under escalation. The gap is the real
+// cost of the behavior Moody's model assumes, and explains that model's
+// systematic efficiency underestimation (paper Section IV-G).
+func PolicyAblation(opt Options, systems []string) (*AblationResult, error) {
+	return ablation{
+		result: AblationResult{
+			Name:         "restart policy",
+			BaseLabel:    "retry (realistic)",
+			VariantLabel: "escalate (Moody)",
+		},
+		tag:  "ablation-policy",
+		key:  "p",
+		logs: [2]string{"retry", "escalate"},
+		variant: func(scn *sim.Scenario) error {
+			scn.Policy = sim.EscalatePolicy
+			return nil
+		},
+	}.run(opt, systems)
 }
 
 // WeibullAblation probes the exponential-failures assumption shared by
@@ -100,58 +142,20 @@ func WeibullAblation(opt Options, shape float64, systems []string) (*AblationRes
 	if !(shape > 0) {
 		return nil, fmt.Errorf("experiments: weibull shape %v must be positive", shape)
 	}
-	if len(systems) == 0 {
-		systems = DefaultAblationSystems
-	}
-	out := &AblationResult{
-		Name:         fmt.Sprintf("failure law (weibull k=%g)", shape),
-		BaseLabel:    "exponential",
-		VariantLabel: fmt.Sprintf("weibull k=%g", shape),
-	}
-	trials := opt.trials(200)
-	seed := rng.Campaign(opt.seed(), "ablation-weibull")
-	for _, name := range systems {
-		sys, err := system.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		tech, err := newTechnique("dauwe", opt.Fast)
-		if err != nil {
-			return nil, err
-		}
-		plan, _, err := tech.Optimize(sys)
-		if err != nil {
-			return nil, err
-		}
-		laws, err := weibullLaws(sys, shape)
-		if err != nil {
-			return nil, err
-		}
-		row := AblationRow{System: name, Plan: plan.String()}
-		for i, fl := range [][]dist.Sampler{nil, laws} {
-			c, err := opt.runCampaign(sim.Campaign{
-				Scenario: sim.Scenario{
-					System: sys, Plan: plan, FailureLaws: fl,
-					MaxWallFactor: opt.wallFactor(),
-				},
-				Trials:  trials,
-				Seed:    seed.Scenario(fmt.Sprintf("%s/w%d", name, i)),
-				Workers: opt.Workers,
-			}, Cell{System: sys.Name})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				row.Base = c.Sim
-			} else {
-				row.Variant = c.Sim
-			}
-		}
-		opt.log("ablation-weibull %s: exp=%.3f weibull=%.3f (Δ %+0.3f)",
-			name, row.Base.Efficiency.Mean, row.Variant.Efficiency.Mean, row.Delta())
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return ablation{
+		result: AblationResult{
+			Name:         fmt.Sprintf("failure law (weibull k=%g)", shape),
+			BaseLabel:    "exponential",
+			VariantLabel: fmt.Sprintf("weibull k=%g", shape),
+		},
+		tag:  "ablation-weibull",
+		key:  "w",
+		logs: [2]string{"exp", "weibull"},
+		variant: func(scn *sim.Scenario) (err error) {
+			scn.FailureLaws, err = weibullLaws(scn.System, shape)
+			return err
+		},
+	}.run(opt, systems)
 }
 
 // weibullLaws builds per-severity Weibull laws matching the system's
@@ -182,58 +186,22 @@ func weibullLaws(sys *system.System, shape float64) ([]dist.Sampler, error) {
 // each system's dauwe-optimized plan is simulated with blocking top-level
 // checkpoints and with background flushes. The gap grows with the
 // top-level write cost, which is why production SCR and FTI drain to the
-// PFS asynchronously.
+// PFS asynchronously. Async needs a lower capture level, so systems
+// whose plan uses one level are skipped.
 func AsyncAblation(opt Options, systems []string) (*AblationResult, error) {
-	if len(systems) == 0 {
-		systems = DefaultAblationSystems
-	}
-	out := &AblationResult{
-		Name:         "top-level flush",
-		BaseLabel:    "synchronous",
-		VariantLabel: "async flush",
-	}
-	trials := opt.trials(200)
-	seed := rng.Campaign(opt.seed(), "ablation-async")
-	for _, name := range systems {
-		sys, err := system.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		tech, err := newTechnique("dauwe", opt.Fast)
-		if err != nil {
-			return nil, err
-		}
-		plan, _, err := tech.Optimize(sys)
-		if err != nil {
-			return nil, err
-		}
-		if plan.NumUsed() < 2 {
-			// Async needs a lower capture level; skip degenerate plans.
-			continue
-		}
-		row := AblationRow{System: name, Plan: plan.String()}
-		for i, async := range []bool{false, true} {
-			c, err := opt.runCampaign(sim.Campaign{
-				Scenario: sim.Scenario{
-					System: sys, Plan: plan, AsyncTopFlush: async,
-					MaxWallFactor: opt.wallFactor(),
-				},
-				Trials:  trials,
-				Seed:    seed.Scenario(fmt.Sprintf("%s/a%d", name, i)),
-				Workers: opt.Workers,
-			}, Cell{System: sys.Name})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				row.Base = c.Sim
-			} else {
-				row.Variant = c.Sim
-			}
-		}
-		opt.log("ablation-async %s: sync=%.3f async=%.3f (Δ %+0.3f)",
-			name, row.Base.Efficiency.Mean, row.Variant.Efficiency.Mean, row.Delta())
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return ablation{
+		result: AblationResult{
+			Name:         "top-level flush",
+			BaseLabel:    "synchronous",
+			VariantLabel: "async flush",
+		},
+		tag:  "ablation-async",
+		key:  "a",
+		logs: [2]string{"sync", "async"},
+		variant: func(scn *sim.Scenario) error {
+			scn.AsyncTopFlush = true
+			return nil
+		},
+		multiLevel: true,
+	}.run(opt, systems)
 }

@@ -36,9 +36,8 @@ func (r *VarianceReport) Comparison(a, b string) *sim.ArmComparison {
 
 // CompareTechniques optimizes each technique on the system and runs all
 // resulting plans as one CRN paired campaign (Options.CRN is implied;
-// Options.CITarget/CIBatch drive sequential stopping, and control
-// variates are always reported since the comparison exists to squeeze
-// variance). Every other campaign option applies to each technique's
+// Options.CITarget drives sequential stopping, and control variates are
+// always reported since the comparison exists to squeeze variance). Every other campaign option applies to each technique's
 // arm as it does to a figure cell. Options.Trials falls back to the
 // paper's Figure 5 count of 400.
 func CompareTechniques(sys *system.System, techs []string, opt Options) (*VarianceReport, error) {

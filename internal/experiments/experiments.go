@@ -48,9 +48,10 @@ type Options struct {
 	// Seed is the campaign base seed (0 = 1).
 	Seed uint64
 	// Workers bounds parallelism (0 = GOMAXPROCS): how many cores the
-	// run may use. The figure grids (Figures 2–5) keep up to Workers
-	// rows in flight, and each row runs its campaigns with Workers
-	// workers; results are identical for every value (DESIGN.md §2.15).
+	// run may use. The figure grids (Figures 2–5) and the ablations keep
+	// up to Workers rows in flight, and each row runs its campaigns with
+	// Workers workers; results are identical for every value (DESIGN.md
+	// §2.15).
 	Workers int
 	// MaxWallFactor caps each trial at this multiple of T_B
 	// (0 = 150; only the sub-1 %-efficiency scenarios ever hit it).
@@ -69,9 +70,6 @@ type Options struct {
 	// each row into a private sink first and merges the rows in row
 	// order.
 	Metrics *obs.SimMetrics
-	// CollectMetrics attaches per-cell metrics even without a global
-	// sink.
-	CollectMetrics bool
 	// TrialDone, when non-nil, is called once per simulated trial across
 	// every scenario; it must be safe for concurrent use (progress
 	// reporting hook).
@@ -99,18 +97,14 @@ type Options struct {
 	// Welch). Row results gain Paired comparisons.
 	CRN bool
 	// CITarget, with CRN, enables sequential stopping: each row's
-	// campaigns advance in batches until every pairwise paired 95% CI
-	// half-width on mean efficiency is at most CITarget (or the trial
-	// budget runs out). Zero disables stopping; a negative or non-finite
-	// value, or a CITarget or CIBatch set without CRN, is an error. When
-	// Metrics is set, the counters vr_trials_run_total and
+	// campaigns advance in batches of 64 trials per arm until every
+	// pairwise paired 95% CI half-width on mean efficiency is at most
+	// CITarget (or the trial budget runs out). Zero disables stopping; a
+	// negative or non-finite value, or a CITarget set without CRN, is an
+	// error. When Metrics is set, the counters vr_trials_run_total and
 	// vr_trials_saved_total record the per-arm trials run and the budget
 	// the stopping rule left unrun.
 	CITarget float64
-	// CIBatch is the per-arm batch size between stopping checks
-	// (0 = the sim default of 64). With CITarget and CheckpointDir it
-	// must be a multiple of the block size (8).
-	CIBatch int
 	// Stream runs every campaign through sim.NewStreamSink: constant
 	// memory at any trial count, sketch-backed summaries, no per-trial
 	// Efficiencies. An error under CRN: paired comparisons read the
@@ -376,8 +370,8 @@ func sanitizeCell(label string) string {
 // (RunShard), or a merge of its shard files (MergeShards). It returns c
 // with the result and whatever the wiring collected.
 func (o Options) runCampaign(camp sim.Campaign, c Cell) (Cell, error) {
-	if !o.CRN && (o.CITarget != 0 || o.CIBatch != 0) {
-		return c, errors.New("experiments: CITarget and CIBatch need CRN (sequential stopping is defined on paired CIs)")
+	if !o.CRN && o.CITarget != 0 {
+		return c, errors.New("experiments: CITarget needs CRN (sequential stopping is defined on paired CIs)")
 	}
 	// sim checks the shard index and that a merge has files to merge.
 	if o.Shards < 0 || (o.Shards > 0 || o.MergeShards) && o.CheckpointDir == "" {
@@ -490,7 +484,7 @@ func (o Options) wire(camp *sim.Campaign, label string, h *campaignHooks, tracer
 		h.flight = &trace.FlightPool{}
 		camp.TrialStart = h.flight.TrialStart
 	}
-	if o.Metrics != nil || o.CollectMetrics {
+	if o.Metrics != nil {
 		h.metrics = &obs.Pool{}
 	}
 	if h.checker == nil && h.flight == nil && h.metrics == nil && tracers == nil {
@@ -691,7 +685,7 @@ func evaluateRow(sys *system.System, techs []string, trials int, seed rng.Seed, 
 // span, then simulates the plans as the arms of one sim.PairedCampaign
 // on the shared seed: each arm is the campaign Evaluate would run for
 // the cell, seed aside, wired by simulate exactly as a plain cell is.
-// CITarget and CIBatch drive sequential stopping. When Metrics is set,
+// CITarget drives sequential stopping. When Metrics is set,
 // the counters vr_trials_run_total and vr_trials_saved_total record the
 // per-arm trials run and the budget the stopping rule left unrun.
 func (o Options) pairedRow(sys *system.System, techs []string, trials int, seed rng.Seed, controlVariates bool) ([]Cell, *sim.PairedResult, error) {
@@ -715,7 +709,6 @@ func (o Options) pairedRow(sys *system.System, techs []string, trials int, seed 
 		res, err = sim.PairedCampaign{
 			Arms:            arms,
 			TargetCI:        o.CITarget,
-			BatchSize:       o.CIBatch,
 			ControlVariates: controlVariates,
 		}.Run()
 		if err == nil && o.Metrics != nil {

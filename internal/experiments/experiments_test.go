@@ -285,7 +285,7 @@ func TestCellMetricsJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{MaxWallFactor: 15, Fast: true, CollectMetrics: true}
+	opt := Options{MaxWallFactor: 15, Fast: true, Metrics: obs.NewSimMetrics()}
 	c, err := Evaluate(sys, "daly", 12, rng.Campaign(7, "json"), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -160,12 +160,13 @@ func schedulingFree(s obs.Snapshot) obs.Snapshot {
 
 // TestGridGoldenPins pins Figures 2–5 and the three ablations end to
 // end on the Fast grids — result JSON and Progress lines — at 1 and 4
-// workers, and Figure 5 under CRN. The pins were captured while the figure rows still ran
-// one after another; a row scheduler that changes a result bit, a
-// progress line or its order shows up here. Between the two worker
-// counts the span tree (names and counts), the simulator telemetry
-// (the merged registry and each cell's JSON) and the optimizer's
-// candidate count must also agree.
+// workers, and Figure 5 under CRN. The pins were captured while the
+// figure rows, and the ablations' systems, still ran one after another;
+// a row scheduler that changes a result bit, a progress line or its
+// order shows up here. Between the two worker counts the span tree
+// (names and counts), the simulator telemetry (the merged registry and
+// each cell's JSON) and the optimizer's candidate count must also
+// agree.
 func TestGridGoldenPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every figure grid")

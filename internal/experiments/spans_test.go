@@ -76,7 +76,7 @@ func TestEvaluateSpanTreeWithMetricsObservers(t *testing.T) {
 	// campaign wraps both into one observer per worker.
 	opt := testOpts()
 	opt.Fast = true
-	opt.CollectMetrics = true
+	opt.Metrics = obs.NewSimMetrics()
 	opt.Spans = obs.NewTracer()
 	sys, err := system.ByName("D7")
 	if err != nil {

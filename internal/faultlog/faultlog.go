@@ -1,7 +1,7 @@
 // Package faultlog ingests failure logs — the raw material behind every
 // Table I row — and fits the failure model the checkpoint optimizers
 // consume: per-severity exponential rates (the paper's assumption) and,
-// for checking that assumption, a maximum-likelihood Weibull fit of the
+// for checking that assumption, a dispersion diagnostic of the
 // inter-arrival distribution.
 //
 // The expected log format is CSV with two columns, an optional header,
@@ -18,12 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/system"
 )
@@ -207,66 +205,6 @@ func Interarrivals(entries []Entry) []float64 {
 		prev = e.Time
 	}
 	return out
-}
-
-// FitWeibull fits a Weibull law to inter-arrival samples by maximum
-// likelihood (Newton on the shape profile equation). A fitted shape near
-// 1 supports the paper's exponential assumption; k < 1 indicates the
-// bursty "infant mortality" regime.
-func FitWeibull(samples []float64) (dist.Weibull, error) {
-	n := len(samples)
-	if n < 3 {
-		return dist.Weibull{}, fmt.Errorf("faultlog: need >= 3 samples, have %d", n)
-	}
-	var meanLog float64
-	for _, x := range samples {
-		if !(x > 0) {
-			return dist.Weibull{}, fmt.Errorf("faultlog: non-positive sample %v", x)
-		}
-		meanLog += math.Log(x)
-	}
-	meanLog /= float64(n)
-
-	// Profile equation g(k) = A(k)/B(k) − 1/k − meanLog = 0 where
-	// A = Σ x^k ln x, B = Σ x^k; g is increasing in k. Products are
-	// rounded (float64(...)) so that no GOARCH fuses them into the sums.
-	g := func(k float64) float64 {
-		var a, b float64
-		for _, x := range samples {
-			xk := math.Pow(x, k)
-			a += float64(xk * math.Log(x))
-			b += xk
-		}
-		return a/b - 1/k - meanLog
-	}
-	lo, hi := 0.02, 1.0
-	for g(hi) < 0 {
-		hi *= 2
-		if hi > 512 {
-			return dist.Weibull{}, errors.New("faultlog: weibull shape did not bracket (degenerate samples)")
-		}
-	}
-	for g(lo) > 0 {
-		lo /= 2
-		if lo < 1e-4 {
-			return dist.Weibull{}, errors.New("faultlog: weibull shape did not bracket (heavy ties)")
-		}
-	}
-	for i := 0; i < 200 && hi-lo > 1e-10*(1+hi); i++ {
-		mid := (lo + hi) / 2
-		if g(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	k := (lo + hi) / 2
-	var b float64
-	for _, x := range samples {
-		b += math.Pow(x, k)
-	}
-	scale := math.Pow(b/float64(n), 1/k)
-	return dist.NewWeibull(scale, k)
 }
 
 // ExponentialGoodness reports a crude dispersion diagnostic: the squared

@@ -163,47 +163,6 @@ func sampleLaw(t *testing.T, law dist.Sampler, n int, seed uint64) []float64 {
 	return out
 }
 
-func TestFitWeibullRecoversShape(t *testing.T) {
-	for _, k := range []float64{0.7, 1.0, 2.0} {
-		w, err := dist.NewWeibull(20, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples := sampleLaw(t, w, 8000, uint64(k*100))
-		fit, err := FitWeibull(samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fit.Shape()-k)/k > 0.06 {
-			t.Errorf("k=%v: fitted shape %v", k, fit.Shape())
-		}
-		if math.Abs(fit.Scale()-20)/20 > 0.06 {
-			t.Errorf("k=%v: fitted scale %v", k, fit.Scale())
-		}
-	}
-}
-
-func TestFitWeibullOnExponentialDataGivesShapeNearOne(t *testing.T) {
-	e, _ := dist.NewExponential(0.05)
-	samples := sampleLaw(t, e, 8000, 5)
-	fit, err := FitWeibull(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Shape()-1) > 0.05 {
-		t.Fatalf("exponential data fitted k = %v", fit.Shape())
-	}
-}
-
-func TestFitWeibullErrors(t *testing.T) {
-	if _, err := FitWeibull([]float64{1, 2}); err == nil {
-		t.Error("too few samples accepted")
-	}
-	if _, err := FitWeibull([]float64{1, 0, 2}); err == nil {
-		t.Error("zero sample accepted")
-	}
-}
-
 func TestExponentialGoodness(t *testing.T) {
 	e, _ := dist.NewExponential(0.1)
 	cv2, err := ExponentialGoodness(sampleLaw(t, e, 20000, 9))

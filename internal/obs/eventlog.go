@@ -40,15 +40,6 @@ func NewEventLog(w io.Writer, runID string) *EventLog {
 	return &EventLog{l: l, runID: runID}
 }
 
-// WithRun returns a copy of the log bound to a different run ID (e.g.
-// one log sink shared by several campaign cells). Nil-safe.
-func (e *EventLog) WithRun(runID string) *EventLog {
-	if e == nil {
-		return nil
-	}
-	return &EventLog{l: e.l.With("run_id", runID), runID: runID}
-}
-
 // WithLabel returns a copy of the log that stamps label on every record
 // (e.g. one campaign cell's system and technique), so the records of
 // campaigns running at once into one log group by campaign. Nil-safe.

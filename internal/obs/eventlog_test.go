@@ -72,27 +72,10 @@ func TestEventLogNilSafe(t *testing.T) {
 	e.Error("failed", errors.New("x"))
 	e.CampaignEnd("complete", 10, time.Second)
 	e.Event("anything")
-	if e.WithRun("r") != nil {
-		t.Fatal("nil log WithRun should stay nil")
+	if e.WithLabel("x") != nil {
+		t.Fatal("nil log WithLabel should stay nil")
 	}
 	if e.RunID() != "" {
 		t.Fatal("nil log RunID should be empty")
-	}
-}
-
-func TestEventLogWithRun(t *testing.T) {
-	var sb strings.Builder
-	e := NewEventLog(&sb, "")
-	e.Event("plain")
-	e.WithRun("abcd").Event("bound")
-	recs := decodeLines(t, sb.String())
-	if _, has := recs[0]["run_id"]; has {
-		t.Fatalf("unbound record has run_id: %v", recs[0])
-	}
-	if recs[1]["run_id"] != "abcd" {
-		t.Fatalf("bound record: %v", recs[1])
-	}
-	if e.WithRun("abcd").RunID() != "abcd" {
-		t.Fatal("RunID not recorded")
 	}
 }

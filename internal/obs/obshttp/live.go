@@ -49,8 +49,8 @@ func (l *Live) PublishSpans(spans []obs.SpanNode) {
 	l.mu.Unlock()
 }
 
-// PublishFlight renders a flight dump (wire it to trace.FlightPool.Dump
-// or trace.WriteFlight) and checkpoints the bytes served at /flight.
+// PublishFlight renders a flight dump (wire it to
+// trace.WriteFlightWithRun) and checkpoints the bytes served at /flight.
 func (l *Live) PublishFlight(dump func(io.Writer) error) error {
 	var b bytes.Buffer
 	if err := dump(&b); err != nil {

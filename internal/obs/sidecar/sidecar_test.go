@@ -79,7 +79,7 @@ func TestWriterThrottleAndFlush(t *testing.T) {
 	clock := newFakeClock()
 	w := NewWriter(path, Meta{
 		RunID: "deadbeefdeadbeef", ConfigDigest: "deadbeefdeadbeef",
-		Label: "D7/daly", Shard: 0, Of: 2, Refresh: time.Second,
+		Label: "D7/daly", Shard: 0, Of: 2,
 	})
 	w.Now = clock.now
 

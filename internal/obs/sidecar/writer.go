@@ -14,8 +14,9 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultRefresh is the default sidecar refresh period.
-const DefaultRefresh = time.Second
+// refresh is the minimum period between sidecar rewrites; final and
+// checkpoint-flagged updates always write.
+const refresh = time.Second
 
 // Meta is the static identity a Writer stamps into every sidecar.
 type Meta struct {
@@ -25,15 +26,11 @@ type Meta struct {
 	// Shard/Of locate the process in the fleet; Of 0 is normalized to
 	// an unsharded 0/1.
 	Shard, Of int
-	// Refresh is the minimum period between sidecar rewrites (0 means
-	// DefaultRefresh). Final and checkpoint-flagged updates always
-	// write.
-	Refresh time.Duration
 }
 
 // Writer maintains one progress sidecar. Its Update method is a
 // sim.Campaign Progress hook: it records every update but rewrites the
-// file (atomically, temp + rename) at most once per Refresh — except
+// file (atomically, temp + rename) at most once a second — except
 // for checkpoint-flagged and final updates, which always flush, so the
 // sidecar honors the final-state-on-error contract. Safe for concurrent
 // use (the campaign calls Update under its merge lock; the owning
@@ -42,9 +39,8 @@ type Writer struct {
 	// Now overrides the clock (tests).
 	Now func() time.Time
 
-	path    string
-	meta    Meta
-	refresh time.Duration
+	path string
+	meta Meta
 
 	mu          sync.Mutex
 	started     time.Time
@@ -64,11 +60,7 @@ func NewWriter(path string, meta Meta) *Writer {
 	if meta.Of <= 0 {
 		meta.Shard, meta.Of = 0, 1
 	}
-	refresh := meta.Refresh
-	if refresh <= 0 {
-		refresh = DefaultRefresh
-	}
-	return &Writer{path: path, meta: meta, refresh: refresh}
+	return &Writer{path: path, meta: meta}
 }
 
 // Path returns the sidecar path.
@@ -117,7 +109,7 @@ func (w *Writer) Update(u sim.ProgressUpdate) {
 	if u.Checkpointed {
 		w.ckptAt = now
 	}
-	if u.Final || u.Checkpointed || now.Sub(w.lastWrite) >= w.refresh {
+	if u.Final || u.Checkpointed || now.Sub(w.lastWrite) >= refresh {
 		w.writeLocked(now)
 	}
 }
@@ -156,7 +148,7 @@ func (w *Writer) writeLocked(now time.Time) {
 
 		StartedUnixMS: w.started.UnixMilli(),
 		UpdatedUnixMS: now.UnixMilli(),
-		RefreshMS:     w.refresh.Milliseconds(),
+		RefreshMS:     refresh.Milliseconds(),
 		PeakRSSBytes:  readPeakRSS(),
 	}
 	if u.State == "" {

@@ -180,17 +180,3 @@ func LowestLevels(l int) []int {
 	}
 	return out
 }
-
-// TopLevels returns the ascending subset of the k highest levels of an
-// L-level system, e.g. TopLevels(4, 2) = [3 4]. Used for models limited
-// to fewer levels than the system provides (Daly, Di).
-func TopLevels(numLevels, k int) []int {
-	if k > numLevels {
-		k = numLevels
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = numLevels - k + i + 1
-	}
-	return out
-}

@@ -1,9 +1,7 @@
 package pattern
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -180,12 +178,6 @@ func TestLevelHelpers(t *testing.T) {
 	if got := LowestLevels(2); len(got) != 2 || got[1] != 2 {
 		t.Fatalf("LowestLevels = %v", got)
 	}
-	if got := TopLevels(4, 2); len(got) != 2 || got[0] != 3 || got[1] != 4 {
-		t.Fatalf("TopLevels = %v", got)
-	}
-	if got := TopLevels(2, 5); len(got) != 2 || got[0] != 1 {
-		t.Fatalf("TopLevels clamp = %v", got)
-	}
 }
 
 func TestString(t *testing.T) {
@@ -240,37 +232,5 @@ func TestTopLevelCheckpointEndsPeriod(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	s := sys3()
-	p := Plan{Tau0: 2.5, Counts: []int{2, 1}, Levels: []int{1, 2, 3}}
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Tau0 != p.Tau0 || back.Counts[1] != 1 || back.Levels[2] != 3 {
-		t.Fatalf("round trip = %v", back)
-	}
-}
-
-func TestReadJSONValidates(t *testing.T) {
-	s := sys3()
-	if _, err := ReadJSON(strings.NewReader(`{"tau0_minutes":-1,"levels":[1]}`), s); err == nil {
-		t.Fatal("invalid plan accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"tau0_minutes":1,"levels":[9]}`), s); err == nil {
-		t.Fatal("bad level accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`{"bogus":1}`), s); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := ReadJSON(strings.NewReader(`nope`), s); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

@@ -33,18 +33,15 @@ type PairedCampaign struct {
 	// *ExactSink: the paired statistics read per-trial results.
 	Arms []Campaign
 	// TargetCI, when positive, enables sequential stopping: trials run
-	// in batches (all arms advance in lockstep) until the paired 95% CI
-	// half-width of every pairwise mean-efficiency difference is at most
-	// TargetCI, or the Trials budget is exhausted. The first check comes
-	// after 16 trials per arm. The stopping decision depends only on
-	// accumulated trial results, so it is deterministic for a given Seed
-	// regardless of Workers or of where a run was resumed.
+	// in batches of 64 per arm (all arms advance in lockstep) until the
+	// paired 95% CI half-width of every pairwise mean-efficiency
+	// difference is at most TargetCI, or the Trials budget is exhausted.
+	// The stopping decision depends only on accumulated trial results,
+	// so it is deterministic for a given Seed regardless of Workers or
+	// of where a run was resumed. A checkpointing arm's block size must
+	// divide the batch, so that every batch end lies on the block grid
+	// that checkpoint files are validated against.
 	TargetCI float64
-	// BatchSize is the per-arm trials per sequential batch (0 = 64).
-	// With TargetCI and a checkpointing arm it must be a multiple of the
-	// block size, so that every batch end lies on the block grid that
-	// checkpoint files are validated against.
-	BatchSize int
 	// ControlVariates additionally reports a control-variate-adjusted
 	// estimate for each pairwise difference, using the failure-count
 	// martingale control F − λ·W (exactly mean-zero for the default
@@ -107,13 +104,12 @@ func (r *PairedResult) Comparison(a, b int) *ArmComparison {
 	return nil
 }
 
-// Batches hold defaultBatchSize trials when BatchSize is 0; the first
-// stopping check comes after pairedMinTrials trials per arm; the
-// comparisons and the stopping rule use confidence level pairedLevel.
+// A sequential batch holds pairedBatch trials per arm, and the stopping
+// rule is checked at each batch end; the comparisons and the stopping
+// rule use confidence level pairedLevel.
 const (
-	defaultBatchSize = 64
-	pairedMinTrials  = 16
-	pairedLevel      = 0.95
+	pairedBatch = 64
+	pairedLevel = 0.95
 )
 
 // Run executes the paired campaign. Every arm opens as Campaign.Run
@@ -124,9 +120,6 @@ const (
 // A halted arm (CheckpointConfig.HaltAfter) halts the whole run with
 // ErrCampaignHalted.
 func (pc PairedCampaign) Run() (PairedResult, error) {
-	if pc.BatchSize == 0 {
-		pc.BatchSize = defaultBatchSize
-	}
 	if err := pc.validate(); err != nil {
 		return PairedResult{}, err
 	}
@@ -222,7 +215,7 @@ func (pc PairedCampaign) lockstep(runs []*campaignRun, sinks []*ExactSink) (int,
 	trials := pc.Arms[0].Trials
 	step := trials // no stopping rule: one full-range pass per arm
 	if pc.TargetCI > 0 {
-		step = pc.BatchSize
+		step = pairedBatch
 	}
 	n := 0
 	for n < trials {
@@ -244,7 +237,7 @@ func (pc PairedCampaign) lockstep(runs []*campaignRun, sinks []*ExactSink) (int,
 			}
 		}
 		n = next
-		if pc.TargetCI > 0 && n >= pairedMinTrials && pc.converged(sinks, n) {
+		if pc.TargetCI > 0 && pc.converged(sinks, n) {
 			break
 		}
 	}
@@ -293,9 +286,6 @@ func (pc PairedCampaign) validate() error {
 	if !(pc.TargetCI >= 0) || math.IsInf(pc.TargetCI, 1) {
 		return fmt.Errorf("sim: paired TargetCI %v is not a finite, non-negative CI half-width", pc.TargetCI)
 	}
-	if pc.BatchSize < 0 {
-		return fmt.Errorf("sim: negative paired BatchSize %d", pc.BatchSize)
-	}
 	base := &pc.Arms[0]
 	for s, law := range base.Scenario.FailureLaws {
 		if pc.ControlVariates && law != nil {
@@ -328,9 +318,9 @@ func (pc PairedCampaign) validate() error {
 				return fmt.Errorf("sim: paired arm %d checkpoints to %s, as arm %d does", a, ck.Path, b)
 			}
 			ckptArm[ck.Path] = a
-			if pc.TargetCI > 0 && pc.BatchSize%arm.blockSize() != 0 {
-				return fmt.Errorf("sim: paired arm %d checkpoints, but BatchSize %d is not a multiple of its block size %d, so batch ends would fall off the block grid",
-					a, pc.BatchSize, arm.blockSize())
+			if pc.TargetCI > 0 && pairedBatch%arm.blockSize() != 0 {
+				return fmt.Errorf("sim: paired arm %d checkpoints, but the batch of %d trials is not a multiple of its block size %d, so batch ends would fall off the block grid",
+					a, pairedBatch, arm.blockSize())
 			}
 		}
 	}

@@ -81,19 +81,27 @@ func TestPairedCampaignMarginalsBitwiseIdentical(t *testing.T) {
 
 // Sequential batching must not change any trial: a run whose target is
 // unreachably tight (forcing it through every batch) must equal the
-// single-pass run bit for bit. Batches of 7 start off the block grid,
-// so every worker count below runs clipped first blocks.
+// single-pass run bit for bit. On blocks of 7 trials the second batch of
+// 64 starts off the block grid, so every worker count below runs clipped
+// blocks.
 func TestPairedCampaignBatchingInvariant(t *testing.T) {
 	_, arms := crnArms(t)
 	seed := rng.Campaign(12, "crn").Scenario("batch")
-	onePass, err := PairedCampaign{Arms: campaigns(arms, 90, seed, 0)}.Run()
+	blocksOf7 := func(workers int) []Campaign {
+		c := campaigns(arms, 90, seed, workers)
+		for a := range c {
+			c[a].Block = 7
+		}
+		return c
+	}
+	onePass, err := PairedCampaign{Arms: blocksOf7(0)}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
 		batched, err := PairedCampaign{
-			Arms:     campaigns(arms, 90, seed, workers),
-			TargetCI: 1e-15, BatchSize: 7,
+			Arms:     blocksOf7(workers),
+			TargetCI: 1e-15,
 		}.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +126,8 @@ func TestPairedCampaignWorkerDeterminism(t *testing.T) {
 	var prev *PairedResult
 	for _, workers := range []int{1, 3, 8} {
 		res, err := PairedCampaign{
-			Arms:     campaigns(arms, 300, seed, workers),
-			TargetCI: 0.002, BatchSize: 16,
+			Arms:            campaigns(arms, 300, seed, workers),
+			TargetCI:        0.002,
 			ControlVariates: true,
 		}.Run()
 		if err != nil {
@@ -141,7 +149,7 @@ func TestPairedCampaignSequentialStops(t *testing.T) {
 		Arms: campaigns(arms[:2], 2000, rng.Campaign(14, "crn").Scenario("stop"), 0),
 		// Probe runs put the 2000-trial paired width near 1e-4; a 10x
 		// looser target should stop far earlier.
-		TargetCI: 1e-3, BatchSize: 16,
+		TargetCI: 1e-3,
 	}
 	res, err := pc.Run()
 	if err != nil {
@@ -282,9 +290,6 @@ func TestPairedCampaignValidation(t *testing.T) {
 			t.Errorf("TargetCI %v accepted", target)
 		}
 	}
-	if _, err := (PairedCampaign{Arms: campaigns(arms[:2], 10, seed, 0), BatchSize: -1}).Run(); err == nil {
-		t.Error("negative BatchSize accepted")
-	}
 }
 
 // Arms that do not pair, or that a paired run cannot read or resume,
@@ -308,8 +313,11 @@ func TestPairedCampaignArmRejections(t *testing.T) {
 		}, "arm 1 checkpoints to"},
 		{"unaligned batch", func(pc *PairedCampaign) {
 			pc.Arms = checkpointed(pc.Arms, dir, false, 0)
-			pc.TargetCI, pc.BatchSize = 0.01, 12
-		}, "arm 0 checkpoints, but BatchSize 12"},
+			for a := range pc.Arms {
+				pc.Arms[a].Block = 12
+			}
+			pc.TargetCI = 0.01
+		}, "arm 0 checkpoints, but the batch of 64 trials is not a multiple of its block size 12"},
 	} {
 		pc := PairedCampaign{Arms: campaigns(scenarios[:2], 48, seed, 2)}
 		tc.edit(&pc)
@@ -324,7 +332,7 @@ func TestPairedCampaignArmRejections(t *testing.T) {
 	if _, err := (PairedCampaign{Arms: full}).Run(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := PairedCampaign{Arms: checkpointed(full, dir, true, 0), TargetCI: 0.01, BatchSize: 16}.Run()
+	_, err := PairedCampaign{Arms: checkpointed(full, dir, true, 0), TargetCI: 0.01}.Run()
 	if err == nil || !strings.Contains(err.Error(), "past the stopping point") {
 		t.Errorf("resume past the stop: err = %v, want a past-the-stopping-point error", err)
 	}
@@ -388,7 +396,7 @@ func TestPairedCampaignKillAndResume(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			arms := campaigns(scenarios, trials, seed, workers)
 			paired := func(arms []Campaign) PairedCampaign {
-				return PairedCampaign{Arms: arms, TargetCI: target, BatchSize: 16, ControlVariates: true}
+				return PairedCampaign{Arms: arms, TargetCI: target, ControlVariates: true}
 			}
 			want, err := paired(arms).Run()
 			if err != nil {

@@ -46,28 +46,6 @@ func (p *PairedSample) AddAll(as, bs []float64) error {
 	return nil
 }
 
-// Merge combines another paired sample into p (parallel reduction).
-// Like Sample.Merge, an aliased merge is a no-op.
-func (p *PairedSample) Merge(o *PairedSample) {
-	if p == o || o.n == 0 {
-		return
-	}
-	if p.n == 0 {
-		*p = *o
-		return
-	}
-	n := float64(p.n + o.n)
-	w := float64(p.n) * float64(o.n) / n
-	da := o.meanA - p.meanA
-	db := o.meanB - p.meanB
-	p.m2A += o.m2A + float64(da*da*w)
-	p.m2B += o.m2B + float64(db*db*w)
-	p.cab += o.cab + float64(da*db*w)
-	p.meanA += da * float64(o.n) / n
-	p.meanB += db * float64(o.n) / n
-	p.n += o.n
-}
-
 // N returns the number of pairs.
 func (p *PairedSample) N() int { return p.n }
 

@@ -22,18 +22,6 @@ func TestSampleMergeSelfAlias(t *testing.T) {
 	}
 }
 
-func TestPairedSampleMergeSelfAlias(t *testing.T) {
-	var p PairedSample
-	p.Add(1, 2)
-	p.Add(3, 5)
-	p.Add(4, 4)
-	want := p
-	p.Merge(&p)
-	if p != want {
-		t.Fatalf("self-merge changed the paired sample: got %+v, want %+v", p, want)
-	}
-}
-
 // Quantiles must agree with per-call Quantile while sorting only once;
 // SortedQuantile must agree on pre-sorted input.
 func TestQuantilesAgree(t *testing.T) {
@@ -156,42 +144,6 @@ func TestPairedSampleMoments(t *testing.T) {
 	corr := cov / (Std(as) * Std(bs))
 	if math.Abs(p.Corr()-corr) > 1e-9 {
 		t.Fatalf("Corr = %v, want %v", p.Corr(), corr)
-	}
-}
-
-// Splitting the pairs across shards and merging must reproduce the
-// single-accumulator moments.
-func TestPairedSampleMerge(t *testing.T) {
-	r := rand.New(rand.NewPCG(5, 6))
-	var whole, s1, s2, s3 PairedSample
-	for i := 0; i < 300; i++ {
-		a, b := r.NormFloat64(), r.NormFloat64()
-		whole.Add(a, b)
-		switch i % 3 {
-		case 0:
-			s1.Add(a, b)
-		case 1:
-			s2.Add(a, b)
-		default:
-			s3.Add(a, b)
-		}
-	}
-	var merged PairedSample
-	merged.Merge(&s1)
-	merged.Merge(&s2)
-	merged.Merge(&s3)
-	if merged.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", merged.N(), whole.N())
-	}
-	for name, pair := range map[string][2]float64{
-		"meanA":   {merged.MeanA(), whole.MeanA()},
-		"meanB":   {merged.MeanB(), whole.MeanB()},
-		"cov":     {merged.Cov(), whole.Cov()},
-		"varDiff": {merged.VarDiff(), whole.VarDiff()},
-	} {
-		if math.Abs(pair[0]-pair[1]) > 1e-9 {
-			t.Errorf("%s: merged %v, whole %v", name, pair[0], pair[1])
-		}
 	}
 }
 

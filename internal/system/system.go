@@ -1,8 +1,7 @@
 // Package system describes the failure-prone HPC systems the paper
 // evaluates: an ordered set of checkpoint/restart levels, a system MTBF,
 // and the probability distribution of failure severity classes. It also
-// carries the Table I catalog of test systems, level projection for
-// models restricted to fewer levels (Daly, Di), and the exascale scaling
+// carries the Table I catalog of test systems and the exascale scaling
 // knobs used by Figures 4 and 5.
 //
 // Conventions (matching the paper): all times are in minutes; levels are
@@ -128,54 +127,6 @@ func (s *System) Clone() *System {
 	c := *s
 	c.Levels = append([]Level(nil), s.Levels...)
 	return &c
-}
-
-// Project maps the system onto a model that only understands the given
-// 1-based subset of levels (ascending). Severity mass of a class is
-// assigned to the lowest kept level that can recover it (the first kept
-// level >= the class); severity classes above the highest kept level are
-// dropped from the projection and reported in residual (the caller
-// decides whether those mean "restart from scratch" or are excluded).
-//
-// Example: Daly uses Project([L]) — one PFS level absorbing all severity
-// mass; Di on a 4-level system uses Project([3, 4]).
-func (s *System) Project(keep []int) (*System, float64, error) {
-	if len(keep) == 0 {
-		return nil, 0, errors.New("system: projection needs at least one level")
-	}
-	prev := 0
-	for _, k := range keep {
-		if k <= prev || k > len(s.Levels) {
-			return nil, 0, fmt.Errorf("system %s: projection levels %v must be ascending 1-based and <= %d", s.Name, keep, len(s.Levels))
-		}
-		prev = k
-	}
-	out := &System{
-		Name:         fmt.Sprintf("%s/project%v", s.Name, keep),
-		Source:       s.Source,
-		MTBF:         s.MTBF,
-		BaselineTime: s.BaselineTime,
-	}
-	lo := 1
-	var assigned float64
-	for _, k := range keep {
-		var mass float64
-		for sev := lo; sev <= k; sev++ {
-			mass += s.Levels[sev-1].SeverityProb
-		}
-		lo = k + 1
-		out.Levels = append(out.Levels, Level{
-			Checkpoint:   s.Levels[k-1].Checkpoint,
-			Restart:      s.Levels[k-1].Restart,
-			SeverityProb: mass,
-		})
-		assigned += mass
-	}
-	residual := 1 - assigned
-	if residual < 0 {
-		residual = 0
-	}
-	return out, residual, nil
 }
 
 // WithMTBF returns a copy with the MTBF replaced (Figure 4/5 scaling).

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool {
@@ -127,9 +126,12 @@ func TestTableISpotValues(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	n := Names()
+	var n []string
+	for _, s := range TableI() {
+		n = append(n, s.Name)
+	}
 	if len(n) != 11 || n[0] != "M" || n[10] != "D9" {
-		t.Fatalf("Names() = %v", n)
+		t.Fatalf("Table I names = %v", n)
 	}
 }
 
@@ -140,97 +142,6 @@ func TestCloneIsDeep(t *testing.T) {
 	c.MTBF = 1
 	if s.Levels[0].Checkpoint == 99 || s.MTBF == 1 {
 		t.Fatal("Clone shares state with original")
-	}
-}
-
-func TestProjectSingleLevel(t *testing.T) {
-	s := demo()
-	p, residual, err := s.Project([]int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residual != 0 {
-		t.Fatalf("residual = %v", residual)
-	}
-	if p.NumLevels() != 1 || !almost(p.Levels[0].SeverityProb, 1, 1e-12) {
-		t.Fatalf("projection wrong: %v", p)
-	}
-	if p.Levels[0].Checkpoint != 5 {
-		t.Fatalf("projected checkpoint = %v", p.Levels[0].Checkpoint)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProjectTwoOfThree(t *testing.T) {
-	s := demo()
-	p, residual, err := s.Project([]int{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residual != 0 {
-		t.Fatalf("residual = %v", residual)
-	}
-	// Severities 1 and 2 both recover from the kept level 2.
-	if !almost(p.Levels[0].SeverityProb, 0.8, 1e-12) || !almost(p.Levels[1].SeverityProb, 0.2, 1e-12) {
-		t.Fatalf("projected severities: %+v", p.Levels)
-	}
-	if p.Levels[0].Checkpoint != 1 || p.Levels[1].Checkpoint != 5 {
-		t.Fatalf("projected costs: %+v", p.Levels)
-	}
-}
-
-func TestProjectDropsTop(t *testing.T) {
-	s := demo()
-	p, residual, err := s.Project([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(residual, 0.2, 1e-12) {
-		t.Fatalf("residual = %v, want 0.2", residual)
-	}
-	if p.NumLevels() != 2 || !almost(p.Levels[0].SeverityProb, 0.5, 1e-12) {
-		t.Fatalf("projection wrong: %+v", p.Levels)
-	}
-}
-
-func TestProjectRejectsBadSubsets(t *testing.T) {
-	s := demo()
-	for _, keep := range [][]int{nil, {0}, {4}, {2, 2}, {3, 1}} {
-		if _, _, err := s.Project(keep); err == nil {
-			t.Errorf("Project(%v) accepted", keep)
-		}
-	}
-}
-
-func TestProjectMassConservation(t *testing.T) {
-	f := func(a, b, c uint8, dropTop bool) bool {
-		probs := []float64{float64(a) + 1, float64(b) + 1, float64(c) + 1}
-		var sum float64
-		for _, p := range probs {
-			sum += p
-		}
-		s := demo()
-		for i := range s.Levels {
-			s.Levels[i].SeverityProb = probs[i] / sum
-		}
-		keep := []int{1, 2, 3}
-		if dropTop {
-			keep = []int{1, 2}
-		}
-		p, residual, err := s.Project(keep)
-		if err != nil {
-			return false
-		}
-		var got float64
-		for _, l := range p.Levels {
-			got += l.SeverityProb
-		}
-		return almost(got+residual, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

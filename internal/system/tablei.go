@@ -90,13 +90,3 @@ func ByName(name string) (*System, error) {
 	}
 	return nil, fmt.Errorf("system: no Table I system named %q", name)
 }
-
-// Names returns the Table I system names in paper order.
-func Names() []string {
-	rows := TableI()
-	out := make([]string, len(rows))
-	for i, s := range rows {
-		out[i] = s.Name
-	}
-	return out
-}

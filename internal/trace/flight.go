@@ -24,8 +24,8 @@ import (
 // event path, and the steady-state path allocates nothing — the current
 // stream buffer and the ring slots swap storage instead of reallocating.
 type FlightRecorder struct {
-	opts FlightOptions
-	hist *obs.Histogram
+	judge func(last sim.Event) (reason string, hold bool)
+	hist  *obs.Histogram
 
 	trial   int // index of the trial currently recording
 	started bool
@@ -34,7 +34,7 @@ type FlightRecorder struct {
 	next    int // ring write position
 	filled  int
 	held    []heldStream
-	dropped int // holds discarded once opts.MaxHold was reached
+	dropped int // holds discarded once flightMaxHold streams were held
 	seen    int // terminated trials observed
 }
 
@@ -52,65 +52,36 @@ type heldStream struct {
 	events []sim.Event
 }
 
-// FlightOptions configures a recorder. The zero value means: keep 8
-// recent trials, hold at most 32 anomalous streams, hold makespans
-// beyond the observed p99 once 20 trials have completed, no judge.
-type FlightOptions struct {
-	// Keep is the number of recent (non-held) trial streams retained.
-	Keep int
-	// MaxHold caps the number of pinned anomalous streams; further
-	// holds are counted but dropped (oldest kept — early anomalies are
-	// usually the interesting ones).
-	MaxHold int
-	// HoldQuantile pins trials whose makespan exceeds this running
-	// quantile of the makespans seen so far (per worker). Negative
-	// disables; 0 means the default 0.99.
-	HoldQuantile float64
-	// MinSample is the number of terminated trials required before the
-	// quantile hold activates (a threshold estimated from three trials
-	// pins noise). 0 means the default 20.
-	MinSample int
-	// Judge, when non-nil, is consulted at every trial-terminal event;
-	// returning (reason, true) pins the stream. Wire it to a
-	// conformance checker observing the same worker's trials (order the
-	// checker before the recorder in obs.Multi so its verdict is
-	// current).
-	Judge func(last sim.Event) (reason string, hold bool)
-}
-
-func (o FlightOptions) withDefaults() FlightOptions {
-	if o.Keep <= 0 {
-		o.Keep = 8
-	}
-	if o.MaxHold <= 0 {
-		o.MaxHold = 32
-	}
-	if o.HoldQuantile == 0 {
-		o.HoldQuantile = 0.99
-	}
-	if o.MinSample <= 0 {
-		o.MinSample = 20
-	}
-	return o
-}
+// A recorder keeps the streams of the last flightKeep trials and holds
+// at most flightMaxHold anomalous streams; further holds are counted in
+// Dropped but not kept (early anomalies are usually the interesting
+// ones). Once flightMinTrials trials have ended, it holds every trial
+// whose makespan lies beyond the flightHoldQuantile of the makespans
+// seen so far (a threshold estimated from three trials pins noise).
+const (
+	flightKeep         = 8
+	flightMaxHold      = 32
+	flightHoldQuantile = 0.99
+	flightMinTrials    = 20
+)
 
 // NewFlightRecorder returns a recorder for one worker goroutine.
-func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
-	o := opts.withDefaults()
+func NewFlightRecorder() *FlightRecorder {
 	return &FlightRecorder{
-		opts:   o,
 		hist:   obs.NewHistogram(),
 		trial:  -1,
-		recent: make([]flightEntry, o.Keep),
+		recent: make([]flightEntry, flightKeep),
 	}
 }
 
-// SetJudge installs (or replaces) the anomaly judge on this recorder —
-// for per-worker judges that close over worker-local state, such as a
-// conformance checker observing the same worker's trials (see
-// FlightOptions.Judge). Call it before the recorder observes events.
+// SetJudge installs (or replaces) the anomaly judge on this recorder.
+// The judge is consulted at every trial-terminal event, and returning
+// (reason, true) holds the stream. Wire it to a conformance checker
+// observing the same worker's trials, ordered before the recorder in
+// obs.Multi so that its verdict is current. Call it before the recorder
+// observes events.
 func (r *FlightRecorder) SetJudge(judge func(last sim.Event) (reason string, hold bool)) {
-	r.opts.Judge = judge
+	r.judge = judge
 }
 
 // BeginTrial labels the next event stream with its campaign trial index
@@ -132,20 +103,19 @@ func (r *FlightRecorder) Observe(e sim.Event) {
 // endTrial decides the fate of the just-terminated stream.
 func (r *FlightRecorder) endTrial(last sim.Event) {
 	reason := ""
-	if r.opts.Judge != nil {
-		if why, hold := r.opts.Judge(last); hold {
+	if r.judge != nil {
+		if why, hold := r.judge(last); hold {
 			reason = why
 		}
 	}
 	makespan := last.Time
-	if reason == "" && r.opts.HoldQuantile > 0 && r.opts.HoldQuantile < 1 &&
-		r.seen >= r.opts.MinSample && makespan > r.hist.Quantile(r.opts.HoldQuantile) {
-		reason = fmt.Sprintf("makespan %.6g beyond p%g", makespan, 100*r.opts.HoldQuantile)
+	if reason == "" && r.seen >= flightMinTrials && makespan > r.hist.Quantile(flightHoldQuantile) {
+		reason = fmt.Sprintf("makespan %.6g beyond p%g", makespan, 100*flightHoldQuantile)
 	}
 	r.hist.Observe(makespan)
 	r.seen++
 	if reason != "" {
-		if len(r.held) < r.opts.MaxHold {
+		if len(r.held) < flightMaxHold {
 			r.held = append(r.held, heldStream{
 				trial:  r.currentTrial(),
 				reason: reason,
@@ -181,10 +151,11 @@ func (r *FlightRecorder) currentTrial() int {
 }
 
 // Held returns how many anomalous streams are pinned (excluding any
-// dropped past MaxHold).
+// dropped past the cap of flightMaxHold).
 func (r *FlightRecorder) Held() int { return len(r.held) }
 
-// Dropped returns how many holds were discarded at the MaxHold cap.
+// Dropped returns how many holds were discarded at the cap of
+// flightMaxHold.
 func (r *FlightRecorder) Dropped() int { return r.dropped }
 
 // FlightStream is one dumped trial event stream.
@@ -258,11 +229,6 @@ type flightHeader struct {
 
 const flightFormatName = "mlckpt-flight"
 
-// WriteFlight serializes flight streams as JSON.
-func WriteFlight(w io.Writer, streams []FlightStream) error {
-	return WriteFlightWithRun(w, "", streams)
-}
-
 // WriteFlightWithRun serializes flight streams stamped with a fleet run
 // ID (empty omits the field, matching older dumps).
 func WriteFlightWithRun(w io.Writer, runID string, streams []FlightStream) error {
@@ -271,14 +237,8 @@ func WriteFlightWithRun(w io.Writer, runID string, streams []FlightStream) error
 	return enc.Encode(flightHeader{Format: flightFormatName, Version: 1, RunID: runID, Streams: streams})
 }
 
-// ReadFlight deserializes a dump previously produced by WriteFlight.
-func ReadFlight(rd io.Reader) ([]FlightStream, error) {
-	streams, _, err := ReadFlightRun(rd)
-	return streams, err
-}
-
-// ReadFlightRun deserializes a dump along with its run ID ("" for dumps
-// written without one).
+// ReadFlightRun deserializes a dump written by WriteFlightWithRun, along
+// with its run ID ("" for dumps written without one).
 func ReadFlightRun(rd io.Reader) ([]FlightStream, string, error) {
 	var h flightHeader
 	if err := json.NewDecoder(rd).Decode(&h); err != nil {
@@ -298,11 +258,6 @@ func ReadFlightRun(rd io.Reader) ([]FlightStream, string, error) {
 // run. Recorder/Observer are safe for concurrent use; each returned
 // recorder must stay goroutine-local.
 type FlightPool struct {
-	// Options configures every recorder the pool hands out. Judge, if
-	// set, is shared — it must be safe for concurrent use or derive
-	// per-worker state from the event stream alone.
-	Options FlightOptions
-
 	mu   sync.Mutex
 	recs map[int]*FlightRecorder
 }
@@ -317,7 +272,7 @@ func (p *FlightPool) Recorder(worker int) *FlightRecorder {
 	}
 	r, ok := p.recs[worker]
 	if !ok {
-		r = NewFlightRecorder(p.Options)
+		r = NewFlightRecorder()
 		p.recs[worker] = r
 	}
 	return r
@@ -355,20 +310,4 @@ func (p *FlightPool) Streams() []FlightStream {
 		return out[i].Trial < out[j].Trial
 	})
 	return out
-}
-
-// Held returns the total pinned streams across workers.
-func (p *FlightPool) Held() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, r := range p.recs {
-		n += r.Held()
-	}
-	return n
-}
-
-// Dump writes the pool's streams in the flight-dump format.
-func (p *FlightPool) Dump(w io.Writer) error {
-	return WriteFlight(w, p.Streams())
 }

@@ -19,15 +19,17 @@ func feedTrial(r *FlightRecorder, makespan float64) {
 	r.Observe(sim.Event{Time: makespan, Kind: sim.EvComplete, Progress: makespan})
 }
 
+// The ring keeps the streams of the last 8 trials; uniform makespans
+// are never held.
 func TestFlightRecorderRing(t *testing.T) {
-	r := NewFlightRecorder(FlightOptions{Keep: 3, HoldQuantile: -1})
-	for i := 0; i < 10; i++ {
+	r := NewFlightRecorder()
+	for i := 0; i < 30; i++ {
 		r.BeginTrial(i)
 		feedTrial(r, 1)
 	}
 	streams := r.Streams(0)
-	if len(streams) != 3 {
-		t.Fatalf("ring kept %d streams, want 3", len(streams))
+	if len(streams) != 8 {
+		t.Fatalf("ring kept %d streams, want 8", len(streams))
 	}
 	seen := map[int]bool{}
 	for _, s := range streams {
@@ -39,7 +41,7 @@ func TestFlightRecorderRing(t *testing.T) {
 		}
 		seen[s.Trial] = true
 	}
-	for _, want := range []int{7, 8, 9} {
+	for want := 22; want < 30; want++ {
 		if !seen[want] {
 			t.Fatalf("ring lost trial %d; kept %v", want, seen)
 		}
@@ -49,32 +51,40 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
+// A makespan beyond the running p99 is held once 20 trials have ended,
+// and not before.
 func TestFlightRecorderQuantileHold(t *testing.T) {
-	r := NewFlightRecorder(FlightOptions{Keep: 2, HoldQuantile: 0.9, MinSample: 20})
-	for i := 0; i < 50; i++ {
-		r.BeginTrial(i)
-		feedTrial(r, 1)
-	}
-	if r.Held() != 0 {
-		t.Fatalf("uniform makespans pinned %d streams", r.Held())
-	}
-	r.BeginTrial(50)
-	feedTrial(r, 100) // far beyond p90 of the 1.0s seen so far
-	if r.Held() != 1 {
-		t.Fatalf("outlier not pinned: held = %d", r.Held())
-	}
-	streams := r.Streams(0)
-	if !streams[0].Held || streams[0].Trial != 50 || !strings.Contains(streams[0].Reason, "beyond p90") {
-		t.Fatalf("held stream = %+v", streams[0])
+	for _, ended := range []int{19, 20} {
+		r := NewFlightRecorder()
+		for i := 0; i < ended; i++ {
+			r.BeginTrial(i)
+			feedTrial(r, 1)
+		}
+		r.BeginTrial(ended)
+		feedTrial(r, 100) // far beyond p99 of the 1.0s seen so far
+		if ended < 20 {
+			if r.Held() != 0 {
+				t.Fatalf("outlier after %d trials held: held = %d", ended, r.Held())
+			}
+			continue
+		}
+		if r.Held() != 1 {
+			t.Fatalf("outlier after %d trials not held: held = %d", ended, r.Held())
+		}
+		streams := r.Streams(0)
+		if !streams[0].Held || streams[0].Trial != ended || !strings.Contains(streams[0].Reason, "beyond p99") {
+			t.Fatalf("held stream = %+v", streams[0])
+		}
 	}
 }
 
 func TestFlightRecorderJudgeHold(t *testing.T) {
 	calls := 0
-	r := NewFlightRecorder(FlightOptions{HoldQuantile: -1, Judge: func(last sim.Event) (string, bool) {
+	r := NewFlightRecorder()
+	r.SetJudge(func(last sim.Event) (string, bool) {
 		calls++
 		return "invariant violated", calls == 2
-	}})
+	})
 	for i := 0; i < 3; i++ {
 		r.BeginTrial(i)
 		feedTrial(r, 1)
@@ -91,19 +101,20 @@ func TestFlightRecorderJudgeHold(t *testing.T) {
 	}
 }
 
+// At most 32 streams are held; holds past that are counted in Dropped.
 func TestFlightRecorderMaxHold(t *testing.T) {
-	r := NewFlightRecorder(FlightOptions{MaxHold: 2, HoldQuantile: -1,
-		Judge: func(sim.Event) (string, bool) { return "always", true }})
-	for i := 0; i < 5; i++ {
+	r := NewFlightRecorder()
+	r.SetJudge(func(sim.Event) (string, bool) { return "always", true })
+	for i := 0; i < 40; i++ {
 		feedTrial(r, 1)
 	}
-	if r.Held() != 2 || r.Dropped() != 3 {
-		t.Fatalf("held/dropped = %d/%d, want 2/3", r.Held(), r.Dropped())
+	if r.Held() != 32 || r.Dropped() != 8 {
+		t.Fatalf("held/dropped = %d/%d, want 32/8", r.Held(), r.Dropped())
 	}
 }
 
 func TestFlightRecorderUnterminatedHeld(t *testing.T) {
-	r := NewFlightRecorder(FlightOptions{HoldQuantile: -1})
+	r := NewFlightRecorder()
 	r.BeginTrial(0)
 	feedTrial(r, 1)
 	r.BeginTrial(1)
@@ -121,17 +132,23 @@ func TestFlightRecorderUnterminatedHeld(t *testing.T) {
 }
 
 func TestFlightDumpRoundTrip(t *testing.T) {
-	r := NewFlightRecorder(FlightOptions{HoldQuantile: -1,
-		Judge: func(sim.Event) (string, bool) { return "pin", true }})
+	r := NewFlightRecorder()
+	r.SetJudge(func(sim.Event) (string, bool) { return "pin", true })
 	r.BeginTrial(7)
 	feedTrial(r, 2.5)
 	var buf bytes.Buffer
-	if err := WriteFlight(&buf, r.Streams(1)); err != nil {
+	if err := WriteFlightWithRun(&buf, "", r.Streams(1)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFlight(bytes.NewReader(buf.Bytes()))
+	if bytes.Contains(buf.Bytes(), []byte("run_id")) {
+		t.Fatalf("dump without a run ID has a run_id field:\n%s", buf.Bytes())
+	}
+	got, runID, err := ReadFlightRun(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runID != "" {
+		t.Fatalf("run ID %q, want none", runID)
 	}
 	if len(got) != 2 { // the held copy and the ring copy
 		t.Fatalf("round-trip has %d streams, want 2", len(got))
@@ -149,8 +166,8 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if err := rec.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFlight(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadFlight accepted a mlckpt-trace file")
+	if _, _, err := ReadFlightRun(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("ReadFlightRun accepted a mlckpt-trace file")
 	}
 }
 
@@ -167,7 +184,7 @@ func flightScenario(t *testing.T) sim.Scenario {
 }
 
 func TestFlightPoolCampaign(t *testing.T) {
-	pool := &FlightPool{Options: FlightOptions{Keep: 4, HoldQuantile: 0.95, MinSample: 10}}
+	pool := &FlightPool{}
 	camp := sim.Campaign{
 		Scenario:        flightScenario(t),
 		Trials:          120,
@@ -180,12 +197,14 @@ func TestFlightPoolCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	streams := pool.Streams()
-	// 4 workers × ring of 4, plus any quantile holds.
-	if len(streams) < 16 {
-		t.Fatalf("streams = %d, want >= 16", len(streams))
-	}
+	// Every worker that ran a trial ran a whole block of 8 or more, so
+	// its ring is full: the ring streams come in eights, held ones aside.
+	ring := 0
 	trialSeen := map[int]int{}
 	for i, s := range streams {
+		if !s.Held {
+			ring++
+		}
 		if s.Trial < 0 || s.Trial >= 120 {
 			t.Fatalf("stream has out-of-range trial %d", s.Trial)
 		}
@@ -198,6 +217,9 @@ func TestFlightPoolCampaign(t *testing.T) {
 			t.Fatalf("streams unsorted at %d: %+v then %+v", i, streams[i-1], s)
 		}
 	}
+	if ring == 0 || ring%8 != 0 {
+		t.Fatalf("%d ring streams, want a positive multiple of 8", ring)
+	}
 	// The ring keeps each worker's LAST trials; with the i%workers
 	// round-robin, trial 119 belongs to worker 119%4=3 and must be
 	// present (either in the ring or held).
@@ -205,10 +227,10 @@ func TestFlightPoolCampaign(t *testing.T) {
 		t.Fatal("last trial's stream missing from dump")
 	}
 	var buf bytes.Buffer
-	if err := pool.Dump(&buf); err != nil {
+	if err := WriteFlightWithRun(&buf, "", streams); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFlight(bytes.NewReader(buf.Bytes()))
+	got, _, err := ReadFlightRun(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +244,9 @@ func TestFlightObserverDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Holds copy the stream (rare by design); disable them to measure
-	// the steady-state recycle path.
-	rec := NewFlightRecorder(FlightOptions{HoldQuantile: -1})
+	// A hold copies its stream, which is rare by design: the bound
+	// below leaves room for one.
+	rec := NewFlightRecorder()
 	eng.Observe(rec)
 	seed := rng.Campaign(3, "flight-alloc").Scenario("D7")
 	// Warm up: let the stream buffer and ring slots reach capacity.

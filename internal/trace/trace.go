@@ -68,21 +68,6 @@ func (r *Recorder) Write(w io.Writer) error {
 	return enc.Encode(header{Format: formatName, Version: 1, Records: r.Records})
 }
 
-// Read deserializes a trace previously produced by Write.
-func Read(rd io.Reader) (*Recorder, error) {
-	var h header
-	if err := json.NewDecoder(rd).Decode(&h); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	if h.Format != formatName {
-		return nil, fmt.Errorf("trace: not a %s file (format %q)", formatName, h.Format)
-	}
-	if h.Version != 1 {
-		return nil, fmt.Errorf("trace: unsupported version %d", h.Version)
-	}
-	return &Recorder{Records: h.Records}, nil
-}
-
 // RecordingSampler wraps a failure law and logs every draw.
 type RecordingSampler struct {
 	Inner dist.Sampler

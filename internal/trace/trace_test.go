@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -47,9 +48,12 @@ func TestRecorderRoundTrip(t *testing.T) {
 	if err := rec.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
-	if err != nil {
+	var back header
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
+	}
+	if back.Format != formatName || back.Version != 1 {
+		t.Fatalf("document is %s version %d, want %s version 1", back.Format, back.Version, formatName)
 	}
 	if len(back.Records) != len(rec.Records) {
 		t.Fatalf("round trip lost records: %d vs %d", len(back.Records), len(rec.Records))
@@ -59,15 +63,18 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
+// ReadFlightRun, the package's one reader, rejects what is not a
+// version-1 flight dump.
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Read(strings.NewReader(`{"format":"other","version":1}`)); err == nil {
-		t.Fatal("wrong format accepted")
-	}
-	if _, err := Read(strings.NewReader(`{"format":"mlckpt-trace","version":9}`)); err == nil {
-		t.Fatal("wrong version accepted")
+	for _, doc := range []string{
+		"not json",
+		`{"format":"other","version":1}`,
+		`{"format":"mlckpt-trace","version":1}`,
+		`{"format":"mlckpt-flight","version":9}`,
+	} {
+		if _, _, err := ReadFlightRun(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s accepted", doc)
+		}
 	}
 }
 
