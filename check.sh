@@ -20,6 +20,9 @@
 #                       campaign and on a CRN comparison
 #   ./check.sh fma      only the arm64 fused multiply-add gate
 #   ./check.sh cruise   only the call-free loop gate
+#   ./check.sh results  only the results/ gate: rebuild the published
+#                       artifacts with repro and compare them byte for
+#                       byte
 set -eu
 cd "$(dirname "$0")"
 
@@ -98,6 +101,35 @@ cruise_gate() {
     echo "no calls"
 }
 
+# results_gate: results/ is the published artifact. Rebuild it with the
+# repro targets in a temporary directory and require the same bytes
+# (diff -r), so a change to the program's output cannot leave it stale.
+# Running the same commands with D=results regenerates it:
+#   repro -quiet -outdir D all > D/all_stdout.txt
+#   repro -quiet fig2 > D/fig2_stdout.txt
+#   repro -quiet -outdir D T > D/T-stdout.txt   for T in ablation-async,
+#       ablation-policy, ablation-weibull and sensitivity
+results_gate() {
+    echo "== results/ gate (repro rebuild, diff -r)"
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    go build -o "$tmp/repro" ./cmd/repro
+    out="$tmp/results"
+    mkdir "$out"
+    "$tmp/repro" -quiet -outdir "$out" all >"$out/all_stdout.txt"
+    "$tmp/repro" -quiet fig2 >"$out/fig2_stdout.txt"
+    for t in ablation-async ablation-policy ablation-weibull sensitivity; do
+        "$tmp/repro" -quiet -outdir "$out" "$t" >"$out/$t-stdout.txt"
+    done
+    if ! diff -r results "$out"; then
+        echo "results/ differs from what repro writes" >&2
+        exit 1
+    fi
+    rm -rf "$tmp"
+    trap - EXIT
+    echo "results/ matches"
+}
+
 if [ "${1:-}" = "fma" ]; then
     fma_gate
     echo "OK"
@@ -105,6 +137,11 @@ if [ "${1:-}" = "fma" ]; then
 fi
 if [ "${1:-}" = "cruise" ]; then
     cruise_gate
+    echo "OK"
+    exit 0
+fi
+if [ "${1:-}" = "results" ]; then
+    results_gate
     echo "OK"
     exit 0
 fi
@@ -340,6 +377,7 @@ go test ./...
 # tiny and checks the harness against the program it measures.
 echo "== (cd bench && go test ./...)"
 (cd bench && go test ./...)
+results_gate
 # CRN neutrality gate: a paired campaign must leave every arm's
 # marginal result bitwise identical to a standalone campaign on the
 # same seed — at both the sim layer and the experiments layer.

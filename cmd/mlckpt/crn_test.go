@@ -216,12 +216,12 @@ func TestCRNCheckAndFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		streams, _, err := trace.ReadFlightRun(f)
+		d, err := trace.ReadFlight(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		labels := map[string]int{}
-		for _, s := range streams {
+		for _, s := range d.Streams {
 			labels[s.Label]++
 		}
 		if len(labels) != 2 || labels["di"] == 0 || labels["moody"] == 0 {

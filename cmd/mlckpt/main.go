@@ -259,7 +259,7 @@ func run(args []string, stdout io.Writer) error {
 		opt.TrialStats = live.Stats
 		// Publish an empty dump so /flight serves from the start.
 		if err := live.PublishFlight(func(w io.Writer) error {
-			return trace.WriteFlightWithRun(w, runID, nil)
+			return trace.WriteFlight(w, trace.FlightDump{RunID: runID})
 		}); err != nil {
 			return err
 		}
@@ -295,14 +295,14 @@ func run(args []string, stdout io.Writer) error {
 		}
 		live.PublishSpans(opt.Spans.Snapshot())
 		return live.PublishFlight(func(w io.Writer) error {
-			return trace.WriteFlightWithRun(w, runID, opt.Flight.Streams())
+			return trace.WriteFlight(w, opt.Flight.Dump(runID))
 		})
 	}
 	// fail returns a campaign's error after dumping the flight streams:
 	// the black box matters most on the crash path.
 	fail := func(err error) error {
 		if *flightPath != "" {
-			dumpFlight(*flightPath, runID, opt.Flight.Streams())
+			dumpFlight(*flightPath, opt.Flight.Dump(runID))
 		}
 		return err
 	}
@@ -364,19 +364,12 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	if *flightPath != "" {
-		streams := opt.Flight.Streams()
-		if err := writeFlight(*flightPath, runID, streams); err != nil {
+		d := opt.Flight.Dump(runID)
+		if err := writeFlight(*flightPath, d); err != nil {
 			return err
 		}
-		held := 0
-		for _, s := range streams {
-			if s.Held {
-				held++
-			}
-		}
 		if !*jsonOut {
-			fmt.Fprintf(stdout, "flight recorder: %d streams (%d held) written to %s\n",
-				len(streams), held, *flightPath)
+			fmt.Fprintf(stdout, "flight recorder: %s written to %s\n", d.Counts(), *flightPath)
 		}
 	}
 	return obs.FinishRun(stdout, *traceSummary, *metricsPath, *memprofile, opt.Metrics, opt.Spans, opt.TrialStats)
@@ -528,25 +521,24 @@ func parseShard(spec string) (k, n int, err error) {
 // campaign error paths, where the pinned anomalous streams are exactly
 // what post-mortem debugging needs. Failures to dump are reported but
 // never mask the original error.
-func dumpFlight(path, runID string, streams []trace.FlightStream) {
-	if len(streams) == 0 {
+func dumpFlight(path string, d trace.FlightDump) {
+	if len(d.Streams) == 0 {
 		return
 	}
-	if err := writeFlight(path, runID, streams); err != nil {
+	if err := writeFlight(path, d); err != nil {
 		fmt.Fprintln(os.Stderr, "mlckpt: flight dump:", err)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "mlckpt: flight recorder dumped to %s\n", path)
 }
 
-// writeFlight writes a flight dump of streams, stamped with runID, to
-// path.
-func writeFlight(path, runID string, streams []trace.FlightStream) error {
+// writeFlight writes flight dump d to path.
+func writeFlight(path string, d trace.FlightDump) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteFlightWithRun(f, runID, streams); err != nil {
+	if err := trace.WriteFlight(f, d); err != nil {
 		f.Close()
 		return err
 	}

@@ -27,10 +27,11 @@ func TestFlightDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	streams, _, err := trace.ReadFlightRun(f)
+	d, err := trace.ReadFlight(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	streams := d.Streams
 	if len(streams) == 0 {
 		t.Fatal("dump has no streams")
 	}

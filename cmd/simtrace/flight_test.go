@@ -10,7 +10,7 @@ import (
 	"repro/internal/trace"
 )
 
-func writeFlightFixture(t *testing.T) string {
+func writeFlightFixture(t *testing.T, dropped int) string {
 	t.Helper()
 	streams := []trace.FlightStream{
 		{Trial: 3, Worker: 1, Held: true, Reason: "conformance violation", Label: "dauwe",
@@ -29,43 +29,54 @@ func writeFlightFixture(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteFlightWithRun(f, "", streams); err != nil {
+	if err := trace.WriteFlight(f, trace.FlightDump{Dropped: dropped, Streams: streams}); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
+// TestFlightReader renders a dump without and with dropped holds: the
+// summary line reports the drop count only when there is one.
 func TestFlightReader(t *testing.T) {
-	path := writeFlightFixture(t)
-	var out bytes.Buffer
-	if err := run([]string{"-flight", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{
-		"flight dump: 2 streams (1 held)",
-		"HELD: conformance violation",
-		"label=dauwe",
-		"t=    1.500 failure",
+	for _, tc := range []struct {
+		dropped int
+		summary string
+	}{
+		{0, "flight dump: 2 streams (1 held)\n"},
+		{5, "flight dump: 2 streams (1 held), 5 dropped\n"},
 	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("flight rendering missing %q:\n%s", want, s)
+		path := writeFlightFixture(t, tc.dropped)
+		var out bytes.Buffer
+		if err := run([]string{"-flight", path}, &out); err != nil {
+			t.Fatal(err)
+		}
+		s := out.String()
+		for _, want := range []string{
+			tc.summary,
+			"HELD: conformance violation",
+			"label=dauwe",
+			"t=    1.500 failure",
+		} {
+			if !strings.Contains(s, want) {
+				t.Errorf("flight rendering missing %q:\n%s", want, s)
+			}
 		}
 	}
 }
 
 func TestFlightReaderJSON(t *testing.T) {
-	path := writeFlightFixture(t)
+	path := writeFlightFixture(t, 5)
 	var out bytes.Buffer
 	if err := run([]string{"-flight", path, "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	streams, _, err := trace.ReadFlightRun(&out)
+	d, err := trace.ReadFlight(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streams) != 2 || !streams[0].Held || streams[0].Trial != 3 {
-		t.Fatalf("round trip mangled streams: %+v", streams)
+	streams := d.Streams
+	if len(streams) != 2 || !streams[0].Held || streams[0].Trial != 3 || d.Dropped != 5 {
+		t.Fatalf("round trip mangled the dump: %d dropped, streams %+v", d.Dropped, streams)
 	}
 }
 

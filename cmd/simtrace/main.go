@@ -225,24 +225,18 @@ func readFlight(path string, jsonOut bool, maxEvents int, stdout io.Writer) erro
 		return err
 	}
 	defer f.Close()
-	streams, runID, err := trace.ReadFlightRun(f)
+	d, err := trace.ReadFlight(f)
 	if err != nil {
 		return err
 	}
 	if jsonOut {
-		return trace.WriteFlightWithRun(stdout, runID, streams)
+		return trace.WriteFlight(stdout, d)
 	}
-	held := 0
-	for _, s := range streams {
-		if s.Held {
-			held++
-		}
+	if d.RunID != "" {
+		fmt.Fprintf(stdout, "run: %s\n", d.RunID)
 	}
-	if runID != "" {
-		fmt.Fprintf(stdout, "run: %s\n", runID)
-	}
-	fmt.Fprintf(stdout, "flight dump: %d streams (%d held)\n", len(streams), held)
-	for _, s := range streams {
+	fmt.Fprintf(stdout, "flight dump: %s\n", d.Counts())
+	for _, s := range d.Streams {
 		label := ""
 		if s.Label != "" {
 			label = " label=" + s.Label

@@ -41,7 +41,11 @@ type ablation struct {
 	result AblationResult // the study's name and labels
 	tag    string         // seed namespace and progress-line prefix
 	key    string         // names the scenario in each campaign's seed
-	logs   [2]string      // the two efficiencies' names on the progress line
+	// logs names the baseline and the variant: on the progress line, and
+	// as the technique part of each campaign's label (D2-retry,
+	// D2-escalate), so that event records, sidecars and checkpoint files
+	// tell the two campaigns of a row apart.
+	logs [2]string
 	// variant turns a copy of the baseline scenario into the variant.
 	variant func(scn *sim.Scenario) error
 	// multiLevel skips systems whose plan uses a single level.
@@ -85,7 +89,7 @@ func (a ablation) run(opt Options, systems []string) (*AblationResult, error) {
 				Trials:   trials,
 				Seed:     seed.Scenario(fmt.Sprintf("%s/%s%d", name, a.key, v)),
 				Workers:  ro.Workers,
-			}, Cell{System: sys.Name})
+			}, Cell{System: sys.Name, Technique: a.logs[v]})
 			if err != nil {
 				return nil, err
 			}

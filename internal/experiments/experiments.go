@@ -201,8 +201,9 @@ type Conformance struct {
 }
 
 // label names the cell's campaign: its checkpoint, shard and sidecar
-// file names and the label on its events. Campaigns that belong to no
-// technique (the ablations, the sensitivity sweep) go by their system.
+// file names and the label on its events. An ablation's campaigns put
+// their arm (retry, escalate, ...) in place of the technique; the
+// sensitivity sweep's go by their system.
 func (c *Cell) label() string {
 	if c.Technique == "" {
 		return c.System
@@ -211,28 +212,34 @@ func (c *Cell) label() string {
 }
 
 // FlightLog collects the flight-recorder streams of every campaign run
-// with Options.Flight, each stream labelled with its cell's technique.
-// It is safe for concurrent use: figure rows run at once.
+// with Options.Flight, each stream labelled with its cell's technique,
+// and the count of holds their recorders dropped at the cap. It is safe
+// for concurrent use: figure rows run at once.
 type FlightLog struct {
 	mu      sync.Mutex
 	streams []trace.FlightStream
+	dropped int
 }
 
-// add appends one campaign's streams under label.
-func (l *FlightLog) add(label string, streams []trace.FlightStream) {
+// add appends one campaign's streams under label and counts the holds
+// its recorders dropped.
+func (l *FlightLog) add(label string, p *trace.FlightPool) {
+	streams := p.Streams()
 	for i := range streams {
 		streams[i].Label = label
 	}
 	l.mu.Lock()
 	l.streams = append(l.streams, streams...)
+	l.dropped += p.Dropped()
 	l.mu.Unlock()
 }
 
-// Streams returns the streams collected so far, campaign by campaign.
-func (l *FlightLog) Streams() []trace.FlightStream {
+// Dump returns what the log has collected so far, campaign by campaign,
+// as a flight dump stamped with runID.
+func (l *FlightLog) Dump(runID string) trace.FlightDump {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(l.streams)
+	return trace.FlightDump{RunID: runID, Dropped: l.dropped, Streams: slices.Clone(l.streams)}
 }
 
 // PredictionError returns predicted minus simulated efficiency (the
@@ -453,7 +460,7 @@ func (o Options) simulate(cells []Cell, camps []sim.Campaign, run func([]sim.Cam
 		if h.flight != nil {
 			// A failed run's aborted trial comes back as an unterminated,
 			// held stream: the black box matters most on the crash path.
-			o.Flight.add(cells[i].Technique, h.flight.Streams())
+			o.Flight.add(cells[i].Technique, h.flight)
 		}
 	}
 	if err != nil {

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/pattern"
 	"repro/internal/rng"
+	"repro/internal/sim"
 	"repro/internal/system"
+	"repro/internal/trace"
 )
 
 func testOpts() Options {
@@ -349,12 +352,47 @@ func TestCheckAndFlightAcrossRows(t *testing.T) {
 		}
 	}
 	labels := map[string]bool{}
-	for _, s := range opt.Flight.Streams() {
+	for _, s := range opt.Flight.Dump("").Streams {
 		labels[s.Label] = true
 	}
 	for _, tech := range BestTechniques {
 		if !labels[tech] {
 			t.Errorf("no flight streams labelled %q (got %v)", tech, labels)
 		}
+	}
+}
+
+// TestFlightLogSumsDroppedHolds adds two campaigns' flight pools, whose
+// judge held every trial past the recorders' cap, to one FlightLog: its
+// dump carries both pools' dropped holds, summed.
+func TestFlightLogSumsDroppedHolds(t *testing.T) {
+	sys := d4(t)
+	var l FlightLog
+	want := 0
+	for _, label := range []string{"dauwe", "daly"} {
+		pool := &trace.FlightPool{}
+		camp := sim.Campaign{
+			Scenario: sim.Scenario{System: sys, Plan: pattern.Plan{Tau0: 2, Counts: []int{3}, Levels: []int{1, 2}}},
+			Trials:   40,
+			Workers:  1,
+			Seed:     rng.Campaign(7, "flight-log").Scenario(label),
+			ObserverFactory: func(worker int) sim.Observer {
+				rec := pool.Recorder(worker)
+				rec.SetJudge(func(sim.Event) (string, bool) { return "every trial", true })
+				return rec
+			},
+			TrialStart: pool.TrialStart,
+		}
+		if _, err := camp.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if pool.Dropped() == 0 {
+			t.Fatalf("%s: no hold dropped", label)
+		}
+		want += pool.Dropped()
+		l.add(label, pool)
+	}
+	if d := l.Dump("run"); d.Dropped != want || d.RunID != "run" {
+		t.Errorf("dump: %d dropped, run %q; want %d, run %q", d.Dropped, d.RunID, want, "run")
 	}
 }

@@ -50,7 +50,7 @@ func (l *Live) PublishSpans(spans []obs.SpanNode) {
 }
 
 // PublishFlight renders a flight dump (wire it to
-// trace.WriteFlightWithRun) and checkpoints the bytes served at /flight.
+// trace.WriteFlight) and checkpoints the bytes served at /flight.
 func (l *Live) PublishFlight(dump func(io.Writer) error) error {
 	var b bytes.Buffer
 	if err := dump(&b); err != nil {

@@ -34,7 +34,7 @@ type Options struct {
 	// summaries on /metrics and attached to /snapshot output.
 	Stats func() []obs.StreamStatSnapshot
 	// Flight writes the flight-recorder dump for /flight (wire it to
-	// trace.WriteFlightWithRun).
+	// trace.WriteFlight).
 	Flight func(io.Writer) error
 	// Ready gates /readyz: nil means always ready (the endpoint still
 	// answers 200, so probes work on commands that never gate), false

@@ -76,6 +76,9 @@ type Engine struct {
 	// rewinders lists the laws that restart their stream every trial.
 	units     []unitLaw
 	rewinders []dist.Rewinder
+	// rates holds, per severity, the rate of a dist.Exponential law, else
+	// 0: cruise draws those arrivals itself.
+	rates []float64
 	// maxFill is the most unit exponentials one fill draws under Run:
 	// len(ahead), or 1 when a law outside units draws from the stream too.
 	maxFill  int
@@ -144,7 +147,7 @@ func NewEngine(scn Scenario) (*Engine, error) {
 	}
 	sys := scn.System
 	L := sys.NumLevels()
-	e := &Engine{scn: scn, laws: make([]dist.Sampler, L), units: make([]unitLaw, L)}
+	e := &Engine{scn: scn, laws: make([]dist.Sampler, L), units: make([]unitLaw, L), rates: make([]float64, L)}
 	e.maxFill = len(e.ahead)
 	for sev := 1; sev <= L; sev++ {
 		law := dist.Sampler(nil) // nil: the severity never fires
@@ -160,10 +163,12 @@ func NewEngine(scn Scenario) (*Engine, error) {
 		e.laws[sev-1] = law
 		// Only these two concrete types: a type that embeds one of them
 		// gets FromUnit but may sample differently.
-		switch law.(type) {
+		switch law := law.(type) {
 		case nil:
-		case dist.Exponential, dist.Weibull:
-			e.units[sev-1] = law.(unitLaw)
+		case dist.Exponential:
+			e.units[sev-1], e.rates[sev-1] = law, law.Rate()
+		case dist.Weibull:
+			e.units[sev-1] = law
 		default:
 			// It draws at arm time, so nothing may be drawn ahead of it.
 			e.maxFill = 1
@@ -344,7 +349,9 @@ func (e *Engine) next() int {
 }
 
 // armFailure draws the next arrival of severity sev and arms its timer
-// with the seq that reserve gave it.
+// with the seq that reserve gave it. cruise arms an exponential law's
+// arrival in place, with the same expression, while ahead holds a unit
+// exponential.
 func (e *Engine) armFailure(sev int) {
 	tm := &e.timers[sev-1]
 	tm.t, tm.armed = e.now+e.sample(sev), true
@@ -496,9 +503,10 @@ func (e *Engine) startCompute() {
 
 // run drives the event loop until completion or the wall-time cap. In a
 // trial with no observer and no controller, advance takes every phase
-// end and every arrival before the cap, so the loop pops only flush
-// completions and the cap. In a hooked trial the loop pops every event,
-// and steps handles its phase ends.
+// end and every arrival before the cap, and cruise, which it drives,
+// draws most exponential arrivals' next times, so the loop pops only
+// flush completions and the cap. In a hooked trial the loop pops every
+// event, and steps handles its phase ends.
 func (e *Engine) run() {
 	plain := e.observer == nil && e.controller == nil
 	for {
@@ -558,11 +566,13 @@ func (e *Engine) run() {
 
 // advance runs a trial with no observer and no controller for as long as
 // its next event is a phase end or an arrival before the wall cap. cruise
-// handles those events; advance draws the next arrival of each severity
-// that cruise hands back, and passes to endPhase each phase end that
-// cruise leaves. It returns true when the application has finished, and
-// false when the next event is a flush completion or the cap, which the
-// event loop pops.
+// handles those events and draws the next arrival of an exponential law
+// while a unit exponential is drawn ahead; advance draws the next arrival
+// of each severity that cruise hands back (a law of another kind, or an
+// empty buffer, which refill fills), and passes to endPhase each phase
+// end that cruise leaves. It returns true when the application has
+// finished, and false when the next event is a flush completion or the
+// cap, which the event loop pops.
 func (e *Engine) advance() bool {
 	for {
 		switch sev := e.cruise(); {
@@ -610,12 +620,16 @@ func (e *Engine) steps() bool {
 // arrival and the flush were armed before the current phase, so a phase
 // end goes first only when it is strictly earlier than the earliest
 // arrival, the armed flush deadline and the cap, and an arrival goes
-// first when it is no later than the flush. cruise returns:
+// first when it is no later than the flush. It handles an arrival with
+// failure's rules (charge, invalidate, restartNeed, recoveryIndex,
+// rollback), which start the recovery phase, and then draws the
+// arrival's next time itself when it can: when the severity's law is a
+// dist.Exponential and ahead still holds a unit exponential, it arms the
+// timer, whose seq was reserved before the recovery phase's, as
+// armFailure would, and goes on. cruise returns:
 //   - a severity s > 0 when it has handled an arrival of severity s at
-//     e.now with failure's rules (charge, invalidate, restartNeed,
-//     recoveryIndex, rollback) and started the recovery phase: the
-//     caller draws the arrival's next time (armFailure), whose seq was
-//     reserved before the recovery phase's;
+//     e.now but left its next time undrawn, because the law is not
+//     exponential or ahead is empty: the caller draws it (armFailure);
 //   - -1, with the phase end at e.now still unhandled, when that end is
 //     the compute end that completes the application or the end of an
 //     async capture: endPhase handles those;
@@ -625,25 +639,27 @@ func (e *Engine) steps() bool {
 // when that end is pending.
 //
 // Only a failure and an async capture end change the arrivals or the
-// flush, and both end the call, so cruise reads them once. A restart
-// end can only be the first phase end it handles, since a failure ends
-// the call, so a prologue handles it (endRestart's rule): it books the
-// restart, rolls the application back to the store the restart read,
-// re-seeks the odometer there and starts the next compute phase.
+// flush. An async capture end ends the call. A failure disarms the flush
+// and changes one arrival, so after drawing it cruise rescans the
+// arrivals for the earliest and rebuilds the horizon from it and the
+// cap. A restart starts only at a failure, so a restart end can only be
+// the first phase end after the call starts or after a failure, and a
+// prologue handles it (endRestart's rule): it books the restart, rolls
+// the application back to the store the restart read, re-seeks the
+// odometer there and starts the next compute phase.
 //
 // cruise has no call site. Go's calling convention saves no registers
 // across a call, so a single call, even a guarded one that never runs,
 // puts the loop's state in stack slots; without one, the clock,
 // progress, accumulators, odometer position, seq and phase level stay in
 // registers. rollback, reseek, tick, checkpointCost, commit,
-// computeInterval and the failure rules are inlined. To spare registers
-// the phase is not a variable of its own: level 0 is a compute phase, a
-// positive level a checkpoint, and a negative one a restart reading
-// level −level.
+// computeInterval, earliest and the failure rules are inlined. To spare
+// registers the phase is not a variable of its own: level 0 is a compute
+// phase, a positive level a checkpoint, and a negative one a restart
+// reading level −level. For the same reason each pass reads the plan
+// from the engine afresh, and the failure rules read their own copies:
+// no slice of the phase loop lives on across a failure and its draw.
 func (e *Engine) cruise() int {
-	levels, counts, costs := e.plan.Levels, e.plan.Counts, e.scn.System.Levels
-	digits, stores, async := e.digits[:len(counts)], e.stores[:len(levels)], e.asyncTop()
-	tau0, tb := e.plan.Tau0, e.scn.System.BaselineTime
 	horizon := e.maxWall
 	if a := e.arrival; a >= 0 && e.timers[a].t < horizon {
 		horizon = e.timers[a].t
@@ -658,82 +674,103 @@ func (e *Engine) cruise() int {
 		level = -level
 	}
 	end := e.timers[e.phaseTimer()].t
-	if level < 0 && end < horizon {
-		now = end
-		b := &e.res.Breakdown
-		b.RestartOK += now - start
-		st := stores[e.restartIdx]
-		done, useful, b.LostCompute = rollback(done, st.progress, useful, b.LostCompute)
-		pos = reseek(digits, counts, pos, st.pos)
-		level, start, seq = 0, now, seq+1
-		end = now + computeInterval(tau0, tb, done)
-	}
-	pending := false
-	for end < horizon {
-		now = end
-		d := now - start
-		var duration float64
-		if level == 0 {
-			if completes(done+d, tb) {
-				pending = true
-				break
-			}
-			useful += d // reclassified to Lost on rollback
-			done += d
-			var idx int
-			pos, idx = tick(digits, counts, pos)
-			level = levels[idx]
-			duration = checkpointCost(costs, levels, idx, async && pos == 0)
-		} else {
-			if async && pos == 0 {
-				pending = true
-				break
-			}
-			ckptOK += d
-			commit(stores, levels, level, store{valid: true, progress: done, pos: pos})
-			level = 0
-			duration = computeInterval(tau0, tb, done)
-		}
-		// The next phase starts; its end is armed only on exit.
-		start, seq = now, seq+1
-		end = now + duration
-	}
-	sev := -1 // the phase end at now is pending
-	if !pending {
-		sev = 0
-		if a := e.arrival; a >= 0 && e.timers[a].t == horizon && horizon < e.maxWall {
-			// The arrival comes next: failure's rules, on the locals.
-			sev = a + 1
-			now = horizon
+	var sev int
+loop:
+	for {
+		levels, counts, costs := e.plan.Levels, e.plan.Counts, e.scn.System.Levels
+		digits, stores, async := e.digits[:len(counts)], e.stores[:len(levels)], e.asyncTop()
+		tau0, tb := e.plan.Tau0, e.scn.System.BaselineTime
+		if level < 0 && end < horizon {
+			now = end
 			b := &e.res.Breakdown
-			e.res.Failures[a]++
-			useful, b.CheckpointFail, b.RestartFail = charge(phaseOf(level), now-start, useful, b.CheckpointFail, b.RestartFail)
-			e.timers[e.flushTimer()].armed = false
-			invalidate(stores, levels, sev)
-			need := sev
-			if level < 0 {
-				need = restartNeed(e.scn.Policy, levels, -level, sev)
-			}
-			e.timers[a], seq = timer{seq: seq}, seq+1 // reserve
-			if i := recoveryIndex(stores, levels, need); i >= 0 {
-				e.restartIdx = i
-				level = -levels[i]
-				end = now + costs[levels[i]-1].Restart
+			b.RestartOK += now - start
+			st := stores[e.restartIdx]
+			done, useful, b.LostCompute = rollback(done, st.progress, useful, b.LostCompute)
+			pos = reseek(digits, counts, pos, st.pos)
+			level, start, seq = 0, now, seq+1
+			end = now + computeInterval(tau0, tb, done)
+		}
+		for end < horizon {
+			now = end
+			d := now - start
+			var duration float64
+			if level == 0 {
+				if completes(done+d, tb) {
+					sev = -1 // the phase end at now is pending
+					break loop
+				}
+				useful += d // reclassified to Lost on rollback
+				done += d
+				var idx int
+				pos, idx = tick(digits, counts, pos)
+				level = levels[idx]
+				// With pos == 0 first the compiler tests without a
+				// branch, which keeps the test out of a stack slot.
+				duration = checkpointCost(costs, levels, idx, pos == 0 && async)
 			} else {
-				e.res.ScratchRestarts++
-				done, useful, b.LostCompute = rollback(done, 0, useful, b.LostCompute)
-				pos = reseek(digits, counts, pos, 0)
+				if async && pos == 0 {
+					sev = -1
+					break loop
+				}
+				ckptOK += d
+				commit(stores, levels, level, store{valid: true, progress: done, pos: pos})
 				level = 0
-				end = now + computeInterval(tau0, tb, done)
+				duration = computeInterval(tau0, tb, done)
 			}
+			// The next phase starts; its end is armed only on exit.
 			start, seq = now, seq+1
+			end = now + duration
+		}
+		a := e.arrival
+		if a < 0 || e.timers[a].t != horizon || horizon >= e.maxWall {
+			sev = 0 // a flush completion or the cap comes next
+			break
+		}
+		// The arrival comes next: failure's rules, on the locals.
+		now = horizon
+		levels, stores = e.plan.Levels, e.stores[:len(e.plan.Levels)]
+		b := &e.res.Breakdown
+		e.res.Failures[a]++
+		useful, b.CheckpointFail, b.RestartFail = charge(phaseOf(level), now-start, useful, b.CheckpointFail, b.RestartFail)
+		e.timers[e.flushTimer()].armed = false
+		invalidate(stores, levels, a+1)
+		need := a + 1
+		if level < 0 {
+			need = restartNeed(e.scn.Policy, levels, -level, a+1)
+		}
+		e.timers[a], seq = timer{seq: seq}, seq+1 // reserve
+		if i := recoveryIndex(stores, levels, need); i >= 0 {
+			e.restartIdx = i
+			level = -levels[i]
+			end = now + e.scn.System.Levels[levels[i]-1].Restart
+		} else {
+			e.res.ScratchRestarts++
+			done, useful, b.LostCompute = rollback(done, 0, useful, b.LostCompute)
+			pos = reseek(e.digits[:len(e.plan.Counts)], e.plan.Counts, pos, 0)
+			level = 0
+			end = now + computeInterval(e.plan.Tau0, e.scn.System.BaselineTime, done)
+		}
+		start, seq = now, seq+1
+		rate := e.rates[a]
+		if rate == 0 || e.aheadAt == e.aheadN {
+			sev = a + 1 // the caller draws the next arrival
+			break
+		}
+		// The next arrival, as armFailure draws it: Exponential's FromUnit
+		// of the next unit exponential drawn ahead.
+		e.timers[a].t, e.timers[a].armed = now+e.ahead[e.aheadAt]/rate, true
+		e.aheadAt++
+		e.arrival = e.earliest(-1, 0, len(e.laws))
+		horizon = e.maxWall // the failure disarmed the flush
+		if t := e.timers[e.arrival].t; t < horizon {
+			horizon = t
 		}
 	}
-	e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: !pending}
+	e.timers[e.phaseTimer()] = timer{t: end, seq: seq - 1, armed: sev >= 0}
 	e.now, e.phaseStart, e.done, e.pos, e.seq = now, start, done, pos, seq
 	e.res.Breakdown.UsefulCompute, e.res.Breakdown.CheckpointOK = useful, ckptOK
 	e.phase, e.phaseLevel = phaseOf(level), max(level, -level)
-	e.asyncCapture = level > 0 && async && pos == 0
+	e.asyncCapture = level > 0 && e.asyncTop() && pos == 0
 	return sev
 }
 

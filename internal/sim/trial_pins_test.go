@@ -148,9 +148,13 @@ func resultPin(r TrialResult) string {
 // over the scenarios of trialPinScenarios. The pins were captured from
 // the engine that handled every phase end through the generic timer
 // loop; any drift in event order or arithmetic shows up as a changed
-// line. Each trial runs on an unobserved engine (which pins the result)
-// and on an observed one (which pins the event stream and must return
-// the same result bits).
+// line. Each trial runs on an unobserved engine (which pins the result),
+// on an observed one (which pins the event stream and must return the
+// same result bits), and on a third, unobserved engine through RunRand,
+// which must return the same bits too. RunRand fills the draw-ahead
+// buffer one unit exponential at a time, so it never leaves one buffered
+// and cruise never draws an arrival there: armFailure draws every one.
+// That sets cruise's in-loop draw against armFailure on every row.
 func TestTrialGoldenPins(t *testing.T) {
 	path := filepath.Join("testdata", "trial_pins.json")
 	want := map[string][]string{}
@@ -174,11 +178,16 @@ func TestTrialGoldenPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		byRand, err := NewEngine(row.scn)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d := &digestObserver{h: fnv.New64a()}
 		observed.Observe(d)
 		if row.ctl != nil {
 			bare.Control(row.ctl)
 			observed.Control(row.ctl)
+			byRand.Control(row.ctl)
 		}
 		s := rng.Campaign(1, "trial-pins").Scenario(row.name)
 		for i := 0; i < trialPinTrials; i++ {
@@ -194,6 +203,13 @@ func TestTrialGoldenPins(t *testing.T) {
 			}
 			if op := resultPin(ores); op != pin {
 				t.Errorf("%s trial %d: observed engine\n got %s\nwant %s (unobserved)", row.name, i, op, pin)
+			}
+			rres, err := byRand.RunRand(s.Trial(i).Rand())
+			if err != nil {
+				t.Fatalf("%s trial %d (RunRand): %v", row.name, i, err)
+			}
+			if rp := resultPin(rres); rp != pin {
+				t.Errorf("%s trial %d: RunRand\n got %s\nwant %s (Run)", row.name, i, rp, pin)
 			}
 			got[row.name] = append(got[row.name], fmt.Sprintf("%s events=%d digest=%016x", pin, d.events, d.h.Sum64()))
 			if row.scn.MaxWallFactor != 0 {

@@ -11,7 +11,8 @@ import (
 // (zero and negatives included) and an overflow bucket for values above
 // BucketHi. Simulated efficiencies live in (0, 1] and times in minutes,
 // so the range covers sub-microsecond phases through multi-century wall
-// times with ~2.9 % relative bucket width.
+// times. Each bucket spans a factor of 10^(1/8) ≈ 1.334, a relative
+// width of about 33 %.
 const (
 	BucketLo         = 1e-9
 	BucketHi         = 1e12

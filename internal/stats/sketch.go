@@ -10,8 +10,9 @@ import (
 // held in a Sample, plus the fixed log-bucket histogram (LogBuckets)
 // for quantile estimates. It is the constant-memory stand-in for a full
 // sample slice — Summary() is exact in N/Mean/Std/Min/Max, Quantile()
-// is bucket-interpolated (relative error bounded by the bucket width,
-// ~±1.5 %).
+// is bucket-interpolated (relative error bounded by the bucket width, a
+// factor of 10^(1/8) ≈ 1.334; interpolation does much better on smooth
+// data).
 //
 // Determinism: Observe folds with Sample.Add (Welford's update) and
 // Merge with Sample.Merge (the Chan et al. pairwise update), so a

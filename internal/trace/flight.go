@@ -216,41 +216,66 @@ func (r *FlightRecorder) Streams(worker int) []FlightStream {
 	return out
 }
 
-// flightHeader versions the serialized flight-dump format. RunID is
-// optional (added within version 1, absent in older dumps): it carries
-// the same fleet run identifier as progress sidecars and event-log
-// lines, so a dump correlates with the run that produced it.
-type flightHeader struct {
-	Format  string         `json:"format"`
-	Version int            `json:"version"`
-	RunID   string         `json:"run_id,omitempty"`
+// FlightDump is the content of a flight-dump file.
+type FlightDump struct {
+	// RunID is the fleet run identifier of progress sidecars and
+	// event-log lines, so a dump correlates with the run that produced
+	// it; "" when the dump was written without one.
+	RunID string `json:"run_id,omitempty"`
+	// Dropped counts the anomalous streams the recorders judged worth
+	// holding but discarded at their cap (FlightRecorder.Dropped, summed).
+	Dropped int            `json:"dropped,omitempty"`
 	Streams []FlightStream `json:"streams"`
+}
+
+// Counts renders the dump's stream counts for a summary line: "N
+// streams (H held)", followed by ", D dropped" when the recorders
+// dropped holds at their cap.
+func (d FlightDump) Counts() string {
+	held := 0
+	for _, s := range d.Streams {
+		if s.Held {
+			held++
+		}
+	}
+	out := fmt.Sprintf("%d streams (%d held)", len(d.Streams), held)
+	if d.Dropped > 0 {
+		out += fmt.Sprintf(", %d dropped", d.Dropped)
+	}
+	return out
+}
+
+// flightHeader versions the serialized flight-dump format. A dump's
+// run_id and dropped fields are optional, added within version 1: older
+// dumps lack them, and they are omitted when empty.
+type flightHeader struct {
+	Format  string `json:"format"`
+	Version int    `json:"version"`
+	FlightDump
 }
 
 const flightFormatName = "mlckpt-flight"
 
-// WriteFlightWithRun serializes flight streams stamped with a fleet run
-// ID (empty omits the field, matching older dumps).
-func WriteFlightWithRun(w io.Writer, runID string, streams []FlightStream) error {
+// WriteFlight serializes a flight dump.
+func WriteFlight(w io.Writer, d FlightDump) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(flightHeader{Format: flightFormatName, Version: 1, RunID: runID, Streams: streams})
+	return enc.Encode(flightHeader{Format: flightFormatName, Version: 1, FlightDump: d})
 }
 
-// ReadFlightRun deserializes a dump written by WriteFlightWithRun, along
-// with its run ID ("" for dumps written without one).
-func ReadFlightRun(rd io.Reader) ([]FlightStream, string, error) {
+// ReadFlight deserializes a dump written by WriteFlight.
+func ReadFlight(rd io.Reader) (FlightDump, error) {
 	var h flightHeader
 	if err := json.NewDecoder(rd).Decode(&h); err != nil {
-		return nil, "", fmt.Errorf("trace: decode flight dump: %w", err)
+		return FlightDump{}, fmt.Errorf("trace: decode flight dump: %w", err)
 	}
 	if h.Format != flightFormatName {
-		return nil, "", fmt.Errorf("trace: not a %s file (format %q)", flightFormatName, h.Format)
+		return FlightDump{}, fmt.Errorf("trace: not a %s file (format %q)", flightFormatName, h.Format)
 	}
 	if h.Version != 1 {
-		return nil, "", fmt.Errorf("trace: unsupported flight version %d", h.Version)
+		return FlightDump{}, fmt.Errorf("trace: unsupported flight version %d", h.Version)
 	}
-	return h.Streams, h.RunID, nil
+	return h.FlightDump, nil
 }
 
 // FlightPool hands out one FlightRecorder per campaign worker goroutine
@@ -286,6 +311,19 @@ func (p *FlightPool) Observer(worker int) sim.Observer {
 // TrialStart implements sim.Campaign.TrialStart.
 func (p *FlightPool) TrialStart(worker, trial int) {
 	p.Recorder(worker).BeginTrial(trial)
+}
+
+// Dropped returns how many holds the workers' recorders discarded at
+// their cap, summed. Callers must not invoke it while a campaign is still
+// observing.
+func (p *FlightPool) Dropped() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, r := range p.recs {
+		n += r.Dropped()
+	}
+	return n
 }
 
 // Streams returns every worker's streams, held ones first, then by

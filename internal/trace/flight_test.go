@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -137,19 +138,20 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	r.BeginTrial(7)
 	feedTrial(r, 2.5)
 	var buf bytes.Buffer
-	if err := WriteFlightWithRun(&buf, "", r.Streams(1)); err != nil {
+	if err := WriteFlight(&buf, FlightDump{Streams: r.Streams(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(buf.Bytes(), []byte("run_id")) {
-		t.Fatalf("dump without a run ID has a run_id field:\n%s", buf.Bytes())
+	if bytes.Contains(buf.Bytes(), []byte("run_id")) || bytes.Contains(buf.Bytes(), []byte("dropped")) {
+		t.Fatalf("dump without a run ID or drops has a run_id or dropped field:\n%s", buf.Bytes())
 	}
-	got, runID, err := ReadFlightRun(bytes.NewReader(buf.Bytes()))
+	d, err := ReadFlight(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runID != "" {
-		t.Fatalf("run ID %q, want none", runID)
+	if d.RunID != "" {
+		t.Fatalf("run ID %q, want none", d.RunID)
 	}
+	got := d.Streams
 	if len(got) != 2 { // the held copy and the ring copy
 		t.Fatalf("round-trip has %d streams, want 2", len(got))
 	}
@@ -166,8 +168,8 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if err := rec.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadFlightRun(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadFlightRun accepted a mlckpt-trace file")
+	if _, err := ReadFlight(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("ReadFlight accepted a mlckpt-trace file")
 	}
 }
 
@@ -227,15 +229,72 @@ func TestFlightPoolCampaign(t *testing.T) {
 		t.Fatal("last trial's stream missing from dump")
 	}
 	var buf bytes.Buffer
-	if err := WriteFlightWithRun(&buf, "", streams); err != nil {
+	if err := WriteFlight(&buf, FlightDump{Streams: streams}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadFlightRun(bytes.NewReader(buf.Bytes()))
+	d, err := ReadFlight(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := d.Streams
 	if len(got) != len(streams) {
 		t.Fatalf("dump round-trip: %d streams, want %d", len(got), len(streams))
+	}
+}
+
+// TestFlightPoolCountsDroppedHolds runs a campaign whose judge holds
+// every trial. Each recorder keeps the first flightMaxHold holds and
+// counts the rest as dropped; the pool sums the counts, the dump carries
+// the sum, and the summary line reports it.
+func TestFlightPoolCountsDroppedHolds(t *testing.T) {
+	const trials = 100
+	pool := &FlightPool{}
+	camp := sim.Campaign{
+		Scenario: flightScenario(t),
+		Trials:   trials,
+		Seed:     rng.Campaign(3, "flight-drops").Scenario("D7"),
+		Workers:  2,
+		ObserverFactory: func(worker int) sim.Observer {
+			rec := pool.Recorder(worker)
+			rec.SetJudge(func(sim.Event) (string, bool) { return "every trial", true })
+			return rec
+		},
+		TrialStart: pool.TrialStart,
+	}
+	if _, err := camp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for w, r := range pool.recs {
+		if r.Held() > flightMaxHold || r.Held()+r.Dropped() != r.seen {
+			t.Errorf("worker %d: %d held and %d dropped of %d trials, want at most %d held and the rest dropped",
+				w, r.Held(), r.Dropped(), r.seen, flightMaxHold)
+		}
+		held += r.Held()
+	}
+	dropped := pool.Dropped()
+	if dropped == 0 || held+dropped != trials {
+		t.Fatalf("%d held and %d dropped, want %d in all with some dropped", held, dropped, trials)
+	}
+	streams := pool.Streams()
+	var buf bytes.Buffer
+	if err := WriteFlight(&buf, FlightDump{Dropped: dropped, Streams: streams}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadFlight(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Dropped != dropped || len(d.Streams) != len(streams) {
+		t.Fatalf("round trip: %d dropped and %d streams, want %d and %d", d.Dropped, len(d.Streams), dropped, len(streams))
+	}
+	want := fmt.Sprintf("%d streams (%d held), %d dropped", len(streams), held, dropped)
+	if got := d.Counts(); got != want {
+		t.Errorf("Counts = %q, want %q", got, want)
+	}
+	d.Dropped = 0
+	if got, want := d.Counts(), fmt.Sprintf("%d streams (%d held)", len(streams), held); got != want {
+		t.Errorf("Counts without drops = %q, want %q", got, want)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestRecorderRoundTrip(t *testing.T) {
 	}
 }
 
-// ReadFlightRun, the package's one reader, rejects what is not a
+// ReadFlight, the package's one reader, rejects what is not a
 // version-1 flight dump.
 func TestReadRejectsGarbage(t *testing.T) {
 	for _, doc := range []string{
@@ -72,7 +72,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 		`{"format":"mlckpt-trace","version":1}`,
 		`{"format":"mlckpt-flight","version":9}`,
 	} {
-		if _, _, err := ReadFlightRun(strings.NewReader(doc)); err == nil {
+		if _, err := ReadFlight(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s accepted", doc)
 		}
 	}
