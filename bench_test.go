@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/adaptive"
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/model/dauwe"
@@ -457,42 +456,6 @@ func BenchmarkSweepDauweD7(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tech.Optimize(sys); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdaptiveTrial measures one adaptive-controller trial.
-func BenchmarkAdaptiveTrial(b *testing.B) {
-	truth, err := system.ByName("D4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	belief := truth.WithMTBF(24)
-	ctrlFactory := func() sim.PlanController {
-		c, err := adaptive.NewController(belief, adaptive.Options{ReplanEvery: 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	static, err := adaptive.NewController(belief, adaptive.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := static.InitialPlan()
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := sim.NewEngine(sim.Scenario{System: truth, Plan: plan})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.Control(ctrlFactory)
-	seed := rng.Campaign(1, "bench-adaptive")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(seed.Trial(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,19 +33,18 @@ cd "$(dirname "$0")"
 # model/dauwe, optimize), the other technique models whose plans and
 # predictions feed the pins (model/di, model/benoit, model/daly), the
 # statistics every campaign summary and CRN comparison goes through
-# (stats), the packages that sweep on the Dauwe technique's settings
-# (energy, adaptive), the telemetry instruments (obs), the invariant
-# checker (conformance) and the failure-log fits (faultlog) for arm64
+# (stats), the telemetry instruments (obs), the invariant checker
+# (conformance) and the failure-log fits (faultlog) for arm64
 # and fail on any fused instruction whose source line lies in the
 # package's own directory; a product that feeds a golden is rounded
 # explicitly instead, as float64(x*y). Code inlined from other packages
 # reports its own file and is not counted here; the gate on its own
 # package covers it.
 fma_gate() {
-    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, model/di, model/benoit, model/daly, optimize, stats, energy, adaptive, obs, conformance, faultlog)"
+    echo "== arm64 fused multiply-add gate (sim, dist, rng, pattern, system, markov, model/moody, model/dauwe, model/di, model/benoit, model/daly, optimize, stats, obs, conformance, faultlog)"
     asm=$(mktemp)
     fused=0
-    for pkg in sim dist rng pattern system markov model/moody model/dauwe model/di model/benoit model/daly optimize stats energy adaptive obs conformance faultlog; do
+    for pkg in sim dist rng pattern system markov model/moody model/dauwe model/di model/benoit model/daly optimize stats obs conformance faultlog; do
         if ! GOARCH=arm64 go build -o /dev/null -gcflags="repro/internal/$pkg=-S" \
             "./internal/$pkg/" >"$asm" 2>&1; then
             cat "$asm" >&2

@@ -168,48 +168,62 @@ func TestConcurrentCampaignEventsGroupByLabel(t *testing.T) {
 	}
 }
 
-// TestAblationCampaignLabels runs the policy ablation on one system with
-// an event log and checkpoints: the row's baseline and variant campaigns
-// must each carry their own label, system and arm (D2-retry,
-// D2-escalate), on their event records and in their checkpoint files'
-// names.
+// TestAblationCampaignLabels runs the policy ablation on one system and
+// a two-point sensitivity sweep with an event log and checkpoints: each
+// campaign must carry its own label, system and arm (D2-retry,
+// D2-escalate; D4-x0.5, D4-x2), on its event records and in its
+// checkpoint file's name.
 func TestAblationCampaignLabels(t *testing.T) {
-	var sb strings.Builder
-	dir := t.TempDir()
-	opt := testOpts()
-	opt.Fast, opt.Trials = true, 16
-	opt.Events = obs.NewEventLog(&sb, "evrun04")
-	opt.CheckpointDir, opt.CheckpointInterval = dir, 8
-	if _, err := PolicyAblation(opt, []string{"D2"}); err != nil {
-		t.Fatal(err)
-	}
-	starts, ends := map[string]int{}, map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		label, _ := m["label"].(string)
-		switch m["msg"] {
-		case "campaign_start":
-			starts[label]++
-		case "campaign_end":
-			ends[label]++
-		}
-	}
-	for _, label := range []string{"D2-retry", "D2-escalate"} {
-		if starts[label] != 1 || ends[label] != 1 {
-			t.Errorf("%s: %d campaign_start and %d campaign_end records, want 1 each", label, starts[label], ends[label])
-		}
-		files, err := filepath.Glob(filepath.Join(dir, label+"-*.ckpt"))
-		if err != nil {
+	for _, tc := range []struct {
+		run    func(Options) error
+		labels []string
+	}{
+		{func(opt Options) error {
+			_, err := PolicyAblation(opt, []string{"D2"})
+			return err
+		}, []string{"D2-retry", "D2-escalate"}},
+		{func(opt Options) error {
+			_, err := Sensitivity(opt, "D4", []float64{0.5, 2})
+			return err
+		}, []string{"D4-x0.5", "D4-x2"}},
+	} {
+		var sb strings.Builder
+		dir := t.TempDir()
+		opt := testOpts()
+		opt.Fast, opt.Trials = true, 16
+		opt.Events = obs.NewEventLog(&sb, "evrun04")
+		opt.CheckpointDir, opt.CheckpointInterval = dir, 8
+		if err := tc.run(opt); err != nil {
 			t.Fatal(err)
 		}
-		if len(files) != 1 {
-			t.Errorf("%s: checkpoint files %v, want one", label, files)
+		starts, ends := map[string]int{}, map[string]int{}
+		for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				t.Fatalf("bad event line %q: %v", line, err)
+			}
+			label, _ := m["label"].(string)
+			switch m["msg"] {
+			case "campaign_start":
+				starts[label]++
+			case "campaign_end":
+				ends[label]++
+			}
 		}
-	}
-	if len(starts) != 2 {
-		t.Errorf("campaign labels %v, want D2-retry and D2-escalate only", starts)
+		for _, label := range tc.labels {
+			if starts[label] != 1 || ends[label] != 1 {
+				t.Errorf("%s: %d campaign_start and %d campaign_end records, want 1 each", label, starts[label], ends[label])
+			}
+			files, err := filepath.Glob(filepath.Join(dir, label+"-*.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != 1 {
+				t.Errorf("%s: checkpoint files %v, want one", label, files)
+			}
+		}
+		if len(starts) != len(tc.labels) {
+			t.Errorf("campaign labels %v, want %v only", starts, tc.labels)
+		}
 	}
 }

@@ -458,8 +458,6 @@ func (o Options) simulate(cells []Cell, camps []sim.Campaign, run func([]sim.Cam
 	}
 	for i, h := range hooks {
 		if h.flight != nil {
-			// A failed run's aborted trial comes back as an unterminated,
-			// held stream: the black box matters most on the crash path.
 			o.Flight.add(cells[i].Technique, h.flight)
 		}
 	}

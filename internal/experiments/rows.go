@@ -64,9 +64,8 @@ func (s *rowSinks) release(opt Options) error {
 // After a row fails no new row starts, and the rows already running
 // finish. Rows are taken in index order, so every row below a failing
 // one has started and runs to completion: the error returned is the
-// lowest-index failing row's, whatever the scheduling — the rule the
-// campaign runner applies to trials. The rows up to and including that
-// one are released first.
+// lowest-index failing row's, whatever the scheduling. The rows up to
+// and including that one are released first.
 func runRows[T any](opt Options, n int, row func(i int, ro Options) (T, error)) ([]T, error) {
 	workers := opt.Workers
 	if workers <= 0 {

@@ -76,7 +76,7 @@ func Sensitivity(opt Options, systemName string, multipliers []float64) (*Sensit
 			Trials:  trials,
 			Seed:    seed.Scenario(fmt.Sprintf("%s/x%g", systemName, m)),
 			Workers: opt.Workers,
-		}, Cell{System: sys.Name})
+		}, Cell{System: sys.Name, Technique: fmt.Sprintf("x%g", m)})
 		if err != nil {
 			return nil, err
 		}

@@ -40,19 +40,6 @@ func testCampaign(name string, trials, workers int) sim.Campaign {
 	}
 }
 
-// failAfterController makes trials fail deterministically once a trial
-// sees enough failures: it replans to an invalid Tau0, which the engine
-// rejects, failing the campaign partway through.
-type failAfterController struct{ threshold, fails int }
-
-func (c *failAfterController) OnFailure(now float64, severity int) { c.fails++ }
-func (c *failAfterController) Replan(now, progress float64) (pattern.Plan, bool) {
-	if c.fails >= c.threshold {
-		return pattern.Plan{Tau0: -1}, true
-	}
-	return pattern.Plan{}, false
-}
-
 // fakeClock is a deterministic time source for Writer tests.
 type fakeClock struct{ t time.Time }
 
@@ -380,18 +367,16 @@ func TestCampaignSidecarComplete(t *testing.T) {
 	}
 }
 
-// TestCampaignSidecarFailed is the error-path satellite: a shard that
-// dies mid-campaign still leaves a valid sidecar recording the failed
-// state, the error, and the partially merged prefix.
+// TestCampaignSidecarFailed: a shard that dies mid-campaign still leaves
+// a valid sidecar recording the failed state, the error, and the
+// partially merged prefix. The campaign fails at its first checkpoint
+// write, into a directory that does not exist.
 func TestCampaignSidecarFailed(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.json"+Suffix)
 	w := NewWriter(path, Meta{RunID: "feedfacefeedface", Label: "failing"})
 	camp := testCampaign("sidecar-fail", 300, 8)
-	camp.Scenario.System = twoLevel(100, 300) // failure-heavy
-	camp.ControllerFactory = func() sim.PlanController {
-		return &failAfterController{threshold: 7}
-	}
+	camp.Checkpoint = &sim.CheckpointConfig{Path: filepath.Join(dir, "missing", "run.ckpt"), Interval: 16}
 	camp.Progress = w.Update
 	_, err := camp.Run()
 	if err == nil {
@@ -401,7 +386,7 @@ func TestCampaignSidecarFailed(t *testing.T) {
 	if f.State != "failed" {
 		t.Fatalf("state %q, want failed", f.State)
 	}
-	if f.Error == "" || !strings.Contains(err.Error(), f.Error) && !strings.Contains(f.Error, "trial") {
+	if f.Error == "" || !strings.Contains(err.Error(), f.Error) {
 		t.Fatalf("sidecar error %q does not reflect run error %q", f.Error, err)
 	}
 	if f.TrialsMerged >= 300 {

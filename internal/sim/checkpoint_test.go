@@ -141,59 +141,6 @@ func TestCheckpointIntervalValidation(t *testing.T) {
 	}
 }
 
-// TestErrorPathFlushesCheckpoint pins the other half of satellite 3:
-// when the fail-fast contract aborts a campaign, the blocks completed
-// below the failure are flushed to the checkpoint before Run returns,
-// and a resume after fixing the cause replays only the missing trials.
-func TestErrorPathFlushesCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "failing.ckpt")
-	camp := Campaign{
-		Scenario: Scenario{System: twoLevel(100, 300), Plan: planBoth(2, 3)},
-		ControllerFactory: func() PlanController {
-			return &thresholdFailController{threshold: 7}
-		},
-		Trials:     300,
-		Workers:    8,
-		Seed:       seed("failfast-deterministic"),
-		Checkpoint: &CheckpointConfig{Path: path, Interval: 16},
-	}
-	_, err := camp.Run()
-	if err == nil {
-		t.Fatal("campaign did not fail")
-	}
-	var badTrial int
-	if _, scanErr := scanTrialIndex(err.Error(), &badTrial); scanErr != nil {
-		t.Fatalf("cannot parse failing trial from %q: %v", err, scanErr)
-	}
-	f, rerr := readSinkFile(path)
-	if rerr != nil {
-		t.Fatalf("no checkpoint flushed on the error path: %v", rerr)
-	}
-	if f.Next == 0 {
-		t.Error("error-path checkpoint covers no trials")
-	}
-	// The merged prefix can never include the failing trial's block.
-	if f.Next > badTrial+DefaultBlock {
-		t.Errorf("checkpoint Next=%d reaches past failing trial %d's block", f.Next, badTrial)
-	}
-	// Resuming with a non-failing controller completes only the rest.
-	fixed := camp
-	fixed.ControllerFactory = nil
-	fixed.Checkpoint = &CheckpointConfig{Path: path, Interval: 16, Resume: true}
-	var ran atomic.Int64
-	fixed.TrialDone = func(TrialResult) { ran.Add(1) }
-	res, err := fixed.Run()
-	if err != nil {
-		t.Fatalf("resume after fix: %v", err)
-	}
-	if res.Trials != camp.Trials {
-		t.Errorf("resumed result covers %d trials, want %d", res.Trials, camp.Trials)
-	}
-	if int(ran.Load()) != camp.Trials-f.Next {
-		t.Errorf("resume ran %d trials, want %d (checkpoint covered %d)", ran.Load(), camp.Trials-f.Next, f.Next)
-	}
-}
-
 // TestCheckpointMismatchRejected: a checkpoint from a different seed,
 // trial count, block size, or sink kind must not silently mix in.
 func TestCheckpointMismatchRejected(t *testing.T) {

@@ -200,9 +200,10 @@ func (pc PairedCampaign) Run() (PairedResult, error) {
 // prefix [0, n) of every arm, so a resumed run stops at the same n with
 // the same bits. Every arm's checkpoint is flushed at n.
 func (pc PairedCampaign) lockstep(runs []*campaignRun, sinks []*ExactSink) (int, error) {
-	// abort ends a failed or halted run: every arm but skip (which did
-	// both itself) flushes its merged prefix, best effort (a failed
-	// write keeps the last checkpoint), and sends its final update.
+	// abort ends a failed or halted run: every arm but skip (which sent
+	// its final update itself, and flushed if it halted) flushes its
+	// merged prefix, best effort (a failed write keeps the last
+	// checkpoint), and sends its final update.
 	abort := func(skip int, state RunState, err error) {
 		for a, r := range runs {
 			if a != skip {

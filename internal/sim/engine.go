@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"repro/internal/dist"
-	"repro/internal/pattern"
 	"repro/internal/rng"
 	"repro/internal/system"
 )
@@ -63,8 +62,8 @@ type store struct {
 //
 // Everything the engine writes during a trial lives between the struct's
 // two pads or in a padded table (see cachePad), so engines driven by
-// different goroutines never share a cache line. Observers and
-// controllers are the caller's to place.
+// different goroutines never share a cache line. Observers are the
+// caller's to place.
 type Engine struct {
 	_ [cachePad]byte
 
@@ -84,7 +83,6 @@ type Engine struct {
 	maxFill  int
 	maxWall  float64
 	observer Observer
-	makeCtl  func() PlanController
 
 	// Owned RNG, reseeded per Run; RunRand substitutes a caller stream.
 	// The PCG state is written on every draw, so it is embedded rather
@@ -94,10 +92,7 @@ type Engine struct {
 	rng    *rand.Rand
 
 	// Per-trial state, recycled by reset.
-	plan       pattern.Plan // current plan; Controller may swap it
-	controller PlanController
-	err        error // fatal mid-run error (invalid controller plan)
-
+	//
 	// timers holds one entry per severity (index sev-1), then the phase
 	// entry, then the flush entry; seq numbers arming order. arrival
 	// caches the earliest armed severity entry (-1 if none): arrivals
@@ -186,7 +181,7 @@ func NewEngine(scn Scenario) (*Engine, error) {
 	e.failures = padded[int](L)
 	e.timers = padded[timer](L + 2)
 	e.digits = padded[int](len(scn.Plan.Counts))
-	e.stores = padded[store](scn.Plan.NumUsed())[:0]
+	e.stores = padded[store](scn.Plan.NumUsed())
 	return e, nil
 }
 
@@ -195,19 +190,15 @@ func NewEngine(scn Scenario) (*Engine, error) {
 // stays goroutine-local and lock-free.
 func (e *Engine) Observe(o Observer) { e.observer = o }
 
-// Control installs an online plan-controller factory. Controllers are
-// stateful per trial, so the factory is invoked at the start of every
-// Run/RunRand; a nil factory (or a factory returning nil) disables
-// control.
-func (e *Engine) Control(factory func() PlanController) { e.makeCtl = factory }
-
 // Run simulates one trial drawn from the given seed and returns its
 // result. The engine's internal PCG generator is reseeded from the
 // seed's raw words, so the trial is bit-identical to
 // RunRand(seed.Rand()) without the per-trial generator allocation. Run
 // draws the unit exponentials of exponential and Weibull laws ahead, up
 // to 16 at a time, so the engine's own stream may end a few draws past
-// the trial's last arrival.
+// the trial's last arrival. The error is always nil: a validated
+// scenario cannot fail mid-trial, and Run returns one only to match
+// RunRand.
 //
 // The returned result's Failures slice aliases engine scratch and is
 // valid until the next Run/RunRand; callers that retain results across
@@ -215,7 +206,7 @@ func (e *Engine) Control(factory func() PlanController) { e.makeCtl = factory }
 func (e *Engine) Run(seed rng.Seed) (TrialResult, error) {
 	hi, lo := seed.Words()
 	e.pcg.Seed(hi, lo)
-	return e.trial(&e.ownRng, e.maxFill)
+	return e.trial(&e.ownRng, e.maxFill), nil
 }
 
 // RunRand simulates one trial using a caller-provided random stream
@@ -226,16 +217,16 @@ func (e *Engine) RunRand(r *rand.Rand) (TrialResult, error) {
 	if r == nil {
 		return TrialResult{}, fmt.Errorf("sim: nil random source")
 	}
-	return e.trial(r, 1)
+	return e.trial(r, 1), nil
 }
 
 // trial runs one trial on stream r, filling at most fillMax unit
 // exponentials at a time.
-func (e *Engine) trial(r *rand.Rand, fillMax int) (TrialResult, error) {
+func (e *Engine) trial(r *rand.Rand, fillMax int) TrialResult {
 	e.rng, e.fillMax = r, fillMax
 	e.reset()
 	e.run()
-	return e.res, e.err
+	return e.res
 }
 
 // RunTrial simulates one application execution and returns its result —
@@ -263,23 +254,12 @@ func (e *Engine) reset() {
 	e.phase, e.phaseStart, e.phaseLevel, e.restartIdx = 0, 0, 0, 0
 	e.asyncCapture = false
 	e.flushStore = store{}
-	e.err = nil
-	e.plan = e.scn.Plan
-	if e.makeCtl != nil {
-		e.controller = e.makeCtl()
-	} else {
-		e.controller = nil
+	e.pos = 0
+	for i := range e.digits {
+		e.digits[i] = 0
 	}
-	e.seek(0)
-
-	n := e.plan.NumUsed()
-	if cap(e.stores) < n {
-		e.stores = padded[store](n)
-	} else {
-		e.stores = e.stores[:n]
-		for i := range e.stores {
-			e.stores[i] = store{}
-		}
+	for i := range e.stores {
+		e.stores[i] = store{}
 	}
 	for i := range e.failures {
 		e.failures[i] = 0
@@ -424,16 +404,6 @@ func tick(digits, counts []int, pos int) (int, int) {
 	return 0, len(counts)
 }
 
-// seek sets the odometer to pattern position pos of the current plan.
-func (e *Engine) seek(pos int) {
-	e.pos = pos
-	if cap(e.digits) < len(e.plan.Counts) {
-		e.digits = padded[int](len(e.plan.Counts))
-	}
-	e.digits = e.digits[:len(e.plan.Counts)]
-	setDigits(e.digits, e.plan.Counts, pos)
-}
-
 // setDigits writes pattern position pos into the odometer digits, in
 // the mixed radix of counts.
 func setDigits(digits, counts []int, pos int) {
@@ -484,7 +454,7 @@ func completes(done, tb float64) bool { return done >= tb-1e-12 }
 // into a top-level checkpoint is the one that wraps the odometer, so a
 // checkpoint is a capture exactly when asyncTop holds and its position
 // is 0.
-func (e *Engine) asyncTop() bool { return e.scn.AsyncTopFlush && len(e.plan.Levels) >= 2 }
+func (e *Engine) asyncTop() bool { return e.scn.AsyncTopFlush && len(e.scn.Plan.Levels) >= 2 }
 
 // checkpointCost is how long the checkpoint at used-level index idx
 // blocks the application: its level's checkpoint time, or for an async
@@ -498,17 +468,17 @@ func checkpointCost(costs []system.Level, levels []int, idx int, capture bool) f
 }
 
 func (e *Engine) startCompute() {
-	e.startPhase(PhaseCompute, 0, computeInterval(e.plan.Tau0, e.scn.System.BaselineTime, e.done))
+	e.startPhase(PhaseCompute, 0, computeInterval(e.scn.Plan.Tau0, e.scn.System.BaselineTime, e.done))
 }
 
 // run drives the event loop until completion or the wall-time cap. In a
-// trial with no observer and no controller, advance takes every phase
-// end and every arrival before the cap, and cruise, which it drives,
-// draws most exponential arrivals' next times, so the loop pops only
-// flush completions and the cap. In a hooked trial the loop pops every
+// trial with no observer, advance takes every phase end and every
+// arrival before the cap, and cruise, which it drives, draws most
+// exponential arrivals' next times, so the loop pops only flush
+// completions and the cap. In an observed trial the loop pops every
 // event, and steps handles its phase ends.
 func (e *Engine) run() {
-	plain := e.observer == nil && e.controller == nil
+	plain := e.observer == nil
 	for {
 		if plain && e.advance() {
 			e.finish(true)
@@ -535,11 +505,6 @@ func (e *Engine) run() {
 		switch i {
 		case e.phaseTimer():
 			if e.steps() {
-				if e.err != nil {
-					// endCheckpoint aborted the trial on an invalid
-					// plan; it stays unterminated.
-					return
-				}
 				e.finish(true)
 				if e.observer != nil {
 					e.observe(EvComplete, 0)
@@ -547,15 +512,12 @@ func (e *Engine) run() {
 				return
 			}
 		case e.flushTimer():
-			e.stores[e.plan.NumUsed()-1] = e.flushStore
+			e.stores[e.scn.Plan.NumUsed()-1] = e.flushStore
 		default:
 			sev := i + 1
 			e.res.Failures[sev-1]++
 			if e.observer != nil {
 				e.observe(EvFailure, sev)
-			}
-			if e.controller != nil {
-				e.controller.OnFailure(e.now, sev)
 			}
 			e.failure(sev)
 			e.armFailure(sev)
@@ -564,13 +526,13 @@ func (e *Engine) run() {
 	e.finish(e.done >= e.scn.System.BaselineTime)
 }
 
-// advance runs a trial with no observer and no controller for as long as
-// its next event is a phase end or an arrival before the wall cap. cruise
-// handles those events and draws the next arrival of an exponential law
-// while a unit exponential is drawn ahead; advance draws the next arrival
-// of each severity that cruise hands back (a law of another kind, or an
-// empty buffer, which refill fills), and passes to endPhase each phase
-// end that cruise leaves. It returns true when the application has
+// advance runs a trial with no observer for as long as its next event is
+// a phase end or an arrival before the wall cap. cruise handles those
+// events and draws the next arrival of an exponential law while a unit
+// exponential is drawn ahead; advance draws the next arrival of each
+// severity that cruise hands back (a law of another kind, or an empty
+// buffer, which refill fills), and passes to endPhase each phase end
+// that cruise leaves. It returns true when the application has
 // finished, and false when the next event is a flush completion or the
 // cap, which the event loop pops.
 func (e *Engine) advance() bool {
@@ -594,9 +556,8 @@ func (e *Engine) advance() bool {
 // the armed flush deadline and the wall cap: exactly the events the
 // (t, seq) rule would pop next. On an equal time the loop gets the event
 // back, and its (t, seq) rule lets the arrival or flush, armed before
-// the phase, win the tie. It runs the phase ends of trials with an
-// observer or a controller, one step each, and returns true when the
-// application has finished (or a controller produced an invalid plan).
+// the phase, win the tie. It runs the phase ends of observed trials, one
+// step each, and returns true when the application has finished.
 func (e *Engine) steps() bool {
 	// Arrivals change only at failures, so their part of the horizon
 	// holds until steps returns.
@@ -614,13 +575,13 @@ func (e *Engine) steps() bool {
 	}
 }
 
-// cruise is the call-free loop of a trial with no observer and no
-// controller. It takes the trial's next events in (t, seq) order for as
-// long as each is a phase end or an arrival before the wall cap. Every
-// arrival and the flush were armed before the current phase, so a phase
-// end goes first only when it is strictly earlier than the earliest
-// arrival, the armed flush deadline and the cap, and an arrival goes
-// first when it is no later than the flush. It handles an arrival with
+// cruise is the call-free loop of a trial with no observer. It takes the
+// trial's next events in (t, seq) order for as long as each is a phase
+// end or an arrival before the wall cap. Every arrival and the flush
+// were armed before the current phase, so a phase end goes first only
+// when it is strictly earlier than the earliest arrival, the armed flush
+// deadline and the cap, and an arrival goes first when it is no later
+// than the flush. It handles an arrival with
 // failure's rules (charge, invalidate, restartNeed, recoveryIndex,
 // rollback), which start the recovery phase, and then draws the
 // arrival's next time itself when it can: when the severity's law is a
@@ -677,9 +638,9 @@ func (e *Engine) cruise() int {
 	var sev int
 loop:
 	for {
-		levels, counts, costs := e.plan.Levels, e.plan.Counts, e.scn.System.Levels
+		levels, counts, costs := e.scn.Plan.Levels, e.scn.Plan.Counts, e.scn.System.Levels
 		digits, stores, async := e.digits[:len(counts)], e.stores[:len(levels)], e.asyncTop()
-		tau0, tb := e.plan.Tau0, e.scn.System.BaselineTime
+		tau0, tb := e.scn.Plan.Tau0, e.scn.System.BaselineTime
 		if level < 0 && end < horizon {
 			now = end
 			b := &e.res.Breakdown
@@ -728,7 +689,7 @@ loop:
 		}
 		// The arrival comes next: failure's rules, on the locals.
 		now = horizon
-		levels, stores = e.plan.Levels, e.stores[:len(e.plan.Levels)]
+		levels, stores = e.scn.Plan.Levels, e.stores[:len(e.scn.Plan.Levels)]
 		b := &e.res.Breakdown
 		e.res.Failures[a]++
 		useful, b.CheckpointFail, b.RestartFail = charge(phaseOf(level), now-start, useful, b.CheckpointFail, b.RestartFail)
@@ -746,9 +707,9 @@ loop:
 		} else {
 			e.res.ScratchRestarts++
 			done, useful, b.LostCompute = rollback(done, 0, useful, b.LostCompute)
-			pos = reseek(e.digits[:len(e.plan.Counts)], e.plan.Counts, pos, 0)
+			pos = reseek(e.digits[:len(e.scn.Plan.Counts)], e.scn.Plan.Counts, pos, 0)
 			level = 0
-			end = now + computeInterval(e.plan.Tau0, e.scn.System.BaselineTime, done)
+			end = now + computeInterval(e.scn.Plan.Tau0, e.scn.System.BaselineTime, done)
 		}
 		start, seq = now, seq+1
 		rate := e.rates[a]
@@ -789,7 +750,7 @@ func phaseOf(level int) Phase {
 // popPhase takes the pending phase end as the next event, setting the
 // clock to it, when it is strictly earlier than horizon and the armed
 // flush deadline. The flush is read at every call: a checkpoint end with
-// an async capture arms it, and a controller's plan switch disarms it.
+// an async capture arms it.
 func (e *Engine) popPhase(horizon float64) bool {
 	if f := &e.timers[e.flushTimer()]; f.armed && f.t < horizon {
 		horizon = f.t
@@ -804,16 +765,16 @@ func (e *Engine) popPhase(horizon float64) bool {
 }
 
 // endPhase handles the end of the current phase at e.now and starts the
-// phase that follows. It returns true when the application has finished
-// (or a controller produced an invalid plan).
+// phase that follows. It returns true when the application has finished.
 func (e *Engine) endPhase() bool {
 	switch e.phase {
 	case PhaseCompute:
 		return e.endCompute()
 	case PhaseCheckpoint:
-		return e.endCheckpoint()
+		e.endCheckpoint()
+	default:
+		e.endRestart()
 	}
-	e.endRestart()
 	return false
 }
 
@@ -831,18 +792,18 @@ func (e *Engine) endCompute() bool {
 		return true
 	}
 	// The odometer now holds the position this checkpoint commits; a
-	// failure before the commit rolls back through seek.
+	// failure before the commit rolls back through reseek.
 	var idx int
-	e.pos, idx = tick(e.digits, e.plan.Counts, e.pos)
+	e.pos, idx = tick(e.digits, e.scn.Plan.Counts, e.pos)
 	e.asyncCapture = e.asyncTop() && e.pos == 0
-	e.startPhase(PhaseCheckpoint, e.plan.Levels[idx],
-		checkpointCost(e.scn.System.Levels, e.plan.Levels, idx, e.asyncCapture))
+	e.startPhase(PhaseCheckpoint, e.scn.Plan.Levels[idx],
+		checkpointCost(e.scn.System.Levels, e.scn.Plan.Levels, idx, e.asyncCapture))
 	return false
 }
 
-// endCheckpoint commits a finished checkpoint, lets the controller
-// replan, and starts the next compute phase.
-func (e *Engine) endCheckpoint() bool {
+// endCheckpoint commits a finished checkpoint and starts the next
+// compute phase.
+func (e *Engine) endCheckpoint() {
 	e.res.Breakdown.CheckpointOK += e.now - e.phaseStart
 	if e.observer != nil {
 		e.observe(EvPhaseEnd, e.phaseLevel)
@@ -853,23 +814,13 @@ func (e *Engine) endCheckpoint() bool {
 		// Commit only up to the capture level now; the top level commits
 		// when the background flush completes. A flush still in flight is
 		// superseded by the newer data.
-		level = e.plan.Levels[e.plan.NumUsed()-2]
+		level = e.scn.Plan.Levels[e.scn.Plan.NumUsed()-2]
 		e.flushStore = st
 		e.arm(e.flushTimer(), e.now+e.scn.System.Levels[e.phaseLevel-1].Checkpoint)
 		e.asyncCapture = false
 	}
-	commit(e.stores, e.plan.Levels, level, st)
-	if e.controller != nil {
-		if p, ok := e.controller.Replan(e.now, e.done); ok {
-			if err := e.switchPlan(p); err != nil {
-				e.err = err
-				e.finish(false)
-				return true
-			}
-		}
-	}
+	commit(e.stores, e.scn.Plan.Levels, level, st)
 	e.startCompute()
-	return false
 }
 
 // endRestart closes a restart: the application rolls back to the store
@@ -912,7 +863,7 @@ func charge(p Phase, d, useful, ckptFail, restartFail float64) (float64, float64
 func (e *Engine) rollbackTo(st store) {
 	b := &e.res.Breakdown
 	e.done, b.UsefulCompute, b.LostCompute = rollback(e.done, st.progress, b.UsefulCompute, b.LostCompute)
-	e.pos = reseek(e.digits, e.plan.Counts, e.pos, st.pos)
+	e.pos = reseek(e.digits, e.scn.Plan.Counts, e.pos, st.pos)
 }
 
 // rollback returns the progress and the useful and lost compute after a
@@ -934,10 +885,10 @@ func (e *Engine) failure(sev int) {
 	e.chargePartialPhase()
 	// An in-flight background flush loses its source data.
 	e.timers[e.flushTimer()].armed = false
-	invalidate(e.stores, e.plan.Levels, sev)
+	invalidate(e.stores, e.scn.Plan.Levels, sev)
 	need := sev
 	if e.phase == PhaseRestart {
-		need = restartNeed(e.scn.Policy, e.plan.Levels, e.phaseLevel, sev)
+		need = restartNeed(e.scn.Policy, e.scn.Plan.Levels, e.phaseLevel, sev)
 	}
 	e.reserve(sev - 1)
 	e.beginRecovery(need)
@@ -987,8 +938,8 @@ func recoveryIndex(stores []store, levels []int, need int) int {
 // beginRecovery starts a restart from the lowest used level >= need that
 // holds a valid checkpoint, or restarts the application from scratch.
 func (e *Engine) beginRecovery(need int) {
-	if i := recoveryIndex(e.stores, e.plan.Levels, need); i >= 0 {
-		lvl := e.plan.Levels[i]
+	if i := recoveryIndex(e.stores, e.scn.Plan.Levels, need); i >= 0 {
+		lvl := e.scn.Plan.Levels[i]
 		e.restartIdx = i
 		e.startPhase(PhaseRestart, lvl, e.scn.System.Levels[lvl-1].Restart)
 		return
@@ -1025,41 +976,4 @@ func (e *Engine) finish(completed bool) {
 	if math.IsNaN(e.res.Efficiency) {
 		e.res.Efficiency = 0
 	}
-}
-
-// switchPlan installs a controller-provided plan. The pattern restarts
-// at position 0; committed checkpoints keep their progress but resume at
-// the new pattern's start.
-func (e *Engine) switchPlan(p pattern.Plan) error {
-	if err := p.Validate(e.scn.System); err != nil {
-		return fmt.Errorf("sim: controller produced invalid plan: %w", err)
-	}
-	// An in-flight flush belongs to the old plan's level layout.
-	e.timers[e.flushTimer()].armed = false
-	// Remap stores: keep the best committed progress per new used
-	// level (a new level set may drop or add levels; a dropped level's
-	// checkpoint data still exists, but the protocol will no longer
-	// refresh it — conservatively carry progress for levels that appear
-	// in both plans, and for new levels adopt the progress of the
-	// nearest old level at or above them, which the SCR commit rule
-	// guarantees exists there).
-	old := e.stores
-	oldLevels := e.plan.Levels
-	e.plan = p
-	e.seek(0)
-	e.stores = padded[store](p.NumUsed())
-	for i, lvl := range p.Levels {
-		best := store{}
-		for j, ol := range oldLevels {
-			if ol >= lvl && old[j].valid {
-				if !best.valid || old[j].progress > best.progress {
-					best = old[j]
-				}
-			}
-		}
-		if best.valid {
-			e.stores[i] = store{valid: true, progress: best.progress, pos: 0}
-		}
-	}
-	return nil
 }

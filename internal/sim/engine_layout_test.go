@@ -47,9 +47,7 @@ func distance(a, b memRange) uintptr {
 // TestEnginesDoNotShareCacheLines builds two engines back to back on one
 // goroutine, as a campaign's setup would if it built every worker's
 // engine itself, and checks that no byte one engine writes during a
-// trial lies within cachePad bytes of a byte the other writes. The
-// second case switches plans mid-trial, which re-makes the store table
-// and grows the odometer: the padding must survive that too.
+// trial lies within cachePad bytes of a byte the other writes.
 func TestEnginesDoNotShareCacheLines(t *testing.T) {
 	var e Engine
 	if first := unsafe.Offsetof(e.scn); first != cachePad {
@@ -60,36 +58,24 @@ func TestEnginesDoNotShareCacheLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := pattern.Plan{Tau0: 5, Levels: []int{2}}
-	multi := pattern.Plan{Tau0: 1.3, Counts: []int{3}, Levels: []int{1, 2}}
 	seed := rng.Campaign(1, "layout")
-	for _, tc := range []struct {
-		name   string
-		replan bool
-	}{{"fresh", false}, {"switched", true}} {
-		var engs [2]*Engine
-		for i := range engs {
-			engs[i], err = NewEngine(Scenario{System: sys, Plan: one})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.replan {
-				engs[i].Control(func() PlanController { return &switchController{after: 3, plan: multi} })
-			}
+	var engs [2]*Engine
+	for i := range engs {
+		engs[i], err = NewEngine(Scenario{System: sys, Plan: one})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, e := range engs {
-			if _, err := e.Run(seed.Trial(i)); err != nil {
-				t.Fatal(err)
-			}
-			if tc.replan && e.plan.NumUsed() != 2 {
-				t.Fatalf("%s: engine %d never switched plans", tc.name, i)
-			}
+	}
+	for i, e := range engs {
+		if _, err := e.Run(seed.Trial(i)); err != nil {
+			t.Fatal(err)
 		}
-		for _, a := range mutableRanges(engs[0]) {
-			for _, b := range mutableRanges(engs[1]) {
-				if d := distance(a, b); d < cachePad {
-					t.Errorf("%s: engine state [%#x,%#x) and [%#x,%#x) are %d bytes apart, want >= %d",
-						tc.name, a.lo, a.hi, b.lo, b.hi, d, cachePad)
-				}
+	}
+	for _, a := range mutableRanges(engs[0]) {
+		for _, b := range mutableRanges(engs[1]) {
+			if d := distance(a, b); d < cachePad {
+				t.Errorf("engine state [%#x,%#x) and [%#x,%#x) are %d bytes apart, want >= %d",
+					a.lo, a.hi, b.lo, b.hi, d, cachePad)
 			}
 		}
 	}

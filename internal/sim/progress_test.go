@@ -104,18 +104,19 @@ func TestProgressCheckpointedFlag(t *testing.T) {
 }
 
 // TestProgressFailedFinal: a failing campaign's last update is final,
-// failed, carries the run error, and reports the partial merged prefix
-// — the progress mirror of the final-checkpoint-on-error contract.
+// failed, carries the run error, and reports the partial merged prefix.
+// The campaign fails at its first checkpoint write, into a directory
+// that does not exist.
 func TestProgressFailedFinal(t *testing.T) {
 	var col collectUpdates
 	camp := Campaign{
 		Scenario: Scenario{System: twoLevel(100, 300), Plan: planBoth(2, 3)},
-		ControllerFactory: func() PlanController {
-			return &thresholdFailController{threshold: 7}
-		},
 		Trials:   300,
 		Workers:  8,
 		Seed:     seed("progress-fail"),
+		Checkpoint: &CheckpointConfig{
+			Path: filepath.Join(t.TempDir(), "missing", "fail.ckpt"), Interval: 16,
+		},
 		Progress: col.hook,
 	}
 	_, err := camp.Run()

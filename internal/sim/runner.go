@@ -39,10 +39,6 @@ type Campaign struct {
 	// state goroutine-local lets metrics shards aggregate without locks
 	// on the hot path (see internal/obs.Pool).
 	ObserverFactory func(worker int) Observer
-	// ControllerFactory, when non-nil, builds one fresh PlanController
-	// per trial (controllers are stateful). A factory returning nil
-	// leaves that trial uncontrolled.
-	ControllerFactory func() PlanController
 	// TrialStart, when non-nil, is called from the worker goroutine
 	// immediately before each trial runs, with the worker's index and
 	// the campaign trial index — it must be safe for concurrent use.
@@ -76,10 +72,9 @@ type Campaign struct {
 	// prefix advances: one update when the run starts, one whenever
 	// blocks merge (flagged when the merge also wrote a checkpoint), and
 	// a final update on every exit path — complete, failed, or halted —
-	// so progress sidecars can mirror the final-checkpoint-on-error
-	// contract. Calls are made under the runner's merge lock and must be
-	// fast and non-blocking (throttle expensive work, e.g. file writes,
-	// inside the callback).
+	// so progress sidecars record how the run ended. Calls are made under
+	// the runner's merge lock and must be fast and non-blocking (throttle
+	// expensive work, e.g. file writes, inside the callback).
 	Progress func(ProgressUpdate)
 
 	// noEngineReuse forces a fresh engine per trial; determinism tests
@@ -96,8 +91,7 @@ const (
 	RunStateRunning RunState = "running"
 	// RunStateComplete: the run finished every trial in its range.
 	RunStateComplete RunState = "complete"
-	// RunStateFailed: the run stopped on an error; Merged trials were
-	// still flushed (checkpointed when configured).
+	// RunStateFailed: the run stopped on an error.
 	RunStateFailed RunState = "failed"
 	// RunStateHalted: CheckpointConfig.HaltAfter stopped the run cleanly.
 	RunStateHalted RunState = "halted"
@@ -324,9 +318,8 @@ func (c Campaign) validate() error {
 // shard merges bitwise deterministic. Returns halted=true when the
 // merged prefix reached r.haltAt. With a checkpoint config, the merged
 // prefix is written every Interval trials and flushed when the call
-// halts or fails, so the fail-fast contract loses no finished work; a
-// call that completes leaves the final flush to its caller, which knows
-// where the run ends.
+// halts; a call that completes leaves the final flush to its caller,
+// which knows where the run ends.
 func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 	c, sink, ck := r.c, r.sink, r.c.Checkpoint
 	if first >= limit {
@@ -349,56 +342,26 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 	// Prefix merger: completed shards park in pending until the next
 	// in-order block arrives, then merge in ascending block order.
 	// mergedTrials is therefore always the length of the contiguous
-	// merged prefix — the only thing a checkpoint may persist.
+	// merged prefix — the only thing a checkpoint may persist. The first
+	// error, runErr, stops every worker at its next block.
 	var (
 		mergeMu      sync.Mutex
 		pending      = make(map[int]SinkShard)
 		nextBlock    = firstBlock
 		mergedTrials = first
-		mergeErr     error
+		runErr       error
 	)
 	var haltFlag atomic.Bool
-
-	// A failed trial poisons the whole campaign, so it cancels the
-	// remaining trials on every worker instead of letting them burn
-	// through the full campaign before Run can report it. Cancellation is
-	// by trial index, not a plain flag: firstBad holds the lowest failing
-	// trial seen so far, and a worker skips trial i only when some trial
-	// BELOW i has failed. The worker owning the globally lowest failing
-	// trial k therefore always reaches and records k (its earlier trials
-	// precede k and cannot be cancelled by errors at or above k), so the
-	// error Run returns is the error of the lowest-index failing trial —
-	// deterministic for a given Seed regardless of Workers or scheduling.
-	// Blocks consisting entirely of trials below k likewise always
-	// complete and merge, so the checkpoint flushed on the error path
-	// holds every finished block below the failure.
-	const noFailure = int64(1<<63 - 1)
-	var firstBad atomic.Int64
-	firstBad.Store(noFailure)
-	type trialError struct {
-		trial int
-		err   error
-	}
-	var (
-		errMu    sync.Mutex
-		failures []trialError
-	)
-	record := func(trial int, err error) {
-		for {
-			cur := firstBad.Load()
-			if int64(trial) >= cur || firstBad.CompareAndSwap(cur, int64(trial)) {
-				break
-			}
+	fail := func(err error) { // under mergeMu
+		if runErr == nil {
+			runErr = err
 		}
-		errMu.Lock()
-		failures = append(failures, trialError{trial: trial, err: err})
-		errMu.Unlock()
+		haltFlag.Store(true)
 	}
-
 	submit := func(b int, shard SinkShard) {
 		mergeMu.Lock()
 		defer mergeMu.Unlock()
-		if mergeErr != nil {
+		if runErr != nil {
 			return
 		}
 		before := mergedTrials
@@ -410,8 +373,7 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 			}
 			delete(pending, nextBlock)
 			if err := sink.Merge(sh); err != nil {
-				mergeErr = err
-				haltFlag.Store(true)
+				fail(err)
 				return
 			}
 			nextBlock++
@@ -423,8 +385,7 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 		ckpted := false
 		if ck != nil && mergedTrials < c.Trials && mergedTrials-r.saved >= ck.Interval {
 			if err := r.flush(mergedTrials); err != nil {
-				mergeErr = err
-				haltFlag.Store(true)
+				fail(err)
 				return
 			}
 			ckpted = true
@@ -449,15 +410,16 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 			if c.ObserverFactory != nil {
 				obs = c.ObserverFactory(w)
 			}
+			// Every worker builds from the same scenario, so a build
+			// error is every worker's, and any one of them reports it.
 			eng, err := NewEngine(c.Scenario)
 			if err != nil {
-				// Attribute construction errors to the worker's first
-				// trial so they order deterministically with trial errors.
-				record(max((firstBlock+w)*B, first), err)
+				mergeMu.Lock()
+				fail(err)
+				mergeMu.Unlock()
 				return
 			}
 			eng.Observe(obs)
-			eng.Control(c.ControllerFactory)
 			// One result per worker: shards consume it through a pointer,
 			// so a per-trial variable would escape once per trial.
 			var r TrialResult
@@ -469,26 +431,14 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 				hi := min((b+1)*B, limit)
 				shard := sink.Shard()
 				for i := lo; i < hi; i++ {
-					if firstBad.Load() < int64(i) {
-						return
-					}
 					if c.noEngineReuse {
-						eng, err = NewEngine(c.Scenario)
-						if err != nil {
-							record(i, err)
-							return
-						}
+						eng, _ = NewEngine(c.Scenario) // built once already
 						eng.Observe(obs)
-						eng.Control(c.ControllerFactory)
 					}
 					if c.TrialStart != nil {
 						c.TrialStart(w, i)
 					}
-					r, err = eng.Run(c.Seed.Trial(i))
-					if err != nil {
-						record(i, fmt.Errorf("trial %d: %w", i, err))
-						return
-					}
+					r, _ = eng.Run(c.Seed.Trial(i)) // Run's error is always nil
 					shard.Consume(i, &r)
 					if c.TrialDone != nil {
 						c.TrialDone(r)
@@ -500,27 +450,10 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 	}
 	wg.Wait()
 
-	if mergeErr != nil {
+	if runErr != nil {
 		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
-			State: RunStateFailed, Final: true, Err: mergeErr})
-		return false, mergeErr
-	}
-	if len(failures) > 0 {
-		worst := failures[0]
-		for _, f := range failures[1:] {
-			if f.trial < worst.trial {
-				worst = f
-			}
-		}
-		// Flush the finished prefix before reporting, so the fail-fast
-		// contract loses no completed work. The final progress update
-		// mirrors the same contract: it records the partial state.
-		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
-			State: RunStateFailed, Final: true, Err: worst.err})
-		if ferr := r.flush(mergedTrials); ferr != nil {
-			return false, fmt.Errorf("%w (and checkpoint flush failed: %v)", worst.err, ferr)
-		}
-		return false, worst.err
+			State: RunStateFailed, Final: true, Err: runErr})
+		return false, runErr
 	}
 	if haltFlag.Load() {
 		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,

@@ -50,11 +50,8 @@ const (
 // Scenario describes one simulated scenario: the trial-level inputs
 // only. It is a pure value — no per-trial state, no hooks — so one
 // Scenario can be shared by any number of trials, engines and workers.
-// Per-trial hooks (event observers, online plan controllers) attach to
-// the executor instead: Engine.Observe / Engine.Control for single
-// trials, Campaign.ObserverFactory / Campaign.ControllerFactory for
-// campaigns. That split makes the formerly mutually-exclusive hook
-// fields unrepresentable rather than a runtime validation error.
+// Event observers attach to the executor instead: Engine.Observe for
+// single trials, Campaign.ObserverFactory for campaigns.
 type Scenario struct {
 	// System under test. Required.
 	System *system.System
@@ -84,19 +81,6 @@ type Scenario struct {
 	// Ignored for single-level plans (there is no lower level to
 	// capture to).
 	AsyncTopFlush bool
-}
-
-// PlanController is an online checkpoint-interval controller. The
-// simulator notifies it of failures and consults it after every
-// successful checkpoint commit; returning (plan, true) switches the
-// protocol to the new plan (its pattern restarts at position 0; stored
-// checkpoints keep their progress). A returned plan that does not
-// validate against the system aborts the trial with an error.
-type PlanController interface {
-	// OnFailure is called at every failure arrival.
-	OnFailure(now float64, severity int)
-	// Replan is consulted after each successful checkpoint commit.
-	Replan(now, progress float64) (pattern.Plan, bool)
 }
 
 // DefaultMaxWallFactor is the trial cap when Scenario.MaxWallFactor is 0.

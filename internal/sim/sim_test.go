@@ -4,9 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dist"
@@ -566,123 +564,6 @@ func (f *fixedDraws) Sample(*rand.Rand) float64 {
 
 func (f *fixedDraws) Mean() float64 { return 0 }
 
-// switchController swaps to a fixed plan at the n-th Replan consult.
-type switchController struct {
-	after    int
-	plan     pattern.Plan
-	consults int
-	switched bool
-}
-
-func (c *switchController) OnFailure(float64, int) {}
-func (c *switchController) Replan(now, progress float64) (pattern.Plan, bool) {
-	c.consults++
-	if c.switched || c.consults < c.after {
-		return pattern.Plan{}, false
-	}
-	c.switched = true
-	return c.plan, true
-}
-
-// runControlled runs one trial of scn with ctl installed.
-func runControlled(t *testing.T, scn Scenario, ctl PlanController, s rng.Seed) (TrialResult, error) {
-	t.Helper()
-	eng, err := NewEngine(scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Control(func() PlanController { return ctl })
-	return eng.Run(s.Trial(0))
-}
-
-func TestControllerPlanSwitchPreservesProgress(t *testing.T) {
-	sys := twoLevel(20, 300)
-	ctl := &switchController{
-		after: 3,
-		plan:  pattern.Plan{Tau0: 4, Counts: []int{1}, Levels: []int{1, 2}},
-	}
-	res, err := runControlled(t, Scenario{System: sys, Plan: planBoth(2, 4)}, ctl, seed("switch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ctl.switched {
-		t.Fatal("controller never switched")
-	}
-	if !res.Completed {
-		t.Fatal("switched run did not complete")
-	}
-	if math.Abs(res.Breakdown.Total()-res.WallTime) > 1e-6 {
-		t.Fatal("accounting broken after plan switch")
-	}
-}
-
-func TestControllerSwitchToNarrowerLevelSet(t *testing.T) {
-	// Switching to a plan that only uses level 2 must carry the stored
-	// progress for level 2 (SCR commit rule guarantees data there).
-	sys := twoLevel(1e15, 100) // no failures: deterministic
-	ctl := &switchController{
-		after: 2,
-		plan:  pattern.Plan{Tau0: 10, Levels: []int{2}},
-	}
-	res, err := runControlled(t, Scenario{System: sys, Plan: planBoth(10, 0)}, ctl, seed("narrow"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || res.Progress != 100 {
-		t.Fatalf("narrowed run wrong: %+v", res)
-	}
-}
-
-func TestControllerInvalidPlanAbortsTrial(t *testing.T) {
-	sys := twoLevel(50, 100)
-	ctl := &switchController{
-		after: 1,
-		plan:  pattern.Plan{Tau0: -1, Levels: []int{1}},
-	}
-	eng, err := NewEngine(Scenario{System: sys, Plan: planBoth(5, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Control(func() PlanController { return ctl })
-	var rec collectObserver
-	eng.Observe(&rec)
-	res, err := eng.Run(seed("badswitch").Trial(0))
-	if err == nil {
-		t.Fatal("invalid controller plan accepted")
-	}
-	// The aborted trial is left unterminated: not completed, short of
-	// T_B, and with no terminal event.
-	if res.Completed || !(res.Progress < sys.BaselineTime) {
-		t.Errorf("aborted trial reports Completed %v, Progress %v of %v", res.Completed, res.Progress, sys.BaselineTime)
-	}
-	for _, e := range rec.events {
-		if e.Kind == EvComplete || e.Kind == EvCapped {
-			t.Fatalf("aborted trial emitted terminal event %v at %v", e.Kind, e.Time)
-		}
-	}
-}
-
-func TestControllerSwitchCancelsPendingFlush(t *testing.T) {
-	// Async flush in flight + plan switch: the flush must be dropped
-	// without corrupting stores (run simply completes).
-	sys := twoLevel(1e15, 200)
-	sys.Levels[1].Checkpoint = 30 // long flush window
-	ctl := &switchController{
-		after: 2,
-		plan:  planBoth(20, 1),
-	}
-	res, err := runControlled(t, Scenario{System: sys, Plan: planBoth(10, 0), AsyncTopFlush: true}, ctl, seed("flushswitch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("did not complete")
-	}
-	if math.Abs(res.Breakdown.Total()-res.WallTime) > 1e-6 {
-		t.Fatal("accounting broken")
-	}
-}
-
 // countingObserver tallies events; one per worker via ObserverFactory.
 type countingObserver struct {
 	worker int
@@ -772,46 +653,5 @@ func TestCampaignFactoryDeterminism(t *testing.T) {
 			t.Fatalf("trial %d efficiency changed with hooks: %v vs %v",
 				i, plain.Efficiencies[i], withObs.Efficiencies[i])
 		}
-	}
-}
-
-// failingController returns an invalid plan at the first replan
-// opportunity, which aborts its trial with an error.
-type failingController struct{}
-
-func (failingController) OnFailure(float64, int) {}
-func (failingController) Replan(float64, float64) (pattern.Plan, bool) {
-	return pattern.Plan{Tau0: -1}, true
-}
-
-func TestCampaignFailFast(t *testing.T) {
-	// Only the first trial's controller is poisoned; every other trial
-	// would succeed. The first error must cancel the remaining trials
-	// rather than let the campaign run to completion before reporting.
-	sys := twoLevel(1e15, 100)
-	var made atomic.Int64
-	var done atomic.Int64
-	camp := Campaign{
-		Scenario: Scenario{System: sys, Plan: planBoth(10, 1)},
-		ControllerFactory: func() PlanController {
-			if made.Add(1) == 1 {
-				return failingController{}
-			}
-			return nil
-		},
-		Trials:    20000,
-		Workers:   4,
-		Seed:      seed("failfast"),
-		TrialDone: func(TrialResult) { done.Add(1) },
-	}
-	_, err := camp.Run()
-	if err == nil {
-		t.Fatal("campaign with failing controller returned no error")
-	}
-	if !strings.Contains(err.Error(), "invalid plan") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if n := done.Load(); n >= int64(camp.Trials)-1 {
-		t.Fatalf("fail-fast did not cancel: %d of %d trials still ran", n, camp.Trials)
 	}
 }

@@ -130,10 +130,8 @@ type levelChecker struct {
 	t    *testing.T
 	name string
 	plan pattern.Plan
-	base float64 // progress at which the current plan's pattern started
 
 	checked     int
-	ckptEnds    []float64
 	restarted   bool // last event closed a restart
 	midRollback int  // rollbacks that resumed mid-period
 }
@@ -144,13 +142,11 @@ func (c *levelChecker) Observe(e Event) {
 		c.restarted = true
 	case e.Kind == EvPhaseStart && e.Phase == PhaseCompute && c.restarted:
 		c.restarted = false
-		if int((e.Progress-c.base)/c.plan.Tau0)%c.plan.PeriodIntervals() != 0 {
+		if int(e.Progress/c.plan.Tau0)%c.plan.PeriodIntervals() != 0 {
 			c.midRollback++
 		}
-	case e.Kind == EvPhaseEnd && e.Phase == PhaseCheckpoint:
-		c.ckptEnds = append(c.ckptEnds, e.Time)
 	case e.Kind == EvPhaseStart && e.Phase == PhaseCheckpoint:
-		k := (int((e.Progress-c.base)/c.plan.Tau0) - 1) % c.plan.PeriodIntervals()
+		k := (int(e.Progress/c.plan.Tau0) - 1) % c.plan.PeriodIntervals()
 		want := c.plan.Levels[c.plan.LevelAfterInterval(k)]
 		if e.Level != want {
 			c.t.Fatalf("%s: checkpoint at progress %v (interval %d of %v) is level %d, want %d",
@@ -158,25 +154,6 @@ func (c *levelChecker) Observe(e Event) {
 		}
 		c.checked++
 	}
-}
-
-// odometerSwitch switches the engine to plan at the after-th Replan and
-// restarts the checker's pattern there.
-type odometerSwitch struct {
-	after, consults int
-	plan            pattern.Plan
-	chk             *levelChecker
-	at              float64 // simulated time of the switch
-}
-
-func (c *odometerSwitch) OnFailure(float64, int) {}
-func (c *odometerSwitch) Replan(now, progress float64) (pattern.Plan, bool) {
-	c.consults++
-	if c.consults != c.after {
-		return pattern.Plan{}, false
-	}
-	c.chk.plan, c.chk.base, c.at = c.plan, progress, now
-	return c.plan, true
 }
 
 // randomPlan draws a valid plan over a 4-level system: 1–4 used levels,
@@ -197,17 +174,14 @@ func randomPlan(r *rand.Rand) pattern.Plan {
 	return p
 }
 
-// runChecked runs one trial of scn under chk and an optional controller.
-func runChecked(t *testing.T, scn Scenario, chk *levelChecker, ctl PlanController) TrialResult {
+// runChecked runs one trial of scn under chk.
+func runChecked(t *testing.T, scn Scenario, chk *levelChecker) TrialResult {
 	t.Helper()
 	eng, err := NewEngine(scn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Observe(chk)
-	if ctl != nil {
-		eng.Control(func() PlanController { return ctl })
-	}
 	res, err := eng.Run(seed("odometer").Trial(0))
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +194,7 @@ func runChecked(t *testing.T, scn Scenario, chk *levelChecker, ctl PlanControlle
 
 // TestOdometerMatchesLevelAfterInterval checks the engine's checkpoint
 // level sequence against pattern.Plan.LevelAfterInterval for random plans
-// over two full periods, after rollbacks to mid-period checkpoints, and
-// after a PlanController switch.
+// over two full periods and after rollbacks to mid-period checkpoints.
 func TestOdometerMatchesLevelAfterInterval(t *testing.T) {
 	r := rand.New(rand.NewPCG(12, 0))
 	midRollbacks := 0
@@ -233,7 +206,7 @@ func TestOdometerMatchesLevelAfterInterval(t *testing.T) {
 		// interval completes the application.
 		sys := dyadicSystem(4, float64(2*n+1))
 		free := &levelChecker{t: t, name: "periods", plan: plan}
-		freeRes := runChecked(t, Scenario{System: sys, Plan: plan}, free, nil)
+		freeRes := runChecked(t, Scenario{System: sys, Plan: plan}, free)
 		if free.checked != 2*n {
 			t.Fatalf("%v: %d checkpoints, want %d", plan, free.checked, 2*n)
 		}
@@ -250,35 +223,8 @@ func TestOdometerMatchesLevelAfterInterval(t *testing.T) {
 			script.severities = append(script.severities, 1+r.IntN(4))
 		}
 		rb := &levelChecker{t: t, name: "rollback", plan: plan}
-		runChecked(t, Scenario{System: sys, Plan: plan, FailureLaws: script.laws(sys)}, rb, nil)
+		runChecked(t, Scenario{System: sys, Plan: plan, FailureLaws: script.laws(sys)}, rb)
 		midRollbacks += rb.midRollback
-
-		// Switch after a random number of commits to a second random
-		// plan, which then runs two full periods of its own; a repeat
-		// run adds a severity-1 arrival mid-way through the compute
-		// interval after the first post-switch checkpoint, rolling back
-		// to that checkpoint.
-		next := randomPlan(r)
-		after := 1 + r.IntN(n)
-		sys = dyadicSystem(4, float64(after+2*next.PeriodIntervals()+1))
-		sw := &levelChecker{t: t, name: "switch", plan: plan}
-		ctl := &odometerSwitch{after: after, plan: next, chk: sw}
-		runChecked(t, Scenario{System: sys, Plan: plan}, sw, ctl)
-		if sw.plan.Tau0 != next.Tau0 || sw.checked != after+2*next.PeriodIntervals() {
-			t.Fatalf("%v -> %v after %d: %d checkpoints checked", plan, next, after, sw.checked)
-		}
-		fail := -1.0
-		for _, end := range sw.ckptEnds {
-			if end > ctl.at {
-				fail = end + 0.5
-				break
-			}
-		}
-		swrb := &levelChecker{t: t, name: "switch+rollback", plan: plan}
-		script = &scriptedFailures{times: []float64{fail}, severities: []int{1}}
-		runChecked(t, Scenario{System: sys, Plan: plan, FailureLaws: script.laws(sys)}, swrb,
-			&odometerSwitch{after: after, plan: next, chk: swrb})
-		midRollbacks += swrb.midRollback
 	}
 	if midRollbacks == 0 {
 		t.Fatal("no rollback resumed mid-period; the test exercises nothing")

@@ -23,22 +23,19 @@ var updateTrialPins = flag.Bool("update", false, "rewrite testdata/trial_pins.js
 // trialPinTrials is the number of trials pinned per scenario.
 const trialPinTrials = 3
 
-// pinScenario is one row of the trial pins: a scenario plus an optional
-// plan-controller factory.
+// pinScenario is one row of the trial pins.
 type pinScenario struct {
 	name string
 	scn  Scenario
-	ctl  func() PlanController
 }
 
 // trialPinScenarios lists every Table I system with a one-level plan (the
 // top level at Young's interval) and a multi-level plan (every level,
 // two checkpoints of each lower level per period, Young's interval for
 // level 1), each under Retry and Escalate with the async top-level
-// flush off and on. Four rows on D4's multi-level plan follow: a wall
-// cap that cuts some trials short, Weibull failure laws, a Weibull law
-// for severity 1 beside the default exponential for severity 2, and a
-// PlanController that switches plans mid-trial.
+// flush off and on. Three rows on D4's multi-level plan follow: a wall
+// cap that cuts some trials short, Weibull failure laws, and a Weibull
+// law for severity 1 beside the default exponential for severity 2.
 func trialPinScenarios(t *testing.T) []pinScenario {
 	t.Helper()
 	var rows []pinScenario
@@ -97,13 +94,6 @@ func trialPinScenarios(t *testing.T) []pinScenario {
 	mixed := d4Multi
 	mixed.FailureLaws = weibull.FailureLaws[:1]
 	rows = append(rows, pinScenario{name: "D4/multi/retry/async/mixed", scn: mixed})
-
-	next := pattern.Plan{Tau0: 2.5, Counts: []int{1}, Levels: []int{1, 2}}
-	rows = append(rows, pinScenario{
-		name: "D4/multi/retry/async/controller",
-		scn:  d4Multi,
-		ctl:  func() PlanController { return &switchController{after: 40, plan: next} },
-	})
 	return rows
 }
 
@@ -184,11 +174,6 @@ func TestTrialGoldenPins(t *testing.T) {
 		}
 		d := &digestObserver{h: fnv.New64a()}
 		observed.Observe(d)
-		if row.ctl != nil {
-			bare.Control(row.ctl)
-			observed.Control(row.ctl)
-			byRand.Control(row.ctl)
-		}
 		s := rng.Campaign(1, "trial-pins").Scenario(row.name)
 		for i := 0; i < trialPinTrials; i++ {
 			res, err := bare.Run(s.Trial(i))

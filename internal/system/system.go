@@ -78,6 +78,9 @@ func (s *System) Validate() error {
 	if !positiveFinite(s.MTBF) {
 		return fmt.Errorf("system %s: MTBF %v must be positive and finite", s.Name, s.MTBF)
 	}
+	if !positiveFinite(s.Lambda()) {
+		return fmt.Errorf("system %s: MTBF %v too small: its failure rate 1/MTBF overflows", s.Name, s.MTBF)
+	}
 	if len(s.Levels) == 0 {
 		return fmt.Errorf("system %s: needs at least one level", s.Name)
 	}

@@ -35,6 +35,7 @@ func TestValidateRejects(t *testing.T) {
 		"no name":       func(s *System) { s.Name = "" },
 		"zero mtbf":     func(s *System) { s.MTBF = 0 },
 		"inf mtbf":      func(s *System) { s.MTBF = math.Inf(1) },
+		"tiny mtbf":     func(s *System) { s.MTBF = 5e-324 },
 		"no levels":     func(s *System) { s.Levels = nil },
 		"zero baseline": func(s *System) { s.BaselineTime = 0 },
 		"inf baseline":  func(s *System) { s.BaselineTime = math.Inf(1) },

@@ -14,10 +14,9 @@ import (
 // FlightRecorder is a bounded "black box" for campaign trials: it keeps
 // the complete event streams of the last few trials in a ring buffer,
 // and pins (holds) the streams of anomalous trials — trials an external
-// judge flags (conformance violations), trials whose makespan lands
-// beyond a running quantile threshold, and trials that never reach a
-// terminal event (errors abort the stream mid-flight). Everything else
-// is recycled, so a million-trial campaign carries only a few streams.
+// judge flags (conformance violations) and trials whose makespan lands
+// beyond a running quantile threshold. Everything else is recycled, so a
+// million-trial campaign carries only a few streams.
 //
 // It implements sim.Observer and follows the worker-shard discipline:
 // one recorder per worker goroutine (see FlightPool), no locking on the
@@ -186,22 +185,13 @@ func toRecords(events []sim.Event) []Record {
 }
 
 // Streams converts the recorder's current contents — pinned streams,
-// the recent ring, and (if present) an unterminated in-flight stream,
-// which is held with reason "unterminated" since a trial error aborts
-// the stream before its terminal event — into dump form. worker labels
-// the output.
+// then the recent ring — into dump form. worker labels the output.
 func (r *FlightRecorder) Streams(worker int) []FlightStream {
 	var out []FlightStream
 	for _, h := range r.held {
 		out = append(out, FlightStream{
 			Trial: h.trial, Worker: worker, Held: true, Reason: h.reason,
 			Records: toRecords(h.events),
-		})
-	}
-	if len(r.cur) > 0 {
-		out = append(out, FlightStream{
-			Trial: r.currentTrial(), Worker: worker, Held: true, Reason: "unterminated",
-			Records: toRecords(r.cur),
 		})
 	}
 	for i := 0; i < r.filled; i++ {

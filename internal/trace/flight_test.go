@@ -114,24 +114,6 @@ func TestFlightRecorderMaxHold(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderUnterminatedHeld(t *testing.T) {
-	r := NewFlightRecorder()
-	r.BeginTrial(0)
-	feedTrial(r, 1)
-	r.BeginTrial(1)
-	// A trial error aborts the stream before its terminal event.
-	r.Observe(sim.Event{Time: 0, Kind: sim.EvPhaseStart, Phase: sim.PhaseCompute})
-	r.Observe(sim.Event{Time: 0.5, Kind: sim.EvFailure, Level: 1})
-	streams := r.Streams(3)
-	if len(streams) != 2 {
-		t.Fatalf("streams = %+v", streams)
-	}
-	h := streams[0]
-	if !h.Held || h.Reason != "unterminated" || h.Trial != 1 || h.Worker != 3 || len(h.Records) != 2 {
-		t.Fatalf("unterminated stream = %+v", h)
-	}
-}
-
 func TestFlightDumpRoundTrip(t *testing.T) {
 	r := NewFlightRecorder()
 	r.SetJudge(func(sim.Event) (string, bool) { return "pin", true })
