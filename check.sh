@@ -404,6 +404,8 @@ if [ "${1:-}" = "fuzz" ]; then
     go test -run XXX -fuzz '^FuzzPatternPlan$' -fuzztime 30s ./internal/conformance/
     go test -run XXX -fuzz '^FuzzPlanRequest$' -fuzztime 30s ./internal/service/
     go test -run XXX -fuzz '^FuzzSolverReuse$' -fuzztime 30s ./internal/markov/
+    go test -run XXX -fuzz '^FuzzBucketIndex$' -fuzztime 30s ./internal/stats/
+    go test -run XXX -fuzz '^FuzzSketchJSON$' -fuzztime 30s ./internal/stats/
 fi
 
 if [ "${1:-}" = "bench" ]; then

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -83,6 +84,25 @@ func TestErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestFailureStormRejected: a custom system whose wall cap lets a trial
+// expect more than 10⁷ failure arrivals fails before it simulates,
+// instead of running one trial for minutes.
+func TestFailureStormRejected(t *testing.T) {
+	for _, mtbf := range []string{"1e-6", "6e-309"} {
+		args := []string{"-mtbf", mtbf, "-probs", "0.8,0.2", "-times", "0.5,2", "-techniques", "daly", "-trials", "1"}
+		done := make(chan error, 1)
+		go func() { done <- run(args, &bytes.Buffer{}) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "failure arrivals, above the limit of 1e+07") {
+				t.Errorf("-mtbf %s: got %v, want the arrival limit error", mtbf, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-mtbf %s: still running after 10 s", mtbf)
 		}
 	}
 }

@@ -553,6 +553,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) int {
 	if trials < 1 || trials > s.cfg.MaxTrials {
 		return writeError(w, badRequest("trials %d outside [1, %d]", trials, s.cfg.MaxTrials))
 	}
+	// Before anything is queued: a scenario the engine refuses, such as
+	// one whose trials expect too many failure arrivals, is the caller's.
+	if err := (&sim.Scenario{System: sp.sys, Plan: plan}).Validate(); err != nil {
+		return writeError(w, badRequest("%v", err))
+	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = 1

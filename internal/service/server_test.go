@@ -641,6 +641,7 @@ func TestRequestValidation(t *testing.T) {
 		{"predict level beyond system", "/v1/predict", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":5,"counts":[2],"levels":[1,7]}}`, 400},
 		{"simulate too many trials", "/v1/simulate", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":5,"counts":[],"levels":[1]},"trials":5000}`, 400},
 		{"simulate negative trials", "/v1/simulate", `{"system":"D4","technique":"daly","plan":{"tau0_minutes":5,"counts":[],"levels":[1]},"trials":-2}`, 400},
+		{"simulate failure storm", "/v1/simulate", `{"system":"D4","technique":"daly","mtbf_minutes":1e-6,"plan":{"tau0_minutes":5,"counts":[],"levels":[1]},"trials":1}`, 400},
 		{"batch empty", "/v1/batch", `{"requests":[]}`, 400},
 	}
 	for _, tc := range cases {
@@ -654,6 +655,21 @@ func TestRequestValidation(t *testing.T) {
 				t.Errorf("error body %s not a JSON error envelope (err %v)", body, err)
 			}
 		})
+	}
+}
+
+// TestSimulateRejectsFailureStormBeforeQueueing: a scenario whose
+// trials expect more than 10⁷ failure arrivals answers 400 with the
+// simulator's reason, and no campaign starts.
+func TestSimulateRejectsFailureStormBeforeQueueing(t *testing.T) {
+	h := newTestServer(t, Config{})
+	code, _, body := h.post(t, "/v1/simulate", `{"system":"D4","technique":"daly","mtbf_minutes":1e-6,`+
+		`"plan":{"tau0_minutes":5,"counts":[],"levels":[1]},"trials":1,"stream":true}`)
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "5.76e+11 failure arrivals, above the limit of 1e+07") {
+		t.Fatalf("code = %d body=%s, want 400 naming 5.76e+11 and 1e+07 arrivals", code, body)
+	}
+	if got := h.metricValue(t, "sim_runs_total"); got != 0 {
+		t.Errorf("sim_runs_total = %v, want 0", got)
 	}
 }
 

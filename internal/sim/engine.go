@@ -172,11 +172,7 @@ func NewEngine(scn Scenario) (*Engine, error) {
 			e.rewinders = append(e.rewinders, rw)
 		}
 	}
-	factor := scn.MaxWallFactor
-	if factor == 0 {
-		factor = DefaultMaxWallFactor
-	}
-	e.maxWall = factor * sys.BaselineTime
+	e.maxWall = scn.wallCap()
 	e.ownRng = *rand.New(&e.pcg)
 	e.failures = padded[int](L)
 	e.timers = padded[timer](L + 2)
@@ -204,9 +200,16 @@ func (e *Engine) Observe(o Observer) { e.observer = o }
 // valid until the next Run/RunRand; callers that retain results across
 // trials must copy it.
 func (e *Engine) Run(seed rng.Seed) (TrialResult, error) {
+	return *e.runSeed(seed), nil
+}
+
+// runSeed is Run without the copy: it returns the engine's own result,
+// which the next trial overwrites. The campaign runner consumes it in
+// place.
+func (e *Engine) runSeed(seed rng.Seed) *TrialResult {
 	hi, lo := seed.Words()
 	e.pcg.Seed(hi, lo)
-	return e.trial(&e.ownRng, e.maxFill), nil
+	return e.trial(&e.ownRng, e.maxFill)
 }
 
 // RunRand simulates one trial using a caller-provided random stream
@@ -217,16 +220,16 @@ func (e *Engine) RunRand(r *rand.Rand) (TrialResult, error) {
 	if r == nil {
 		return TrialResult{}, fmt.Errorf("sim: nil random source")
 	}
-	return e.trial(r, 1), nil
+	return *e.trial(r, 1), nil
 }
 
 // trial runs one trial on stream r, filling at most fillMax unit
-// exponentials at a time.
-func (e *Engine) trial(r *rand.Rand, fillMax int) TrialResult {
+// exponentials at a time, and returns the engine's result.
+func (e *Engine) trial(r *rand.Rand, fillMax int) *TrialResult {
 	e.rng, e.fillMax = r, fillMax
 	e.reset()
 	e.run()
-	return e.res
+	return &e.res
 }
 
 // RunTrial simulates one application execution and returns its result —

@@ -339,11 +339,12 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 		workers = nBlocks
 	}
 
-	// Prefix merger: completed shards park in pending until the next
-	// in-order block arrives, then merge in ascending block order.
-	// mergedTrials is therefore always the length of the contiguous
-	// merged prefix — the only thing a checkpoint may persist. The first
-	// error, runErr, stops every worker at its next block.
+	// Prefix merger: a shard that arrives in order merges at once, and
+	// an early one parks in pending until the blocks before it have
+	// merged, so shards merge in ascending block order. mergedTrials is
+	// therefore always the length of the contiguous merged prefix — the
+	// only thing a checkpoint may persist. The first error, runErr, stops
+	// every worker at its next block.
 	var (
 		mergeMu      sync.Mutex
 		pending      = make(map[int]SinkShard)
@@ -364,23 +365,26 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 		if runErr != nil {
 			return
 		}
-		before := mergedTrials
-		pending[b] = shard
+		if b != nextBlock {
+			// Early: it waits for the blocks before it. Nothing merged,
+			// so there is nothing to checkpoint, report or halt on.
+			pending[b] = shard
+			return
+		}
+		// In order: merge it, then every parked block it releases.
 		for {
-			sh, ok := pending[nextBlock]
-			if !ok {
-				break
-			}
-			delete(pending, nextBlock)
-			if err := sink.Merge(sh); err != nil {
+			if err := sink.Merge(shard); err != nil {
 				fail(err)
 				return
 			}
 			nextBlock++
-			mergedTrials = nextBlock * B
-			if mergedTrials > limit {
-				mergedTrials = limit
+			mergedTrials = min(nextBlock*B, limit)
+			next, ok := pending[nextBlock]
+			if !ok {
+				break
 			}
+			delete(pending, nextBlock)
+			shard = next
 		}
 		ckpted := false
 		if ck != nil && mergedTrials < c.Trials && mergedTrials-r.saved >= ck.Interval {
@@ -390,12 +394,10 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 			}
 			ckpted = true
 		}
-		if mergedTrials > before || ckpted {
-			// Under mergeMu by design: updates arrive in merged-prefix
-			// order, so sidecar writers never see progress move backwards.
-			c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
-				State: RunStateRunning, Checkpointed: ckpted})
-		}
+		// Under mergeMu by design: updates arrive in merged-prefix order,
+		// so sidecar writers never see progress move backwards.
+		c.notify(ProgressUpdate{First: first, Limit: limit, Merged: mergedTrials,
+			State: RunStateRunning, Checkpointed: ckpted})
 		if r.haltAt > 0 && mergedTrials >= r.haltAt {
 			haltFlag.Store(true)
 		}
@@ -420,9 +422,6 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 				return
 			}
 			eng.Observe(obs)
-			// One result per worker: shards consume it through a pointer,
-			// so a per-trial variable would escape once per trial.
-			var r TrialResult
 			for b := firstBlock + w; b < endBlock; b += workers {
 				if haltFlag.Load() {
 					return
@@ -438,10 +437,10 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 					if c.TrialStart != nil {
 						c.TrialStart(w, i)
 					}
-					r, _ = eng.Run(c.Seed.Trial(i)) // Run's error is always nil
-					shard.Consume(i, &r)
+					res := eng.runSeed(c.Seed.Trial(i))
+					shard.Consume(i, res)
 					if c.TrialDone != nil {
-						c.TrialDone(r)
+						c.TrialDone(*res)
 					}
 				}
 				submit(b, shard)

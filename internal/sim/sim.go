@@ -86,6 +86,42 @@ type Scenario struct {
 // DefaultMaxWallFactor is the trial cap when Scenario.MaxWallFactor is 0.
 const DefaultMaxWallFactor = 400
 
+// maxExpectedArrivals bounds the failure arrivals that a scenario's wall
+// cap lets one trial expect. Nothing else bounds a trial's events, and a
+// trial takes about 79 ns per arrival (Table I D4), so the limit is about
+// a second of engine time per capped trial. The largest scenario the
+// repository runs, Table I D4 at the default cap, expects 9.6·10⁴.
+const maxExpectedArrivals = 1e7
+
+// wallCap is the trial's wall-time cap in minutes.
+func (s *Scenario) wallCap() float64 {
+	factor := s.MaxWallFactor
+	if factor == 0 {
+		factor = DefaultMaxWallFactor
+	}
+	return factor * s.System.BaselineTime
+}
+
+// expectedArrivals is the number of failure arrivals a trial expects
+// before its wall cap: the cap times the sum of the per-severity rates,
+// 1/mean of each law. A law that reports no positive mean, such as an
+// empty replay, adds nothing.
+func (s *Scenario) expectedArrivals() float64 {
+	var rate float64
+	for sev := 1; sev <= s.System.NumLevels(); sev++ {
+		if sev <= len(s.FailureLaws) && s.FailureLaws[sev-1] != nil {
+			if m := s.FailureLaws[sev-1].Mean(); m > 0 {
+				rate += 1 / m
+			}
+		} else {
+			// Rounded (float64(...)) so that no GOARCH fuses the rate's
+			// product into the addition.
+			rate += float64(s.System.LevelRate(sev))
+		}
+	}
+	return s.wallCap() * rate
+}
+
 // Validate checks the scenario.
 func (s *Scenario) Validate() error {
 	if s.System == nil {
@@ -102,6 +138,10 @@ func (s *Scenario) Validate() error {
 	}
 	if len(s.FailureLaws) > s.System.NumLevels() {
 		return fmt.Errorf("sim: %d failure laws for %d severities", len(s.FailureLaws), s.System.NumLevels())
+	}
+	if n := s.expectedArrivals(); !(n <= maxExpectedArrivals) {
+		return fmt.Errorf("sim: the wall cap of %g minutes lets a trial expect %.3g failure arrivals, above the limit of %g",
+			s.wallCap(), n, float64(maxExpectedArrivals))
 	}
 	return nil
 }

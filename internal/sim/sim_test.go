@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -390,6 +391,57 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := (Campaign{Scenario: good, Trials: 0}).Run(); err == nil {
 		t.Error("zero trials accepted")
+	}
+}
+
+// TestScenarioRejectsUnboundedArrivals pins the bound on a trial's
+// failure arrivals: cap × Σ 1/mean must not exceed 10⁷.
+func TestScenarioRejectsUnboundedArrivals(t *testing.T) {
+	d4, err := system.ByName("D4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := Scenario{System: d4, Plan: planBoth(1.3, 3)}
+	if n := largest.expectedArrivals(); math.Abs(n-96000) > 1e-6 {
+		t.Errorf("D4 at the default cap expects %v arrivals, want 96000", n)
+	}
+	if err := largest.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// mlckpt -mtbf 1e-6 -probs 0.8,0.2 -times 0.5,2: 5.76e11 arrivals.
+	storm := Scenario{System: twoLevel(1e-6, 1440), Plan: planBoth(1, 1)}
+	err = storm.Validate()
+	if err == nil || !strings.Contains(err.Error(), "5.76e+11") || !strings.Contains(err.Error(), "1e+07") {
+		t.Fatalf("storm scenario: got %v, want an error naming 5.76e+11 and 1e+07 arrivals", err)
+	}
+	if _, err := NewEngine(storm); err == nil {
+		t.Error("NewEngine built a storm scenario")
+	}
+	if _, err := (Campaign{Scenario: storm, Trials: 1, Seed: seed("storm")}).Run(); err == nil {
+		t.Error("a campaign ran a storm scenario")
+	}
+
+	// The limit itself: 400 × 1440 / MTBF arrivals.
+	at := Scenario{System: twoLevel(400*1440/1e7, 1440), Plan: planBoth(1, 1)}
+	if err := at.Validate(); err != nil {
+		t.Errorf("10⁷ expected arrivals rejected: %v", err)
+	}
+	at.MaxWallFactor = 401
+	if err := at.Validate(); err == nil {
+		t.Error("a wall factor of 401 at the limit's MTBF accepted")
+	}
+
+	// Override laws count by their means; a law without a positive mean
+	// (a finite replay) adds nothing.
+	fast, _ := dist.NewExponential(1e3)
+	laws := Scenario{System: twoLevel(10, 1440), Plan: planBoth(1, 1), FailureLaws: []dist.Sampler{nil, fast}}
+	if err := laws.Validate(); err == nil {
+		t.Error("a severity-2 law at rate 1e3 accepted")
+	}
+	laws.FailureLaws[1] = &fixedDraws{draws: []float64{1, 2}}
+	if err := laws.Validate(); err != nil {
+		t.Errorf("a replayed law rejected: %v", err)
 	}
 }
 

@@ -128,9 +128,12 @@ func (s *Sketch) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON implements json.Unmarshaler. A state written with
-// another bucket scheme, or whose buckets do not hold its n values, is
-// an error.
+// UnmarshalJSON implements json.Unmarshaler. A state that Observe and
+// Merge cannot produce is an error: another bucket scheme, buckets that
+// do not hold its n values, a NaN moment, an infinite mean, min or max,
+// a negative m2, min above max, or an empty sketch with a non-zero
+// moment. So a corrupt checkpoint fails to load instead of resuming into
+// NaN summaries.
 func (s *Sketch) UnmarshalJSON(data []byte) error {
 	var in sketchJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -143,12 +146,40 @@ func (s *Sketch) UnmarshalJSON(data []byte) error {
 	if in.N < 0 {
 		return fmt.Errorf("stats: sketch has n=%d", in.N)
 	}
+	m, err := in.moments()
+	if err != nil {
+		return err
+	}
 	var b LogBuckets
 	if err := b.Restore(in.Buckets, uint64(in.N)); err != nil {
 		return fmt.Errorf("stats: sketch: %w", err)
 	}
-	*s = Sketch{b: b, rejected: in.Rejected, m: Sample{n: int(in.N),
-		mean: math.Float64frombits(in.MeanBits), m2: math.Float64frombits(in.M2Bits),
-		min: math.Float64frombits(in.MinBits), max: math.Float64frombits(in.MaxBits)}}
+	*s = Sketch{b: b, rejected: in.Rejected, m: m}
 	return nil
+}
+
+// moments decodes the state's moments, rejecting what Add and Merge
+// cannot produce.
+func (in *sketchJSON) moments() (Sample, error) {
+	m := Sample{n: int(in.N),
+		mean: math.Float64frombits(in.MeanBits), m2: math.Float64frombits(in.M2Bits),
+		min: math.Float64frombits(in.MinBits), max: math.Float64frombits(in.MaxBits)}
+	if m.n == 0 {
+		// Bits, not values: a -0 would not survive a merge.
+		if in.MeanBits|in.M2Bits|in.MinBits|in.MaxBits != 0 {
+			return Sample{}, fmt.Errorf("stats: sketch has n=0 but non-zero moments")
+		}
+		return m, nil
+	}
+	switch {
+	case math.IsNaN(m.mean) || math.IsNaN(m.m2) || math.IsNaN(m.min) || math.IsNaN(m.max):
+		return Sample{}, fmt.Errorf("stats: sketch has a NaN moment (mean %g, m2 %g, min %g, max %g)", m.mean, m.m2, m.min, m.max)
+	case math.IsInf(m.mean, 0) || math.IsInf(m.min, 0) || math.IsInf(m.max, 0):
+		return Sample{}, fmt.Errorf("stats: sketch has an infinite mean, min or max (%g, %g, %g)", m.mean, m.min, m.max)
+	case m.m2 < 0:
+		return Sample{}, fmt.Errorf("stats: sketch has a negative m2 %g", m.m2)
+	case m.min > m.max:
+		return Sample{}, fmt.Errorf("stats: sketch has min %g above max %g", m.min, m.max)
+	}
+	return m, nil
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -201,6 +203,89 @@ func TestSketchJSONRejectsCorruptState(t *testing.T) {
 			t.Errorf("%s: corrupt state accepted", name)
 		}
 	}
+	// Moments that Observe and Merge cannot produce. Each state's buckets
+	// hold its n values, so only the moments are wrong.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, c := range map[string]struct {
+		n                  int
+		mean, m2, min, max float64
+	}{
+		"NaN mean, negative m2, min above max": {2, nan, -2, 1, 0.5},
+		"NaN mean":                             {2, nan, 0, 1, 2},
+		"NaN m2":                               {2, 1.5, nan, 1, 2},
+		"NaN min":                              {2, 1.5, 0.5, nan, 2},
+		"NaN max":                              {2, 1.5, 0.5, 1, nan},
+		"infinite mean":                        {2, inf, 0.5, 1, 2},
+		"infinite min":                         {2, 1.5, 0.5, -inf, 2},
+		"infinite max":                         {2, 1.5, 0.5, 1, inf},
+		"negative m2":                          {2, 1.5, -2, 1, 2},
+		"min above max":                        {2, 1.5, 0.5, 2, 1},
+		"empty with a mean":                    {0, 1, 0, 0, 0},
+		"empty with an m2":                     {0, 0, 1, 0, 0},
+		"empty with a -0 min":                  {0, 0, 0, math.Copysign(0, -1), 0},
+	} {
+		buckets := ""
+		if c.n > 0 {
+			buckets = fmt.Sprintf(`,"buckets":[{"i":%d,"c":%d}]`, bucketIndex(1), c.n)
+		}
+		data := fmt.Sprintf(`{"lo":1e-9,"hi":1e12,"per_decade":8,"n":%d,"mean_bits":%d,"m2_bits":%d,"min_bits":%d,"max_bits":%d%s}`,
+			c.n, math.Float64bits(c.mean), math.Float64bits(c.m2), math.Float64bits(c.min), math.Float64bits(c.max), buckets)
+		var sk Sketch
+		if err := json.Unmarshal([]byte(data), &sk); err == nil {
+			t.Errorf("%s: state accepted (Std reads %v)", name, sk.Std())
+		}
+	}
+}
+
+// FuzzSketchJSON feeds mutated sketch states to UnmarshalJSON. A state
+// either fails to load, or its summary reads no NaN, it re-marshals to
+// bytes that load and marshal again unchanged, and merged into an empty
+// sketch it marshals to the same bytes.
+func FuzzSketchJSON(f *testing.F) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 40} {
+		sk := NewSketch()
+		for i := 0; i < n; i++ {
+			sk.Observe(math.Exp(r.NormFloat64() * 4))
+		}
+		if n == 2 {
+			sk.Observe(math.NaN())
+		}
+		data, err := json.Marshal(sk)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"lo":1e-9,"hi":1e12,"per_decade":8,"n":0,"mean_bits":4607182418800017408,"m2_bits":0,"min_bits":0,"max_bits":0}`))
+	f.Add([]byte(`{"lo":1e-9,"hi":1e12,"per_decade":8,"n":2,"mean_bits":9221120237041090560,"m2_bits":13835058055282163712,"min_bits":4607182418800017408,"max_bits":4602678819172646912,"buckets":[{"i":73,"c":2}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sk Sketch
+		if json.Unmarshal(data, &sk) != nil {
+			return
+		}
+		if s := sk.Summary(); math.IsNaN(s.Mean) || math.IsNaN(s.Std) || math.IsNaN(s.Min) || math.IsNaN(s.Max) {
+			t.Fatalf("loaded state has a NaN summary %+v", s)
+		}
+		out, err := json.Marshal(&sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Sketch
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-marshalled state fails to load: %v\n%s", err, out)
+		}
+		if again, _ := json.Marshal(&back); !bytes.Equal(again, out) {
+			t.Fatalf("round trip changed the bytes:\n%s\n%s", out, again)
+		}
+		merged := NewSketch()
+		if err := merged.Merge(&sk); err != nil {
+			t.Fatal(err)
+		}
+		if m, _ := json.Marshal(merged); !bytes.Equal(m, out) {
+			t.Fatalf("merged into an empty sketch, the state marshals differently:\n%s\n%s", out, m)
+		}
+	})
 }
 
 func TestSketchReset(t *testing.T) {
