@@ -23,6 +23,8 @@
 #   ./check.sh results  only the results/ gate: rebuild the published
 #                       artifacts with repro and compare them byte for
 #                       byte
+#   ./check.sh examples only the examples gate: build and run every
+#                       program under examples/
 set -eu
 cd "$(dirname "$0")"
 
@@ -129,6 +131,28 @@ results_gate() {
     echo "results/ matches"
 }
 
+# examples_gate: the programs under examples/ are documentation that
+# runs. Build and run each one, and fail on a non-zero exit, so that a
+# runtime failure (a campaign its arms do not validate for, say) cannot
+# ship behind a clean build.
+examples_gate() {
+    echo "== examples (build and run each)"
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    for dir in examples/*/; do
+        name=$(basename "$dir")
+        go build -o "$tmp/$name" "./$dir"
+        if ! "$tmp/$name" >"$tmp/$name.out" 2>&1; then
+            cat "$tmp/$name.out" >&2
+            echo "examples/$name exited non-zero" >&2
+            exit 1
+        fi
+        echo "examples/$name ran"
+    done
+    rm -rf "$tmp"
+    trap - EXIT
+}
+
 if [ "${1:-}" = "fma" ]; then
     fma_gate
     echo "OK"
@@ -141,6 +165,11 @@ if [ "${1:-}" = "cruise" ]; then
 fi
 if [ "${1:-}" = "results" ]; then
     results_gate
+    echo "OK"
+    exit 0
+fi
+if [ "${1:-}" = "examples" ]; then
+    examples_gate
     echo "OK"
     exit 0
 fi
@@ -377,6 +406,7 @@ go test ./...
 echo "== (cd bench && go test ./...)"
 (cd bench && go test ./...)
 results_gate
+examples_gate
 # CRN neutrality gate: a paired campaign must leave every arm's
 # marginal result bitwise identical to a standalone campaign on the
 # same seed — at both the sim layer and the experiments layer.

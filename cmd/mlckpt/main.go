@@ -74,7 +74,6 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	metricsPath := fs.String("metrics", "", "write a telemetry snapshot (JSON) of the optimizer sweeps and simulations to this file")
 	progress := fs.Bool("progress", false, "report trials/sec and ETA on stderr")
-	progressInterval := fs.Duration("progress-interval", 0, "minimum time between -progress lines (0 = default 500ms, negative = every tick)")
 	listen := fs.String("listen", "", "serve live telemetry over HTTP on this address (/metrics, /snapshot, /spans, /flight, /debug/pprof/)")
 	traceSummary := fs.Bool("trace-summary", false, "print the hierarchical span time breakdown after the run")
 	flightPath := fs.String("flight", "", "write the trial flight-recorder dump (recent + anomalous event streams) to this file; read it back with simtrace -flight")
@@ -239,9 +238,6 @@ func run(args []string, stdout io.Writer) error {
 			perCell = hi - lo
 		}
 		prog := obs.NewProgress(os.Stderr, "mlckpt", int64(len(techNames)*perCell))
-		if *progressInterval != 0 {
-			prog.SetInterval(*progressInterval)
-		}
 		opt.TrialDone = prog.Tick
 		defer prog.Finish()
 	}

@@ -67,7 +67,6 @@ func run(args []string, stdout io.Writer) error {
 	ciTarget := fs.Float64("ci-target", 0, "with -crn, stop each row once every paired 95% CI half-width is below this (0 = fixed trial count)")
 	metricsPath := fs.String("metrics", "", "write an aggregate telemetry snapshot (JSON) to this file")
 	progress := fs.Bool("progress", false, "report trials/sec and ETA on stderr")
-	progressInterval := fs.Duration("progress-interval", 0, "minimum time between -progress lines (0 = default 500ms, negative = every tick)")
 	listen := fs.String("listen", "", "serve live telemetry over HTTP on this address (/metrics, /snapshot, /spans, /debug/pprof/)")
 	traceSummary := fs.Bool("trace-summary", false, "print the hierarchical span time breakdown after the run")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -158,9 +157,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *progress {
 		prog := obs.NewProgress(os.Stderr, "repro", trialBudget(targets, opt))
-		if *progressInterval != 0 {
-			prog.SetInterval(*progressInterval)
-		}
 		opt.TrialDone = prog.Tick
 		defer prog.Finish()
 	}

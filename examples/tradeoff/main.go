@@ -1,9 +1,10 @@
 // Trade-off ablation: the same failures, different protocol choices.
-// Using the trace record/replay machinery, one fixed failure history is
-// replayed against (a) the optimized multilevel plan, (b) a single-level
-// PFS-only plan, and (c) the multilevel plan under Moody's pessimistic
-// restart-escalation semantics — isolating exactly what each design
-// choice costs when the randomness is held constant.
+// A paired campaign runs (a) the optimized multilevel plan, (b) a
+// single-level PFS-only plan, and (c) the multilevel plan under Moody's
+// pessimistic restart-escalation semantics on common random numbers:
+// trial i of every arm draws its failures from the same trial seed, so
+// each arm's difference from the optimized plan isolates what its design
+// choice costs with the randomness held constant.
 //
 //	go run ./examples/tradeoff
 package main
@@ -17,7 +18,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/system"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -29,38 +29,40 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seed := rng.Campaign(3, "tradeoff-example")
-
-	// Record one failure history while running the optimized plan.
 	base := sim.Scenario{System: sys, Plan: plan}
-	res, replays, err := trace.RecordFailures(base, seed.Trial(0).Rand())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("recorded history: %d failures over %.0f simulated minutes\n\n",
-		res.TotalFailures(), res.WallTime)
-	fmt.Printf("%-42s efficiency %.4f (wall %8.1f min)\n",
-		"multilevel plan "+plan.String(), res.Efficiency, res.WallTime)
-
-	// Same failures, PFS-only checkpointing at the same interval.
+	// PFS-only checkpointing at twice the interval.
 	pfsOnly := base
 	pfsOnly.Plan = pattern.Plan{Tau0: plan.Tau0 * 2, Levels: []int{sys.NumLevels()}}
-	r2, err := trace.ReplayFailures(pfsOnly, replays, seed.Trial(1).Rand())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-42s efficiency %.4f (wall %8.1f min)\n",
-		"PFS-only plan "+pfsOnly.Plan.String(), r2.Efficiency, r2.WallTime)
-
-	// Same failures, multilevel plan, escalating restarts.
 	esc := base
 	esc.Policy = sim.EscalatePolicy
-	r3, err := trace.ReplayFailures(esc, replays, seed.Trial(2).Rand())
+	arms := []struct {
+		name string
+		scn  sim.Scenario
+	}{
+		{"multilevel plan " + plan.String(), base},
+		{"PFS-only plan " + pfsOnly.Plan.String(), pfsOnly},
+		{"multilevel + restart escalation", esc},
+	}
+
+	pc := sim.PairedCampaign{}
+	seed := rng.Campaign(3, "tradeoff-example").Scenario(sys.Name)
+	for _, a := range arms {
+		pc.Arms = append(pc.Arms, sim.Campaign{Scenario: a.scn, Trials: 200, Seed: seed})
+	}
+	res, err := pc.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-42s efficiency %.4f (wall %8.1f min)\n",
-		"multilevel + restart escalation", r3.Efficiency, r3.WallTime)
+
+	fmt.Printf("%d trials per arm; trial i of every arm faces the same failures\n\n", res.TrialsRun)
+	fmt.Printf("%-48s %10s  %s\n", "arm", "efficiency", "minus optimized (95% CI)")
+	for i, a := range arms {
+		fmt.Printf("%-48s %10.4f", a.name, res.Arms[i].Efficiency.Mean)
+		if c := res.Comparison(0, i); c != nil {
+			fmt.Printf("  %+.4f ± %.4f", -c.MeanDiff, c.CIHalf)
+		}
+		fmt.Println()
+	}
 
 	fmt.Println("\nWith the failure process held fixed, the multilevel pattern wins by")
 	fmt.Println("recovering cheap failures from cheap checkpoints, and the escalation")

@@ -3,9 +3,11 @@ package conformance
 import (
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -19,9 +21,10 @@ import (
 // no observer, which must return a bit-identical TrialResult: the
 // observed engine writes its phase-end state back before each callback,
 // the bare ones keep it in locals, and the paths must agree. One bare
-// engine runs the trial through Run, which draws unit exponentials
-// ahead in growing fills, the other through RunRand on the same stream,
-// which draws one at a time.
+// engine runs the scenario as generated, drawing unit exponentials ahead
+// in growing fills; the other runs it with every law wrapped in
+// armTimeLaw, so each arrival draws at arm time and nothing is drawn
+// ahead.
 func FuzzEngineScenario(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -46,7 +49,7 @@ func FuzzEngineScenario(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := sim.NewEngine(scn)
+		armed, err := sim.NewEngine(armTime(t, scn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,12 +68,12 @@ func FuzzEngineScenario(f *testing.F) {
 			if !sameBits(res, want) {
 				t.Fatalf("trial %d: observed engine returned %+v, unobserved engine %+v", trial, res, want)
 			}
-			one, err := single.RunRand(seed.Trial(trial).Rand())
+			one, err := armed.Run(seed.Trial(trial))
 			if err != nil {
-				t.Fatalf("trial %d (RunRand): %v", trial, err)
+				t.Fatalf("trial %d (arm time): %v", trial, err)
 			}
 			if !sameBits(one, want) {
-				t.Fatalf("trial %d: RunRand returned %+v, Run %+v", trial, one, want)
+				t.Fatalf("trial %d: laws sampled at arm time returned %+v, drawn ahead %+v", trial, one, want)
 			}
 			if !(res.WallTime > 0) {
 				t.Fatalf("trial %d: non-positive wall time %v", trial, res.WallTime)
@@ -83,6 +86,34 @@ func FuzzEngineScenario(f *testing.F) {
 			t.Fatalf("invariant violation on scenario %+v plan %v: %v", scn.System, scn.Plan, err)
 		}
 	})
+}
+
+// armTimeLaw hides a failure law's FromUnit from the engine, which then
+// samples the law when it arms an arrival and draws nothing ahead.
+type armTimeLaw struct{ law dist.Sampler }
+
+func (a armTimeLaw) Sample(src *rand.Rand) float64 { return a.law.Sample(src) }
+func (a armTimeLaw) Mean() float64                 { return a.law.Mean() }
+
+// armTime returns scn with every law that fires wrapped in armTimeLaw:
+// the scenario's own law, or the default exponential law at the system's
+// rate.
+func armTime(t *testing.T, scn sim.Scenario) sim.Scenario {
+	t.Helper()
+	laws := make([]dist.Sampler, scn.System.NumLevels())
+	for sev := 1; sev <= len(laws); sev++ {
+		if sev <= len(scn.FailureLaws) && scn.FailureLaws[sev-1] != nil {
+			laws[sev-1] = armTimeLaw{scn.FailureLaws[sev-1]}
+		} else if rate := scn.System.LevelRate(sev); rate > 0 {
+			exp, err := dist.NewExponential(rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			laws[sev-1] = armTimeLaw{exp}
+		}
+	}
+	scn.FailureLaws = laws
+	return scn
 }
 
 // sameBits reports whether two trial results are bit-identical.

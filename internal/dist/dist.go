@@ -19,20 +19,6 @@ import (
 // positive finite number.
 var ErrInvalidRate = errors.New("dist: failure rate must be positive and finite")
 
-// FailProb returns P(t, X) = 1 - exp(-X*t), the probability that an
-// exponential failure process with rate X produces at least one failure
-// within an interval of length t (paper Eqn. 1).
-//
-// Degenerate inputs are handled so model sweeps never see NaN: a
-// non-positive t or rate yields probability 0.
-func FailProb(t, rate float64) float64 {
-	if t <= 0 || rate <= 0 {
-		return 0
-	}
-	// -math.Expm1(-x) = 1-exp(-x) with full precision for small x.
-	return -math.Expm1(-rate * t)
-}
-
 // TruncExp returns E(t, X), the expected value of an exponential
 // distribution with rate X truncated to the interval [0, t] (paper
 // Eqn. 2):

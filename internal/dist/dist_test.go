@@ -18,35 +18,6 @@ func almost(a, b, tol float64) bool {
 	return d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func TestFailProbBasics(t *testing.T) {
-	if got := FailProb(0, 1); got != 0 {
-		t.Errorf("P(0,1) = %v, want 0", got)
-	}
-	if got := FailProb(-1, 1); got != 0 {
-		t.Errorf("P(-1,1) = %v, want 0", got)
-	}
-	if got := FailProb(1, 0); got != 0 {
-		t.Errorf("P(1,0) = %v, want 0", got)
-	}
-	if got := FailProb(math.Log(2), 1); !almost(got, 0.5, 1e-12) {
-		t.Errorf("P(ln2,1) = %v, want 0.5", got)
-	}
-	if got := FailProb(1e9, 1); !almost(got, 1, 1e-12) {
-		t.Errorf("P(1e9,1) = %v, want 1", got)
-	}
-}
-
-func TestFailProbMatchesNaiveForm(t *testing.T) {
-	for _, tc := range []struct{ t, x float64 }{
-		{1, 0.5}, {3.13, 1.0 / 3.13}, {1440, 1.0 / 6944.45}, {0.008, 12},
-	} {
-		want := 1 - math.Exp(-tc.x*tc.t)
-		if got := FailProb(tc.t, tc.x); !almost(got, want, 1e-13) {
-			t.Errorf("P(%v,%v) = %v, want %v", tc.t, tc.x, got, want)
-		}
-	}
-}
-
 func TestTruncExpClosedForm(t *testing.T) {
 	// Direct evaluation of paper Eqn. 2 at moderate X*t.
 	tt, x := 10.0, 0.2
@@ -101,7 +72,7 @@ func TestTruncExpContinuityAcrossSeriesSwitch(t *testing.T) {
 func TestRetryCount(t *testing.T) {
 	// P/(1-P) with P = 1-exp(-xt) equals exp(xt)-1.
 	tt, x := 5.0, 0.3
-	p := FailProb(tt, x)
+	p := 1 - math.Exp(-x*tt)
 	want := p / (1 - p)
 	if got := RetryCount(tt, x); !almost(got, want, 1e-12) {
 		t.Errorf("RetryCount = %v, want %v", got, want)

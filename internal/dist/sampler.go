@@ -15,16 +15,6 @@ type Sampler interface {
 	Mean() float64
 }
 
-// Rewinder is an optional interface for stateful samplers (e.g. trace
-// replays) that must restart their stream at the beginning of each
-// trial. The simulator's reusable Engine rewinds every failure law that
-// implements it before every trial; stateless laws like Exponential and
-// Weibull need not implement it.
-type Rewinder interface {
-	// Rewind restarts the sampler's stream from its first draw.
-	Rewind()
-}
-
 // Sample draws an exponential inter-arrival time by inversion:
 // FromUnit(UnitExp(src.Float64())).
 func (e Exponential) Sample(src *rand.Rand) float64 {

@@ -9,39 +9,32 @@ import (
 
 // Progress reports completion rate (units/sec) and, when the total is
 // known, an ETA. Tick/Add are safe for concurrent use (campaign workers
-// call them per trial); output is throttled to one line per period.
+// call them per trial); output is throttled to one line per
+// progressPeriod.
 type Progress struct {
-	mu     sync.Mutex
-	w      io.Writer
-	label  string
-	unit   string
-	total  int64
-	done   int64
-	start  time.Time
-	last   time.Time
-	period time.Duration
-	now    func() time.Time // test hook
+	mu    sync.Mutex
+	w     io.Writer
+	label string
+	unit  string
+	total int64
+	done  int64
+	start time.Time
+	last  time.Time
+	now   func() time.Time // test hook
 }
+
+// progressPeriod is the minimum time between progress lines.
+const progressPeriod = 500 * time.Millisecond
 
 // NewProgress returns a reporter writing to w. label prefixes every
 // line; total is the expected number of units (0 = unknown: rate only,
 // no ETA or percentage).
 func NewProgress(w io.Writer, label string, total int64) *Progress {
 	p := &Progress{
-		w: w, label: label, unit: "trials", total: total,
-		period: 500 * time.Millisecond, now: time.Now,
+		w: w, label: label, unit: "trials", total: total, now: time.Now,
 	}
 	p.start = p.now()
 	return p
-}
-
-// SetInterval overrides the minimum period between progress lines (the
-// cmd tools' -progress-interval flag). Non-positive intervals disable
-// throttling entirely — every Tick emits a line.
-func (p *Progress) SetInterval(d time.Duration) {
-	p.mu.Lock()
-	p.period = d
-	p.mu.Unlock()
 }
 
 // Tick records one completed unit, emitting a throttled progress line.
@@ -52,7 +45,7 @@ func (p *Progress) Add(n int64) {
 	p.mu.Lock()
 	p.done += n
 	now := p.now()
-	if now.Sub(p.last) < p.period {
+	if now.Sub(p.last) < progressPeriod {
 		p.mu.Unlock()
 		return
 	}

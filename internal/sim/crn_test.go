@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -77,6 +78,105 @@ func TestPairedCampaignMarginalsBitwiseIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// failureLog records the time and severity of every failure arrival of
+// a trial.
+type failureLog []failureAt
+
+type failureAt struct {
+	t   uint64 // bits of the arrival time
+	sev int
+}
+
+func (l *failureLog) Observe(e Event) {
+	if e.Kind == EvFailure {
+		*l = append(*l, failureAt{math.Float64bits(e.Time), e.Level})
+	}
+}
+
+// before returns the arrivals strictly earlier than t.
+func (l failureLog) before(t float64) failureLog {
+	n := 0
+	for n < len(l) && math.Float64frombits(l[n].t) < t {
+		n++
+	}
+	return l[:n]
+}
+
+// TestTrialSeedFixesFailureArrivals pins the premise of PairedCampaign:
+// a trial seed fixes the failure history, whatever the plan, restart
+// policy or flush mode. The engine draws uniforms only for arrivals,
+// each when the previous arrival of its severity fires, so the draws
+// follow the arrival times and not the plan. Each pair of scenarios
+// below differs in all three; trial i of both runs on the same seed, and
+// their arrivals must agree bit for bit up to the shorter trial's wall
+// time. A failure on the completion instant would preempt completion,
+// so every arrival of the shorter trial lies strictly before its end.
+func TestTrialSeedFixesFailureArrivals(t *testing.T) {
+	rows := map[string]Scenario{}
+	for _, row := range trialPinScenarios(t) {
+		rows[row.name] = row.scn
+	}
+	withLaws := func(name, laws string) Scenario {
+		scn := rows[name]
+		scn.FailureLaws = rows[laws].FailureLaws
+		return scn
+	}
+	pairs := []struct {
+		name string
+		a, b Scenario
+	}{
+		{"D4", rows["D4/one/retry/sync"], rows["D4/multi/escalate/async"]},
+		{"B", rows["B/one/retry/sync"], rows["B/multi/escalate/async"]},
+		{"D4/weibull", rows["D4/multi/retry/async/weibull"], withLaws("D4/one/escalate/sync", "D4/multi/retry/async/weibull")},
+		{"D4/mixed", rows["D4/multi/retry/async/mixed"], withLaws("D4/one/escalate/sync", "D4/multi/retry/async/mixed")},
+	}
+	compared := 0
+	for _, p := range pairs {
+		if p.a.System == nil || p.b.System == nil {
+			t.Fatalf("%s: no such pin scenario", p.name)
+		}
+		var logs [2]failureLog
+		var engs [2]*Engine
+		for k, scn := range []Scenario{p.a, p.b} {
+			eng, err := NewEngine(scn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Observe(&logs[k])
+			engs[k] = eng
+		}
+		s := rng.Campaign(1, "crn-premise").Scenario(p.name)
+		for i := 0; i < 50; i++ {
+			var res [2]TrialResult
+			for k, eng := range engs {
+				logs[k] = logs[k][:0]
+				r, err := eng.Run(s.Trial(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[k] = r
+			}
+			short := 0
+			if res[1].WallTime < res[0].WallTime {
+				short = 1
+			}
+			w := res[short].WallTime
+			if n := len(logs[short].before(w)); n != len(logs[short]) {
+				t.Fatalf("%s trial %d: %d of %d arrivals before the wall time %v", p.name, i, n, len(logs[short]), w)
+			}
+			a, b := logs[0].before(w), logs[1].before(w)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s trial %d: the arrivals before %v differ: %d against %d", p.name, i, w, len(a), len(b))
+			}
+			compared += len(a)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no arrivals compared")
+	}
+	t.Logf("%d arrivals agree", compared)
 }
 
 // Sequential batching must not change any trial: a run whose target is

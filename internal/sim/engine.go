@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"unsafe"
@@ -72,24 +71,21 @@ type Engine struct {
 	laws []dist.Sampler // per severity, index 0 = severity 1
 	// units holds, per severity, the law if its draw is FromUnit of one
 	// unit exponential (a dist.Exponential or dist.Weibull), else nil.
-	// rewinders lists the laws that restart their stream every trial.
-	units     []unitLaw
-	rewinders []dist.Rewinder
+	units []unitLaw
 	// rates holds, per severity, the rate of a dist.Exponential law, else
 	// 0: cruise draws those arrivals itself.
 	rates []float64
-	// maxFill is the most unit exponentials one fill draws under Run:
-	// len(ahead), or 1 when a law outside units draws from the stream too.
+	// maxFill is the most unit exponentials one fill draws: len(ahead),
+	// or 1 when a law outside units draws from the stream too.
 	maxFill  int
 	maxWall  float64
 	observer Observer
 
-	// Owned RNG, reseeded per Run; RunRand substitutes a caller stream.
-	// The PCG state is written on every draw, so it is embedded rather
-	// than allocated beside other objects.
-	pcg    rand.PCG
-	ownRng rand.Rand
-	rng    *rand.Rand
+	// The trial's random stream, reseeded per Run. The PCG state is
+	// written on every draw, so it is embedded rather than allocated
+	// beside other objects.
+	pcg rand.PCG
+	rng rand.Rand
 
 	// Per-trial state, recycled by reset.
 	//
@@ -120,11 +116,10 @@ type Engine struct {
 
 	// ahead[aheadAt:aheadN] are unit exponentials drawn ahead of the
 	// arrivals they will time, in arming order. A fill draws fill of
-	// them; fill doubles after each fill up to fillMax, which is maxFill
-	// under Run and 1 under RunRand.
+	// them; fill doubles after each fill up to maxFill.
 	ahead           [16]float64
 	aheadAt, aheadN int
-	fill, fillMax   int
+	fill            int
 
 	_ [cachePad]byte
 }
@@ -168,12 +163,9 @@ func NewEngine(scn Scenario) (*Engine, error) {
 			// It draws at arm time, so nothing may be drawn ahead of it.
 			e.maxFill = 1
 		}
-		if rw, ok := law.(dist.Rewinder); ok {
-			e.rewinders = append(e.rewinders, rw)
-		}
 	}
 	e.maxWall = scn.wallCap()
-	e.ownRng = *rand.New(&e.pcg)
+	e.rng = *rand.New(&e.pcg)
 	e.failures = padded[int](L)
 	e.timers = padded[timer](L + 2)
 	e.digits = padded[int](len(scn.Plan.Counts))
@@ -187,18 +179,17 @@ func NewEngine(scn Scenario) (*Engine, error) {
 func (e *Engine) Observe(o Observer) { e.observer = o }
 
 // Run simulates one trial drawn from the given seed and returns its
-// result. The engine's internal PCG generator is reseeded from the
-// seed's raw words, so the trial is bit-identical to
-// RunRand(seed.Rand()) without the per-trial generator allocation. Run
-// draws the unit exponentials of exponential and Weibull laws ahead, up
-// to 16 at a time, so the engine's own stream may end a few draws past
-// the trial's last arrival. The error is always nil: a validated
-// scenario cannot fail mid-trial, and Run returns one only to match
-// RunRand.
+// result. The engine's PCG generator is reseeded from the seed's raw
+// words, so the trial draws the stream of seed.Rand() without allocating
+// a generator. Run draws the unit exponentials of exponential and
+// Weibull laws ahead, up to 16 at a time, in the order that sampling
+// every law at arm time would take them, so the engine's stream may end
+// a few draws past the trial's last arrival. The error is always nil: a
+// validated scenario cannot fail mid-trial.
 //
 // The returned result's Failures slice aliases engine scratch and is
-// valid until the next Run/RunRand; callers that retain results across
-// trials must copy it.
+// valid until the next Run; callers that retain results across trials
+// must copy it.
 func (e *Engine) Run(seed rng.Seed) (TrialResult, error) {
 	return *e.runSeed(seed), nil
 }
@@ -209,40 +200,9 @@ func (e *Engine) Run(seed rng.Seed) (TrialResult, error) {
 func (e *Engine) runSeed(seed rng.Seed) *TrialResult {
 	hi, lo := seed.Words()
 	e.pcg.Seed(hi, lo)
-	return e.trial(&e.ownRng, e.maxFill)
-}
-
-// RunRand simulates one trial using a caller-provided random stream
-// (trace replays and tests drive this directly). It draws one uniform
-// at a time, so r ends exactly as many draws further on as the trial
-// used. The same Failures aliasing contract as Run applies.
-func (e *Engine) RunRand(r *rand.Rand) (TrialResult, error) {
-	if r == nil {
-		return TrialResult{}, fmt.Errorf("sim: nil random source")
-	}
-	return *e.trial(r, 1), nil
-}
-
-// trial runs one trial on stream r, filling at most fillMax unit
-// exponentials at a time, and returns the engine's result.
-func (e *Engine) trial(r *rand.Rand, fillMax int) *TrialResult {
-	e.rng, e.fillMax = r, fillMax
 	e.reset()
 	e.run()
 	return &e.res
-}
-
-// RunTrial simulates one application execution and returns its result —
-// a thin compatibility wrapper over a single-use engine. The caller
-// provides the random stream (see internal/rng for reproducible
-// per-trial seeding). Campaigns and repeated runs should construct one
-// Engine and reuse it instead.
-func RunTrial(scn Scenario, r *rand.Rand) (TrialResult, error) {
-	e, err := NewEngine(scn)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	return e.RunRand(r)
 }
 
 // reset recycles all per-trial state and arms the opening events. It
@@ -268,12 +228,7 @@ func (e *Engine) reset() {
 		e.failures[i] = 0
 	}
 	e.res = TrialResult{Failures: e.failures}
-	e.aheadAt, e.aheadN, e.fill = 0, 0, min(2, e.fillMax)
-
-	// Stateful failure laws (trace replays) restart their stream.
-	for _, rw := range e.rewinders {
-		rw.Rewind()
-	}
+	e.aheadAt, e.aheadN, e.fill = 0, 0, min(2, e.maxFill)
 
 	// Arm one arrival per severity that fires.
 	for i, law := range e.laws {
@@ -348,7 +303,7 @@ func (e *Engine) armFailure(sev int) {
 func (e *Engine) sample(sev int) float64 {
 	u := e.units[sev-1]
 	if u == nil {
-		return e.laws[sev-1].Sample(e.rng)
+		return e.laws[sev-1].Sample(&e.rng)
 	}
 	if e.aheadAt == e.aheadN {
 		e.refill()
@@ -366,7 +321,7 @@ func (e *Engine) refill() {
 		e.ahead[i] = dist.UnitExp(e.rng.Float64())
 	}
 	e.aheadAt, e.aheadN = 0, n
-	if n < e.fillMax {
+	if n < e.maxFill {
 		e.fill = 2 * n
 	}
 }

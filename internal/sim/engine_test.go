@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"bytes"
 	"math"
-	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"testing"
@@ -116,128 +114,61 @@ func TestGoldenCampaignBitIdenticalEscalateAsync(t *testing.T) {
 
 func TestCampaignDeterministicAcrossWorkersAndReuse(t *testing.T) {
 	// The full CampaignResult — Efficiencies order, MeanBreakdown, every
-	// summary — must be identical for any worker count with engine
-	// reuse on or off.
+	// summary — must be identical for any worker count. Each worker's
+	// engine runs its own sequence of trials, so every count reuses the
+	// engines differently.
 	base := goldenD7Campaign(t)
-	base.Trials = 60 // keep the 6-way sweep quick
+	base.Trials = 60 // keep the sweep quick
 	var want CampaignResult
 	for i, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		for _, noReuse := range []bool{false, true} {
-			c := base
-			c.Workers = workers
-			c.noEngineReuse = noReuse
-			got, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 && !noReuse {
-				want = got
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("workers=%d noReuse=%v produced different CampaignResult:\n got %+v\nwant %+v",
-					workers, noReuse, got, want)
-			}
+		c := base
+		c.Workers = workers
+		got, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d produced different CampaignResult:\n got %+v\nwant %+v",
+				workers, got, want)
 		}
 	}
 }
 
-func TestEngineRunMatchesRunTrial(t *testing.T) {
-	// One engine reused across trials must reproduce the single-use
-	// RunTrial wrapper exactly, including the PCG stream (Run reseeds
-	// in place; RunTrial builds a fresh generator).
-	camp := goldenD7Campaign(t)
-	eng, err := NewEngine(camp.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 25; i++ {
-		seed := camp.Seed.Trial(i)
-		a, err := eng.Run(seed)
+// TestEngineReuseMatchesFreshEngine checks that one engine reused across
+// trials returns what a fresh engine returns for each trial: reset
+// restores every piece of per-trial state, the draw-ahead buffer
+// included, and reseeding a used PCG starts the seed's stream as
+// seeding a new one does. The reused engine alternates between two
+// seeds' trials, so no trial starts from the state its predecessor in a
+// campaign would leave.
+func TestEngineReuseMatchesFreshEngine(t *testing.T) {
+	for _, camp := range []Campaign{goldenD7Campaign(t), goldenBCampaign(t)} {
+		eng, err := NewEngine(camp.Scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunTrial(camp.Scenario, seed.Rand())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: reused engine %+v != fresh %+v", i, a, b)
-		}
-	}
-}
-
-// TestRunRandConsumesOnlyItsDraws checks that RunRand leaves a caller's
-// stream exactly as many uniforms further on as the trial uses: one per
-// armed arrival, which is one per severity that fires and one per
-// failure. Run draws the unit exponentials of its trial ahead, several
-// per fill; RunRand must fill one at a time, so that its caller's stream
-// advances as if every arrival drew at arm time, and must return the
-// same bits as Run.
-func TestRunRandConsumesOnlyItsDraws(t *testing.T) {
-	d4, err := system.ByName("D4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := system.ByName("B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []pinScenario{
-		{name: "D4", scn: Scenario{System: d4, Plan: pattern.Plan{Tau0: 1.3, Counts: []int{3}, Levels: []int{1, 2}}}},
-		{name: "capped", scn: Scenario{
-			System:        b.WithTopCost(20).WithMTBF(3).WithBaseline(30),
-			Plan:          pattern.Plan{Tau0: 0.5587, Counts: []int{1, 0, 16}, Levels: []int{1, 2, 3, 4}},
-			MaxWallFactor: 150,
-		}},
-	}
-	for _, row := range trialPinScenarios(t) {
-		if row.name == "D4/multi/retry/async/mixed" {
-			rows = append(rows, row)
-		}
-	}
-	if len(rows) != 3 {
-		t.Fatal("no D4/multi/retry/async/mixed row in trialPinScenarios")
-	}
-	for _, row := range rows {
-		eng, err := NewEngine(row.scn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		active := 0
-		for _, law := range eng.laws {
-			if law != nil {
-				active++
-			}
-		}
-		s := rng.Campaign(1, "runrand-draws").Scenario(row.name)
-		for i := 0; i < 3; i++ {
-			hi, lo := s.Trial(i).Words()
-			src := rand.NewPCG(hi, lo)
-			res, err := eng.RunRand(rand.New(src))
-			if err != nil {
-				t.Fatal(err)
-			}
-			draws := active
-			for _, n := range res.Failures {
-				draws += n
-			}
-			pin := resultPin(res)
-			ref := rand.NewPCG(hi, lo)
-			for k := 0; k < draws; k++ {
-				ref.Uint64()
-			}
-			got, _ := src.MarshalBinary() // a PCG always marshals
-			want, _ := ref.MarshalBinary()
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s trial %d: RunRand's stream is not %d draws on", row.name, i, draws)
-			}
-			ran, err := eng.Run(s.Trial(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rp := resultPin(ran); rp != pin {
-				t.Errorf("%s trial %d: Run\n got %s\nwant %s (RunRand)", row.name, i, rp, pin)
+		other := rng.Campaign(8, "reuse").Scenario(camp.Scenario.System.Name)
+		for i := 0; i < 25; i++ {
+			for _, s := range []rng.Seed{camp.Seed.Trial(i), other.Trial(i)} {
+				a, err := eng.Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewEngine(camp.Scenario)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := fresh.Run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s trial %d: reused engine %+v != fresh %+v", camp.Scenario.System.Name, i, a, b)
+				}
 			}
 		}
 	}

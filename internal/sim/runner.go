@@ -76,10 +76,6 @@ type Campaign struct {
 	// the runner's merge lock and must be fast and non-blocking (throttle
 	// expensive work, e.g. file writes, inside the callback).
 	Progress func(ProgressUpdate)
-
-	// noEngineReuse forces a fresh engine per trial; determinism tests
-	// use it to prove reuse does not change results.
-	noEngineReuse bool
 }
 
 // RunState classifies a campaign run's lifecycle in ProgressUpdates and
@@ -430,10 +426,6 @@ func (r *campaignRun) runBlocks(first, limit int) (halted bool, err error) {
 				hi := min((b+1)*B, limit)
 				shard := sink.Shard()
 				for i := lo; i < hi; i++ {
-					if c.noEngineReuse {
-						eng, _ = NewEngine(c.Scenario) // built once already
-						eng.Observe(obs)
-					}
 					if c.TrialStart != nil {
 						c.TrialStart(w, i)
 					}

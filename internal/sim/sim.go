@@ -68,9 +68,10 @@ type Scenario struct {
 	// laws (index 0 = severity 1). Defaults to exponential processes at
 	// the system's severity rates; replace with Weibull laws for the
 	// non-memoryless ablation. A nil entry keeps the default for that
-	// severity. Laws are shared across every trial that runs the
-	// scenario; stateful laws implementing dist.Rewinder are rewound at
-	// the start of each trial an Engine runs.
+	// severity. Every trial that runs the scenario shares the laws, and
+	// so does every worker's engine in a campaign, so a law must be safe
+	// for concurrent use: one that draws only from the stream it is
+	// handed, as Exponential and Weibull do, is.
 	FailureLaws []dist.Sampler
 	// AsyncTopFlush enables SCR/FTI-style asynchronous flushing of the
 	// plan's top-level checkpoint: the application blocks only for the
@@ -104,8 +105,8 @@ func (s *Scenario) wallCap() float64 {
 
 // expectedArrivals is the number of failure arrivals a trial expects
 // before its wall cap: the cap times the sum of the per-severity rates,
-// 1/mean of each law. A law that reports no positive mean, such as an
-// empty replay, adds nothing.
+// 1/mean of each law. A law that reports no positive mean, such as a
+// test law that scripts its arrivals, adds nothing.
 func (s *Scenario) expectedArrivals() float64 {
 	var rate float64
 	for sev := 1; sev <= s.System.NumLevels(); sev++ {

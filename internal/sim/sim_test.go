@@ -37,13 +37,24 @@ func seed(name string) rng.Seed {
 	return rng.Campaign(1234, "simtest").Scenario(name)
 }
 
-func TestFailureFreeRun(t *testing.T) {
-	sys := twoLevel(1e15, 100)
-	cfg := Scenario{System: sys, Plan: planBoth(10, 1)}
-	res, err := RunTrial(cfg, seed("free").Trial(0).Rand())
+// runOnce runs one trial of scn, drawn from s, on a fresh engine.
+func runOnce(t *testing.T, scn Scenario, s rng.Seed) TrialResult {
+	t.Helper()
+	eng, err := NewEngine(scn)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := eng.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestFailureFreeRun(t *testing.T) {
+	sys := twoLevel(1e15, 100)
+	cfg := Scenario{System: sys, Plan: planBoth(10, 1)}
+	res := runOnce(t, cfg, seed("free").Trial(0))
 	if !res.Completed {
 		t.Fatal("failure-free run did not complete")
 	}
@@ -70,10 +81,7 @@ func TestBreakdownSumsToWallTime(t *testing.T) {
 	cfg := Scenario{System: sys, Plan: planBoth(2, 3)}
 	s := seed("sum")
 	for i := 0; i < 50; i++ {
-		res, err := RunTrial(cfg, s.Trial(i).Rand())
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runOnce(t, cfg, s.Trial(i))
 		if math.Abs(res.Breakdown.Total()-res.WallTime) > 1e-6 {
 			t.Fatalf("trial %d: breakdown %v != wall %v", i, res.Breakdown.Total(), res.WallTime)
 		}
@@ -225,10 +233,7 @@ func TestHopelessSystemHitsCap(t *testing.T) {
 		},
 	}
 	cfg := Scenario{System: sys, Plan: planBoth(1, 1), MaxWallFactor: 20}
-	res, err := RunTrial(cfg, seed("cap").Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, cfg, seed("cap").Trial(0))
 	if res.Completed {
 		t.Fatal("hopeless run completed")
 	}
@@ -386,9 +391,6 @@ func TestScenarioValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative cap accepted")
 	}
-	if _, err := RunTrial(good, nil); err == nil {
-		t.Error("nil rng accepted")
-	}
 	if _, err := (Campaign{Scenario: good, Trials: 0}).Run(); err == nil {
 		t.Error("zero trials accepted")
 	}
@@ -433,7 +435,7 @@ func TestScenarioRejectsUnboundedArrivals(t *testing.T) {
 	}
 
 	// Override laws count by their means; a law without a positive mean
-	// (a finite replay) adds nothing.
+	// (a scripted test law) adds nothing.
 	fast, _ := dist.NewExponential(1e3)
 	laws := Scenario{System: twoLevel(10, 1440), Plan: planBoth(1, 1), FailureLaws: []dist.Sampler{nil, fast}}
 	if err := laws.Validate(); err == nil {
@@ -441,7 +443,7 @@ func TestScenarioRejectsUnboundedArrivals(t *testing.T) {
 	}
 	laws.FailureLaws[1] = &fixedDraws{draws: []float64{1, 2}}
 	if err := laws.Validate(); err != nil {
-		t.Errorf("a replayed law rejected: %v", err)
+		t.Errorf("a scripted law rejected: %v", err)
 	}
 }
 
@@ -473,10 +475,7 @@ func TestAsyncFlushFailureFreeArithmetic(t *testing.T) {
 	// checkpoints: wall = T_B + (#L1 ckpts + #top captures)·δ1.
 	sys := twoLevel(1e15, 100)
 	cfg := Scenario{System: sys, Plan: planBoth(10, 1), AsyncTopFlush: true}
-	res, err := RunTrial(cfg, seed("async-free").Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, cfg, seed("async-free").Trial(0))
 	if !res.Completed {
 		t.Fatal("did not complete")
 	}
@@ -503,10 +502,7 @@ func TestAsyncFlushCommitsTopLevel(t *testing.T) {
 		System: sys, Plan: plan, AsyncTopFlush: true,
 		FailureLaws: ctl.laws(sys),
 	}
-	res, err := RunTrial(cfg, seed("async-commit").Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, cfg, seed("async-commit").Trial(0))
 	if res.ScratchRestarts != 0 {
 		t.Fatalf("scratch restart despite flushed top checkpoint: %+v", res)
 	}
@@ -531,10 +527,7 @@ func TestAsyncFlushAbortedByQuickFailure(t *testing.T) {
 		System: sys, Plan: plan, AsyncTopFlush: true,
 		FailureLaws: ctl.laws(sys),
 	}
-	res, err := RunTrial(cfg, seed("async-abort").Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, cfg, seed("async-abort").Trial(0))
 	if res.ScratchRestarts != 1 {
 		t.Fatalf("expected scratch restart (flush aborted): %+v", res)
 	}
@@ -567,10 +560,7 @@ func TestAsyncIgnoredForSingleLevelPlan(t *testing.T) {
 	sys := twoLevel(30, 120)
 	plan := pattern.Plan{Tau0: 10, Levels: []int{2}}
 	cfg := Scenario{System: sys, Plan: plan, AsyncTopFlush: true}
-	res, err := RunTrial(cfg, seed("async-single").Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, cfg, seed("async-single").Trial(0))
 	if math.Abs(res.Breakdown.Total()-res.WallTime) > 1e-9 {
 		t.Fatal("accounting broken for single-level async")
 	}

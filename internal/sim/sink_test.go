@@ -27,7 +27,7 @@ func TestExactSinkMatchesLegacyAggregate(t *testing.T) {
 
 // TestStreamSinkDeterministicAcrossWorkersAndBlocks: the streaming
 // result — sketches included — is bitwise identical for any worker
-// count, with engine reuse on or off. Changing Block is allowed to
+// count. Changing Block is allowed to
 // change bits (it changes the fold tree), but each Block value must be
 // self-consistent across workers.
 func TestStreamSinkDeterministicAcrossWorkersAndBlocks(t *testing.T) {
@@ -39,7 +39,6 @@ func TestStreamSinkDeterministicAcrossWorkersAndBlocks(t *testing.T) {
 			camp.Workers = workers
 			camp.Block = block
 			camp.Sink = NewStreamSink()
-			camp.noEngineReuse = i == 2
 			res, err := camp.Run()
 			if err != nil {
 				t.Fatal(err)

@@ -48,10 +48,7 @@ func TestTimerTieOrderGolden(t *testing.T) {
 		AsyncTopFlush: true,
 		FailureLaws:   ctl.laws(sys),
 	}
-	res, err := RunTrial(scn, seed("ties").Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runOnce(t, scn, seed("ties").Trial(0))
 	if !res.Completed || res.ScratchRestarts != 2 || res.Failures[0] != 3 || res.Failures[1] != 1 {
 		t.Fatalf("tie order changed: %+v", res)
 	}

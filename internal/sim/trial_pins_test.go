@@ -8,6 +8,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,6 +134,34 @@ func resultPin(r TrialResult) string {
 		r.Failures, r.ScratchRestarts, r.Completed)
 }
 
+// armTimeLaw hides a failure law's FromUnit from the engine, which then
+// samples the law when it arms an arrival and draws nothing ahead.
+type armTimeLaw struct{ law dist.Sampler }
+
+func (a armTimeLaw) Sample(src *rand.Rand) float64 { return a.law.Sample(src) }
+func (a armTimeLaw) Mean() float64                 { return a.law.Mean() }
+
+// armTime returns scn with every law that fires wrapped in armTimeLaw:
+// the scenario's own law, or the default exponential law at the system's
+// rate.
+func armTime(t *testing.T, scn Scenario) Scenario {
+	t.Helper()
+	laws := make([]dist.Sampler, scn.System.NumLevels())
+	for sev := 1; sev <= len(laws); sev++ {
+		if sev <= len(scn.FailureLaws) && scn.FailureLaws[sev-1] != nil {
+			laws[sev-1] = armTimeLaw{scn.FailureLaws[sev-1]}
+		} else if rate := scn.System.LevelRate(sev); rate > 0 {
+			exp, err := dist.NewExponential(rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			laws[sev-1] = armTimeLaw{exp}
+		}
+	}
+	scn.FailureLaws = laws
+	return scn
+}
+
 // TestTrialGoldenPins pins, trial by trial, the bit patterns of every
 // TrialResult field and an FNV-64a digest of the observed event stream
 // over the scenarios of trialPinScenarios. The pins were captured from
@@ -140,11 +169,13 @@ func resultPin(r TrialResult) string {
 // loop; any drift in event order or arithmetic shows up as a changed
 // line. Each trial runs on an unobserved engine (which pins the result),
 // on an observed one (which pins the event stream and must return the
-// same result bits), and on a third, unobserved engine through RunRand,
-// which must return the same bits too. RunRand fills the draw-ahead
-// buffer one unit exponential at a time, so it never leaves one buffered
-// and cruise never draws an arrival there: armFailure draws every one.
-// That sets cruise's in-loop draw against armFailure on every row.
+// same result bits), and on a third, unobserved engine whose laws are
+// wrapped in armTimeLaw, which must return the same bits too. There
+// every arrival draws its uniform when it is armed: nothing is drawn
+// ahead, and cruise draws no arrival in its loop, so armFailure draws
+// every one. That sets the draw-ahead fills, and cruise's in-loop draw,
+// against sampling at arm time on every row. The third leg compares with
+// the first, not with the file, so it holds under -update too.
 func TestTrialGoldenPins(t *testing.T) {
 	path := filepath.Join("testdata", "trial_pins.json")
 	want := map[string][]string{}
@@ -168,7 +199,7 @@ func TestTrialGoldenPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		byRand, err := NewEngine(row.scn)
+		armed, err := NewEngine(armTime(t, row.scn))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,12 +220,12 @@ func TestTrialGoldenPins(t *testing.T) {
 			if op := resultPin(ores); op != pin {
 				t.Errorf("%s trial %d: observed engine\n got %s\nwant %s (unobserved)", row.name, i, op, pin)
 			}
-			rres, err := byRand.RunRand(s.Trial(i).Rand())
+			ares, err := armed.Run(s.Trial(i))
 			if err != nil {
-				t.Fatalf("%s trial %d (RunRand): %v", row.name, i, err)
+				t.Fatalf("%s trial %d (arm time): %v", row.name, i, err)
 			}
-			if rp := resultPin(rres); rp != pin {
-				t.Errorf("%s trial %d: RunRand\n got %s\nwant %s (Run)", row.name, i, rp, pin)
+			if ap := resultPin(ares); ap != pin {
+				t.Errorf("%s trial %d: laws sampled at arm time\n got %s\nwant %s (drawn ahead)", row.name, i, ap, pin)
 			}
 			got[row.name] = append(got[row.name], fmt.Sprintf("%s events=%d digest=%016x", pin, d.events, d.h.Sum64()))
 			if row.scn.MaxWallFactor != 0 {

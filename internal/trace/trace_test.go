@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 
@@ -75,87 +74,5 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, err := ReadFlight(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s accepted", doc)
 		}
-	}
-}
-
-func TestRecordReplayIdentical(t *testing.T) {
-	// Replaying the recorded failure processes with the same plan must
-	// reproduce the trial exactly.
-	c := cfg()
-	src := rng.Campaign(10, "replay")
-	res, replays, err := RecordFailures(c, src.Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalFailures() == 0 {
-		t.Fatal("recording saw no failures; pick a harder scenario")
-	}
-	res2, err := ReplayFailures(c, replays, src.Trial(1).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.WallTime-res2.WallTime) > 1e-9 {
-		t.Fatalf("replay wall %v != original %v", res2.WallTime, res.WallTime)
-	}
-	if res.TotalFailures() != res2.TotalFailures() {
-		t.Fatalf("replay failures %d != original %d", res2.TotalFailures(), res.TotalFailures())
-	}
-}
-
-func TestReplayWithDifferentPlan(t *testing.T) {
-	// Same failures, different plan: the run differs but stays
-	// deterministic across replays.
-	c := cfg()
-	src := rng.Campaign(11, "replay2")
-	_, replays, err := RecordFailures(c, src.Trial(0).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	alt := c
-	alt.Plan = pattern.Plan{Tau0: 6, Counts: []int{0}, Levels: []int{1, 2}}
-	a, err := ReplayFailures(alt, replays, src.Trial(2).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReplayFailures(alt, replays, src.Trial(3).Rand())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.WallTime != b.WallTime || a.TotalFailures() != b.TotalFailures() {
-		t.Fatal("replay is not deterministic")
-	}
-}
-
-func TestReplaySamplerExhaustion(t *testing.T) {
-	r := &ReplaySampler{Draws: []float64{1, 2}}
-	if r.Remaining() != 2 {
-		t.Fatalf("remaining = %d", r.Remaining())
-	}
-	if r.Sample(nil) != 1 || r.Sample(nil) != 2 {
-		t.Fatal("replay order wrong")
-	}
-	if !math.IsInf(r.Sample(nil), 1) {
-		t.Fatal("exhausted replay must return +Inf")
-	}
-	r.Rewind()
-	if r.Sample(nil) != 1 {
-		t.Fatal("rewind failed")
-	}
-	if (&ReplaySampler{}).Mean() != 0 {
-		t.Fatal("empty mean")
-	}
-	if r.Mean() != 1.5 {
-		t.Fatalf("mean = %v", r.Mean())
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	c := cfg()
-	if _, err := ReplayFailures(c, []*ReplaySampler{{}}, rng.Campaign(1, "x").Trial(0).Rand()); err == nil {
-		t.Fatal("stream count mismatch accepted")
-	}
-	c.System = nil
-	if _, _, err := RecordFailures(c, rng.Campaign(1, "x").Trial(0).Rand()); err == nil {
-		t.Fatal("nil system accepted")
 	}
 }
